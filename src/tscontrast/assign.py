@@ -42,6 +42,7 @@ class TemporalAssignConfig:
     kernel: str = "sigmoid"
     neighbor_window_frac: float = 0.3
     gaussian_std: float = 1.0
+    hierarchical: bool = True      # False: tau_base at every level (ablation)
 
     def __post_init__(self):
         if self.tau_base <= 0:
@@ -84,7 +85,10 @@ def w_instance(dist: DistanceMatrix, cfg: InstanceAssignConfig) -> np.ndarray:
 
 
 def effective_tau(cfg: TemporalAssignConfig, level_k: int) -> float:
-    """Sharpness at pooling depth k: m^k times the base value."""
+    """Sharpness at pooling depth k: m^k times the base value, or the base
+    value itself when the hierarchy is off."""
+    if not cfg.hierarchical:
+        return cfg.tau_base
     return cfg.pool_kernel_m ** level_k * cfg.tau_base
 
 

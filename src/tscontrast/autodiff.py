@@ -122,47 +122,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
 
-def dot(a, b) -> Tensor:
-    """Flattened inner product of two equal-shape tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"dot shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return tsum(mul(a, b))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0):
-        raise ValueError("log of nonpositive value")
-    out_data = np.log(a.data)
-
-    def bwd(g):
-        _accumulate(a, g / a.data)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    keep = a.data > 0
-    out_data = np.where(keep, a.data, 0.0)
-
-    def bwd(g):
-        _accumulate(a, g * keep)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
 def gelu(a) -> Tensor:
     """Exact erf-based GELU; smooth, so finite-difference checks stay clean."""
     a = as_tensor(a)
@@ -187,12 +146,6 @@ def tsum(a, axis=None) -> Tensor:
             _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
     return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def tmean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, shape) -> Tensor:
@@ -237,20 +190,6 @@ def tslice(a, key) -> Tensor:
         buf = np.zeros_like(a.data)
         buf[key] += g  # basic slicing only, so indices never repeat
         _accumulate(a, buf)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def softmax_rowwise(a) -> Tensor:
-    """Softmax over the last axis, log-sum-exp stabilized."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(a, out_data * (g - inner))
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 

@@ -45,12 +45,16 @@ def _build_dataset(cfg: engine_config.EngineConfig) -> ds.TimeSeriesSet:
     return ds.znormalize(tset)
 
 
+def _distance_key(cfg: engine_config.EngineConfig) -> tuple:
+    """(metric, radius, band): the settings that determine the matrix."""
+    eff = cfg.effective()["distance"]
+    return eff["metric"], eff["radius"], eff["band"]
+
+
 def _distance_matrix(cfg: engine_config.EngineConfig, tset: ds.TimeSeriesSet,
                      cache_path=None) -> dist_mod.DistanceMatrix:
-    eff = cfg.effective()["distance"]
-    metric = eff["metric"]
-    params = {"radius": eff["radius"], "band": eff["band"]}
-    path = cache_path or eff["cache"]
+    metric, radius, band = _distance_key(cfg)
+    path = cache_path or cfg.effective()["distance"]["cache"]
     if path and os.path.exists(path):
         matrix = dist_mod.load_matrix(path)
         if matrix.metric != metric:
@@ -60,7 +64,7 @@ def _distance_matrix(cfg: engine_config.EngineConfig, tset: ds.TimeSeriesSet,
             raise ValueError(f"cache {path} is for N={matrix.n}, dataset has N={tset.n}")
         print("cache hit")
         return matrix
-    matrix = dist_mod.pairwise(tset, metric, params)
+    matrix = dist_mod.pairwise(tset, metric, {"radius": radius, "band": band})
     if path:
         dist_mod.save_matrix(matrix, path)
     return matrix
@@ -72,18 +76,11 @@ def _echo_config(cfg: engine_config.EngineConfig, args):
 
 
 def _load_config(args) -> engine_config.EngineConfig:
-    cfg = engine_config.load(args.config)
     # flag > file > default
-    overrides = {
-        "seed": ("train", "seed"),
-        "iters": ("train", "iters"),
-        "lam": ("loss", "lambda"),
-    }
-    for attr, (section, key) in overrides.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            getattr(cfg, section)[key] = value
-    return engine_config.validate(cfg.effective() | {"dataset": cfg.dataset})
+    flags = {"seed": ("train", "seed"), "iters": ("train", "iters"), "lam": ("loss", "lambda")}
+    overrides = {where: getattr(args, attr) for attr, where in flags.items()
+                 if getattr(args, attr, None) is not None}
+    return engine_config.load(args.config, overrides)
 
 
 def cmd_distances(args) -> int:
@@ -194,6 +191,8 @@ def cmd_ablate(args) -> int:
     base = _load_config(args)
     _echo_config(base, args)
     tset = _build_dataset(base)
+    base_key = _distance_key(base)
+    matrices = {}
     rows = []
     for name, value, patch in _ablate_rows(base, args.axis):
         raw = base.effective()
@@ -201,7 +200,13 @@ def cmd_ablate(args) -> int:
         for section, changes in patch.items():
             raw[section] = {**raw[section], **changes}
         cfg = engine_config.validate(raw)
-        matrix = _distance_matrix(cfg, tset)
+        key = _distance_key(cfg)
+        if key not in matrices:
+            # the configured cache file holds the base settings' matrix only
+            metric, radius, band = key
+            matrices[key] = (_distance_matrix(base, tset) if key == base_key else
+                             dist_mod.pairwise(tset, metric, {"radius": radius, "band": band}))
+        matrix = matrices[key]
         tcfg = cfg.to_train_config()
         state = tr.TrainState.fresh(tcfg, tset.dims)
         _, history = tr.pretrain(tset, matrix, tcfg, state=state)

@@ -6,21 +6,42 @@ loudly instead of silently training with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 
 from .distance import METRICS
 from .train import TrainConfig
 
-_SECTION_KEYS = {
-    "dataset": {"path", "synthetic"},
-    "distance": {"metric", "radius", "band", "cache"},
-    "assignment": {
+# JSON keys that feed TrainConfig, by section; each key is its field's name
+# except "lambda", which is a Python keyword.
+_TRAIN_SECTIONS = {
+    "assignment": (
         "tau_inst", "tau_temp", "alpha", "pool_m", "inst_kernel", "temp_kernel",
         "kernel_sigma", "neighbor_window_frac", "gaussian_std", "hierarchical_tau",
-    },
-    "loss": {"lambda", "temperature", "hard"},
-    "train": {"lr", "batch_size", "iters", "seed", "hidden", "repr_dims", "depth", "mask_mode"},
-    "eval": {"probe_k", "anomaly_c"},
+    ),
+    "loss": ("lambda", "temperature", "hard"),
+    "train": ("lr", "batch_size", "iters", "seed", "hidden", "repr_dims", "depth", "mask_mode"),
+}
+_TRAIN_FIELDS = {
+    (section, key): "lam" if key == "lambda" else key
+    for section, keys in _TRAIN_SECTIONS.items()
+    for key in keys
+}
+# defaults and types come from the dataclass itself
+_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+
+# defaults of the keys that do not reach TrainConfig; a None default is
+# passed through as given, any other default also fixes the value's type
+_OTHER_DEFAULTS = {
+    "distance": {"metric": "dtw", "radius": 1, "band": None, "cache": None},
+    "eval": {"probe_k": 1, "anomaly_c": 3.0},
+}
+
+_SECTION_KEYS = {
+    "dataset": {"path", "synthetic"},
+    "distance": set(_OTHER_DEFAULTS["distance"]),
+    **{section: set(keys) for section, keys in _TRAIN_SECTIONS.items()},
+    "eval": set(_OTHER_DEFAULTS["eval"]),
 }
 
 _SYNTH_KEYS = {"n_per_class", "length", "classes", "noise_std", "seed"}
@@ -29,67 +50,35 @@ _SYNTH_KEYS = {"n_per_class", "length", "classes", "noise_std", "seed"}
 @dataclass
 class EngineConfig:
     dataset: dict = field(default_factory=dict)
-    distance: dict = field(default_factory=lambda: {"metric": "dtw"})
+    distance: dict = field(default_factory=dict)
     assignment: dict = field(default_factory=dict)
     loss: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
     eval: dict = field(default_factory=dict)
 
     def to_train_config(self) -> TrainConfig:
-        a, l, t = self.assignment, self.loss, self.train
-        return TrainConfig(
-            lr=float(t.get("lr", 0.001)),
-            batch_size=int(t.get("batch_size", 8)),
-            iters=int(t.get("iters", 200)),
-            lam=float(l.get("lambda", 0.5)),
-            temperature=float(l.get("temperature", 1.0)),
-            hard=bool(l.get("hard", False)),
-            tau_inst=float(a.get("tau_inst", 10.0)),
-            tau_temp=float(a.get("tau_temp", 1.0)),
-            alpha=float(a.get("alpha", 0.5)),
-            inst_kernel=a.get("inst_kernel", "sigmoid"),
-            temp_kernel=a.get("temp_kernel", "sigmoid"),
-            kernel_sigma=float(a.get("kernel_sigma", 0.5)),
-            neighbor_window_frac=float(a.get("neighbor_window_frac", 0.3)),
-            gaussian_std=float(a.get("gaussian_std", 1.0)),
-            pool_m=int(a.get("pool_m", 2)),
-            hierarchical_tau=bool(a.get("hierarchical_tau", True)),
-            hidden=int(t.get("hidden", 32)),
-            repr_dims=int(t.get("repr_dims", 16)),
-            depth=int(t.get("depth", 4)),
-            mask_mode=t.get("mask_mode", "none"),
-            seed=int(t.get("seed", 0)),
-        )
+        kwargs = {}
+        for (section, key), name in _TRAIN_FIELDS.items():
+            part = getattr(self, section)
+            if key in part:
+                kwargs[name] = _TRAIN_TYPES[name](part[key])
+        return TrainConfig(**kwargs)
 
     def effective(self) -> dict:
         """Fully-populated view: what the engine will actually run with."""
-        tc = self.to_train_config()
-        return {
-            "dataset": dict(self.dataset),
-            "distance": {
-                "metric": self.distance.get("metric", "dtw"),
-                "radius": int(self.distance.get("radius", 1)),
-                "band": self.distance.get("band"),
-                "cache": self.distance.get("cache"),
-            },
-            "assignment": {
-                "tau_inst": tc.tau_inst, "tau_temp": tc.tau_temp, "alpha": tc.alpha,
-                "pool_m": tc.pool_m, "inst_kernel": tc.inst_kernel,
-                "temp_kernel": tc.temp_kernel, "kernel_sigma": tc.kernel_sigma,
-                "neighbor_window_frac": tc.neighbor_window_frac,
-                "gaussian_std": tc.gaussian_std, "hierarchical_tau": tc.hierarchical_tau,
-            },
-            "loss": {"lambda": tc.lam, "temperature": tc.temperature, "hard": tc.hard},
-            "train": {
-                "lr": tc.lr, "batch_size": tc.batch_size, "iters": tc.iters,
-                "seed": tc.seed, "hidden": tc.hidden, "repr_dims": tc.repr_dims,
-                "depth": tc.depth, "mask_mode": tc.mask_mode,
-            },
-            "eval": {
-                "probe_k": int(self.eval.get("probe_k", 1)),
-                "anomaly_c": float(self.eval.get("anomaly_c", 3.0)),
-            },
-        }
+        tc = asdict(self.to_train_config())
+        out = {"dataset": dict(self.dataset)}
+        for section in _SECTION_KEYS:
+            if section in _TRAIN_SECTIONS:
+                out[section] = {key: tc[_TRAIN_FIELDS[section, key]]
+                                for key in _TRAIN_SECTIONS[section]}
+            elif section in _OTHER_DEFAULTS:
+                part = getattr(self, section)
+                out[section] = {
+                    key: part.get(key) if default is None else type(default)(part.get(key, default))
+                    for key, default in _OTHER_DEFAULTS[section].items()
+                }
+        return out
 
 
 def _check_keys(section: str, mapping: dict, allowed: set):
@@ -112,24 +101,35 @@ def validate(raw: dict) -> EngineConfig:
         raise ValueError("dataset: give either 'path' or 'synthetic', not both")
     if "synthetic" in dataset:
         _check_keys("dataset.synthetic", dataset["synthetic"], _SYNTH_KEYS)
-    distance = raw.get("distance", {})
-    metric = distance.get("metric", "dtw")
-    if metric not in METRICS:
-        raise ValueError(f"distance.metric must be one of {METRICS}")
     cfg = EngineConfig(
         dataset=dataset,
-        distance=distance,
+        distance=raw.get("distance", {}),
         assignment=raw.get("assignment", {}),
         loss=raw.get("loss", {}),
         train=raw.get("train", {}),
         eval=raw.get("eval", {}),
     )
+    distance = cfg.effective()["distance"]
+    if distance["metric"] not in METRICS:
+        raise ValueError(f"distance.metric must be one of {METRICS}")
+    band = distance["band"]
+    if band is not None and not (isinstance(band, (int, float)) and band >= 0):
+        raise ValueError("distance.band must be a number >= 0")
     # range checks ride on the dataclass validators
-    cfg.to_train_config().instance_cfg()
-    cfg.to_train_config().temporal_cfg()
+    tc = cfg.to_train_config()
+    tc.instance_cfg()
+    tc.temporal_cfg()
     return cfg
 
 
-def load(path) -> EngineConfig:
+def load(path, overrides: dict | None = None) -> EngineConfig:
+    """Read and validate a JSON config.  `overrides` maps (section, key) to a
+    value that wins over the file's (flag > file > default)."""
     with open(path) as fh:
-        return validate(json.load(fh))
+        raw = json.load(fh)
+    if overrides and isinstance(raw, dict):
+        for (section, key), value in overrides.items():
+            part = raw.get(section, {})
+            if isinstance(part, dict):  # anything else is rejected by validate
+                raw[section] = {**part, key: value}
+    return validate(raw)

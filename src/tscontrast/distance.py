@@ -1,6 +1,7 @@
 """Pairwise data-space distances: DTW family, Euclidean, cosine; caching."""
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -50,38 +51,60 @@ def _cost_matrix(a, b) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(axis=2))
 
 
-def _dtw_cumulative(cost: np.ndarray, window=None) -> np.ndarray:
-    """DP table for step pattern {(1,0),(0,1),(1,1)}; `window` is an optional
-    set of allowed (i, j) cells."""
+def _dtw_cumulative(cost: np.ndarray, lo, hi) -> list:
+    """Cumulative-cost table for the step pattern {(1,0),(0,1),(1,1)}.
+
+    Row i is filled on columns lo[i]..hi[i] (inclusive) and every other cell
+    stays inf, so the full matrix, a Sakoe-Chiba band and a FastDTW window all
+    run through this one loop.  Returned as a list of rows of floats.
+    """
     ta, tb = cost.shape
-    acc = np.full((ta, tb), np.inf)
-    if window is None:
-        acc[0, 0] = cost[0, 0]
-        for i in range(ta):
-            for j in range(tb):
-                if i == 0 and j == 0:
-                    continue
-                best = np.inf
-                if i > 0:
-                    best = min(best, acc[i - 1, j])
-                if j > 0:
-                    best = min(best, acc[i, j - 1])
-                if i > 0 and j > 0:
-                    best = min(best, acc[i - 1, j - 1])
-                acc[i, j] = cost[i, j] + best
-    else:
-        for i, j in sorted(window):
-            prev = np.inf
-            if i == 0 and j == 0:
-                prev = 0.0
-            if i > 0:
-                prev = min(prev, acc[i - 1, j])
-            if j > 0:
-                prev = min(prev, acc[i, j - 1])
-            if i > 0 and j > 0:
-                prev = min(prev, acc[i - 1, j - 1])
-            acc[i, j] = cost[i, j] + prev
+    c = cost.tolist()
+    acc = [[math.inf] * tb for _ in range(ta)]
+    for i in range(ta):
+        row, up, ci = acc[i], acc[i - 1], c[i]
+        for j in range(lo[i], hi[i] + 1):
+            if i == 0:
+                best = 0.0 if j == 0 else row[j - 1]
+            elif j == 0:
+                best = up[0]
+            else:
+                best = min(up[j], row[j - 1], up[j - 1])
+            row[j] = ci[j] + best
     return acc
+
+
+def _full_bounds(ta: int, tb: int):
+    return [0] * ta, [tb - 1] * ta
+
+
+def _band_bounds(ta: int, tb: int, band) -> tuple[np.ndarray, np.ndarray]:
+    """Columns j of row i with |i*tb - j*ta| <= band*max(ta, tb).  The left
+    side is an integer, so flooring the width keeps the bounds exact; widths
+    past ta*tb admit every cell."""
+    width = math.floor(min(band * max(ta, tb), ta * tb))
+    i = np.arange(ta) * tb
+    lo = np.maximum(-((width - i) // ta), 0)
+    hi = np.minimum((i + width) // ta, tb - 1)
+    return lo, hi
+
+
+def _backtrack(acc) -> list:
+    """Walk back from the last cell to (0, 0) along the cheapest predecessor;
+    ties prefer the diagonal step, then the vertical one."""
+    i, j = len(acc) - 1, len(acc[0]) - 1
+    path = [(i, j)]
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            _, i, j = min((acc[i - 1][j - 1], i - 1, j - 1), (acc[i - 1][j], i - 1, j),
+                          (acc[i][j - 1], i, j - 1), key=lambda c: c[0])
+        path.append((i, j))
+    path.reverse()
+    return path
 
 
 def dtw(a, b, band: int | None = None) -> float:
@@ -89,17 +112,14 @@ def dtw(a, b, band: int | None = None) -> float:
     half-width (off by default)."""
     a, b = _as_2d(a), _as_2d(b)
     _check_dims(a, b)
-    window = None
-    if band is not None:
-        ta, tb = a.shape[0], b.shape[0]
-        window = {
-            (i, j)
-            for i in range(ta)
-            for j in range(tb)
-            if abs(i * tb - j * ta) <= band * max(ta, tb)
-        }
-    acc = _dtw_cumulative(_cost_matrix(a, b), window)
-    return float(acc[-1, -1])
+    ta, tb = a.shape[0], b.shape[0]
+    if band is None:
+        lo, hi = _full_bounds(ta, tb)
+    elif not band >= 0:
+        raise ValueError("band must be >= 0")
+    else:
+        lo, hi = _band_bounds(ta, tb, band)
+    return float(_dtw_cumulative(_cost_matrix(a, b), lo, hi)[-1][-1])
 
 
 def dtw_path(a, b):
@@ -107,21 +127,8 @@ def dtw_path(a, b):
     the diagonal step, then the vertical one."""
     a, b = _as_2d(a), _as_2d(b)
     _check_dims(a, b)
-    acc = _dtw_cumulative(_cost_matrix(a, b))
-    i, j = acc.shape[0] - 1, acc.shape[1] - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        candidates = []
-        if i > 0 and j > 0:
-            candidates.append((acc[i - 1, j - 1], (i - 1, j - 1)))
-        if i > 0:
-            candidates.append((acc[i - 1, j], (i - 1, j)))
-        if j > 0:
-            candidates.append((acc[i, j - 1], (i, j - 1)))
-        _, (i, j) = min(candidates, key=lambda c: c[0])
-        path.append((i, j))
-    path.reverse()
-    return path, float(acc[-1, -1])
+    acc = _dtw_cumulative(_cost_matrix(a, b), *_full_bounds(a.shape[0], b.shape[0]))
+    return _backtrack(acc), float(acc[-1][-1])
 
 
 def _reduce_by_half(a: np.ndarray) -> np.ndarray:
@@ -132,18 +139,19 @@ def _reduce_by_half(a: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _expand_window(path, ta, tb, radius):
-    cells = set()
-    for i, j in path:
-        for di in range(-radius, radius + 1):
-            for dj in range(-radius, radius + 1):
-                cells.add((i + di, j + dj))
-    window = set()
-    for i, j in cells:
-        for a, b in ((2 * i, 2 * j), (2 * i, 2 * j + 1), (2 * i + 1, 2 * j), (2 * i + 1, 2 * j + 1)):
-            if 0 <= a < ta and 0 <= b < tb:
-                window.add((a, b))
-    return window
+def _window_bounds(coarse_path, ta: int, tb: int, radius: int):
+    """Per-row column bounds of the FastDTW window: every coarse path cell
+    widened by `radius` in both directions, projected onto the 2x finer grid.
+    A monotone path widened by a square covers one contiguous run of columns
+    in each row, so [lo, hi] describes the window exactly."""
+    p = np.asarray(coarse_path)
+    rows = np.arange(p[-1, 0] + 1)
+    first = p[np.searchsorted(p[:, 0], rows), 1]
+    last = p[np.searchsorted(p[:, 0], rows, side="right") - 1, 1]
+    coarse_row = np.arange(ta) // 2
+    lo = 2 * (first[np.maximum(coarse_row - radius, 0)] - radius)
+    hi = 2 * (last[np.minimum(coarse_row + radius, rows[-1])] + radius) + 1
+    return np.maximum(lo, 0), np.minimum(hi, tb - 1)
 
 
 def _fastdtw_path(a, b, radius):
@@ -151,22 +159,8 @@ def _fastdtw_path(a, b, radius):
     if ta <= radius + 2 or tb <= radius + 2:
         return dtw_path(a, b)
     coarse_path, _ = _fastdtw_path(_reduce_by_half(a), _reduce_by_half(b), radius)
-    window = _expand_window(coarse_path, ta, tb, radius)
-    acc = _dtw_cumulative(_cost_matrix(a, b), window)
-    i, j = ta - 1, tb - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        candidates = []
-        if i > 0 and j > 0 and np.isfinite(acc[i - 1, j - 1]):
-            candidates.append((acc[i - 1, j - 1], (i - 1, j - 1)))
-        if i > 0 and np.isfinite(acc[i - 1, j]):
-            candidates.append((acc[i - 1, j], (i - 1, j)))
-        if j > 0 and np.isfinite(acc[i, j - 1]):
-            candidates.append((acc[i, j - 1], (i, j - 1)))
-        _, (i, j) = min(candidates, key=lambda c: c[0])
-        path.append((i, j))
-    path.reverse()
-    return path, float(acc[-1, -1])
+    acc = _dtw_cumulative(_cost_matrix(a, b), *_window_bounds(coarse_path, ta, tb, radius))
+    return _backtrack(acc), float(acc[-1][-1])
 
 
 def fastdtw(a, b, radius: int = 1) -> float:

@@ -3,8 +3,7 @@ masking, dilated convolution blocks with residuals, and the max-pooling
 ladder used by the hierarchical loss."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +33,6 @@ class EncoderConfig:
 class EncoderModel:
     params: dict          # name -> Tensor (requires_grad)
     config: EncoderConfig
-
-    def param_items(self):
-        return sorted(self.params.items())
 
 
 def _uniform(rng, shape, fan_in):
@@ -126,28 +122,3 @@ def instance_repr(r) -> np.ndarray:
     arr = r.data if isinstance(r, Tensor) else np.asarray(r)
     return arr.max(axis=1)
 
-
-_CKPT_VERSION = 1
-
-
-def save_model(model: EncoderModel, path) -> None:
-    arrays = {f"param/{name}": t.data for name, t in model.params.items()}
-    np.savez(
-        path,
-        version=np.int64(_CKPT_VERSION),
-        config=np.frombuffer(json.dumps(asdict(model.config)).encode(), dtype=np.uint8),
-        **arrays,
-    )
-
-
-def load_model(path) -> EncoderModel:
-    with np.load(path) as blob:
-        if int(blob["version"]) != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {int(blob['version'])}")
-        cfg = EncoderConfig(**json.loads(bytes(blob["config"]).decode()))
-        params = {
-            key[len("param/"):]: Tensor(blob[key].copy(), requires_grad=True, name=key[len("param/"):])
-            for key in blob.files
-            if key.startswith("param/")
-        }
-    return EncoderModel(params=params, config=cfg)

@@ -127,7 +127,8 @@ def joint_loss(
     views [N, T, M]; returns (scalar Tensor, LossBreakdown).
 
     Instance weights are computed once from the distance matrix; temporal
-    weights are rebuilt per level with sharpness m^k * tau_base.  With
+    weights are rebuilt per level with sharpness `asg.effective_tau` (m^k *
+    tau_base, or tau_base throughout when `tcfg.hierarchical` is off).  With
     `hard=True` every soft weight is zeroed, leaving only the cross-view
     positives (the conventional contrastive baseline).
     """

@@ -38,11 +38,18 @@ def _as_rows(x):
     return x.tolist()
 
 
-def brute_dtw(a, b) -> float:
-    """Minimum cumulative cost over every monotone path (lengths <= ~6)."""
+def brute_dtw(a, b, band=None) -> float:
+    """Minimum cumulative cost over every monotone path (lengths <= ~6).
+
+    With `band`, a path counts only if every cell (i, j) on it satisfies
+    |i*tb - j*ta| <= band*max(ta, tb); inf when no path does.
+    """
     a, b = _as_rows(a), _as_rows(b)
+    ta, tb = len(a), len(b)
     best = math.inf
-    for path in _paths(len(a), len(b)):
+    for path in _paths(ta, tb):
+        if band is not None and any(abs(i * tb - j * ta) > band * max(ta, tb) for i, j in path):
+            continue
         cost = sum(_step_cost(a, b, i, j) for i, j in path)
         best = min(best, cost)
     return best

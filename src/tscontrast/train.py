@@ -63,7 +63,7 @@ class TrainConfig:
             tau_base=self.tau_temp, pool_kernel_m=self.pool_m,
             kernel=self.temp_kernel,
             neighbor_window_frac=self.neighbor_window_frac,
-            gaussian_std=self.gaussian_std,
+            gaussian_std=self.gaussian_std, hierarchical=self.hierarchical_tau,
         )
 
 
@@ -115,36 +115,8 @@ def evaluate_batch_loss(state: TrainState, batch: TimeSeriesSet, w_inst: np.ndar
     rb = enc.encode(state.model, views.view_b, mask_mode=cfg.mask_mode, rng=mask_rng)
     ra_ov = ra[:, views.overlap_start_a : views.overlap_start_a + views.overlap_len]
     rb_ov = rb[:, views.overlap_start_b : views.overlap_start_b + views.overlap_len]
-    tcfg = cfg.temporal_cfg()
-    if not cfg.hierarchical_tau:
-        # ablation: constant sharpness at every pooling level
-        return _joint_loss_constant_tau(ra_ov, rb_ov, w_inst, cfg, tcfg)
-    return losses.joint_loss(ra_ov, rb_ov, w_inst, cfg.instance_cfg(), tcfg,
+    return losses.joint_loss(ra_ov, rb_ov, w_inst, cfg.instance_cfg(), cfg.temporal_cfg(),
                              lam=cfg.lam, temperature=cfg.temperature, hard=cfg.hard)
-
-
-def _joint_loss_constant_tau(ra, rb, w_inst, cfg, tcfg):
-    w_inst_ext = asg.extend_instance(w_inst)
-    ladder_a = enc.pool_ladder(ra, tcfg.pool_kernel_m)
-    ladder_b = enc.pool_ladder(rb, tcfg.pool_kernel_m)
-    per_level, level_totals = [], []
-    for k, (la, lb) in enumerate(zip(ladder_a, ladder_b)):
-        stacked = ad.concat([la, lb], axis=0)
-        inst_k = losses.soft_instance_loss(stacked, w_inst_ext, cfg.temperature)
-        w_t = asg.w_temporal(la.shape[1], 0, tcfg)  # level 0 sharpness everywhere
-        temp_k = losses.soft_temporal_loss(stacked, asg.extend_temporal(w_t), cfg.temperature)
-        level_totals.append(ad.add(ad.mul(inst_k, cfg.lam), ad.mul(temp_k, 1.0 - cfg.lam)))
-        per_level.append((k, float(inst_k.data), float(temp_k.data)))
-    total = ad.mul(ad.tsum(ad.concat([ad.reshape(t, (1,)) for t in level_totals], axis=0)),
-                   1.0 / len(level_totals))
-    breakdown = losses.LossBreakdown(
-        total=float(total.data),
-        instance_term=float(np.mean([li for _, li, _ in per_level])),
-        temporal_term=float(np.mean([lt for _, _, lt in per_level])),
-        lam=cfg.lam,
-        per_level=per_level,
-    )
-    return total, breakdown
 
 
 def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,

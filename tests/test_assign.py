@@ -47,8 +47,10 @@ def test_instance_sigmoid_alpha_at_zero():
 
 def test_effective_tau_scaling():
     cfg = asg.TemporalAssignConfig(tau_base=1.5, pool_kernel_m=2)
+    flat = asg.TemporalAssignConfig(tau_base=1.5, pool_kernel_m=2, hierarchical=False)
     for k in range(5):
         assert asg.effective_tau(cfg, k) == pytest.approx(2 ** k * 1.5)
+        assert asg.effective_tau(flat, k) == 1.5
 
 
 @pytest.mark.parametrize("kernel", asg.TEMPORAL_KERNELS)

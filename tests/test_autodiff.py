@@ -32,16 +32,6 @@ def test_matmul_batched_grads(rng):
     _check_grad(lambda x, y: ad.tsum(ad.matmul(x, y)), [a, b])
 
 
-def test_exp_log_grads(rng):
-    a = np.abs(rng.normal(size=(5,))) + 0.5
-    _check_grad(lambda x: ad.tsum(ad.log(ad.exp(x))), [a])
-
-
-def test_log_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ad.log(ad.Tensor([1.0, 0.0]))
-
-
 def test_gelu_value_and_grad(rng):
     a = rng.normal(size=(6,))
     out = ad.gelu(ad.Tensor(a))
@@ -51,16 +41,11 @@ def test_gelu_value_and_grad(rng):
     _check_grad(lambda x: ad.tsum(ad.gelu(x)), [a])
 
 
-def test_relu_grad(rng):
-    a = rng.normal(size=(7,)) + 0.01  # keep away from the kink
-    _check_grad(lambda x: ad.tsum(ad.relu(x)), [a])
-
-
 def test_sum_mean_axes(rng):
     a = rng.normal(size=(3, 4))
     assert ad.tsum(ad.Tensor(a)).data == pytest.approx(a.sum())
-    np.testing.assert_allclose(ad.tmean(ad.Tensor(a), axis=1).data, a.mean(axis=1))
-    _check_grad(lambda x: ad.tsum(ad.tmean(x, axis=0)), [a])
+    np.testing.assert_allclose(ad.tsum(ad.Tensor(a), axis=1).data, a.sum(axis=1))
+    _check_grad(lambda x: ad.tsum(ad.mul(ad.tsum(x, axis=0), ad.tsum(x, axis=0))), [a])
 
 
 def test_reshape_transpose_concat_slice(rng):
@@ -70,14 +55,6 @@ def test_reshape_transpose_concat_slice(rng):
     _check_grad(lambda x: ad.tsum(ad.mul(ad.transpose(x, (1, 0)), 2.0)), [b])
     _check_grad(lambda x, y: ad.tsum(ad.concat([x, ad.reshape(y, (3, 4))], axis=0)), [b, a])
     _check_grad(lambda x: ad.tsum(ad.mul(x[1:, :2], x[1:, :2])), [b])
-
-
-def test_softmax_rowwise(rng):
-    a = rng.normal(size=(4, 5))
-    out = ad.softmax_rowwise(ad.Tensor(a))
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0)
-    w = rng.normal(size=(4, 5))
-    _check_grad(lambda x: ad.tsum(ad.mul(ad.softmax_rowwise(x), w)), [a])
 
 
 def test_masked_log_softmax_values(rng):

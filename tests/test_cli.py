@@ -6,6 +6,7 @@ import pytest
 from tscontrast import cli
 from tscontrast import config as engine_config
 from tscontrast import data as ds
+from tscontrast import distance as dist
 
 
 def _config(tmp_path, **overrides):
@@ -131,8 +132,44 @@ def test_ablate_row_counts(tmp_path, capsys, axis, expected_rows):
     assert len(rows) == 1 + expected_rows
 
 
+def _count_pairwise(monkeypatch):
+    calls, real = [], dist.pairwise
+
+    def counted(tset, metric, params=None):
+        calls.append(metric)
+        return real(tset, metric, params)
+
+    monkeypatch.setattr(cli.dist_mod, "pairwise", counted)
+    return calls
+
+
+def test_ablate_metric_axis_with_cache(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "dist.bin"
+    cfg = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)})
+    calls = _count_pairwise(monkeypatch)
+    out = tmp_path / "ablate.csv"
+    assert cli.main(["ablate", "--config", cfg, "--axis", "metric", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 1 + 4
+    assert sorted(calls) == sorted(cli.METRIC_GRID)
+    assert dist.load_matrix(cache).metric == "euc"  # only the base metric is cached
+
+
+def test_ablate_computes_shared_matrix_once(tmp_path, capsys, monkeypatch):
+    calls = _count_pairwise(monkeypatch)
+    out = tmp_path / "ablate.csv"
+    assert cli.main(["ablate", "--config", _config(tmp_path), "--axis", "assignment",
+                     "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 1 + 8
+    assert calls == ["euc"]
+
+
+def test_config_rejects_negative_band(tmp_path, capsys):
+    cfg = _config(tmp_path, distance={"metric": "dtw", "band": -1})
+    assert cli.main(["distances", "--config", cfg, "--out", str(tmp_path / "d.bin")]) == 2
+    assert "band" in capsys.readouterr().err
+
+
 def test_csv_export_matches_binary(tmp_path, capsys):
-    from tscontrast import distance as dist
     cfg = _config(tmp_path)
     out = str(tmp_path / "dist.bin")
     csv_out = tmp_path / "dist.csv"

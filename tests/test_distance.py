@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tscontrast import data as ds
 from tscontrast import distance as dist
@@ -35,6 +40,27 @@ def test_dtw_band_no_tighter_than_exact(rng):
     a = rng.normal(size=(8, 1))
     b = rng.normal(size=(8, 1))
     assert dist.dtw(a, b, band=1) >= dist.dtw(a, b) - 1e-12
+
+
+_SHORT_SERIES = st.integers(1, 6).flatmap(
+    lambda t: arrays(np.float64, (t, 1), elements=st.floats(-10, 10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_SHORT_SERIES, b=_SHORT_SERIES, band=st.integers(0, 3))
+@example(a=np.zeros((2, 1)), b=np.zeros((3, 1)), band=0)  # no path fits the band
+def test_banded_dtw_matches_oracle(a, b, band):
+    expected = oracle.brute_dtw(a, b, band=band)
+    got = dist.dtw(a, b, band=band)
+    if math.isinf(expected):
+        assert math.isinf(got)
+    else:
+        assert got == pytest.approx(expected, abs=1e-9)
+
+
+def test_dtw_rejects_negative_band():
+    with pytest.raises(ValueError, match="band"):
+        dist.dtw(np.zeros((4, 1)), np.zeros((4, 1)), band=-1)
 
 
 def test_fastdtw_exact_at_full_radius(rng):

@@ -82,15 +82,3 @@ def test_instance_repr_is_time_max(rng):
     np.testing.assert_array_equal(enc.instance_repr(x), x.max(axis=1))
     np.testing.assert_array_equal(enc.instance_repr(ad.Tensor(x)), x.max(axis=1))
 
-
-def test_model_round_trip(tmp_path, rng):
-    model = _model()
-    path = tmp_path / "model.npz"
-    enc.save_model(model, path)
-    back = enc.load_model(path)
-    assert back.config == model.config
-    assert set(back.params) == set(model.params)
-    for name in model.params:
-        assert np.array_equal(back.params[name].data, model.params[name].data)
-    x = rng.normal(size=(2, 10, 2))
-    np.testing.assert_array_equal(enc.encode(model, x).data, enc.encode(back, x).data)

@@ -78,6 +78,25 @@ def test_divergence_guard():
         tr.pretrain(tset, dm, cfg, state=state)
 
 
+def test_hierarchy_off_keeps_hard_and_lambda_checks():
+    tset, _, _ = _setup()
+    batch = tset.subset(np.arange(4))
+
+    def batch_loss(**kwargs):
+        _, _, cfg = _setup(**kwargs)
+        state = tr.TrainState.fresh(cfg, tset.dims)
+        total, _ = tr.evaluate_batch_loss(state, batch, np.zeros((4, 4)), cfg, crop_seed=3)
+        return float(total.data)
+
+    # hard=True zeroes every soft weight, so the temporal sharpness and the
+    # hierarchy setting cannot move the loss
+    reference = batch_loss(hard=True)
+    for tau_temp in (0.5, 5.0):
+        assert batch_loss(hard=True, hierarchical_tau=False, tau_temp=tau_temp) == reference
+    with pytest.raises(ValueError, match="lambda"):
+        batch_loss(hierarchical_tau=False, lam=1.5)
+
+
 def test_checkpoint_round_trip(tmp_path):
     tset, dm, cfg = _setup()
     state = tr.TrainState.fresh(cfg, tset.dims)
