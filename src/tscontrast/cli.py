@@ -25,21 +25,11 @@ log = logging.getLogger("tscontrast.cli")
 
 
 def _build_dataset(cfg: engine_config.EngineConfig) -> ds.TimeSeriesSet:
-    section = cfg.dataset
-    if "path" in section:
+    section = cfg.sections["dataset"]
+    if section.get("path") is not None:
         tset = ds.load_ucr_tsv(section["path"])
     elif "synthetic" in section:
-        spec = dict(section["synthetic"])
-        tset = ds.make_synthetic(
-            n_per_class=int(spec.get("n_per_class", 10)),
-            length=int(spec.get("length", 64)),
-            classes=spec.get("classes", [
-                {"kind": "sine", "freq": 2.0},
-                {"kind": "square", "freq": 3.0},
-            ]),
-            noise_std=float(spec.get("noise_std", 0.0)),
-            seed=int(spec.get("seed", 0)),
-        )
+        tset = ds.make_synthetic(**section["synthetic"])
     else:
         raise ValueError("config needs dataset.path or dataset.synthetic")
     return ds.znormalize(tset)
@@ -47,14 +37,14 @@ def _build_dataset(cfg: engine_config.EngineConfig) -> ds.TimeSeriesSet:
 
 def _distance_key(cfg: engine_config.EngineConfig) -> tuple:
     """(metric, radius, band): the settings that determine the matrix."""
-    eff = cfg.effective()["distance"]
-    return eff["metric"], eff["radius"], eff["band"]
+    section = cfg.sections["distance"]
+    return section["metric"], section["radius"], section["band"]
 
 
 def _distance_matrix(cfg: engine_config.EngineConfig, tset: ds.TimeSeriesSet,
                      cache_path=None) -> dist_mod.DistanceMatrix:
     metric, radius, band = _distance_key(cfg)
-    path = cache_path or cfg.effective()["distance"]["cache"]
+    path = cache_path or cfg.sections["distance"]["cache"]
     if path and os.path.exists(path):
         matrix = dist_mod.load_matrix(path)
         if matrix.metric != metric:
@@ -101,7 +91,7 @@ def cmd_pretrain(args) -> int:
     _echo_config(cfg, args)
     tset = _build_dataset(cfg)
     matrix = _distance_matrix(cfg, tset)
-    tcfg = cfg.to_train_config()
+    tcfg = cfg.train_config
     state = tr.TrainState.fresh(tcfg, tset.dims)
     tr.pretrain(tset, matrix, tcfg, state=state, log_path=args.log)
     tr.save_checkpoint(state, tcfg, args.out)
@@ -112,17 +102,21 @@ def cmd_pretrain(args) -> int:
 def cmd_encode(args) -> int:
     state, _ = tr.load_checkpoint(args.ckpt)
     tset = ds.znormalize(ds.load_ucr_tsv(args.data))
-    reps = enc.encode(state.model, tset.values).data          # [N, T, M]
-    inst = enc.instance_repr(reps)
+    inst = _instance_reprs(state.model, tset)
     np.savetxt(args.out, inst, delimiter=",")
     if args.full:
-        np.savez(args.full, reps=reps)
+        np.savez(args.full, reps=enc.encode(state.model, tset.values).data)  # [N, T, M]
     print(f"wrote {inst.shape[0]} instance representations of dim {inst.shape[1]}")
     return 0
 
 
+def _instance_reprs(model: enc.EncoderModel, tset: ds.TimeSeriesSet) -> np.ndarray:
+    """[N, M] instance representations of every series in `tset`."""
+    return enc.instance_repr(enc.encode(model, tset.values).data)
+
+
 def _probe_split(tset, model, k):
-    reps = enc.instance_repr(enc.encode(model, tset.values).data)
+    reps = _instance_reprs(model, tset)
     train_idx = np.arange(tset.n) % 2 == 0
     report = ev.classify_probe(
         reps[train_idx], tset.labels[train_idx],
@@ -134,15 +128,14 @@ def _probe_split(tset, model, k):
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     _echo_config(cfg, args)
-    eval_cfg = cfg.effective()["eval"]
+    eval_cfg = cfg.sections["eval"]
     state, _ = tr.load_checkpoint(args.ckpt)
     if args.task == "classify":
         train_set = ds.znormalize(ds.load_ucr_tsv(args.train_data))
         test_set = ds.znormalize(ds.load_ucr_tsv(args.test_data))
-        train_reprs = enc.instance_repr(enc.encode(state.model, train_set.values).data)
-        test_reprs = enc.instance_repr(enc.encode(state.model, test_set.values).data)
-        report = ev.classify_probe(train_reprs, train_set.labels,
-                                   test_reprs, test_set.labels, k=eval_cfg["probe_k"])
+        report = ev.classify_probe(_instance_reprs(state.model, train_set), train_set.labels,
+                                   _instance_reprs(state.model, test_set), test_set.labels,
+                                   k=eval_cfg["probe_k"])
     elif args.task == "anomaly":
         tset = ds.znormalize(ds.load_ucr_tsv(args.data))
         series = tset.series(args.series_index)
@@ -196,7 +189,6 @@ def cmd_ablate(args) -> int:
     rows = []
     for name, value, patch in _ablate_rows(base, args.axis):
         raw = base.effective()
-        raw["dataset"] = base.dataset
         for section, changes in patch.items():
             raw[section] = {**raw[section], **changes}
         cfg = engine_config.validate(raw)
@@ -207,10 +199,9 @@ def cmd_ablate(args) -> int:
             matrices[key] = (_distance_matrix(base, tset) if key == base_key else
                              dist_mod.pairwise(tset, metric, {"radius": radius, "band": band}))
         matrix = matrices[key]
-        tcfg = cfg.to_train_config()
-        state = tr.TrainState.fresh(tcfg, tset.dims)
-        _, history = tr.pretrain(tset, matrix, tcfg, state=state)
-        report = _probe_split(tset, state.model, cfg.effective()["eval"]["probe_k"])
+        state = tr.TrainState.fresh(cfg.train_config, tset.dims)
+        _, history = tr.pretrain(tset, matrix, cfg.train_config, state=state)
+        report = _probe_split(tset, state.model, cfg.sections["eval"]["probe_k"])
         rows.append({
             "axis": name,
             "value": value,

@@ -1,13 +1,13 @@
 """Engine configuration: JSON file with validated sections, plus defaults.
 
-Precedence is flag > file > default; unknown keys are rejected so typos fail
-loudly instead of silently training with defaults.
+Precedence is flag > file > default.  Unknown keys, values not of their
+default's JSON type and out-of-range values all fail at load, before any work.
 """
 from __future__ import annotations
 
+import copy
 import json
-import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .distance import METRICS
 from .train import TrainConfig
@@ -22,104 +22,119 @@ _TRAIN_SECTIONS = {
     "loss": ("lambda", "temperature", "hard"),
     "train": ("lr", "batch_size", "iters", "seed", "hidden", "repr_dims", "depth", "mask_mode"),
 }
-_TRAIN_FIELDS = {
-    (section, key): "lam" if key == "lambda" else key
-    for section, keys in _TRAIN_SECTIONS.items()
-    for key in keys
-}
-# defaults and types come from the dataclass itself
-_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+_FIELD_NAMES = {"lambda": "lam"}
 
-# defaults of the keys that do not reach TrainConfig; a None default is
-# passed through as given, any other default also fixes the value's type
-_OTHER_DEFAULTS = {
+_TRAIN_DEFAULTS = asdict(TrainConfig())
+
+# Every (section, key) with its default, which also fixes the value's JSON
+# type.  A nested dict is a subsection.  The dataset section holds only the
+# keys given: 'path' or 'synthetic'.
+DEFAULTS = {
+    "dataset": {
+        "path": None,
+        "synthetic": {
+            "n_per_class": 10,
+            "length": 64,
+            "classes": [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}],
+            "noise_std": 0.0,
+            "seed": 0,
+        },
+    },
     "distance": {"metric": "dtw", "radius": 1, "band": None, "cache": None},
+    **{section: {key: _TRAIN_DEFAULTS[_FIELD_NAMES.get(key, key)] for key in keys}
+       for section, keys in _TRAIN_SECTIONS.items()},
     "eval": {"probe_k": 1, "anomaly_c": 3.0},
 }
 
-_SECTION_KEYS = {
-    "dataset": {"path", "synthetic"},
-    "distance": set(_OTHER_DEFAULTS["distance"]),
-    **{section: set(keys) for section, keys in _TRAIN_SECTIONS.items()},
-    "eval": set(_OTHER_DEFAULTS["eval"]),
+# the one type a null-default key takes besides null
+NULLABLE_TYPES = {"dataset.path": str, "distance.band": float, "distance.cache": str}
+
+# (lowest, highest) of the keys whose range TrainConfig's sub-configs do not check
+_RANGES = {
+    ("distance", "radius"): (1, None), ("distance", "band"): (0, None),
+    ("loss", "lambda"): (0.0, 1.0), ("train", "batch_size"): (2, None),
+    ("train", "iters"): (0, None), ("train", "seed"): (0, None), ("eval", "probe_k"): (1, None),
 }
 
-_SYNTH_KEYS = {"n_per_class", "length", "classes", "noise_std", "seed"}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
-    dataset: dict = field(default_factory=dict)
-    distance: dict = field(default_factory=dict)
-    assignment: dict = field(default_factory=dict)
-    loss: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    eval: dict = field(default_factory=dict)
-
-    def to_train_config(self) -> TrainConfig:
-        kwargs = {}
-        for (section, key), name in _TRAIN_FIELDS.items():
-            part = getattr(self, section)
-            if key in part:
-                kwargs[name] = _TRAIN_TYPES[name](part[key])
-        return TrainConfig(**kwargs)
+    """A resolved config: every section's keys, and the TrainConfig they build."""
+    sections: dict
+    train_config: TrainConfig
 
     def effective(self) -> dict:
         """Fully-populated view: what the engine will actually run with."""
-        tc = asdict(self.to_train_config())
-        out = {"dataset": dict(self.dataset)}
-        for section in _SECTION_KEYS:
-            if section in _TRAIN_SECTIONS:
-                out[section] = {key: tc[_TRAIN_FIELDS[section, key]]
-                                for key in _TRAIN_SECTIONS[section]}
-            elif section in _OTHER_DEFAULTS:
-                part = getattr(self, section)
-                out[section] = {
-                    key: part.get(key) if default is None else type(default)(part.get(key, default))
-                    for key, default in _OTHER_DEFAULTS[section].items()
-                }
-        return out
+        return copy.deepcopy(self.sections)
 
 
-def _check_keys(section: str, mapping: dict, allowed: set):
-    unknown = set(mapping) - allowed
+def _checked(where: str, value, default):
+    """`value` if it has the JSON type of `default`; an int widens to a float."""
+    kind = NULLABLE_TYPES[where] if default is None else type(default)
+    if value is None and default is None:
+        return None
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _resolve(where: str, given, defaults: dict, fill: bool = True) -> dict:
+    """Check `given` key by key against `defaults`; with `fill`, a missing key
+    takes its default (a subsection only appears when given)."""
+    if not isinstance(given, dict):
+        raise ValueError(f"section '{where}' must be an object")
+    unknown = set(given) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown keys in '{section}': {sorted(unknown)}")
+        raise ValueError(f"unknown keys in '{where}': {sorted(unknown)}")
+    out = {}
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            if key in given:
+                out[key] = _resolve(f"{where}.{key}", given[key], default)
+        elif key in given:
+            out[key] = _checked(f"{where}.{key}", given[key], default)
+        elif fill:
+            out[key] = copy.deepcopy(default)
+    return out
 
 
 def validate(raw: dict) -> EngineConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be an object")
-    _check_keys("config", raw, set(_SECTION_KEYS))
-    for section, allowed in _SECTION_KEYS.items():
-        part = raw.get(section, {})
-        if not isinstance(part, dict):
-            raise ValueError(f"section '{section}' must be an object")
-        _check_keys(section, part, allowed)
-    dataset = raw.get("dataset", {})
-    if "path" in dataset and "synthetic" in dataset:
+    unknown = set(raw) - set(DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown keys in 'config': {sorted(unknown)}")
+    sections = {section: _resolve(section, raw.get(section, {}), defaults,
+                                  fill=section != "dataset")
+                for section, defaults in DEFAULTS.items()}
+
+    dataset = sections["dataset"]
+    if dataset.get("path") is not None and "synthetic" in dataset:
         raise ValueError("dataset: give either 'path' or 'synthetic', not both")
-    if "synthetic" in dataset:
-        _check_keys("dataset.synthetic", dataset["synthetic"], _SYNTH_KEYS)
-    cfg = EngineConfig(
-        dataset=dataset,
-        distance=raw.get("distance", {}),
-        assignment=raw.get("assignment", {}),
-        loss=raw.get("loss", {}),
-        train=raw.get("train", {}),
-        eval=raw.get("eval", {}),
-    )
-    distance = cfg.effective()["distance"]
-    if distance["metric"] not in METRICS:
+    if sections["distance"]["metric"] not in METRICS:
         raise ValueError(f"distance.metric must be one of {METRICS}")
-    band = distance["band"]
-    if band is not None and not (isinstance(band, (int, float)) and band >= 0):
-        raise ValueError("distance.band must be a number >= 0")
-    # range checks ride on the dataclass validators
-    tc = cfg.to_train_config()
-    tc.instance_cfg()
-    tc.temporal_cfg()
-    return cfg
+    for (section, key), (lo, hi) in _RANGES.items():
+        value = sections[section][key]
+        if value is not None and not (lo <= value and (hi is None or value <= hi)):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ValueError(f"{section}.{key} must be {bound}, got {value}")
+    if not sections["loss"]["temperature"] > 0:
+        raise ValueError("loss.temperature must be > 0")
+
+    train_config = TrainConfig(**{
+        _FIELD_NAMES.get(key, key): sections[section][key]
+        for section, keys in _TRAIN_SECTIONS.items() for key in keys
+    })
+    # the remaining range checks ride on the dataclass validators
+    train_config.instance_cfg()
+    train_config.temporal_cfg()
+    train_config.encoder_cfg(input_dims=1)
+    return EngineConfig(sections=sections, train_config=train_config)
 
 
 def load(path, overrides: dict | None = None) -> EngineConfig:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -188,10 +189,11 @@ def make_synthetic(
     if not classes:
         raise ValueError("need at least one class spec")
     for spec in classes:
-        if spec.get("kind") not in _WAVEFORMS:
-            raise ValueError(f"unknown waveform kind: {spec.get('kind')!r}")
-        if "freq" not in spec or spec["freq"] <= 0:
-            raise ValueError("class spec needs a positive 'freq'")
+        if not isinstance(spec, dict) or spec.get("kind") not in _WAVEFORMS:
+            raise ValueError(f"class spec needs a known waveform 'kind': {spec!r}")
+        freq = spec.get("freq")
+        if isinstance(freq, bool) or not isinstance(freq, numbers.Real) or not freq > 0:
+            raise ValueError(f"class spec needs a positive numeric 'freq': {spec!r}")
         unknown = set(spec) - {"kind", "freq", "amplitude"}
         if unknown:
             raise ValueError(f"unknown class spec keys: {sorted(unknown)}")

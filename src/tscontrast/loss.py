@@ -35,50 +35,53 @@ class LossBreakdown:
         return cells
 
 
-def _log_p_instance(reps: Tensor, temperature: float = 1.0) -> Tensor:
-    """[T, 2N, 2N] log-probabilities; entry (t, i, j) is log p of pair (i, j)
-    at timestamp t, self-similarities excluded from the normalizer."""
-    two_n = reps.shape[0]
-    if two_n < 2:
-        raise ValueError("need at least 2 stacked representations")
-    zt = ad.transpose(reps, (1, 0, 2))                      # [T, 2N, M]
-    sim = ad.matmul(zt, ad.transpose(zt, (0, 2, 1)))        # [T, 2N, 2N]
+def _log_p(z: Tensor, temperature: float = 1.0) -> Tensor:
+    """[B, A, A] log-probabilities; entry (b, i, j) is log p of pair (i, j) in
+    group b, self-similarities excluded from the normalizer."""
+    a = z.shape[1]
+    if a < 2:
+        raise ValueError("need at least 2 items to contrast")
+    sim = ad.matmul(z, ad.transpose(z, (0, 2, 1)))         # [B, A, A]
     if temperature != 1.0:
         sim = ad.mul(sim, 1.0 / temperature)
-    mask = ~np.eye(two_n, dtype=bool)[None, :, :]
+    mask = ~np.eye(a, dtype=bool)[None, :, :]
     return ad.masked_log_softmax(sim, mask)
+
+
+def _probabilities(z: Tensor, temperature: float) -> np.ndarray:
+    """exp of `_log_p` with the excluded diagonal set to zero."""
+    logp = _log_p(z, temperature)
+    return np.where(~np.eye(logp.shape[1], dtype=bool)[None, :, :], np.exp(logp.data), 0.0)
+
+
+def _weighted_ce(logp: Tensor, w_ext: np.ndarray) -> Tensor:
+    """Mean over the B*A anchors of the cross-entropy weighted by `w_ext`."""
+    b, a = logp.shape[0], logp.shape[1]
+    return ad.mul(ad.tsum(ad.mul(logp, w_ext[None, :, :])), -1.0 / (b * a))
+
+
+def _temporal_view(reps: Tensor) -> Tensor:
+    """[2N, T, M] stack -> [N, 2T, M], the two views of each instance joined
+    along time."""
+    if reps.shape[0] % 2 != 0:
+        raise ValueError("stacked representations must pair up")
+    n = reps.shape[0] // 2
+    return ad.concat([reps[:n], reps[n:]], axis=1)
 
 
 def p_instance(reps, temperature: float = 1.0) -> np.ndarray:
     """Softmax pair probabilities as [T, 2N, 2N] values (diagonal zero)."""
-    logp = _log_p_instance(ad.as_tensor(reps), temperature)
-    two_n = logp.shape[1]
-    mask = ~np.eye(two_n, dtype=bool)[None, :, :]
-    return np.where(mask, np.exp(logp.data), 0.0)
+    return _probabilities(ad.transpose(ad.as_tensor(reps), (1, 0, 2)), temperature)
 
 
 def soft_instance_loss(reps, w_ext: np.ndarray, temperature: float = 1.0) -> Tensor:
     """Mean over anchors (i, t) of the weighted cross-entropy against the
     extended instance assignments."""
     reps = ad.as_tensor(reps)
-    two_n, t = reps.shape[0], reps.shape[1]
+    two_n = reps.shape[0]
     if w_ext.shape != (two_n, two_n):
         raise ValueError(f"extended weights must be [{two_n}, {two_n}]")
-    logp = _log_p_instance(reps, temperature)
-    weighted = ad.mul(logp, w_ext[None, :, :])
-    return ad.mul(ad.tsum(weighted), -1.0 / (two_n * t))
-
-
-def _log_p_temporal(reps_2t: Tensor, temperature: float = 1.0) -> Tensor:
-    """[N, 2T, 2T] log-probabilities over timestamp pairs per instance."""
-    two_t = reps_2t.shape[1]
-    if two_t < 2:
-        raise ValueError("need at least 2 timestamps on the doubled axis")
-    sim = ad.matmul(reps_2t, ad.transpose(reps_2t, (0, 2, 1)))
-    if temperature != 1.0:
-        sim = ad.mul(sim, 1.0 / temperature)
-    mask = ~np.eye(two_t, dtype=bool)[None, :, :]
-    return ad.masked_log_softmax(sim, mask)
+    return _weighted_ce(_log_p(ad.transpose(reps, (1, 0, 2)), temperature), w_ext)
 
 
 def p_temporal(reps_2t, temperature: float = 1.0) -> np.ndarray:
@@ -87,10 +90,7 @@ def p_temporal(reps_2t, temperature: float = 1.0) -> np.ndarray:
     squeeze = arr.ndim == 2
     if squeeze:
         arr = ad.reshape(arr, (1,) + arr.shape)
-    logp = _log_p_temporal(arr, temperature)
-    two_t = logp.shape[1]
-    mask = ~np.eye(two_t, dtype=bool)[None, :, :]
-    out = np.where(mask, np.exp(logp.data), 0.0)
+    out = _probabilities(arr, temperature)
     return out[0] if squeeze else out
 
 
@@ -101,16 +101,10 @@ def soft_temporal_loss(reps, w_ext_t: np.ndarray, temperature: float = 1.0) -> T
     and i+N and are concatenated along time before contrasting.
     """
     reps = ad.as_tensor(reps)
-    two_n, t = reps.shape[0], reps.shape[1]
-    if two_n % 2 != 0:
-        raise ValueError("stacked representations must pair up")
-    n = two_n // 2
+    t = reps.shape[1]
     if w_ext_t.shape != (2 * t, 2 * t):
         raise ValueError(f"extended temporal weights must be [{2 * t}, {2 * t}]")
-    u = ad.concat([reps[:n], reps[n:]], axis=1)            # [N, 2T, M]
-    logp = _log_p_temporal(u, temperature)
-    weighted = ad.mul(logp, w_ext_t[None, :, :])
-    return ad.mul(ad.tsum(weighted), -1.0 / (n * 2 * t))
+    return _weighted_ce(_log_p(_temporal_view(reps), temperature), w_ext_t)
 
 
 def joint_loss(
@@ -181,18 +175,15 @@ def kl_identity_check(reps, w_ext: np.ndarray, which: str, temperature: float = 
     reps = ad.as_tensor(reps)
     if which == "instance":
         lhs = float(soft_instance_loss(reps, w_ext, temperature).data)
-        logp = _log_p_instance(reps, temperature).data       # [T, 2N, 2N]
-        rows = logp.reshape(-1, logp.shape[-1])              # anchors x 2N
-        w_rows = np.broadcast_to(w_ext[None, :, :], logp.shape).reshape(-1, logp.shape[-1])
+        view = ad.transpose(reps, (1, 0, 2))
     elif which == "temporal":
-        n = reps.shape[0] // 2
-        u = ad.concat([reps[:n], reps[n:]], axis=1)
         lhs = float(soft_temporal_loss(reps, w_ext, temperature).data)
-        logp = _log_p_temporal(u, temperature).data          # [N, 2T, 2T]
-        rows = logp.reshape(-1, logp.shape[-1])
-        w_rows = np.broadcast_to(w_ext[None, :, :], logp.shape).reshape(-1, logp.shape[-1])
+        view = _temporal_view(reps)
     else:
         raise ValueError("which must be 'instance' or 'temporal'")
+    logp = _log_p(view, temperature).data                 # [B, A, A]
+    rows = logp.reshape(-1, logp.shape[-1])                # anchors x A
+    w_rows = np.broadcast_to(w_ext[None, :, :], logp.shape).reshape(-1, logp.shape[-1])
 
     q_rows, z_rows = asg.normalize_assignments(w_rows)
     # KL(Q||P) + H(Q) per anchor; 0 log 0 = 0 by convention

@@ -66,6 +66,12 @@ class TrainConfig:
             gaussian_std=self.gaussian_std, hierarchical=self.hierarchical_tau,
         )
 
+    def encoder_cfg(self, input_dims: int) -> enc.EncoderConfig:
+        return enc.EncoderConfig(
+            input_dims=input_dims, hidden=self.hidden, output_dims=self.repr_dims,
+            depth=self.depth, mask_mode=self.mask_mode,
+        )
+
 
 @dataclass
 class TrainState:
@@ -77,14 +83,7 @@ class TrainState:
 
     @classmethod
     def fresh(cls, cfg: TrainConfig, input_dims: int) -> "TrainState":
-        model = enc.init_encoder(
-            enc.EncoderConfig(
-                input_dims=input_dims, hidden=cfg.hidden,
-                output_dims=cfg.repr_dims, depth=cfg.depth,
-                mask_mode=cfg.mask_mode,
-            ),
-            seed=split_seed(cfg.seed, "init"),
-        )
+        model = enc.init_encoder(cfg.encoder_cfg(input_dims), seed=split_seed(cfg.seed, "init"))
         moments_m = {name: np.zeros_like(t.data) for name, t in model.params.items()}
         moments_v = {name: np.zeros_like(t.data) for name, t in model.params.items()}
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(split_seed(cfg.seed, "loop"))))

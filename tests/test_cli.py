@@ -213,3 +213,27 @@ def test_seed_flag_overrides_file(tmp_path, capsys):
         key = "param/proj_w"
         assert not np.array_equal(a[key], b[key])
         assert np.array_equal(b[key], c[key])
+
+
+@pytest.mark.parametrize("section,key,value,names_key", [
+    ("loss", "lambda", 1.5, True),
+    ("train", "mask_mode", "bogus", False),
+    ("train", "depth", 0, False),
+    ("train", "batch_size", 1, True),
+    ("train", "iters", None, True),
+    ("loss", "hard", "false", True),
+])
+def test_bad_config_fails_before_any_work(tmp_path, capsys, section, key, value, names_key):
+    cache = tmp_path / "dist.bin"
+    sections = {
+        "distance": {"metric": "euc", "cache": str(cache)},
+        "train": {"iters": 2, "batch_size": 4, "hidden": 6, "repr_dims": 3, "depth": 2},
+    }
+    sections.setdefault(section, {})[key] = value
+    ckpt = tmp_path / "model.npz"
+    assert cli.main(["pretrain", "--config", _config(tmp_path, **sections),
+                     "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert not cache.exists() and not ckpt.exists()
+    if names_key:
+        assert f"{section}.{key}" in err

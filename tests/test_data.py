@@ -135,3 +135,10 @@ def test_crop_rejects_tiny_series():
     tset = ds.TimeSeriesSet(values=np.zeros((2, 3, 1)), lengths=[3, 3])
     with pytest.raises(ValueError):
         ds.crop_two_views(tset, seed=0)
+
+
+@pytest.mark.parametrize("spec", [5, "sine", {"kind": "sine", "freq": "2"},
+                                  {"kind": "sine", "freq": True}, {"kind": "sine"}])
+def test_make_synthetic_rejects_malformed_class_spec(spec):
+    with pytest.raises(ValueError, match="class spec"):
+        ds.make_synthetic(2, 16, [spec])
