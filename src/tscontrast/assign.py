@@ -112,9 +112,7 @@ def w_temporal(t: int, level_k: int, cfg: TemporalAssignConfig) -> np.ndarray:
 
 
 def _extend(w: np.ndarray, period: int) -> np.ndarray:
-    two = 2 * period
-    out = np.empty((two, two))
-    idx = np.arange(two)
+    idx = np.arange(2 * period)
     mod_i = idx[:, None] % period
     mod_j = idx[None, :] % period
     out = w[mod_i, mod_j].astype(np.float64)

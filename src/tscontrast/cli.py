@@ -125,7 +125,16 @@ def _probe_split(tset, model, k):
     return report
 
 
+# the data flags each evaluate task needs, by argparse dest
+_EVAL_INPUTS = {"classify": ("train_data", "test_data"), "anomaly": ("data",)}
+
+
 def cmd_evaluate(args) -> int:
+    missing = [f"--{dest.replace('_', '-')}" for dest in _EVAL_INPUTS[args.task]
+               if getattr(args, dest) is None]
+    if missing:
+        print(f"error: --task {args.task} needs {' and '.join(missing)}", file=sys.stderr)
+        return 1
     cfg = _load_config(args)
     _echo_config(cfg, args)
     eval_cfg = cfg.sections["eval"]
@@ -136,7 +145,7 @@ def cmd_evaluate(args) -> int:
         report = ev.classify_probe(_instance_reprs(state.model, train_set), train_set.labels,
                                    _instance_reprs(state.model, test_set), test_set.labels,
                                    k=eval_cfg["probe_k"])
-    elif args.task == "anomaly":
+    else:
         tset = ds.znormalize(ds.load_ucr_tsv(args.data))
         series = tset.series(args.series_index)
         scores = ev.anomaly_scores(state.model, series)
@@ -146,8 +155,6 @@ def cmd_evaluate(args) -> int:
         _, report = ev.threshold_anomalies(scores, labels=labels, c=eval_cfg["anomaly_c"])
         if args.scores_out:
             np.savetxt(args.scores_out, scores, delimiter=",")
-    else:
-        raise ValueError(f"unknown task: {args.task!r}")
     print(report.to_text())
     if args.out:
         report.to_csv(args.out)

@@ -10,6 +10,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .distance import METRICS
+from .encoder import MASK_MODES
 from .train import TrainConfig
 
 # JSON keys that feed TrainConfig, by section; each key is its field's name
@@ -118,6 +119,8 @@ def validate(raw: dict) -> EngineConfig:
         raise ValueError("dataset: give either 'path' or 'synthetic', not both")
     if sections["distance"]["metric"] not in METRICS:
         raise ValueError(f"distance.metric must be one of {METRICS}")
+    if sections["train"]["mask_mode"] not in MASK_MODES:
+        raise ValueError(f"train.mask_mode must be one of {MASK_MODES}")
     for (section, key), (lo, hi) in _RANGES.items():
         value = sections[section][key]
         if value is not None and not (lo <= value and (hi is None or value <= hi)):

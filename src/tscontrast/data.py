@@ -19,7 +19,6 @@ class TimeSeriesSet:
     values: np.ndarray
     lengths: np.ndarray
     labels: Optional[np.ndarray] = None
-    names: Optional[tuple] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -61,7 +60,6 @@ class TimeSeriesSet:
             values=self.values[idx],
             lengths=self.lengths[idx],
             labels=None if self.labels is None else self.labels[idx],
-            names=None if self.names is None else tuple(self.names[i] for i in idx),
         )
 
 
@@ -162,7 +160,7 @@ def znormalize(tset: TimeSeriesSet) -> TimeSeriesSet:
         out = (seg - mean) / std
         out[:, seg.std(axis=0) == 0] = 0.0
         values[i, :li, :] = out
-    return TimeSeriesSet(values=values, lengths=tset.lengths, labels=tset.labels, names=tset.names)
+    return TimeSeriesSet(values=values, lengths=tset.lengths, labels=tset.labels)
 
 
 _WAVEFORMS = {

@@ -1,6 +1,7 @@
-"""Per-timestamp embedding network: input projection, optional timestamp
-masking, dilated convolution blocks with residuals, and the max-pooling
-ladder used by the hierarchical loss."""
+"""Per-timestamp embedding network: input projection, dilated convolution
+blocks with residuals, and the max-pooling ladder used by the hierarchical
+loss.  Timestamp masking is chosen per call: training and anomaly scoring
+mask, every other use encodes unmasked."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 MASK_MODES = ("none", "binomial", "last_point")
+KERNEL_SIZE = 3  # taps per dilated convolution
 
 
 @dataclass(frozen=True)
@@ -19,14 +21,10 @@ class EncoderConfig:
     hidden: int = 32
     output_dims: int = 16
     depth: int = 4          # dilated blocks, dilation 2^b at block b
-    kernel_size: int = 3
-    mask_mode: str = "none"
 
     def __post_init__(self):
         if self.depth < 1 or self.output_dims < 1 or self.hidden < 1 or self.input_dims < 1:
             raise ValueError("encoder dimensions must be >= 1")
-        if self.mask_mode not in MASK_MODES:
-            raise ValueError(f"unknown mask mode: {self.mask_mode!r}")
 
 
 @dataclass
@@ -40,23 +38,24 @@ def _uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def param_shapes(cfg: EncoderConfig) -> dict:
+    """name -> (shape, fan_in) of every weight, in initialization order."""
+    k, h = KERNEL_SIZE, cfg.hidden
+    shapes = {"proj_w": ((cfg.input_dims, h), cfg.input_dims), "proj_b": ((h,), cfg.input_dims)}
+    for b in range(cfg.depth):
+        for i in (1, 2):
+            shapes[f"block{b}_conv{i}"] = ((k, h, h), k * h)
+            shapes[f"block{b}_bias{i}"] = ((h,), k * h)
+    shapes["out_w"] = ((h, cfg.output_dims), h)
+    shapes["out_b"] = ((cfg.output_dims,), h)
+    return shapes
+
+
 def init_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderModel:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    k = cfg.kernel_size
-    params = {
-        "proj_w": _uniform(rng, (cfg.input_dims, cfg.hidden), cfg.input_dims),
-        "proj_b": _uniform(rng, (cfg.hidden,), cfg.input_dims),
-    }
-    for b in range(cfg.depth):
-        fan = k * cfg.hidden
-        params[f"block{b}_conv1"] = _uniform(rng, (k, cfg.hidden, cfg.hidden), fan)
-        params[f"block{b}_bias1"] = _uniform(rng, (cfg.hidden,), fan)
-        params[f"block{b}_conv2"] = _uniform(rng, (k, cfg.hidden, cfg.hidden), fan)
-        params[f"block{b}_bias2"] = _uniform(rng, (cfg.hidden,), fan)
-    params["out_w"] = _uniform(rng, (cfg.hidden, cfg.output_dims), cfg.hidden)
-    params["out_b"] = _uniform(rng, (cfg.output_dims,), cfg.hidden)
-    tensors = {name: Tensor(v, requires_grad=True, name=name) for name, v in params.items()}
-    return EncoderModel(params=tensors, config=cfg)
+    params = {name: Tensor(_uniform(rng, shape, fan), requires_grad=True, name=name)
+              for name, (shape, fan) in param_shapes(cfg).items()}
+    return EncoderModel(params=params, config=cfg)
 
 
 def build_mask(mask_mode: str, batch: int, length: int, rng=None, mask_index=None) -> np.ndarray | None:
@@ -77,11 +76,11 @@ def build_mask(mask_mode: str, batch: int, length: int, rng=None, mask_index=Non
     raise ValueError(f"unknown mask mode: {mask_mode!r}")
 
 
-def encode(model: EncoderModel, x, mask_mode: str | None = None, rng=None, mask_index=None) -> Tensor:
+def encode(model: EncoderModel, x, mask_mode: str = "none", rng=None, mask_index=None) -> Tensor:
     """Map [B, L, D] inputs to per-timestamp representations [B, L, M].
 
-    Masked timestamps are zeroed after the input projection, before the conv
-    stack, so context can still fill them in.
+    Unmasked by default.  Masked timestamps are zeroed after the input
+    projection, before the conv stack, so context can still fill them in.
     """
     cfg = model.config
     x = ad.as_tensor(x)
@@ -89,8 +88,7 @@ def encode(model: EncoderModel, x, mask_mode: str | None = None, rng=None, mask_
         raise ValueError(f"expected input [B, L, {cfg.input_dims}], got {x.shape}")
     p = model.params
     h = ad.add(ad.matmul(x, p["proj_w"]), p["proj_b"])
-    mode = cfg.mask_mode if mask_mode is None else mask_mode
-    mask = build_mask(mode, x.shape[0], x.shape[1], rng=rng, mask_index=mask_index)
+    mask = build_mask(mask_mode, x.shape[0], x.shape[1], rng=rng, mask_index=mask_index)
     if mask is not None:
         h = ad.mul(h, mask)
     for b in range(cfg.depth):

@@ -93,7 +93,7 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     if series.ndim != 2:
         raise ValueError("series must be [L, D]")
     x = series[None, :, :]
-    full = enc.encode(model, x, mask_mode="none").data[0]
+    full = enc.encode(model, x).data[0]
     length = series.shape[0]
     scores = np.empty(length)
     for t in range(length):

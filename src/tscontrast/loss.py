@@ -142,17 +142,17 @@ def joint_loss(
         raise ValueError(f"instance weights must be [{n}, {n}]")
     w_inst_ext = asg.extend_instance(w_inst)
 
-    ladder_a = enc.pool_ladder(reps_a, tcfg.pool_kernel_m)
-    ladder_b = enc.pool_ladder(reps_b, tcfg.pool_kernel_m)
+    # max-pooling acts on each row alone, so pooling the stack pools both views
+    ladder = enc.pool_ladder(ad.concat([reps_a, reps_b], axis=0), tcfg.pool_kernel_m)
     per_level = []
     level_totals = []
-    for k, (ra, rb) in enumerate(zip(ladder_a, ladder_b)):
-        stacked = ad.concat([ra, rb], axis=0)              # [2N, T_k, M]
+    for k, stacked in enumerate(ladder):                   # [2N, T_k, M]
+        t_k = stacked.shape[1]
         inst_k = soft_instance_loss(stacked, w_inst_ext, temperature)
         if hard:
-            w_t = np.zeros((ra.shape[1], ra.shape[1]))
+            w_t = np.zeros((t_k, t_k))
         else:
-            w_t = asg.w_temporal(ra.shape[1], k, tcfg)
+            w_t = asg.w_temporal(t_k, k, tcfg)
         temp_k = soft_temporal_loss(stacked, asg.extend_temporal(w_t), temperature)
         level_totals.append(ad.add(ad.mul(inst_k, lam), ad.mul(temp_k, 1.0 - lam)))
         per_level.append((k, float(inst_k.data), float(temp_k.data)))

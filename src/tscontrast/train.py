@@ -67,10 +67,8 @@ class TrainConfig:
         )
 
     def encoder_cfg(self, input_dims: int) -> enc.EncoderConfig:
-        return enc.EncoderConfig(
-            input_dims=input_dims, hidden=self.hidden, output_dims=self.repr_dims,
-            depth=self.depth, mask_mode=self.mask_mode,
-        )
+        return enc.EncoderConfig(input_dims=input_dims, hidden=self.hidden,
+                                 output_dims=self.repr_dims, depth=self.depth)
 
 
 @dataclass
@@ -212,7 +210,6 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
         arrays[f"adam_v/{name}"] = state.v[name]
     meta = {
         "train_config": asdict(cfg),
-        "encoder_config": asdict(state.model.config),
         "rng_state": _rng_state_to_json(state.rng.bit_generator.state),
         "step": state.step,
     }
@@ -225,13 +222,16 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (TrainState, TrainConfig) restored bit-exactly."""
+    """Returns (TrainState, TrainConfig) restored bit-exactly.
+
+    The architecture comes from `train_config` and the input width from the
+    projection weights; weights of any other name or shape are rejected.
+    """
     with np.load(path) as blob:
         if "version" not in blob.files or int(blob["version"]) != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported or corrupt checkpoint")
         meta = json.loads(bytes(blob["meta"]).decode())
         cfg = TrainConfig(**meta["train_config"])
-        ecfg = enc.EncoderConfig(**meta["encoder_config"])
         params, m, v = {}, {}, {}
         for key in blob.files:
             if key.startswith("param/"):
@@ -239,6 +239,17 @@ def load_checkpoint(path):
                 params[name] = ad.Tensor(blob[key].copy(), requires_grad=True, name=name)
                 m[name] = blob[f"adam_m/{name}"].copy()
                 v[name] = blob[f"adam_v/{name}"].copy()
+    shapes = {name: t.shape for name, t in params.items()}
+    if len(shapes.get("proj_w", ())) != 2:
+        raise ValueError(f"{path}: no [input_dims, hidden] proj_w weights")
+    ecfg = cfg.encoder_cfg(shapes["proj_w"][0])
+    expected = {name: shape for name, (shape, _) in enc.param_shapes(ecfg).items()}
+    if shapes != expected:
+        differ = sorted(name for name in set(shapes) | set(expected)
+                        if shapes.get(name) != expected.get(name))
+        raise ValueError(f"{path}: weights do not match the train_config architecture "
+                         f"(hidden={cfg.hidden}, repr_dims={cfg.repr_dims}, depth={cfg.depth}); "
+                         f"differing: {', '.join(differ)}")
     rng = np.random.Generator(np.random.Philox())
     rng.bit_generator.state = _rng_state_from_json(meta["rng_state"])
     model = enc.EncoderModel(params=params, config=ecfg)

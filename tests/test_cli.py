@@ -7,6 +7,8 @@ from tscontrast import cli
 from tscontrast import config as engine_config
 from tscontrast import data as ds
 from tscontrast import distance as dist
+from tscontrast import encoder as enc
+from tscontrast import train as tr
 
 
 def _config(tmp_path, **overrides):
@@ -237,3 +239,42 @@ def test_bad_config_fails_before_any_work(tmp_path, capsys, section, key, value,
     assert not cache.exists() and not ckpt.exists()
     if names_key:
         assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("mask_mode", ["binomial", "last_point"])
+def test_masked_training_checkpoint_encodes_unmasked(tmp_path, capsys, mask_mode):
+    cfg = _config(tmp_path, train={"iters": 3, "batch_size": 4, "hidden": 6, "repr_dims": 3,
+                                   "depth": 2, "mask_mode": mask_mode})
+    ckpt = str(tmp_path / "model.npz")
+    assert cli.main(["pretrain", "--config", cfg, "--out", ckpt]) == 0
+    tset = ds.make_synthetic(
+        3, 16, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}],
+        noise_std=0.1, seed=2)
+    tsv = str(tmp_path / "data.tsv")
+    ds.write_ucr_tsv(tset, tsv)
+
+    reps_csv = str(tmp_path / "reps.csv")
+    assert cli.main(["encode", "--ckpt", ckpt, "--data", tsv, "--out", reps_csv]) == 0
+    state, _ = tr.load_checkpoint(ckpt)
+    values = ds.znormalize(ds.load_ucr_tsv(tsv)).values
+    expected = enc.instance_repr(enc.encode(state.model, values, mask_mode="none"))
+    np.testing.assert_array_equal(np.loadtxt(reps_csv, delimiter=","), expected)
+    assert cli.main(["evaluate", "--config", cfg, "--task", "classify", "--ckpt", ckpt,
+                     "--train-data", tsv, "--test-data", tsv]) == 0
+
+
+@pytest.mark.parametrize("task,given,missing", [
+    ("classify", [], ["--train-data", "--test-data"]),
+    ("classify", ["--train-data", "train.tsv"], ["--test-data"]),
+    ("anomaly", [], ["--data"]),
+])
+def test_evaluate_names_missing_data_flags(tmp_path, capsys, task, given, missing):
+    # the checkpoint does not exist: the usage error comes before it is read
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", task,
+                     "--ckpt", str(tmp_path / "nope.npz"), *given]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --task {task} needs")
+    for flag in missing:
+        assert flag in err
+    for flag in given[::2]:
+        assert flag not in err

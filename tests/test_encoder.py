@@ -13,8 +13,6 @@ def _model(depth=2, hidden=8, out=4, dims=2):
 def test_config_validation():
     with pytest.raises(ValueError):
         enc.EncoderConfig(input_dims=0)
-    with pytest.raises(ValueError):
-        enc.EncoderConfig(input_dims=1, mask_mode="random")
 
 
 def test_init_deterministic():

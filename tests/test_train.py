@@ -1,8 +1,10 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from tscontrast import cli
 from tscontrast import data as ds
 from tscontrast import distance as dist
 from tscontrast import train as tr
@@ -150,3 +152,54 @@ def test_write_log_csv(tmp_path):
     assert "level0_instance" in rows[0]
     assert len(rows) == 1 + len(history)
     assert float(rows[1][1]) == pytest.approx(history[0][1].total)
+
+
+def _rewrite_meta(path, edit):
+    """Rewrite a checkpoint's JSON metadata in place with `edit(meta)`."""
+    with np.load(path) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
+    # the earlier format also stored an encoder_config beside train_config
+    tset, dm, _ = _setup()
+    base = dict(batch_size=4, hidden=6, repr_dims=3, depth=2, seed=5, mask_mode="binomial")
+    full_cfg = tr.TrainConfig(iters=8, **base)
+    model_full, hist_full = tr.pretrain(tset, dm, full_cfg)
+
+    half_cfg = tr.TrainConfig(iters=4, **base)
+    state = tr.TrainState.fresh(half_cfg, tset.dims)
+    tr.pretrain(tset, dm, half_cfg, state=state)
+    path = tmp_path / "half.npz"
+    tr.save_checkpoint(state, half_cfg, path)
+    _rewrite_meta(path, lambda meta: meta.update(encoder_config={
+        "input_dims": tset.dims, "hidden": 6, "output_dims": 3, "depth": 2,
+        "kernel_size": 3, "mask_mode": "binomial"}))
+    resumed, cfg = tr.load_checkpoint(path)
+    assert cfg == half_cfg
+    model_res, hist_res = tr.pretrain(tset, dm, full_cfg, state=resumed)
+
+    for name in model_full.params:
+        assert np.array_equal(model_full.params[name].data, model_res.params[name].data)
+    assert [b.csv_row() for _, b in hist_full[4:]] == [b.csv_row() for _, b in hist_res]
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_load_checkpoint_rejects_weights_that_differ_from_config(tmp_path, capsys, depth):
+    tset, _, cfg = _setup()
+    state = tr.TrainState.fresh(cfg, tset.dims)
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(state, cfg, path)
+    _rewrite_meta(path, lambda meta: meta["train_config"].update(depth=depth))
+    with pytest.raises(ValueError, match="ckpt.npz"):
+        tr.load_checkpoint(path)
+
+    tsv = tmp_path / "data.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
+                     "--out", str(tmp_path / "reps.csv")]) == 2
+    assert "ckpt.npz" in capsys.readouterr().err
