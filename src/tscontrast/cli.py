@@ -105,7 +105,9 @@ def cmd_encode(args) -> int:
     inst = _instance_reprs(state.model, tset)
     np.savetxt(args.out, inst, delimiter=",")
     if args.full:
-        np.savez(args.full, reps=enc.encode(state.model, tset.values).data)  # [N, T, M]
+        # np.savez appends ".npz" to a bare file name; a handle writes the path as given
+        with open(args.full, "wb") as fh:
+            np.savez(fh, reps=enc.encode(state.model, tset.values).data)  # [N, T, M]
     print(f"wrote {inst.shape[0]} instance representations of dim {inst.shape[1]}")
     return 0
 

@@ -95,7 +95,8 @@ class ViewPair:
 def load_ucr_tsv(path) -> TimeSeriesSet:
     """Read a UCR-style TSV: label first, one univariate series per line.
 
-    Trailing NaN cells shorten the series; interior NaNs are rejected.
+    Trailing NaN cells shorten the series; interior NaNs, infinite values
+    and non-finite labels are rejected with the line number.
     """
     rows = []
     with open(path, "r") as fh:
@@ -111,6 +112,10 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
                 vals = np.array([float(c) for c in cells[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+            if not math.isfinite(label):
+                raise ValueError(f"{path}:{lineno}: non-finite label")
+            if np.isinf(vals).any():
+                raise ValueError(f"{path}:{lineno}: infinite value")
             nan = np.isnan(vals)
             if nan.any():
                 first = int(np.argmax(nan))

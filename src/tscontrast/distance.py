@@ -45,37 +45,102 @@ def _check_dims(a, b):
         raise ValueError(f"channel mismatch: {a.shape[1]} vs {b.shape[1]}")
 
 
-def _cost_matrix(a, b) -> np.ndarray:
-    # per-step cost = L2 norm of the channel difference
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+# Cap on the cells of one skewed DP table: pairwise runs the pairs of a length
+# group in chunks of at most this many cells (2 MB of float64).
+_CHUNK_CELLS = 1 << 18
 
 
-def _dtw_cumulative(cost: np.ndarray, lo, hi) -> list:
-    """Cumulative-cost table for the step pattern {(1,0),(0,1),(1,1)}.
+def _table_cells(ta: int, tb: int) -> int:
+    return (ta + tb + 1) * (ta + 1)
 
-    Row i is filled on columns lo[i]..hi[i] (inclusive) and every other cell
-    stays inf, so the full matrix, a Sakoe-Chiba band and a FastDTW window all
-    run through this one loop.  Returned as a list of rows of floats.
+
+def _cost_diagonal(a, rb, k: int, i0: int, i1: int) -> np.ndarray:
+    """[P, i1 - i0] step costs of the cells (i, k - i), i0 <= i < i1: the L2
+    norm of the channel difference.  `rb` is b with its steps reversed, so
+    the partners of a[:, i0:i1] are one forward slice of it."""
+    tail = rb.shape[1] - 1 - k
+    diff = a[:, i0:i1] - rb[:, tail + i0:tail + i1]
+    np.square(diff, out=diff)
+    cost = diff[:, :, 0] if diff.shape[2] == 1 else diff.sum(axis=2)
+    return np.sqrt(cost)
+
+
+def _dp(a: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
+    """Cumulative-cost tables of P alignments with the step pattern
+    {(1,0),(0,1),(1,1)}, filled one anti-diagonal at a time.
+
+    `a` is [P, ta, D] and `b` is [P, tb, D].  Row i of pair p is filled on
+    columns lo[p, i]..hi[p, i] (inclusive; `lo`/`hi` are [ta], [1, ta] or
+    [P, ta]) and every other cell stays inf, so the full matrix, a Sakoe-Chiba
+    band and a FastDTW window all run through this one loop.  The table is
+    skewed, S[i + j + 2, p, i + 1] = acc[p, i, j]: the cells of one
+    anti-diagonal depend only on the two before it, so each diagonal is two
+    `np.minimum` and one `np.add` over contiguous slices.  Column 0 and
+    diagonals 0-1 are an inf pad except S[0, :, 0] = 0, the predecessor of
+    (0, 0), so every cell is cost + min(up, left, diagonal).
     """
-    ta, tb = cost.shape
-    c = cost.tolist()
-    acc = [[math.inf] * tb for _ in range(ta)]
-    for i in range(ta):
-        row, up, ci = acc[i], acc[i - 1], c[i]
-        for j in range(lo[i], hi[i] + 1):
-            if i == 0:
-                best = 0.0 if j == 0 else row[j - 1]
-            elif j == 0:
-                best = up[0]
-            else:
-                best = min(up[j], row[j - 1], up[j - 1])
-            row[j] = ci[j] + best
-    return acc
+    p, ta, _ = a.shape
+    tb = b.shape[1]
+    lo, hi = np.atleast_2d(lo, hi)
+    rb = np.ascontiguousarray(b[:, ::-1])
+    s = np.full((ta + tb + 1, p, ta + 1), np.inf)
+    s[0, :, 0] = 0.0
+    # Row i meets diagonal k inside its bounds iff lo[i] + i <= k <= hi[i] + i;
+    # both sides grow with i, so those rows are one run [start, stop) per pair
+    # and the loop fills the union of the runs.
+    rows, diagonals = np.arange(ta), np.arange(ta + tb - 1)
+    start = np.array([np.searchsorted(h + rows, diagonals, "left") for h in hi])
+    stop = np.array([np.searchsorted(l + rows, diagonals, "right") for l in lo])
+    i0s, i1s = start.min(axis=0), stop.max(axis=0)
+    shared = (start.max(axis=0) == i0s) & (stop.min(axis=0) == i1s)
+    if not shared.all():
+        # [P, diagonal, row]: cells outside their own pair's run get cost inf
+        outside = (rows < start[..., None]) | (rows >= stop[..., None])
+    for k, i0, i1, same in zip(range(ta + tb - 1), i0s.tolist(), i1s.tolist(), shared.tolist()):
+        if i0 >= i1:
+            continue
+        cost = _cost_diagonal(a, rb, k, i0, i1)
+        if not same:
+            np.copyto(cost, np.inf, where=outside[:, k, i0:i1])
+        d = k + 2
+        out = s[d, :, i0 + 1:i1 + 1]
+        np.minimum(s[d - 1, :, i0:i1], s[d - 1, :, i0 + 1:i1 + 1], out=out)
+        np.minimum(out, s[d - 2, :, i0:i1], out=out)
+        np.add(cost, out, out=out)
+    return s
+
+
+def _backtrack(s: np.ndarray, ta: int, tb: int):
+    """Optimal warping paths of every pair in the skewed table `s` of `_dp`.
+
+    Each walk goes from (ta-1, tb-1) back to (0, 0) along the cheapest
+    predecessor, the first minimum of (diagonal, vertical, horizontal): ties
+    prefer the diagonal step, then the vertical one.  The inf pad keeps a
+    walk on row 0 or column 0 on it.  Returns (rows, cols), each
+    [steps, P] and last cell first; a pair whose path ended earlier repeats
+    (0, 0).
+    """
+    _, p, width = s.shape
+    plane = p * width
+    flat = s.reshape(-1)
+    # a cell is tracked by its flat index in `s`; a step moves it by `moves`
+    moves = np.array([-2 * plane - 1, -plane - 1, -plane])
+    origin = 2 * plane + np.arange(p) * width + 1
+    cell = origin + (ta + tb - 2) * plane + ta - 1
+    walk = [cell]
+    for step in range(ta + tb - 2):
+        if step >= max(ta, tb) - 1 and (cell == origin).all():
+            break
+        best = np.argmin(flat[cell[:, None] + moves], axis=1)
+        cell = np.maximum(cell + moves[best], origin)  # a finished walk stays at (0, 0)
+        walk.append(cell)
+    at = np.stack(walk) - np.arange(p) * width  # (i + j + 2) * plane + i + 1
+    rows = at % width - 1
+    return rows, at // plane - 2 - rows
 
 
 def _full_bounds(ta: int, tb: int):
-    return [0] * ta, [tb - 1] * ta
+    return np.zeros(ta, dtype=np.int64), np.full(ta, tb - 1)
 
 
 def _band_bounds(ta: int, tb: int, band) -> tuple[np.ndarray, np.ndarray]:
@@ -89,111 +154,112 @@ def _band_bounds(ta: int, tb: int, band) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _backtrack(acc) -> list:
-    """Walk back from the last cell to (0, 0) along the cheapest predecessor;
-    ties prefer the diagonal step, then the vertical one."""
-    i, j = len(acc) - 1, len(acc[0]) - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            _, i, j = min((acc[i - 1][j - 1], i - 1, j - 1), (acc[i - 1][j], i - 1, j),
-                          (acc[i][j - 1], i, j - 1), key=lambda c: c[0])
-        path.append((i, j))
-    path.reverse()
-    return path
+def _reduce_by_half(a: np.ndarray) -> np.ndarray:
+    """[P, t, D] -> [P, ceil(t/2), D]: means of consecutive steps; an odd
+    last step is kept as it is."""
+    p, t, d = a.shape
+    pairs = a[:, : t - t % 2].reshape(p, t // 2, 2, d).mean(axis=2)
+    if t % 2:
+        pairs = np.concatenate([pairs, a[:, -1:]], axis=1)
+    return pairs
+
+
+def _window_bounds(rows, cols, ta: int, tb: int, radius: int):
+    """[P, ta] per-row column bounds of the FastDTW windows: every cell of a
+    coarse path (`rows`/`cols` as `_backtrack` returns them) widened by
+    `radius` in both directions, projected onto the 2x finer grid.  A
+    monotone path widened by a square covers one contiguous run of columns in
+    each row, so [lo, hi] describes the window exactly."""
+    coarse_rows = int(rows[0, 0]) + 1
+    pair = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    first = np.full((rows.shape[1], coarse_rows), np.iinfo(np.int64).max)
+    last = np.zeros((rows.shape[1], coarse_rows), dtype=np.int64)
+    np.minimum.at(first, (pair, rows), cols)
+    np.maximum.at(last, (pair, rows), cols)
+    coarse_row = np.arange(ta) // 2
+    lo = 2 * (first[:, np.maximum(coarse_row - radius, 0)] - radius)
+    hi = 2 * (last[:, np.minimum(coarse_row + radius, coarse_rows - 1)] + radius) + 1
+    return np.maximum(lo, 0), np.minimum(hi, tb - 1)
+
+
+def _fastdtw_table(a, b, radius: int) -> np.ndarray:
+    """`_dp` table of FastDTW: align the half-length series recursively, then
+    fill only the window around the projected coarse path."""
+    ta, tb = a.shape[1], b.shape[1]
+    if ta <= radius + 2 or tb <= radius + 2:
+        return _dp(a, b, *_full_bounds(ta, tb))
+    ha, hb = _reduce_by_half(a), _reduce_by_half(b)
+    rows, cols = _backtrack(_fastdtw_table(ha, hb, radius), ha.shape[1], hb.shape[1])
+    return _dp(a, b, *_window_bounds(rows, cols, ta, tb, radius))
+
+
+def _dtw_values(a, b, band=None) -> np.ndarray:
+    if band is not None and not band >= 0:
+        raise ValueError("band must be >= 0")
+    ta, tb = a.shape[1], b.shape[1]
+    bounds = _full_bounds(ta, tb) if band is None else _band_bounds(ta, tb, band)
+    return _dp(a, b, *bounds)[-1, :, ta]
+
+
+def _fastdtw_values(a, b, radius: int) -> np.ndarray:
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    return _fastdtw_table(a, b, radius)[-1, :, a.shape[1]]
+
+
+def _tam_values(a, b) -> np.ndarray:
+    """Advance and delay proportions plus the out-of-phase fraction of the
+    optimal warping path of every pair."""
+    ta, tb = a.shape[1], b.shape[1]
+    if ta == 1 and tb == 1:
+        return np.zeros(a.shape[0])
+    rows, cols = _backtrack(_dp(a, b, *_full_bounds(ta, tb)), ta, tb)
+    di, dj = rows[:-1] - rows[1:], cols[:-1] - cols[1:]
+    advance = np.sum((di == 0) & (dj == 1), axis=0)
+    delay = np.sum((di == 1) & (dj == 0), axis=0)
+    phase = np.sum((di == 1) & (dj == 1), axis=0)
+    p_adv = advance / (tb - 1) if tb > 1 else 0.0
+    p_del = delay / (ta - 1) if ta > 1 else 0.0
+    p_phase = phase / (min(ta, tb) - 1) if min(ta, tb) > 1 else 0.0
+    return p_adv + p_del + (1.0 - p_phase)
+
+
+def _one_pair(a, b):
+    """[1, T, D] arrays of one pair, for the batched DP."""
+    a, b = _as_2d(a), _as_2d(b)
+    _check_dims(a, b)
+    return a[None], b[None]
 
 
 def dtw(a, b, band: int | None = None) -> float:
     """Classic dynamic-programming DTW; `band` is an optional Sakoe-Chiba
     half-width (off by default)."""
-    a, b = _as_2d(a), _as_2d(b)
-    _check_dims(a, b)
-    ta, tb = a.shape[0], b.shape[0]
-    if band is None:
-        lo, hi = _full_bounds(ta, tb)
-    elif not band >= 0:
-        raise ValueError("band must be >= 0")
-    else:
-        lo, hi = _band_bounds(ta, tb, band)
-    return float(_dtw_cumulative(_cost_matrix(a, b), lo, hi)[-1][-1])
+    return float(_dtw_values(*_one_pair(a, b), band)[0])
 
 
 def dtw_path(a, b):
     """Optimal warping path as a list of (i, j), plus its cost.  Ties prefer
     the diagonal step, then the vertical one."""
-    a, b = _as_2d(a), _as_2d(b)
-    _check_dims(a, b)
-    acc = _dtw_cumulative(_cost_matrix(a, b), *_full_bounds(a.shape[0], b.shape[0]))
-    return _backtrack(acc), float(acc[-1][-1])
-
-
-def _reduce_by_half(a: np.ndarray) -> np.ndarray:
-    t = a.shape[0]
-    pairs = a[: t - t % 2].reshape(t // 2, 2, a.shape[1]).mean(axis=1)
-    if t % 2:
-        pairs = np.vstack([pairs, a[-1:]])
-    return pairs
-
-
-def _window_bounds(coarse_path, ta: int, tb: int, radius: int):
-    """Per-row column bounds of the FastDTW window: every coarse path cell
-    widened by `radius` in both directions, projected onto the 2x finer grid.
-    A monotone path widened by a square covers one contiguous run of columns
-    in each row, so [lo, hi] describes the window exactly."""
-    p = np.asarray(coarse_path)
-    rows = np.arange(p[-1, 0] + 1)
-    first = p[np.searchsorted(p[:, 0], rows), 1]
-    last = p[np.searchsorted(p[:, 0], rows, side="right") - 1, 1]
-    coarse_row = np.arange(ta) // 2
-    lo = 2 * (first[np.maximum(coarse_row - radius, 0)] - radius)
-    hi = 2 * (last[np.minimum(coarse_row + radius, rows[-1])] + radius) + 1
-    return np.maximum(lo, 0), np.minimum(hi, tb - 1)
-
-
-def _fastdtw_path(a, b, radius):
-    ta, tb = a.shape[0], b.shape[0]
-    if ta <= radius + 2 or tb <= radius + 2:
-        return dtw_path(a, b)
-    coarse_path, _ = _fastdtw_path(_reduce_by_half(a), _reduce_by_half(b), radius)
-    acc = _dtw_cumulative(_cost_matrix(a, b), *_window_bounds(coarse_path, ta, tb, radius))
-    return _backtrack(acc), float(acc[-1][-1])
+    a, b = _one_pair(a, b)
+    ta, tb = a.shape[1], b.shape[1]
+    s = _dp(a, b, *_full_bounds(ta, tb))
+    rows, cols = _backtrack(s, ta, tb)
+    steps = int(np.argmax((rows[:, 0] == 0) & (cols[:, 0] == 0))) + 1
+    path = list(zip(rows[steps - 1::-1, 0].tolist(), cols[steps - 1::-1, 0].tolist()))
+    return path, float(s[-1, 0, ta])
 
 
 def fastdtw(a, b, radius: int = 1) -> float:
     """Recursive coarsen-and-refine DTW approximation (linear-time family);
     equals exact DTW once the radius covers the full alignment matrix."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    a, b = _as_2d(a), _as_2d(b)
-    _check_dims(a, b)
-    _, cost = _fastdtw_path(a, b, radius)
-    return cost
+    return float(_fastdtw_values(*_one_pair(a, b), radius)[0])
 
 
 def tam(a, b) -> float:
     """Time alignment measurement from the optimal warping path: advance and
     delay proportions plus the out-of-phase fraction; 0 = fully in phase,
     3 = fully out of phase."""
-    a, b = _as_2d(a), _as_2d(b)
-    _check_dims(a, b)
-    if a.shape[0] == 1 and b.shape[0] == 1:
-        return 0.0
-    path, _ = dtw_path(a, b)
-    p = np.array(path)
-    di = np.diff(p[:, 0])
-    dj = np.diff(p[:, 1])
-    advance = int(np.sum((di == 0) & (dj == 1)))
-    delay = int(np.sum((di == 1) & (dj == 0)))
-    phase = int(np.sum((di == 1) & (dj == 1)))
-    ta, tb = a.shape[0], b.shape[0]
-    p_adv = advance / (tb - 1) if tb > 1 else 0.0
-    p_del = delay / (ta - 1) if ta > 1 else 0.0
-    p_phase = phase / (min(ta, tb) - 1) if min(ta, tb) > 1 else 0.0
-    return float(p_adv + p_del + (1.0 - p_phase))
+    return float(_tam_values(*_one_pair(a, b))[0])
 
 
 def euclidean(a, b) -> float:
@@ -216,21 +282,34 @@ def cosine_dist(a, b) -> float:
     return float(1.0 - np.dot(u, v) / (nu * nv))
 
 
-def _metric_fn(metric: str, params: dict):
+def _dp_metric(metric: str, params: dict | None):
+    """The DTW-family metric as a function of two [P, T, D] batches of pairs."""
     params = dict(params or {})
     if metric == "dtw":
         band = params.get("band")
-        return lambda a, b: dtw(a, b, band=band)
+        return lambda a, b: _dtw_values(a, b, band)
     if metric == "fastdtw":
         radius = int(params.get("radius", 1))
-        return lambda a, b: fastdtw(a, b, radius=radius)
-    if metric == "tam":
-        return tam
-    if metric == "euc":
-        return euclidean
-    if metric == "cos":
-        return cosine_dist
-    raise ValueError(f"unknown metric: {metric!r}")
+        return lambda a, b: _fastdtw_values(a, b, radius)
+    return _tam_values
+
+
+def _dp_pairwise(tset: TimeSeriesSet, fn) -> np.ndarray:
+    """[N, N] raw distances of the pairs i < j, mirrored.  The pairs are grouped
+    by (len_i, len_j) and each group runs in chunks of at most `_CHUNK_CELLS`
+    table cells."""
+    n, lengths = tset.n, tset.lengths
+    values = np.zeros((n, n))
+    first, second = np.triu_indices(n, k=1)
+    keys = lengths[first] * (tset.t_max + 1) + lengths[second]
+    order = np.argsort(keys, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        ta, tb = int(lengths[first[group[0]]]), int(lengths[second[group[0]]])
+        size = max(1, _CHUNK_CELLS // _table_cells(ta, tb))
+        for c in range(0, group.size, size):
+            i, j = first[group[c:c + size]], second[group[c:c + size]]
+            values[i, j] = values[j, i] = fn(tset.values[i, :ta], tset.values[j, :tb])
+    return values
 
 
 def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> DistanceMatrix:
@@ -238,12 +317,17 @@ def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> Di
     min-max normalized over the off-diagonal entries."""
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
-    fn = _metric_fn(metric, params)
     n = tset.n
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = fn(tset.series(i), tset.series(j))
+    if metric in ("dtw", "fastdtw", "tam"):
+        values = _dp_pairwise(tset, _dp_metric(metric, params))
+    elif metric in ("euc", "cos"):
+        fn = euclidean if metric == "euc" else cosine_dist
+        values = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i, j] = values[j, i] = fn(tset.series(i), tset.series(j))
+    else:
+        raise ValueError(f"unknown metric: {metric!r}")
     off = ~np.eye(n, dtype=bool)
     lo, hi = values[off].min(), values[off].max()
     if hi > lo:

@@ -1,8 +1,9 @@
 """Deliberately slow reference implementations, used only by tests.
 
 Nothing here shares code with the production modules: alignments are found by
-exhaustive path enumeration, losses by nested scalar loops, gradients by
-central finite differences.  Sizes are expected to be tiny.
+exhaustive path enumeration or by the textbook scalar DP, losses by nested
+scalar loops, gradients by central finite differences.  Sizes are expected to
+be tiny.
 """
 from __future__ import annotations
 
@@ -28,7 +29,11 @@ def _paths(ta: int, tb: int):
 
 
 def _step_cost(a, b, i, j):
-    return math.sqrt(sum((a[i][d] - b[j][d]) ** 2 for d in range(len(a[0]))))
+    total = 0.0
+    for d in range(len(a[0])):
+        diff = a[i][d] - b[j][d]
+        total += diff * diff
+    return math.sqrt(total)
 
 
 def _as_rows(x):
@@ -48,7 +53,7 @@ def brute_dtw(a, b, band=None) -> float:
     ta, tb = len(a), len(b)
     best = math.inf
     for path in _paths(ta, tb):
-        if band is not None and any(abs(i * tb - j * ta) > band * max(ta, tb) for i, j in path):
+        if not all(_in_band(i, j, ta, tb, band) for i, j in path):
             continue
         cost = sum(_step_cost(a, b, i, j) for i, j in path)
         best = min(best, cost)
@@ -66,8 +71,64 @@ def brute_dtw_best_path(a, b):
     return best, best_path
 
 
+def _in_band(i, j, ta, tb, band) -> bool:
+    return band is None or abs(i * tb - j * ta) <= band * max(ta, tb)
+
+
+def _dp_table(a, b, band=None):
+    """Row-by-row cumulative-cost table acc[i][j] = cost(i, j) + min of the
+    three predecessors; cells outside the band stay inf."""
+    a, b = _as_rows(a), _as_rows(b)
+    ta, tb = len(a), len(b)
+    acc = [[math.inf] * tb for _ in range(ta)]
+    for i in range(ta):
+        for j in range(tb):
+            if not _in_band(i, j, ta, tb, band):
+                continue
+            if i == 0 and j == 0:
+                prev = 0.0
+            else:
+                prev = min(acc[i - 1][j] if i > 0 else math.inf,
+                           acc[i][j - 1] if j > 0 else math.inf,
+                           acc[i - 1][j - 1] if i > 0 and j > 0 else math.inf)
+            acc[i][j] = _step_cost(a, b, i, j) + prev
+    return acc
+
+
+def dp_dtw(a, b, band=None) -> float:
+    """Textbook O(ta*tb) DTW with scalar loops, for lengths past `brute_dtw`'s
+    reach.  `band` is the Sakoe-Chiba condition of `brute_dtw`; inf when no
+    path fits."""
+    return _dp_table(a, b, band)[-1][-1]
+
+
+def dp_dtw_path(a, b):
+    """(path, cost) of the optimal alignment from the textbook table, walked
+    back from the last cell; at each cell the first strict minimum of
+    (diagonal, vertical, horizontal) predecessor wins."""
+    acc = _dp_table(a, b)
+    i, j = len(acc) - 1, len(acc[0]) - 1
+    path = [(i, j)]
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best = (i - 1, j - 1)
+            for cand in ((i - 1, j), (i, j - 1)):
+                if acc[cand[0]][cand[1]] < acc[best[0]][best[1]]:
+                    best = cand
+            i, j = best
+        path.append((i, j))
+    return path[::-1], acc[-1][-1]
+
+
 def tam_from_path(path, ta: int, tb: int) -> float:
-    """Advance/delay/in-phase proportions of a warping path."""
+    """Advance/delay/in-phase proportions of a warping path; two single-step
+    series are in phase (0)."""
+    if ta == 1 and tb == 1:
+        return 0.0
     advance = delay = phase = 0
     for (i0, j0), (i1, j1) in zip(path, path[1:]):
         di, dj = i1 - i0, j1 - j0

@@ -6,7 +6,7 @@ import csv
 import json
 import logging
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -213,12 +213,14 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
         "rng_state": _rng_state_to_json(state.rng.bit_generator.state),
         "step": state.step,
     }
-    np.savez(
-        path,
-        version=np.int64(_CKPT_VERSION),
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **arrays,
-    )
+    # np.savez appends ".npz" to a bare file name; a handle writes the path as given
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            version=np.int64(_CKPT_VERSION),
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            **arrays,
+        )
 
 
 def load_checkpoint(path):
@@ -231,6 +233,9 @@ def load_checkpoint(path):
         if "version" not in blob.files or int(blob["version"]) != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported or corrupt checkpoint")
         meta = json.loads(bytes(blob["meta"]).decode())
+        unknown = sorted(set(meta["train_config"]) - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown train_config key(s): {', '.join(unknown)}")
         cfg = TrainConfig(**meta["train_config"])
         params, m, v = {}, {}, {}
         for key in blob.files:

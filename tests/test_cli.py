@@ -105,6 +105,27 @@ def test_pretrain_encode_evaluate_pipeline(tmp_path, capsys):
     assert (tmp_path / "report.csv").exists()
 
 
+def test_outputs_written_at_exact_paths(tmp_path, capsys):
+    # np.savez used to append ".npz", so `encode --ckpt model` found no file
+    cfg = _config(tmp_path)
+    ckpt = tmp_path / "model"
+    assert cli.main(["pretrain", "--config", cfg, "--out", str(ckpt)]) == 0
+    assert ckpt.exists() and not (tmp_path / "model.npz").exists()
+    assert f"checkpoint -> {ckpt}" in capsys.readouterr().out
+
+    tset = ds.make_synthetic(
+        3, 16, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}],
+        noise_std=0.1, seed=2)
+    tsv = tmp_path / "data.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    full = tmp_path / "reps"
+    assert cli.main(["encode", "--ckpt", str(ckpt), "--data", str(tsv),
+                     "--out", str(tmp_path / "reps.csv"), "--full", str(full)]) == 0
+    assert full.exists() and not (tmp_path / "reps.npz").exists()
+    with np.load(full) as blob:
+        assert blob["reps"].shape[:2] == (6, 16)
+
+
 def test_evaluate_anomaly(tmp_path, capsys):
     cfg = _config(tmp_path)
     ckpt = str(tmp_path / "model.npz")

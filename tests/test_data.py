@@ -52,6 +52,20 @@ def test_tsv_interior_nan_rejected(tmp_path):
         ds.load_ucr_tsv(path)
 
 
+@pytest.mark.parametrize("line, why", [
+    ("2\t1.0\tinf\t3.0", "infinite value"),
+    ("2\t1.0\t-inf", "infinite value"),
+    ("2\t1.0\tInfinity\t3.0", "infinite value"),
+    ("inf\t1.0\t2.0", "non-finite label"),
+])
+def test_tsv_non_finite_cell_rejected_with_line(tmp_path, line, why):
+    # an inf cell used to load and turn into NaN under znormalize
+    path = tmp_path / "inf.tsv"
+    path.write_text(f"1\t0.5\t0.25\n{line}\n")
+    with pytest.raises(ValueError, match=f"{path.name}:2: {why}"):
+        ds.load_ucr_tsv(path)
+
+
 def test_tsv_empty_and_malformed(tmp_path):
     empty = tmp_path / "empty.tsv"
     empty.write_text("\n")

@@ -58,6 +58,13 @@ def test_banded_dtw_matches_oracle(a, b, band):
         assert got == pytest.approx(expected, abs=1e-9)
 
 
+@settings(max_examples=150, deadline=None)
+@given(a=_SHORT_SERIES, b=_SHORT_SERIES, band=st.none() | st.integers(0, 3))
+def test_dp_oracle_matches_brute_force(a, b, band):
+    # the scalar-DP oracle stands in for brute_dtw past length 6
+    assert oracle.dp_dtw(a, b, band=band) == oracle.brute_dtw(a, b, band=band)
+
+
 def test_dtw_rejects_negative_band():
     with pytest.raises(ValueError, match="band"):
         dist.dtw(np.zeros((4, 1)), np.zeros((4, 1)), band=-1)
@@ -116,6 +123,75 @@ def test_pairwise_normalized(metric):
     assert off.min() == pytest.approx(0.0)
     assert off.max() == pytest.approx(1.0)
     np.testing.assert_allclose(m.values, m.values.T)
+
+
+def _ragged_set(series):
+    t_max = max(len(s) for s in series)
+    values = np.zeros((len(series), t_max, series[0].shape[1]))
+    for i, s in enumerate(series):
+        values[i, : len(s)] = s
+    return ds.TimeSeriesSet(values=values, lengths=[len(s) for s in series])
+
+
+def _normalized(raw):
+    """The min-max normalization `pairwise` documents, applied to oracle values."""
+    off = ~np.eye(raw.shape[0], dtype=bool)
+    lo, hi = raw[off].min(), raw[off].max()
+    out = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _oracle_tam(a, b):
+    path, _ = oracle.dp_dtw_path(a, b)
+    return oracle.tam_from_path(path, len(a), len(b))
+
+
+_RAGGED_SETS = st.integers(1, 2).flatmap(lambda d: st.lists(
+    st.integers(1, 40).flatmap(
+        lambda t: arrays(np.float64, (t, d), elements=st.floats(-10, 10))),
+    min_size=3, max_size=5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(series=_RAGGED_SETS, band=st.integers(0, 6))
+def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band):
+    tset = _ragged_set(series)
+    cases = (("dtw", None, oracle.dp_dtw),
+             ("dtw", {"band": band}, lambda a, b: oracle.dp_dtw(a, b, band=band)),
+             ("tam", None, _oracle_tam))
+    n = tset.n
+    for metric, params, fn in cases:
+        raw = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                raw[i, j] = raw[j, i] = fn(series[i], series[j])
+        with np.errstate(invalid="ignore"):  # NaN where a band admits no path
+            expected = _normalized(raw)
+            got = dist.pairwise(tset, metric, params).values
+        assert got.tobytes() == expected.tobytes(), (metric, params)
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 2])
+def test_pairwise_chunking_keeps_values(monkeypatch, pairs_per_chunk):
+    rng = np.random.default_rng(4)
+    lengths = [9, 9, 9, 9, 9, 12, 12, 12, 5]
+    tset = _ragged_set([rng.normal(size=(t, 2)) for t in lengths])
+    methods = (("dtw", None), ("dtw", {"band": 2}), ("fastdtw", {"radius": 1}), ("tam", None))
+    whole = [dist.pairwise(tset, m, p).values for m, p in methods]
+    # the (9, 9) group has 10 pairs, so it now spans 10 or 5 chunks
+    monkeypatch.setattr(dist, "_CHUNK_CELLS", pairs_per_chunk * dist._table_cells(9, 9))
+    for (metric, params), before in zip(methods, whole):
+        assert np.array_equal(dist.pairwise(tset, metric, params).values, before)
+
+
+def test_dtw_path_matches_scalar_oracle_on_long_series(rng):
+    for _ in range(10):
+        ta, tb = rng.integers(1, 61, size=2)
+        a = rng.normal(size=(ta, 1))
+        b = np.round(rng.normal(size=(tb, 1)))  # rounded values make ties
+        assert dist.dtw_path(a, b) == oracle.dp_dtw_path(a, b)
+        assert dist.tam(a, b) == _oracle_tam(a, b)
 
 
 def test_pairwise_all_equal_distances():

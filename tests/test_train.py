@@ -203,3 +203,18 @@ def test_load_checkpoint_rejects_weights_that_differ_from_config(tmp_path, capsy
     assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
                      "--out", str(tmp_path / "reps.csv")]) == 2
     assert "ckpt.npz" in capsys.readouterr().err
+
+
+def test_load_checkpoint_rejects_unknown_train_config_key(tmp_path, capsys):
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_meta(path, lambda meta: meta["train_config"].update(warmup=3))
+    with pytest.raises(ValueError, match=r"ckpt\.npz: unknown train_config key\(s\): warmup"):
+        tr.load_checkpoint(path)
+
+    tsv = tmp_path / "data.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
+                     "--out", str(tmp_path / "reps.csv")]) == 2
+    assert "warmup" in capsys.readouterr().err
