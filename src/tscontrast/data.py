@@ -67,9 +67,8 @@ class TimeSeriesSet:
 class ViewPair:
     """Two same-length random crops per series plus overlap bookkeeping.
 
-    overlap_start_a/_b are offsets *within* each view; the overlap segments
-    view_a[:, sa:sa+olen] and view_b[:, sb:sb+olen] cover the same original
-    timestamps.
+    overlap_start_a/_b are offsets *within* each view; `overlap` cuts the
+    segments of the two views that cover the same original timestamps.
     """
     view_a: np.ndarray
     view_b: np.ndarray
@@ -85,11 +84,12 @@ class ViewPair:
             if start < 0 or start + self.overlap_len > view.shape[1]:
                 raise ValueError(f"overlap does not fit inside view_{name}")
 
-    def overlap_a(self) -> np.ndarray:
-        return self.view_a[:, self.overlap_start_a : self.overlap_start_a + self.overlap_len]
-
-    def overlap_b(self) -> np.ndarray:
-        return self.view_b[:, self.overlap_start_b : self.overlap_start_b + self.overlap_len]
+    def overlap(self, xa, xb):
+        """The overlap segments of `xa` and `xb`, arrays or Tensors whose axis 1
+        is aligned with view_a and view_b (the views themselves, or their
+        representations)."""
+        return (xa[:, self.overlap_start_a : self.overlap_start_a + self.overlap_len],
+                xb[:, self.overlap_start_b : self.overlap_start_b + self.overlap_len])
 
 
 def load_ucr_tsv(path) -> TimeSeriesSet:
@@ -222,7 +222,7 @@ def make_synthetic(
     )
 
 
-def crop_two_views(tset: TimeSeriesSet, seed: int, full_length: bool = False) -> ViewPair:
+def crop_two_views(tset: TimeSeriesSet, seed: int) -> ViewPair:
     """Two equal-length random overlapping crops, shared across the batch.
 
     Crop length is uniform in [ceil(T/2), T] and offsets are uniform subject
@@ -231,14 +231,6 @@ def crop_two_views(tset: TimeSeriesSet, seed: int, full_length: bool = False) ->
     t = int(tset.lengths.min())
     if t < 4:
         raise ValueError("every series must have length >= 4")
-    if full_length:
-        return ViewPair(
-            view_a=tset.values[:, :t].copy(),
-            view_b=tset.values[:, :t].copy(),
-            overlap_start_a=0,
-            overlap_start_b=0,
-            overlap_len=t,
-        )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     crop_len = int(rng.integers(math.ceil(t / 2), t + 1))
     off_a = int(rng.integers(0, t - crop_len + 1))

@@ -270,16 +270,25 @@ def euclidean(a, b) -> float:
     return float(np.linalg.norm(a[:t].ravel() - b[:t].ravel()))
 
 
-def cosine_dist(a, b) -> float:
-    """1 - cosine similarity of the flattened common prefix; in [0, 2]."""
+def _cosine(a, b) -> float:
+    """1 - cosine similarity of the flattened common prefix; in [0, 2], NaN
+    when either prefix has zero norm."""
     a, b = _as_2d(a), _as_2d(b)
     _check_dims(a, b)
     t = min(a.shape[0], b.shape[0])
     u, v = a[:t].ravel(), b[:t].ravel()
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0 or nv == 0:
-        raise ValueError("cosine distance undefined for zero-norm input")
+        return math.nan
     return float(1.0 - np.dot(u, v) / (nu * nv))
+
+
+def cosine_dist(a, b) -> float:
+    """1 - cosine similarity of the flattened common prefix; in [0, 2]."""
+    d = _cosine(a, b)
+    if math.isnan(d):
+        raise ValueError("cosine distance undefined for zero-norm input")
+    return d
 
 
 def _dp_metric(metric: str, params: dict | None):
@@ -314,20 +323,27 @@ def _dp_pairwise(tset: TimeSeriesSet, fn) -> np.ndarray:
 
 def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> DistanceMatrix:
     """Upper-triangle pairwise distances on unpadded series, mirrored, then
-    min-max normalized over the off-diagonal entries."""
+    min-max normalized over the off-diagonal entries.  Raises ValueError
+    naming the first pair whose distance is not finite: a `band` that admits
+    no warping path, or a zero-norm common prefix under `cos`."""
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
     n = tset.n
     if metric in ("dtw", "fastdtw", "tam"):
         values = _dp_pairwise(tset, _dp_metric(metric, params))
     elif metric in ("euc", "cos"):
-        fn = euclidean if metric == "euc" else cosine_dist
+        fn = euclidean if metric == "euc" else _cosine
         values = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
                 values[i, j] = values[j, i] = fn(tset.series(i), tset.series(j))
     else:
         raise ValueError(f"unknown metric: {metric!r}")
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValueError(f"{metric} distance between series {i} and {j} (lengths "
+                         f"{tset.lengths[i]} and {tset.lengths[j]}) is not finite")
     off = ~np.eye(n, dtype=bool)
     lo, hi = values[off].min(), values[off].max()
     if hi > lo:

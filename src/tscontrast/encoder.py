@@ -53,7 +53,7 @@ def param_shapes(cfg: EncoderConfig) -> dict:
 
 def init_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderModel:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    params = {name: Tensor(_uniform(rng, shape, fan), requires_grad=True, name=name)
+    params = {name: Tensor(_uniform(rng, shape, fan), requires_grad=True)
               for name, (shape, fan) in param_shapes(cfg).items()}
     return EncoderModel(params=params, config=cfg)
 

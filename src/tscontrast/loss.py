@@ -48,12 +48,6 @@ def _log_p(z: Tensor, temperature: float = 1.0) -> Tensor:
     return ad.masked_log_softmax(sim, mask)
 
 
-def _probabilities(z: Tensor, temperature: float) -> np.ndarray:
-    """exp of `_log_p` with the excluded diagonal set to zero."""
-    logp = _log_p(z, temperature)
-    return np.where(~np.eye(logp.shape[1], dtype=bool)[None, :, :], np.exp(logp.data), 0.0)
-
-
 def _weighted_ce(logp: Tensor, w_ext: np.ndarray) -> Tensor:
     """Mean over the B*A anchors of the cross-entropy weighted by `w_ext`."""
     b, a = logp.shape[0], logp.shape[1]
@@ -69,11 +63,6 @@ def _temporal_view(reps: Tensor) -> Tensor:
     return ad.concat([reps[:n], reps[n:]], axis=1)
 
 
-def p_instance(reps, temperature: float = 1.0) -> np.ndarray:
-    """Softmax pair probabilities as [T, 2N, 2N] values (diagonal zero)."""
-    return _probabilities(ad.transpose(ad.as_tensor(reps), (1, 0, 2)), temperature)
-
-
 def soft_instance_loss(reps, w_ext: np.ndarray, temperature: float = 1.0) -> Tensor:
     """Mean over anchors (i, t) of the weighted cross-entropy against the
     extended instance assignments."""
@@ -82,16 +71,6 @@ def soft_instance_loss(reps, w_ext: np.ndarray, temperature: float = 1.0) -> Ten
     if w_ext.shape != (two_n, two_n):
         raise ValueError(f"extended weights must be [{two_n}, {two_n}]")
     return _weighted_ce(_log_p(ad.transpose(reps, (1, 0, 2)), temperature), w_ext)
-
-
-def p_temporal(reps_2t, temperature: float = 1.0) -> np.ndarray:
-    """Softmax timestamp-pair probabilities as [2T, 2T] (or [N, 2T, 2T])."""
-    arr = ad.as_tensor(reps_2t)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = ad.reshape(arr, (1,) + arr.shape)
-    out = _probabilities(arr, temperature)
-    return out[0] if squeeze else out
 
 
 def soft_temporal_loss(reps, w_ext_t: np.ndarray, temperature: float = 1.0) -> Tensor:
@@ -169,19 +148,19 @@ def joint_loss(
     return total, breakdown
 
 
-def kl_identity_check(reps, w_ext: np.ndarray, which: str, temperature: float = 1.0):
+def kl_identity_check(reps, w_ext: np.ndarray, which: str):
     """Return (lhs, rhs): the weighted cross-entropy loss versus its
     scaled-KL rewrite Z * (KL(Q || P) + H(Q)), both averaged over anchors."""
     reps = ad.as_tensor(reps)
     if which == "instance":
-        lhs = float(soft_instance_loss(reps, w_ext, temperature).data)
+        lhs = float(soft_instance_loss(reps, w_ext).data)
         view = ad.transpose(reps, (1, 0, 2))
     elif which == "temporal":
-        lhs = float(soft_temporal_loss(reps, w_ext, temperature).data)
+        lhs = float(soft_temporal_loss(reps, w_ext).data)
         view = _temporal_view(reps)
     else:
         raise ValueError("which must be 'instance' or 'temporal'")
-    logp = _log_p(view, temperature).data                 # [B, A, A]
+    logp = _log_p(view).data                               # [B, A, A]
     rows = logp.reshape(-1, logp.shape[-1])                # anchors x A
     w_rows = np.broadcast_to(w_ext[None, :, :], logp.shape).reshape(-1, logp.shape[-1])
 

@@ -60,17 +60,6 @@ def brute_dtw(a, b, band=None) -> float:
     return best
 
 
-def brute_dtw_best_path(a, b):
-    """(cost, path) of the cheapest monotone alignment, enumerated."""
-    a, b = _as_rows(a), _as_rows(b)
-    best, best_path = math.inf, None
-    for path in _paths(len(a), len(b)):
-        cost = sum(_step_cost(a, b, i, j) for i, j in path)
-        if cost < best:
-            best, best_path = cost, path
-    return best, best_path
-
-
 def _in_band(i, j, ta, tb, band) -> bool:
     return band is None or abs(i * tb - j * ta) <= band * max(ta, tb)
 

@@ -110,8 +110,7 @@ def evaluate_batch_loss(state: TrainState, batch: TimeSeriesSet, w_inst: np.ndar
         mask_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(mask_seed or 0)))
     ra = enc.encode(state.model, views.view_a, mask_mode=cfg.mask_mode, rng=mask_rng)
     rb = enc.encode(state.model, views.view_b, mask_mode=cfg.mask_mode, rng=mask_rng)
-    ra_ov = ra[:, views.overlap_start_a : views.overlap_start_a + views.overlap_len]
-    rb_ov = rb[:, views.overlap_start_b : views.overlap_start_b + views.overlap_len]
+    ra_ov, rb_ov = views.overlap(ra, rb)
     return losses.joint_loss(ra_ov, rb_ov, w_inst, cfg.instance_cfg(), cfg.temporal_cfg(),
                              lam=cfg.lam, temperature=cfg.temperature, hard=cfg.hard)
 
@@ -241,7 +240,7 @@ def load_checkpoint(path):
         for key in blob.files:
             if key.startswith("param/"):
                 name = key[len("param/"):]
-                params[name] = ad.Tensor(blob[key].copy(), requires_grad=True, name=name)
+                params[name] = ad.Tensor(blob[key].copy(), requires_grad=True)
                 m[name] = blob[f"adam_m/{name}"].copy()
                 v[name] = blob[f"adam_v/{name}"].copy()
     shapes = {name: t.shape for name, t in params.items()}

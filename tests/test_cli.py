@@ -192,6 +192,19 @@ def test_config_rejects_negative_band(tmp_path, capsys):
     assert "band" in capsys.readouterr().err
 
 
+def test_distances_band_without_path_exits_2_and_writes_no_cache(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    values = np.zeros((3, 40, 1))
+    values[:, :, 0] = rng.normal(size=(3, 40))
+    tsv = tmp_path / "ragged.tsv"
+    ds.write_ucr_tsv(ds.TimeSeriesSet(values=values, lengths=[6, 40, 40], labels=[0, 1, 1]), tsv)
+    cfg = _config(tmp_path, dataset={"path": str(tsv)}, distance={"metric": "dtw", "band": 0})
+    out = tmp_path / "d.bin"
+    assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 2
+    assert "series 0 and 1 (lengths 6 and 40)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_export_matches_binary(tmp_path, capsys):
     cfg = _config(tmp_path)
     out = str(tmp_path / "dist.bin")

@@ -126,7 +126,7 @@ def test_crop_two_views_invariants():
         assert views.view_b.shape[1] == t
         assert 10 <= t <= 20
         assert views.overlap_len >= 1
-        np.testing.assert_array_equal(views.overlap_a(), views.overlap_b())
+        np.testing.assert_array_equal(*views.overlap(views.view_a, views.view_b))
 
 
 def test_crop_two_views_deterministic():
@@ -136,13 +136,6 @@ def test_crop_two_views_deterministic():
     np.testing.assert_array_equal(a.view_a, b.view_a)
     np.testing.assert_array_equal(a.view_b, b.view_b)
     assert a.overlap_start_a == b.overlap_start_a
-
-
-def test_crop_full_length():
-    tset = ds.make_synthetic(2, 16, [{"kind": "sine", "freq": 1.0}], seed=0)
-    views = ds.crop_two_views(tset, seed=0, full_length=True)
-    assert views.overlap_len == 16
-    np.testing.assert_array_equal(views.view_a, views.view_b)
 
 
 def test_crop_rejects_tiny_series():

@@ -166,10 +166,45 @@ def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band):
         for i in range(n):
             for j in range(i + 1, n):
                 raw[i, j] = raw[j, i] = fn(series[i], series[j])
-        with np.errstate(invalid="ignore"):  # NaN where a band admits no path
-            expected = _normalized(raw)
-            got = dist.pairwise(tset, metric, params).values
-        assert got.tobytes() == expected.tobytes(), (metric, params)
+        if not np.isfinite(raw).all():  # a band that admits no path for some pair
+            with pytest.raises(ValueError, match="not finite"):
+                dist.pairwise(tset, metric, params)
+            continue
+        got = dist.pairwise(tset, metric, params).values
+        assert got.tobytes() == _normalized(raw).tobytes(), (metric, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=2, max_size=5), band=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pairwise_raises_exactly_when_a_band_admits_no_path(lengths, band, seed):
+    rng = np.random.default_rng(seed)
+    series = [rng.normal(size=(t, 1)) for t in lengths]
+    infeasible = [(i, j) for i in range(len(series)) for j in range(i + 1, len(series))
+                  if oracle.dp_dtw(series[i], series[j], band=band) == math.inf]
+    tset = _ragged_set(series)
+    if infeasible:
+        i, j = infeasible[0]
+        with pytest.raises(ValueError, match=f"series {i} and {j} "
+                                             f"\\(lengths {lengths[i]} and {lengths[j]}\\)"):
+            dist.pairwise(tset, "dtw", {"band": band})
+    else:
+        assert np.isfinite(dist.pairwise(tset, "dtw", {"band": band}).values).all()
+
+
+def test_pairwise_names_pair_a_band_cannot_align():
+    rng = np.random.default_rng(0)
+    tset = _ragged_set([rng.normal(size=(t, 1)) for t in (6, 40, 40)])
+    with pytest.raises(ValueError, match=r"series 0 and 1 \(lengths 6 and 40\) is not finite"):
+        dist.pairwise(tset, "dtw", {"band": 0})
+
+
+def test_pairwise_cos_names_zero_norm_series():
+    values = np.random.default_rng(0).normal(size=(4, 8, 1))
+    values[2] = 0.0
+    tset = ds.TimeSeriesSet(values=values, lengths=[8, 8, 8, 8])
+    with pytest.raises(ValueError, match=r"cos distance between series 0 and 2 "):
+        dist.pairwise(tset, "cos")
 
 
 @pytest.mark.parametrize("pairs_per_chunk", [1, 2])

@@ -8,25 +8,6 @@ from tscontrast import oracle
 from tscontrast.distance import DistanceMatrix
 
 
-def _reps(rng, n=3, t=4, m=5):
-    return rng.normal(size=(2 * n, t, m))
-
-
-def test_p_instance_rows_stochastic(rng):
-    reps = _reps(rng)
-    p = losses.p_instance(reps)
-    assert p.shape == (4, 6, 6)
-    np.testing.assert_allclose(p.sum(axis=2), 1.0)
-    assert np.all(p[:, np.eye(6, dtype=bool)] == 0.0)
-
-
-def test_p_temporal_rows_stochastic(rng):
-    u = rng.normal(size=(8, 5))
-    p = losses.p_temporal(u)
-    assert p.shape == (8, 8)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0)
-
-
 def test_instance_loss_matches_oracle(rng):
     for _ in range(10):
         n, t, m = rng.integers(2, 5), rng.integers(1, 5), rng.integers(1, 5)

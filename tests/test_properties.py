@@ -105,17 +105,17 @@ def test_extend_zeroed_soft_weights_is_hard_matrix(rng):
     assert np.all((q == 0) | (q == 1))
 
 
-def test_p_instance_degenerate_cases(rng):
-    # N = 1: the only candidate gets probability 1
+def test_instance_loss_degenerate_cases(rng):
+    # N = 1: each anchor's only candidate is its positive, so the loss is -log 1
     reps = rng.normal(size=(2, 3, 4))
-    p = losses.p_instance(reps)
-    off = ~np.eye(2, dtype=bool)
-    assert np.all(p[:, off] == 1.0)
-    # all representations equal -> uniform over the 2N-1 candidates
+    loss = losses.soft_instance_loss(reps, asg.extend_instance(np.zeros((1, 1))))
+    assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
+    # all representations equal: every candidate is equally likely
     reps = np.ones((6, 2, 4))
-    p = losses.p_instance(reps)
-    off = ~np.eye(6, dtype=bool)
-    np.testing.assert_allclose(p[:, off], 1.0 / 5.0)
+    w = rng.uniform(size=(3, 3))
+    w = (w + w.T) / 2
+    loss = losses.soft_instance_loss(reps, asg.extend_instance(w))
+    assert float(loss.data) == pytest.approx(oracle.scalar_loss_eq3(reps, w), abs=1e-12)
 
 
 def test_temporal_loss_T1_positive_only(rng):
