@@ -149,6 +149,9 @@ def cmd_evaluate(args) -> int:
                                    k=eval_cfg["probe_k"])
     else:
         tset = ds.znormalize(ds.load_ucr_tsv(args.data))
+        if not 0 <= args.series_index < tset.n:
+            raise ValueError(f"--series-index {args.series_index} is out of range "
+                             f"for {tset.n} series")
         series = tset.series(args.series_index)
         scores = ev.anomaly_scores(state.model, series)
         labels = None

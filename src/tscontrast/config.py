@@ -20,7 +20,7 @@ _TRAIN_SECTIONS = {
         "tau_inst", "tau_temp", "alpha", "pool_m", "inst_kernel", "temp_kernel",
         "kernel_sigma", "neighbor_window_frac", "gaussian_std", "hierarchical_tau",
     ),
-    "loss": ("lambda", "temperature", "hard"),
+    "loss": ("lambda", "hard"),
     "train": ("lr", "batch_size", "iters", "seed", "hidden", "repr_dims", "depth", "mask_mode"),
 }
 _FIELD_NAMES = {"lambda": "lam"}
@@ -126,18 +126,22 @@ def validate(raw: dict) -> EngineConfig:
         if value is not None and not (lo <= value and (hi is None or value <= hi)):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise ValueError(f"{section}.{key} must be {bound}, got {value}")
-    if not sections["loss"]["temperature"] > 0:
-        raise ValueError("loss.temperature must be > 0")
-
-    train_config = TrainConfig(**{
-        _FIELD_NAMES.get(key, key): sections[section][key]
-        for section, keys in _TRAIN_SECTIONS.items() for key in keys
-    })
-    # the remaining range checks ride on the dataclass validators
-    train_config.instance_cfg()
-    train_config.temporal_cfg()
-    train_config.encoder_cfg(input_dims=1)
-    return EngineConfig(sections=sections, train_config=train_config)
+    # The remaining range checks ride on the sub-config validators.  Each of
+    # their rules reads one field, so checking every key alone against the
+    # defaults finds every bad value and names its key.
+    train_fields = {}
+    for section, keys in _TRAIN_SECTIONS.items():
+        for key in keys:
+            name = _FIELD_NAMES.get(key, key)
+            train_fields[name] = sections[section][key]
+            alone = TrainConfig(**{name: train_fields[name]})
+            try:
+                alone.instance_cfg()
+                alone.temporal_cfg()
+                alone.encoder_cfg(input_dims=1)
+            except ValueError as exc:
+                raise ValueError(f"{section}.{key}: {exc}") from None
+    return EngineConfig(sections=sections, train_config=TrainConfig(**train_fields))
 
 
 def load(path, overrides: dict | None = None) -> EngineConfig:

@@ -96,7 +96,7 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
     """Read a UCR-style TSV: label first, one univariate series per line.
 
     Trailing NaN cells shorten the series; interior NaNs, infinite values
-    and non-finite labels are rejected with the line number.
+    and non-finite or non-integral labels are rejected with the line number.
     """
     rows = []
     with open(path, "r") as fh:
@@ -114,6 +114,8 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
             if not math.isfinite(label):
                 raise ValueError(f"{path}:{lineno}: non-finite label")
+            if not label.is_integer():
+                raise ValueError(f"{path}:{lineno}: non-integral label")
             if np.isinf(vals).any():
                 raise ValueError(f"{path}:{lineno}: infinite value")
             nan = np.isnan(vals)

@@ -35,15 +35,13 @@ class LossBreakdown:
         return cells
 
 
-def _log_p(z: Tensor, temperature: float = 1.0) -> Tensor:
+def _log_p(z: Tensor) -> Tensor:
     """[B, A, A] log-probabilities; entry (b, i, j) is log p of pair (i, j) in
     group b, self-similarities excluded from the normalizer."""
     a = z.shape[1]
     if a < 2:
         raise ValueError("need at least 2 items to contrast")
     sim = ad.matmul(z, ad.transpose(z, (0, 2, 1)))         # [B, A, A]
-    if temperature != 1.0:
-        sim = ad.mul(sim, 1.0 / temperature)
     mask = ~np.eye(a, dtype=bool)[None, :, :]
     return ad.masked_log_softmax(sim, mask)
 
@@ -63,17 +61,17 @@ def _temporal_view(reps: Tensor) -> Tensor:
     return ad.concat([reps[:n], reps[n:]], axis=1)
 
 
-def soft_instance_loss(reps, w_ext: np.ndarray, temperature: float = 1.0) -> Tensor:
+def soft_instance_loss(reps, w_ext: np.ndarray) -> Tensor:
     """Mean over anchors (i, t) of the weighted cross-entropy against the
     extended instance assignments."""
     reps = ad.as_tensor(reps)
     two_n = reps.shape[0]
     if w_ext.shape != (two_n, two_n):
         raise ValueError(f"extended weights must be [{two_n}, {two_n}]")
-    return _weighted_ce(_log_p(ad.transpose(reps, (1, 0, 2)), temperature), w_ext)
+    return _weighted_ce(_log_p(ad.transpose(reps, (1, 0, 2))), w_ext)
 
 
-def soft_temporal_loss(reps, w_ext_t: np.ndarray, temperature: float = 1.0) -> Tensor:
+def soft_temporal_loss(reps, w_ext_t: np.ndarray) -> Tensor:
     """Mean over anchors (i, t) with t on the doubled 2T axis.
 
     `reps` is the [2N, T, M] stack; the two views of instance i are rows i
@@ -83,7 +81,7 @@ def soft_temporal_loss(reps, w_ext_t: np.ndarray, temperature: float = 1.0) -> T
     t = reps.shape[1]
     if w_ext_t.shape != (2 * t, 2 * t):
         raise ValueError(f"extended temporal weights must be [{2 * t}, {2 * t}]")
-    return _weighted_ce(_log_p(_temporal_view(reps), temperature), w_ext_t)
+    return _weighted_ce(_log_p(_temporal_view(reps)), w_ext_t)
 
 
 def joint_loss(
@@ -93,7 +91,6 @@ def joint_loss(
     icfg: asg.InstanceAssignConfig,
     tcfg: asg.TemporalAssignConfig,
     lam: float = 0.5,
-    temperature: float = 1.0,
     hard: bool = False,
 ):
     """Hierarchical joint objective over the pooling ladder of two aligned
@@ -127,12 +124,12 @@ def joint_loss(
     level_totals = []
     for k, stacked in enumerate(ladder):                   # [2N, T_k, M]
         t_k = stacked.shape[1]
-        inst_k = soft_instance_loss(stacked, w_inst_ext, temperature)
+        inst_k = soft_instance_loss(stacked, w_inst_ext)
         if hard:
             w_t = np.zeros((t_k, t_k))
         else:
             w_t = asg.w_temporal(t_k, k, tcfg)
-        temp_k = soft_temporal_loss(stacked, asg.extend_temporal(w_t), temperature)
+        temp_k = soft_temporal_loss(stacked, asg.extend_temporal(w_t))
         level_totals.append(ad.add(ad.mul(inst_k, lam), ad.mul(temp_k, 1.0 - lam)))
         per_level.append((k, float(inst_k.data), float(temp_k.data)))
 

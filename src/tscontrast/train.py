@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
 
@@ -31,25 +32,21 @@ class TrainConfig:
     batch_size: int = 8
     iters: int = 200
     lam: float = 0.5
-    tau_inst: float = 10.0
-    tau_temp: float = 1.0
-    alpha: float = 0.5
-    inst_kernel: str = "sigmoid"
-    temp_kernel: str = "sigmoid"
-    kernel_sigma: float = 0.5
-    neighbor_window_frac: float = 0.3
-    gaussian_std: float = 1.0
-    pool_m: int = 2
-    hierarchical_tau: bool = True
+    tau_inst: float = asg.InstanceAssignConfig.tau
+    tau_temp: float = asg.TemporalAssignConfig.tau_base
+    alpha: float = asg.InstanceAssignConfig.alpha
+    inst_kernel: str = asg.InstanceAssignConfig.kernel
+    temp_kernel: str = asg.TemporalAssignConfig.kernel
+    kernel_sigma: float = asg.InstanceAssignConfig.kernel_sigma
+    neighbor_window_frac: float = asg.TemporalAssignConfig.neighbor_window_frac
+    gaussian_std: float = asg.TemporalAssignConfig.gaussian_std
+    pool_m: int = asg.TemporalAssignConfig.pool_kernel_m
+    hierarchical_tau: bool = asg.TemporalAssignConfig.hierarchical
     hard: bool = False  # conventional contrastive baseline: all soft weights zero
-    temperature: float = 1.0
-    hidden: int = 32
-    repr_dims: int = 16
-    depth: int = 4
+    hidden: int = enc.EncoderConfig.hidden
+    repr_dims: int = enc.EncoderConfig.output_dims
+    depth: int = enc.EncoderConfig.depth
     mask_mode: str = "none"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def instance_cfg(self) -> asg.InstanceAssignConfig:
@@ -88,17 +85,23 @@ class TrainState:
         return cls(model=model, m=moments_m, v=moments_v, step=0, rng=rng)
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# train_config keys that earlier checkpoints hold, with the one value each may take
+_RETIRED_KEYS = {"temperature": 1.0, "beta1": _BETA1, "beta2": _BETA2, "eps": _EPS}
+
+
 def _adam_step(state: TrainState, cfg: TrainConfig):
     t = state.step + 1
     for name, p in state.model.params.items():
         g = p.grad
         if g is None:
             continue
-        state.m[name] = cfg.beta1 * state.m[name] + (1 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1 - cfg.beta2) * g * g
-        m_hat = state.m[name] / (1 - cfg.beta1 ** t)
-        v_hat = state.v[name] / (1 - cfg.beta2 ** t)
-        p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        state.m[name] = _BETA1 * state.m[name] + (1 - _BETA1) * g
+        state.v[name] = _BETA2 * state.v[name] + (1 - _BETA2) * g * g
+        m_hat = state.m[name] / (1 - _BETA1 ** t)
+        v_hat = state.v[name] / (1 - _BETA2 ** t)
+        p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def evaluate_batch_loss(state: TrainState, batch: TimeSeriesSet, w_inst: np.ndarray,
@@ -112,7 +115,7 @@ def evaluate_batch_loss(state: TrainState, batch: TimeSeriesSet, w_inst: np.ndar
     rb = enc.encode(state.model, views.view_b, mask_mode=cfg.mask_mode, rng=mask_rng)
     ra_ov, rb_ov = views.overlap(ra, rb)
     return losses.joint_loss(ra_ov, rb_ov, w_inst, cfg.instance_cfg(), cfg.temporal_cfg(),
-                             lam=cfg.lam, temperature=cfg.temperature, hard=cfg.hard)
+                             lam=cfg.lam, hard=cfg.hard)
 
 
 def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
@@ -126,10 +129,7 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         raise ValueError(f"distance matrix is {dist.n}x{dist.n} but the set has {tset.n} series")
     if state is None:
         state = TrainState.fresh(cfg, tset.dims)
-    if cfg.lam > 0 and not cfg.hard:
-        w_full = asg.w_instance(dist, cfg.instance_cfg())
-    else:
-        w_full = np.zeros((tset.n, tset.n))
+    w_full = asg.w_instance(dist, cfg.instance_cfg())
     history = []
     n = tset.n
     bs = min(cfg.batch_size, n)
@@ -228,21 +228,29 @@ def load_checkpoint(path):
     The architecture comes from `train_config` and the input width from the
     projection weights; weights of any other name or shape are rejected.
     """
-    with np.load(path) as blob:
-        if "version" not in blob.files or int(blob["version"]) != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported or corrupt checkpoint")
-        meta = json.loads(bytes(blob["meta"]).decode())
-        unknown = sorted(set(meta["train_config"]) - {f.name for f in fields(TrainConfig)})
-        if unknown:
-            raise ValueError(f"{path}: unknown train_config key(s): {', '.join(unknown)}")
-        cfg = TrainConfig(**meta["train_config"])
-        params, m, v = {}, {}, {}
-        for key in blob.files:
-            if key.startswith("param/"):
-                name = key[len("param/"):]
-                params[name] = ad.Tensor(blob[key].copy(), requires_grad=True)
-                m[name] = blob[f"adam_m/{name}"].copy()
-                v[name] = blob[f"adam_v/{name}"].copy()
+    try:
+        with np.load(path) as blob:
+            arrays = {key: blob[key] for key in blob.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
+    if "version" not in arrays or int(arrays["version"]) != _CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported or corrupt checkpoint")
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    stored = meta["train_config"]
+    for key, value in _RETIRED_KEYS.items():
+        if key in stored and stored.pop(key) != value:
+            raise ValueError(f"{path}: train_config {key} is retired and must be {value}")
+    unknown = sorted(set(stored) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown train_config key(s): {', '.join(unknown)}")
+    cfg = TrainConfig(**stored)
+    params, m, v = {}, {}, {}
+    for key in arrays:
+        if key.startswith("param/"):
+            name = key[len("param/"):]
+            params[name] = ad.Tensor(arrays[key], requires_grad=True)
+            m[name] = arrays[f"adam_m/{name}"]
+            v[name] = arrays[f"adam_v/{name}"]
     shapes = {name: t.shape for name, t in params.items()}
     if len(shapes.get("proj_w", ())) != 2:
         raise ValueError(f"{path}: no [input_dims, hidden] proj_w weights")

@@ -251,10 +251,24 @@ def test_seed_flag_overrides_file(tmp_path, capsys):
         assert np.array_equal(b[key], c[key])
 
 
+@pytest.mark.parametrize("index", [6, 99, -1])
+def test_evaluate_anomaly_series_index_out_of_range(tmp_path, capsys, index):
+    tset = ds.make_synthetic(6, 16, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv),
+                     "--series-index", str(index)]) == 2
+    assert f"--series-index {index} is out of range for 6 series" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,key,value,names_key", [
     ("loss", "lambda", 1.5, True),
     ("train", "mask_mode", "bogus", False),
-    ("train", "depth", 0, False),
+    ("train", "depth", 0, True),
     ("train", "batch_size", 1, True),
     ("train", "iters", None, True),
     ("loss", "hard", "false", True),

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tscontrast import assign as asg
 from tscontrast import config as engine_config
 from tscontrast import encoder as enc
+from tscontrast import train as tr
 from tscontrast.distance import METRICS
 
 DEFAULTS = engine_config.DEFAULTS
@@ -150,3 +152,26 @@ def test_valid_config_round_trips(raw):
         kind = engine_config.NULLABLE_TYPES[name] if default is None else type(default)
         if kind is float and value is not None:
             assert type(_get(eff, path)) is float  # ints are widened
+
+
+def test_every_train_config_field_is_a_config_key():
+    keys = {engine_config._FIELD_NAMES.get(key, key)
+            for keys in engine_config._TRAIN_SECTIONS.values() for key in keys}
+    assert {f.name for f in fields(tr.TrainConfig)} == keys
+    cfg = tr.TrainConfig()
+    assert cfg.instance_cfg() == asg.InstanceAssignConfig()
+    assert cfg.temporal_cfg() == asg.TemporalAssignConfig()
+    assert cfg.encoder_cfg(3) == enc.EncoderConfig(3)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("assignment", "tau_inst", 0), ("assignment", "tau_temp", 0),
+    ("assignment", "alpha", 1.5), ("assignment", "pool_m", 1),
+    ("assignment", "inst_kernel", "bogus"), ("assignment", "temp_kernel", "bogus"),
+    ("assignment", "kernel_sigma", 0), ("assignment", "neighbor_window_frac", 0),
+    ("assignment", "gaussian_std", 0), ("train", "hidden", 0),
+    ("train", "repr_dims", 0), ("train", "depth", 0),
+])
+def test_sub_config_rule_names_the_key(section, key, value):
+    with pytest.raises(ValueError, match=re.escape(f"{section}.{key}: ")):
+        engine_config.validate({section: {key: value}})

@@ -57,6 +57,7 @@ def test_tsv_interior_nan_rejected(tmp_path):
     ("2\t1.0\t-inf", "infinite value"),
     ("2\t1.0\tInfinity\t3.0", "infinite value"),
     ("inf\t1.0\t2.0", "non-finite label"),
+    ("1.5\t1.0\t2.0", "non-integral label"),
 ])
 def test_tsv_non_finite_cell_rejected_with_line(tmp_path, line, why):
     # an inf cell used to load and turn into NaN under znormalize

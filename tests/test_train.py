@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,11 +117,22 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.v[name], state.v[name])
 
 
-def test_load_checkpoint_rejects_bad_file(tmp_path):
-    path = tmp_path / "bad.npz"
-    np.savez(path, version=np.int64(99))
-    with pytest.raises(ValueError):
-        tr.load_checkpoint(path)
+def test_load_checkpoint_rejects_bad_file(tmp_path, capsys):
+    tset, _, cfg = _setup()
+    good = tmp_path / "good.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, good)
+    tsv = tmp_path / "data.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    np.savez(tmp_path / "version.npz", version=np.int64(99))
+    (tmp_path / "empty.npz").write_bytes(b"")
+    (tmp_path / "truncated.npz").write_bytes(good.read_bytes()[:good.stat().st_size // 2])
+    for name in ("version.npz", "empty.npz", "truncated.npz"):
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=name):
+            tr.load_checkpoint(path)
+        assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
+                         "--out", str(tmp_path / "reps.csv")]) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_resume_equals_uninterrupted(tmp_path):
@@ -164,6 +176,12 @@ def _rewrite_meta(path, edit):
     np.savez(path, **arrays)
 
 
+def _add_retired_keys(meta, **values):
+    """Earlier formats also stored the loss temperature and Adam's constants."""
+    meta["train_config"].update({"temperature": 1.0, "beta1": 0.9, "beta2": 0.999,
+                                 "eps": 1e-8, **values})
+
+
 def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
     # the earlier format also stored an encoder_config beside train_config
     tset, dm, _ = _setup()
@@ -179,6 +197,7 @@ def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
     _rewrite_meta(path, lambda meta: meta.update(encoder_config={
         "input_dims": tset.dims, "hidden": 6, "output_dims": 3, "depth": 2,
         "kernel_size": 3, "mask_mode": "binomial"}))
+    _rewrite_meta(path, _add_retired_keys)
     resumed, cfg = tr.load_checkpoint(path)
     assert cfg == half_cfg
     model_res, hist_res = tr.pretrain(tset, dm, full_cfg, state=resumed)
@@ -218,3 +237,30 @@ def test_load_checkpoint_rejects_unknown_train_config_key(tmp_path, capsys):
     assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
                      "--out", str(tmp_path / "reps.csv")]) == 2
     assert "warmup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("temperature", 0.5), ("beta1", 0.8), ("eps", 1e-6)])
+def test_load_checkpoint_rejects_retired_key_away_from_its_constant(tmp_path, capsys,
+                                                                     key, value):
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_meta(path, lambda meta: _add_retired_keys(meta, **{key: value}))
+    with pytest.raises(ValueError, match=rf"ckpt\.npz: train_config {key} is retired"):
+        tr.load_checkpoint(path)
+
+    tsv = tmp_path / "data.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
+                     "--out", str(tmp_path / "reps.csv")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_lambda_zero_logs_the_soft_instance_terms():
+    # with one seed both runs draw the same model, batch and crop on step 1
+    tset, dm, cfg = _setup(iters=1)
+    logged = {}
+    for lam in (0.0, 0.5):
+        _, history = tr.pretrain(tset, dm, replace(cfg, lam=lam))
+        logged[lam] = [li for _, li, _ in history[0][1].per_level]
+    assert logged[0.0] == logged[0.5]
