@@ -52,12 +52,22 @@ def _distance_matrix(cfg: engine_config.EngineConfig, tset: ds.TimeSeriesSet,
                 f"cache {path} holds metric '{matrix.metric}' but config wants '{metric}'")
         if matrix.n != tset.n:
             raise ValueError(f"cache {path} is for N={matrix.n}, dataset has N={tset.n}")
-        print("cache hit")
+        log.info("distance cache hit: %s", path)
         return matrix
+    if path:
+        log.info("distance cache miss: %s (no such file)", path)
     matrix = dist_mod.pairwise(tset, metric, {"radius": radius, "band": band})
     if path:
         dist_mod.save_matrix(matrix, path)
     return matrix
+
+
+def _require_croppable(tset: ds.TimeSeriesSet) -> None:
+    """Training crops every series: reject a short one before any work."""
+    shortest = int(tset.lengths.min())
+    if shortest < ds.MIN_CROP_LENGTH:
+        raise ValueError(f"every series must have length >= {ds.MIN_CROP_LENGTH}; "
+                         f"the shortest has {shortest}")
 
 
 def _echo_config(cfg: engine_config.EngineConfig, args):
@@ -90,6 +100,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     _echo_config(cfg, args)
     tset = _build_dataset(cfg)
+    _require_croppable(tset)
     matrix = _distance_matrix(cfg, tset)
     tcfg = cfg.train_config
     state = tr.TrainState.fresh(tcfg, tset.dims)
@@ -196,6 +207,7 @@ def cmd_ablate(args) -> int:
     base = _load_config(args)
     _echo_config(base, args)
     tset = _build_dataset(base)
+    _require_croppable(tset)
     base_key = _distance_key(base)
     matrices = {}
     rows = []

@@ -24,6 +24,9 @@ _TRAIN_SECTIONS = {
     "train": ("lr", "batch_size", "iters", "seed", "hidden", "repr_dims", "depth", "mask_mode"),
 }
 _FIELD_NAMES = {"lambda": "lam"}
+# each TrainConfig field's (section, key)
+_FIELD_KEYS = {_FIELD_NAMES.get(key, key): (section, key)
+               for section, keys in _TRAIN_SECTIONS.items() for key in keys}
 
 _TRAIN_DEFAULTS = asdict(TrainConfig())
 
@@ -130,18 +133,29 @@ def validate(raw: dict) -> EngineConfig:
     # their rules reads one field, so checking every key alone against the
     # defaults finds every bad value and names its key.
     train_fields = {}
-    for section, keys in _TRAIN_SECTIONS.items():
-        for key in keys:
-            name = _FIELD_NAMES.get(key, key)
-            train_fields[name] = sections[section][key]
-            alone = TrainConfig(**{name: train_fields[name]})
-            try:
-                alone.instance_cfg()
-                alone.temporal_cfg()
-                alone.encoder_cfg(input_dims=1)
-            except ValueError as exc:
-                raise ValueError(f"{section}.{key}: {exc}") from None
+    for name, (section, key) in _FIELD_KEYS.items():
+        train_fields[name] = sections[section][key]
+        alone = TrainConfig(**{name: train_fields[name]})
+        try:
+            alone.instance_cfg()
+            alone.temporal_cfg()
+            alone.encoder_cfg(input_dims=1)
+        except ValueError as exc:
+            raise ValueError(f"{section}.{key}: {exc}") from None
     return EngineConfig(sections=sections, train_config=TrainConfig(**train_fields))
+
+
+def train_config_from_fields(stored: dict) -> TrainConfig:
+    """Build a TrainConfig from its flat fields (a checkpoint's train_config)
+    through the same checks as a config file; a missing field takes its default."""
+    unknown = sorted(set(stored) - set(_FIELD_KEYS))
+    if unknown:
+        raise ValueError(f"unknown train_config key(s): {', '.join(unknown)}")
+    raw = {}
+    for name, value in stored.items():
+        section, key = _FIELD_KEYS[name]
+        raw.setdefault(section, {})[key] = value
+    return validate(raw).train_config
 
 
 def load(path, overrides: dict | None = None) -> EngineConfig:

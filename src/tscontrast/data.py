@@ -224,6 +224,10 @@ def make_synthetic(
     )
 
 
+# the shortest series crop_two_views accepts
+MIN_CROP_LENGTH = 4
+
+
 def crop_two_views(tset: TimeSeriesSet, seed: int) -> ViewPair:
     """Two equal-length random overlapping crops, shared across the batch.
 
@@ -231,8 +235,8 @@ def crop_two_views(tset: TimeSeriesSet, seed: int) -> ViewPair:
     to a nonempty overlap; T is the shortest series length in the batch.
     """
     t = int(tset.lengths.min())
-    if t < 4:
-        raise ValueError("every series must have length >= 4")
+    if t < MIN_CROP_LENGTH:
+        raise ValueError(f"every series must have length >= {MIN_CROP_LENGTH}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     crop_len = int(rng.integers(math.ceil(t / 2), t + 1))
     off_a = int(rng.integers(0, t - crop_len + 1))

@@ -61,19 +61,11 @@ def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 
     diffs = test_reprs[:, None, :] - train_reprs[None, :, :]
     dists = np.sqrt((diffs ** 2).sum(axis=2))
     order = np.argsort(dists, axis=1, kind="stable")
-    preds = np.empty(test_reprs.shape[0], dtype=train_labels.dtype)
-    for i in range(test_reprs.shape[0]):
-        neigh = train_labels[order[i, :k]]
-        values, counts = np.unique(neigh, return_counts=True)
-        winners = values[counts == counts.max()]
-        if winners.size == 1:
-            preds[i] = winners[0]
-        else:
-            # tie: the closest neighbor whose label is among the tied ones
-            for j in order[i, :k]:
-                if train_labels[j] in winners:
-                    preds[i] = train_labels[j]
-                    break
+    neigh = train_labels[order[:, :k]]
+    # votes[i, j]: how many of query i's neighbours share neighbour j's label;
+    # argmax takes the nearest neighbour whose label has the most votes
+    votes = (neigh[:, :, None] == neigh[:, None, :]).sum(axis=2)
+    preds = neigh[np.arange(len(neigh)), votes.argmax(axis=1)]
     correct = preds == test_labels
     per_class = {int(c): int(((test_labels == c) & correct).sum()) for c in np.unique(test_labels)}
     return EvalReport(

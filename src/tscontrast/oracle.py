@@ -218,6 +218,20 @@ def infonce_temporal(reps) -> float:
     return total / (n * 2 * t_len)
 
 
+def knn_vote(train_reprs, train_labels, query, k: int):
+    """The kNN probe's label for one query row: the most common label among
+    the k nearest training rows (Euclidean; equal distances keep row order);
+    a vote tie goes to the nearest neighbour whose label is among the tied."""
+    sq_dists = [sum((float(q) - float(t)) ** 2 for q, t in zip(query, row))
+                for row in train_reprs]
+    nearest = sorted(range(len(sq_dists)), key=lambda j: sq_dists[j])[:k]
+    labels = [train_labels[j] for j in nearest]
+    best = max(labels.count(label) for label in labels)
+    for label in labels:
+        if labels.count(label) == best:
+            return label
+
+
 def fd_gradient(f, params, h: float = 1e-5):
     """Central-difference gradient of scalar f with respect to a list of
     numpy arrays; mutates copies only."""

@@ -7,7 +7,7 @@ import json
 import logging
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,33 +174,6 @@ def write_log_csv(history, path):
 _CKPT_VERSION = 1
 
 
-def _rng_state_to_json(state: dict) -> dict:
-    """Make a bit-generator state dict JSON-safe (uint64 arrays -> lists)."""
-    out = {}
-    for key, value in state.items():
-        if isinstance(value, dict):
-            out[key] = _rng_state_to_json(value)
-        elif isinstance(value, np.ndarray):
-            out[key] = {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
-        elif isinstance(value, np.integer):
-            out[key] = int(value)
-        else:
-            out[key] = value
-    return out
-
-
-def _rng_state_from_json(state: dict) -> dict:
-    out = {}
-    for key, value in state.items():
-        if isinstance(value, dict) and "__ndarray__" in value:
-            out[key] = np.array(value["__ndarray__"], dtype=value["dtype"])
-        elif isinstance(value, dict):
-            out[key] = _rng_state_from_json(value)
-        else:
-            out[key] = value
-    return out
-
-
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
     arrays = {}
     for name, t in state.model.params.items():
@@ -209,7 +182,7 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
         arrays[f"adam_v/{name}"] = state.v[name]
     meta = {
         "train_config": asdict(cfg),
-        "rng_state": _rng_state_to_json(state.rng.bit_generator.state),
+        "rng_state": state.rng.bit_generator.state,
         "step": state.step,
     }
     # np.savez appends ".npz" to a bare file name; a handle writes the path as given
@@ -217,7 +190,8 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
         np.savez(
             fh,
             version=np.int64(_CKPT_VERSION),
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            meta=np.frombuffer(json.dumps(meta, default=lambda a: a.tolist()).encode(),
+                               dtype=np.uint8),
             **arrays,
         )
 
@@ -225,9 +199,12 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
 def load_checkpoint(path):
     """Returns (TrainState, TrainConfig) restored bit-exactly.
 
-    The architecture comes from `train_config` and the input width from the
-    projection weights; weights of any other name or shape are rejected.
+    The settings in `train_config` pass the same checks as a config file.
+    The architecture comes from them and the input width from the projection
+    weights; weights of any other name or shape are rejected.
     """
+    from .config import train_config_from_fields  # config imports this module
+
     try:
         with np.load(path) as blob:
             arrays = {key: blob[key] for key in blob.files}
@@ -235,15 +212,19 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
     if "version" not in arrays or int(arrays["version"]) != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported or corrupt checkpoint")
-    meta = json.loads(bytes(arrays["meta"]).decode())
+    # earlier checkpoints wrote each RNG array as {"__ndarray__": list, "dtype": name}
+    meta = json.loads(bytes(arrays["meta"]).decode(),
+                      object_hook=lambda d: d["__ndarray__"] if "__ndarray__" in d else d)
     stored = meta["train_config"]
+    if not isinstance(stored, dict):
+        raise ValueError(f"{path}: train_config must be an object")
     for key, value in _RETIRED_KEYS.items():
         if key in stored and stored.pop(key) != value:
             raise ValueError(f"{path}: train_config {key} is retired and must be {value}")
-    unknown = sorted(set(stored) - {f.name for f in fields(TrainConfig)})
-    if unknown:
-        raise ValueError(f"{path}: unknown train_config key(s): {', '.join(unknown)}")
-    cfg = TrainConfig(**stored)
+    try:
+        cfg = train_config_from_fields(stored)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     params, m, v = {}, {}, {}
     for key in arrays:
         if key.startswith("param/"):
@@ -263,6 +244,6 @@ def load_checkpoint(path):
                          f"(hidden={cfg.hidden}, repr_dims={cfg.repr_dims}, depth={cfg.depth}); "
                          f"differing: {', '.join(differ)}")
     rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = _rng_state_from_json(meta["rng_state"])
+    rng.bit_generator.state = meta["rng_state"]
     model = enc.EncoderModel(params=params, config=ecfg)
     return TrainState(model=model, m=m, v=v, step=int(meta["step"]), rng=rng), cfg

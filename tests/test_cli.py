@@ -31,16 +31,19 @@ def test_usage_error_exit_code():
     assert cli.main(["pretrain"]) == 1  # missing required flags
 
 
-def test_distances_cache_and_stats(tmp_path, capsys):
+def test_distances_cache_and_stats(tmp_path, capsys, caplog):
     cfg = _config(tmp_path)
     out = str(tmp_path / "dist.bin")
+    caplog.set_level("INFO", logger="tscontrast.cli")
     assert cli.main(["distances", "--config", cfg, "--out", out,
                      "--csv", str(tmp_path / "dist.csv")]) == 0
-    first = capsys.readouterr().out
-    assert "metric=euc" in first and "cache hit" not in first
+    assert capsys.readouterr().out.startswith("metric=euc")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"distance cache miss: {out} (no such file)"]
+    caplog.clear()
     assert cli.main(["distances", "--config", cfg, "--out", out]) == 0
-    second = capsys.readouterr().out
-    assert "cache hit" in second
+    assert "cache" not in capsys.readouterr().out  # stdout holds only the result
+    assert [r.getMessage() for r in caplog.records] == [f"distance cache hit: {out}"]
     grid = np.loadtxt(tmp_path / "dist.csv", delimiter=",")
     assert grid.shape == (6, 6)
 
@@ -287,6 +290,25 @@ def test_bad_config_fails_before_any_work(tmp_path, capsys, section, key, value,
     assert not cache.exists() and not ckpt.exists()
     if names_key:
         assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("command", [["pretrain", "--out"], ["ablate", "--axis", "alpha", "--out"]],
+                         ids=["pretrain", "ablate"])
+def test_short_series_fail_before_the_distance_matrix(tmp_path, capsys, command):
+    tset = ds.make_synthetic(2, 16, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}],
+                             seed=2)
+    lengths = tset.lengths.copy()
+    lengths[1] = ds.MIN_CROP_LENGTH - 1
+    tsv = tmp_path / "short.tsv"
+    ds.write_ucr_tsv(ds.TimeSeriesSet(tset.values, lengths, tset.labels), tsv)
+    cache = tmp_path / "dist.bin"
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, dataset={"path": str(tsv)},
+                  distance={"metric": "dtw", "cache": str(cache)})
+    assert cli.main([command[0], "--config", cfg, *command[1:], str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"length >= {ds.MIN_CROP_LENGTH}" in err and "shortest has 3" in err
+    assert not cache.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("mask_mode", ["binomial", "last_point"])

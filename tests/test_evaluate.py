@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscontrast import encoder as enc
 from tscontrast import evaluate as ev
+from tscontrast import oracle
 
 
 def test_probe_separated_clusters(rng):
@@ -20,6 +22,32 @@ def test_probe_tie_breaks_to_nearest():
     labels = np.array([7, 9])
     report = ev.classify_probe(train, labels, np.array([[0.2]]), np.array([7]), k=2)
     assert report.accuracy == 1.0  # tie between labels 7 and 9 -> nearest wins
+
+
+@st.composite
+def _probe_case(draw):
+    """Integer-valued representations on a small grid, so distances are exact
+    and many tie; up to 4 labels and any k."""
+    dims = draw(st.integers(1, 3))
+    n_train = draw(st.integers(1, 10))
+    n_test = draw(st.integers(1, 4))
+    grid = st.integers(-2, 2)
+    train = draw(st.lists(st.lists(grid, min_size=dims, max_size=dims),
+                          min_size=n_train, max_size=n_train))
+    test = draw(st.lists(st.lists(grid, min_size=dims, max_size=dims),
+                         min_size=n_test, max_size=n_test))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n_train, max_size=n_train))
+    k = draw(st.integers(1, n_train))
+    return np.array(train, dtype=float), np.array(labels), np.array(test, dtype=float), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probe_case())
+def test_probe_votes_like_the_oracle(case):
+    train, labels, test, k = case
+    expected = np.array([oracle.knn_vote(train, labels, row, k) for row in test])
+    report = ev.classify_probe(train, labels, test, expected, k=k)
+    assert report.accuracy == 1.0  # every prediction is the oracle's label
 
 
 def test_probe_validation():

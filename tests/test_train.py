@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -109,8 +110,10 @@ def test_checkpoint_round_trip(tmp_path):
     back, back_cfg = tr.load_checkpoint(path)
     assert back_cfg == cfg
     assert back.step == state.step
-    assert (tr._rng_state_to_json(back.rng.bit_generator.state)
-            == tr._rng_state_to_json(state.rng.bit_generator.state))
+    # the restored generator continues the stream exactly
+    assert back.rng.bit_generator.state["bit_generator"] == "Philox"
+    assert np.array_equal(back.rng.random(5), state.rng.random(5))
+    assert np.array_equal(back.rng.integers(0, 2 ** 32, 5), state.rng.integers(0, 2 ** 32, 5))
     for name in state.model.params:
         assert np.array_equal(back.model.params[name].data, state.model.params[name].data)
         assert np.array_equal(back.m[name], state.m[name])
@@ -126,7 +129,9 @@ def test_load_checkpoint_rejects_bad_file(tmp_path, capsys):
     np.savez(tmp_path / "version.npz", version=np.int64(99))
     (tmp_path / "empty.npz").write_bytes(b"")
     (tmp_path / "truncated.npz").write_bytes(good.read_bytes()[:good.stat().st_size // 2])
-    for name in ("version.npz", "empty.npz", "truncated.npz"):
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, tmp_path / "listcfg.npz")
+    _rewrite_meta(tmp_path / "listcfg.npz", lambda meta: meta.update(train_config=[]))
+    for name in ("version.npz", "empty.npz", "truncated.npz", "listcfg.npz"):
         path = tmp_path / name
         with pytest.raises(ValueError, match=name):
             tr.load_checkpoint(path)
@@ -182,8 +187,9 @@ def _add_retired_keys(meta, **values):
                                  "eps": 1e-8, **values})
 
 
-def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
-    # the earlier format also stored an encoder_config beside train_config
+def _resume_after_edits(tmp_path, *edits):
+    """Train 4 of 8 binomial-mask steps, rewrite the checkpoint's meta with each
+    of `edits`, and check the resumed run equals the uninterrupted one bit for bit."""
     tset, dm, _ = _setup()
     base = dict(batch_size=4, hidden=6, repr_dims=3, depth=2, seed=5, mask_mode="binomial")
     full_cfg = tr.TrainConfig(iters=8, **base)
@@ -194,10 +200,8 @@ def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
     tr.pretrain(tset, dm, half_cfg, state=state)
     path = tmp_path / "half.npz"
     tr.save_checkpoint(state, half_cfg, path)
-    _rewrite_meta(path, lambda meta: meta.update(encoder_config={
-        "input_dims": tset.dims, "hidden": 6, "output_dims": 3, "depth": 2,
-        "kernel_size": 3, "mask_mode": "binomial"}))
-    _rewrite_meta(path, _add_retired_keys)
+    for edit in edits:
+        _rewrite_meta(path, edit)
     resumed, cfg = tr.load_checkpoint(path)
     assert cfg == half_cfg
     model_res, hist_res = tr.pretrain(tset, dm, full_cfg, state=resumed)
@@ -205,6 +209,56 @@ def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
     for name in model_full.params:
         assert np.array_equal(model_full.params[name].data, model_res.params[name].data)
     assert [b.csv_row() for _, b in hist_full[4:]] == [b.csv_row() for _, b in hist_res]
+
+
+def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
+    # the earlier format also stored an encoder_config beside train_config
+    _resume_after_edits(tmp_path, lambda meta: meta.update(encoder_config={
+        "input_dims": 1, "hidden": 6, "output_dims": 3, "depth": 2,
+        "kernel_size": 3, "mask_mode": "binomial"}), _add_retired_keys)
+
+
+def _as_ndarray_cells(state):
+    """The earlier RNG encoding: every array as {"__ndarray__": list, "dtype": name}."""
+    if isinstance(state, dict):
+        return {key: _as_ndarray_cells(value) for key, value in state.items()}
+    if isinstance(state, list):
+        return {"__ndarray__": state, "dtype": "uint64"}
+    return state
+
+
+@pytest.mark.parametrize("retired", [False, True], ids=["current-keys", "retired-keys"])
+def test_ndarray_cell_rng_state_resumes_bit_exactly(tmp_path, retired):
+    def to_cells(meta):
+        meta["rng_state"] = _as_ndarray_cells(meta["rng_state"])
+        assert meta["rng_state"]["state"]["counter"]["__ndarray__"]
+
+    _resume_after_edits(tmp_path, to_cells, *([_add_retired_keys] if retired else []))
+
+
+@pytest.mark.parametrize("field,value,key", [
+    ("lr", "x", "train.lr"),
+    ("depth", 2.0, "train.depth"),
+    ("lam", 1.5, "loss.lambda"),
+    ("batch_size", 1, "train.batch_size"),
+    ("mask_mode", "bogus", "train.mask_mode"),
+    ("tau_inst", -1.0, "assignment.tau_inst"),
+])
+def test_load_checkpoint_checks_train_config_like_a_config_file(tmp_path, capsys,
+                                                               field, value, key):
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_meta(path, lambda meta: meta["train_config"].update({field: value}))
+    with pytest.raises(ValueError, match=rf"ckpt\.npz: {re.escape(key)}\b"):
+        tr.load_checkpoint(path)
+
+    tsv = tmp_path / "data.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
+                     "--out", str(tmp_path / "reps.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "ckpt.npz" in err and key in err
 
 
 @pytest.mark.parametrize("depth", [1, 3])
