@@ -111,32 +111,24 @@ def w_temporal(t: int, level_k: int, cfg: TemporalAssignConfig) -> np.ndarray:
     return w
 
 
-def _extend(w: np.ndarray, period: int) -> np.ndarray:
+def extend_instance(w: np.ndarray) -> np.ndarray:
+    """[2N, 2N] extension with zero diagonal, 1 at cross-view positives, and
+    the soft weight (indexed mod N) elsewhere.  Temporal weights [T, T]
+    extend by the same rule with period T."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("assignment weights must be square")
+    period = w.shape[0]
     idx = np.arange(2 * period)
     mod_i = idx[:, None] % period
     mod_j = idx[None, :] % period
-    out = w[mod_i, mod_j].astype(np.float64)
-    same_orig = mod_i == mod_j
-    out[same_orig] = 1.0            # positive pair / same-origin rule
+    out = w[mod_i, mod_j]
+    out[mod_i == mod_j] = 1.0       # positive pair / same-origin rule
     np.fill_diagonal(out, 0.0)      # anchor excluded
     return out
 
 
-def extend_instance(w: np.ndarray) -> np.ndarray:
-    """[2N, 2N] extension with zero diagonal, 1 at cross-view positives, and
-    the soft weight (indexed mod N) elsewhere."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("instance weights must be square")
-    return _extend(w, w.shape[0])
-
-
-def extend_temporal(w: np.ndarray) -> np.ndarray:
-    """[2T, 2T] analogue of extend_instance with period T."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("temporal weights must be square")
-    return _extend(w, w.shape[0])
+extend_temporal = extend_instance
 
 
 def normalize_assignments(w_ext: np.ndarray):

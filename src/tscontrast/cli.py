@@ -76,7 +76,7 @@ def _echo_config(cfg: engine_config.EngineConfig, args):
 
 
 def _load_config(args) -> engine_config.EngineConfig:
-    # flag > file > default
+    # flag > file > default; only pretrain and ablate take these flags
     flags = {"seed": ("train", "seed"), "iters": ("train", "iters"), "lam": ("loss", "lambda")}
     overrides = {where: getattr(args, attr) for attr, where in flags.items()
                  if getattr(args, attr, None) is not None}
@@ -248,10 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True)
+        p.add_argument("--echo-config", action="store_true")
+
+    def training(p):
+        common(p)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--iters", type=int, default=None)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--echo-config", action="store_true")
 
     p = sub.add_parser("distances", help="compute and cache the pairwise distance matrix")
     common(p)
@@ -260,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_distances)
 
     p = sub.add_parser("pretrain", help="run the contrastive pretraining loop")
-    common(p)
+    training(p)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
     p.set_defaults(fn=cmd_pretrain)
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="sweep one configuration axis")
-    common(p)
+    training(p)
     p.add_argument("--axis", required=True, choices=["assignment", "alpha", "metric", "hierarchy"])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ablate)
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

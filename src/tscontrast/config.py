@@ -10,7 +10,6 @@ import json
 from dataclasses import asdict, dataclass
 
 from .distance import METRICS
-from .encoder import MASK_MODES
 from .train import TrainConfig
 
 # JSON keys that feed TrainConfig, by section; each key is its field's name
@@ -53,12 +52,9 @@ DEFAULTS = {
 # the one type a null-default key takes besides null
 NULLABLE_TYPES = {"dataset.path": str, "distance.band": float, "distance.cache": str}
 
-# (lowest, highest) of the keys whose range TrainConfig's sub-configs do not check
-_RANGES = {
-    ("distance", "radius"): (1, None), ("distance", "band"): (0, None),
-    ("loss", "lambda"): (0.0, 1.0), ("train", "batch_size"): (2, None),
-    ("train", "iters"): (0, None), ("train", "seed"): (0, None), ("eval", "probe_k"): (1, None),
-}
+# (lowest, highest) of the keys outside TrainConfig, which checks its own
+_RANGES = {("distance", "radius"): (1, None), ("distance", "band"): (0, None),
+           ("eval", "probe_k"): (1, None)}
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "a list", dict: "an object"}
@@ -122,24 +118,18 @@ def validate(raw: dict) -> EngineConfig:
         raise ValueError("dataset: give either 'path' or 'synthetic', not both")
     if sections["distance"]["metric"] not in METRICS:
         raise ValueError(f"distance.metric must be one of {METRICS}")
-    if sections["train"]["mask_mode"] not in MASK_MODES:
-        raise ValueError(f"train.mask_mode must be one of {MASK_MODES}")
     for (section, key), (lo, hi) in _RANGES.items():
         value = sections[section][key]
         if value is not None and not (lo <= value and (hi is None or value <= hi)):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise ValueError(f"{section}.{key} must be {bound}, got {value}")
-    # The remaining range checks ride on the sub-config validators.  Each of
-    # their rules reads one field, so checking every key alone against the
-    # defaults finds every bad value and names its key.
+    # Each of TrainConfig's rules reads one field, so building it from every
+    # key alone against the defaults finds every bad value and names its key.
     train_fields = {}
     for name, (section, key) in _FIELD_KEYS.items():
         train_fields[name] = sections[section][key]
-        alone = TrainConfig(**{name: train_fields[name]})
         try:
-            alone.instance_cfg()
-            alone.temporal_cfg()
-            alone.encoder_cfg(input_dims=1)
+            TrainConfig(**{name: train_fields[name]})
         except ValueError as exc:
             raise ValueError(f"{section}.{key}: {exc}") from None
     return EngineConfig(sections=sections, train_config=TrainConfig(**train_fields))

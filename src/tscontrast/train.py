@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass
@@ -18,15 +17,13 @@ from . import loss as losses
 from .data import TimeSeriesSet, crop_two_views
 from .distance import DistanceMatrix
 
-log = logging.getLogger("tscontrast.train")
-
 
 def split_seed(master: int, label: str) -> int:
     """Derive an independent stream seed from one master seed and a label."""
     return int(np.random.SeedSequence([master, zlib.crc32(label.encode())]).generate_state(1)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.001
     batch_size: int = 8
@@ -48,6 +45,20 @@ class TrainConfig:
     depth: int = enc.EncoderConfig.depth
     mask_mode: str = "none"
     seed: int = 0
+
+    def __post_init__(self):
+        # each rule reads one field, so config.validate can check a key alone
+        for name, lowest in (("lr", 0), ("batch_size", 2), ("iters", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not value >= lowest:  # NaN fails too
+                raise ValueError(f"{name} must be >= {lowest}, got {value}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
+        if self.mask_mode not in enc.MASK_MODES:
+            raise ValueError(f"mask_mode must be one of {enc.MASK_MODES}, got {self.mask_mode!r}")
+        self.instance_cfg()
+        self.temporal_cfg()
+        self.encoder_cfg(input_dims=1)
 
     def instance_cfg(self) -> asg.InstanceAssignConfig:
         return asg.InstanceAssignConfig(
@@ -127,6 +138,8 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
     """
     if dist.n != tset.n:
         raise ValueError(f"distance matrix is {dist.n}x{dist.n} but the set has {tset.n} series")
+    if tset.n < 2:
+        raise ValueError(f"training needs at least 2 series, got {tset.n}")
     if state is None:
         state = TrainState.fresh(cfg, tset.dims)
     w_full = asg.w_instance(dist, cfg.instance_cfg())
@@ -138,10 +151,6 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         idx = state.rng.choice(n, size=bs, replace=False)
         crop_seed = int(state.rng.integers(0, 2 ** 32))
         mask_seed = int(state.rng.integers(0, 2 ** 32))
-        if idx.size < 2:
-            log.warning("skipping size-1 batch at step %d (instance loss undefined)", state.step)
-            state.step += 1
-            continue
         batch = tset.subset(idx)
         w_batch = w_full[np.ix_(idx, idx)]
         total, breakdown = evaluate_batch_loss(state, batch, w_batch, cfg, crop_seed, mask_seed)
@@ -201,21 +210,44 @@ def load_checkpoint(path):
 
     The settings in `train_config` pass the same checks as a config file.
     The architecture comes from them and the input width from the projection
-    weights; weights of any other name or shape are rejected.
+    weights; weights of any other name or shape are rejected.  A missing or
+    malformed field raises a ValueError naming the file and the field.
     """
     from .config import train_config_from_fields  # config imports this module
 
     try:
-        with np.load(path) as blob:
-            arrays = {key: blob[key] for key in blob.files}
+        # np.load leaves a file it opened itself open when the zip is bad
+        with open(path, "rb") as fh:
+            blob = np.load(fh)
+            if not isinstance(blob, np.lib.npyio.NpzFile):
+                raise ValueError("a single array, not an archive")
+            with blob:
+                arrays = {key: blob[key] for key in blob.files}
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
-    if "version" not in arrays or int(arrays["version"]) != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported or corrupt checkpoint")
-    # earlier checkpoints wrote each RNG array as {"__ndarray__": list, "dtype": name}
-    meta = json.loads(bytes(arrays["meta"]).decode(),
-                      object_hook=lambda d: d["__ndarray__"] if "__ndarray__" in d else d)
-    stored = meta["train_config"]
+    if "version" not in arrays or arrays["version"].tolist() != _CKPT_VERSION:
+        raise ValueError(f"{path}: not a version {_CKPT_VERSION} checkpoint")
+    params = {key[len("param/"):]: ad.Tensor(a, requires_grad=True)
+              for key, a in arrays.items() if key.startswith("param/")}
+    try:
+        # earlier checkpoints wrote each RNG array as {"__ndarray__": list, "dtype": name}
+        meta = json.loads(bytes(arrays["meta"]).decode(),
+                          object_hook=lambda d: d["__ndarray__"] if "__ndarray__" in d else d)
+        stored, rng_state, step = (meta[key] for key in ("train_config", "rng_state", "step"))
+        m = {name: arrays[f"adam_m/{name}"] for name in params}
+        v = {name: arrays[f"adam_v/{name}"] for name in params}
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: meta is not a JSON object ({exc})") from None
+    if type(step) is not int or step < 0:
+        raise ValueError(f"{path}: step must be an integer >= 0, got {json.dumps(step)}")
+    rng = np.random.Generator(np.random.Philox())
+    try:
+        rng.bit_generator.state = rng_state
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+        raise ValueError(f"{path}: rng_state is not a Philox state "
+                         f"({type(exc).__name__}: {exc})") from None
     if not isinstance(stored, dict):
         raise ValueError(f"{path}: train_config must be an object")
     for key, value in _RETIRED_KEYS.items():
@@ -225,13 +257,6 @@ def load_checkpoint(path):
         cfg = train_config_from_fields(stored)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    params, m, v = {}, {}, {}
-    for key in arrays:
-        if key.startswith("param/"):
-            name = key[len("param/"):]
-            params[name] = ad.Tensor(arrays[key], requires_grad=True)
-            m[name] = arrays[f"adam_m/{name}"]
-            v[name] = arrays[f"adam_v/{name}"]
     shapes = {name: t.shape for name, t in params.items()}
     if len(shapes.get("proj_w", ())) != 2:
         raise ValueError(f"{path}: no [input_dims, hidden] proj_w weights")
@@ -243,7 +268,9 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: weights do not match the train_config architecture "
                          f"(hidden={cfg.hidden}, repr_dims={cfg.repr_dims}, depth={cfg.depth}); "
                          f"differing: {', '.join(differ)}")
-    rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = meta["rng_state"]
+    # a moment of another shape would broadcast silently in the Adam update
+    for name, shape in shapes.items():
+        if m[name].shape != shape or v[name].shape != shape:
+            raise ValueError(f"{path}: adam moments of {name} must have its shape {shape}")
     model = enc.EncoderModel(params=params, config=ecfg)
-    return TrainState(model=model, m=m, v=v, step=int(meta["step"]), rng=rng), cfg
+    return TrainState(model=model, m=m, v=v, step=step, rng=rng), cfg

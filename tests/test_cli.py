@@ -254,6 +254,16 @@ def test_seed_flag_overrides_file(tmp_path, capsys):
         assert np.array_equal(b[key], c[key])
 
 
+@pytest.mark.parametrize("command", [["distances", "--out", "d.bin", "--seed", "1"],
+                                     ["evaluate", "--task", "classify", "--ckpt", "x.npz",
+                                      "--train-data", "a.tsv", "--test-data", "b.tsv",
+                                      "--lambda", "0.3"]], ids=["distances", "evaluate"])
+def test_training_flags_belong_to_training_commands(tmp_path, monkeypatch, command):
+    # neither command reads the train or loss sections
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command[0], "--config", _config(tmp_path), *command[1:]]) == 1
+
+
 @pytest.mark.parametrize("index", [6, 99, -1])
 def test_evaluate_anomaly_series_index_out_of_range(tmp_path, capsys, index):
     tset = ds.make_synthetic(6, 16, [{"kind": "sine", "freq": 2.0}], seed=3)

@@ -164,14 +164,28 @@ def test_every_train_config_field_is_a_config_key():
     assert cfg.encoder_cfg(3) == enc.EncoderConfig(3)
 
 
-@pytest.mark.parametrize("section,key,value", [
+# one out-of-range value for every TrainConfig rule, sub-configs included
+_TRAIN_RULE_CASES = [
     ("assignment", "tau_inst", 0), ("assignment", "tau_temp", 0),
     ("assignment", "alpha", 1.5), ("assignment", "pool_m", 1),
     ("assignment", "inst_kernel", "bogus"), ("assignment", "temp_kernel", "bogus"),
     ("assignment", "kernel_sigma", 0), ("assignment", "neighbor_window_frac", 0),
     ("assignment", "gaussian_std", 0), ("train", "hidden", 0),
     ("train", "repr_dims", 0), ("train", "depth", 0),
-])
+    ("train", "lr", -0.1), ("loss", "lambda", 1.5),
+    ("train", "batch_size", 1), ("train", "iters", -1),
+    ("train", "seed", -1), ("train", "mask_mode", "bogus"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES)
 def test_sub_config_rule_names_the_key(section, key, value):
     with pytest.raises(ValueError, match=re.escape(f"{section}.{key}: ")):
         engine_config.validate({section: {key: value}})
+
+
+@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES)
+def test_train_config_checks_its_own_fields(section, key, value):
+    # Python callers get the same rules as a config file
+    with pytest.raises(ValueError):
+        tr.TrainConfig(**{engine_config._FIELD_NAMES.get(key, key): value})

@@ -65,13 +65,13 @@ def test_pretrain_rejects_mismatched_matrix():
         tr.pretrain(tset, bad, cfg)
 
 
-def test_pretrain_skips_singleton_batches(caplog):
-    tset, dm, _ = _setup()
-    cfg = tr.TrainConfig(iters=3, batch_size=1, hidden=6, repr_dims=3, depth=2, seed=1)
-    with caplog.at_level("WARNING"):
-        _, history = tr.pretrain(tset, dm, cfg)
-    assert history == []
-    assert any("size-1 batch" in r.message for r in caplog.records)
+def test_pretrain_needs_two_series():
+    # the instance loss of a one-series batch is undefined
+    tset, _, cfg = _setup()
+    one = tset.subset(np.arange(1))
+    single = dist.DistanceMatrix(values=np.zeros((1, 1)), metric="euc", normalized=True)
+    with pytest.raises(ValueError, match="at least 2 series, got 1"):
+        tr.pretrain(one, single, cfg)
 
 
 def test_divergence_guard():
@@ -127,11 +127,12 @@ def test_load_checkpoint_rejects_bad_file(tmp_path, capsys):
     tsv = tmp_path / "data.tsv"
     ds.write_ucr_tsv(tset, tsv)
     np.savez(tmp_path / "version.npz", version=np.int64(99))
+    np.save(tmp_path / "array.npy", np.zeros(3))
     (tmp_path / "empty.npz").write_bytes(b"")
     (tmp_path / "truncated.npz").write_bytes(good.read_bytes()[:good.stat().st_size // 2])
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, tmp_path / "listcfg.npz")
     _rewrite_meta(tmp_path / "listcfg.npz", lambda meta: meta.update(train_config=[]))
-    for name in ("version.npz", "empty.npz", "truncated.npz", "listcfg.npz"):
+    for name in ("version.npz", "array.npy", "empty.npz", "truncated.npz", "listcfg.npz"):
         path = tmp_path / name
         with pytest.raises(ValueError, match=name):
             tr.load_checkpoint(path)
@@ -171,14 +172,22 @@ def test_write_log_csv(tmp_path):
     assert float(rows[1][1]) == pytest.approx(history[0][1].total)
 
 
-def _rewrite_meta(path, edit):
-    """Rewrite a checkpoint's JSON metadata in place with `edit(meta)`."""
+def _rewrite_arrays(path, edit):
+    """Rewrite a checkpoint's arrays in place with `edit(arrays)`."""
     with np.load(path) as blob:
         arrays = {key: blob[key] for key in blob.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    edit(meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    edit(arrays)
     np.savez(path, **arrays)
+
+
+def _rewrite_meta(path, edit):
+    """Rewrite a checkpoint's JSON metadata in place with `edit(meta)`."""
+    def edit_arrays(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        edit(meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+    _rewrite_arrays(path, edit_arrays)
 
 
 def _add_retired_keys(meta, **values):
@@ -238,6 +247,7 @@ def test_ndarray_cell_rng_state_resumes_bit_exactly(tmp_path, retired):
 
 @pytest.mark.parametrize("field,value,key", [
     ("lr", "x", "train.lr"),
+    ("lr", -0.1, "train.lr"),
     ("depth", 2.0, "train.depth"),
     ("lam", 1.5, "loss.lambda"),
     ("batch_size", 1, "train.batch_size"),
@@ -259,6 +269,53 @@ def test_load_checkpoint_checks_train_config_like_a_config_file(tmp_path, capsys
                      "--out", str(tmp_path / "reps.csv")]) == 2
     err = capsys.readouterr().err
     assert "ckpt.npz" in err and key in err
+
+
+def _set_counter(meta, value):
+    meta["rng_state"]["state"]["counter"] = value
+
+
+# a checkpoint field broken in one way each: (rewrite, edit, field the error names)
+_BAD_FIELDS = {
+    "step-fraction": (_rewrite_meta, lambda meta: meta.update(step=2.7), "step"),
+    "step-bool": (_rewrite_meta, lambda meta: meta.update(step=True), "step"),
+    "step-negative": (_rewrite_meta, lambda meta: meta.update(step=-4), "step"),
+    "step-string": (_rewrite_meta, lambda meta: meta.update(step="x"), "step"),
+    "step-list": (_rewrite_meta, lambda meta: meta.update(step=[1]), "step"),
+    "rng-int": (_rewrite_meta, lambda meta: meta.update(rng_state=5), "rng_state"),
+    "rng-no-state": (_rewrite_meta, lambda meta: meta.update(rng_state={"bit_generator": "Philox"}),
+                     "rng_state"),
+    "rng-counter-string": (_rewrite_meta, lambda meta: _set_counter(meta, "x"), "rng_state"),
+    "version-list": (_rewrite_arrays, lambda arrays: arrays.update(version=np.array([1, 1])),
+                     "version"),
+    "no-meta": (_rewrite_arrays, lambda arrays: arrays.pop("meta"), "meta"),
+    "meta-list": (_rewrite_arrays, lambda arrays: arrays.update(meta=np.frombuffer(b"[]", np.uint8)),
+                  "meta"),
+    "no-step": (_rewrite_meta, lambda meta: meta.pop("step"), "step"),
+    "no-rng": (_rewrite_meta, lambda meta: meta.pop("rng_state"), "rng_state"),
+    "no-train-config": (_rewrite_meta, lambda meta: meta.pop("train_config"), "train_config"),
+    "no-adam-m": (_rewrite_arrays, lambda arrays: arrays.pop("adam_m/proj_w"), "adam_m/proj_w"),
+    "adam-v-shape": (_rewrite_arrays, lambda arrays: arrays.update({"adam_v/proj_w": np.zeros(1)}),
+                     "proj_w"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FIELDS))
+def test_load_checkpoint_names_a_bad_field(tmp_path, capsys, case):
+    rewrite, edit, field = _BAD_FIELDS[case]
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    rewrite(path, edit)
+    with pytest.raises(ValueError, match=rf"ckpt\.npz: .*{re.escape(field)}"):
+        tr.load_checkpoint(path)
+
+    tsv = tmp_path / "data.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
+                     "--out", str(tmp_path / "reps.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "ckpt.npz" in err and field in err
 
 
 @pytest.mark.parametrize("depth", [1, 3])
