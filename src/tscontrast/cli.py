@@ -35,29 +35,23 @@ def _build_dataset(cfg: engine_config.EngineConfig) -> ds.TimeSeriesSet:
     return ds.znormalize(tset)
 
 
-def _distance_key(cfg: engine_config.EngineConfig) -> tuple:
-    """(metric, radius, band): the settings that determine the matrix."""
+def _distance_matrix(cfg: engine_config.EngineConfig,
+                     tset: ds.TimeSeriesSet) -> dist_mod.DistanceMatrix:
+    """The configured matrix.  A `distance.cache` directory holds each matrix
+    under the name of every input that determines it, so a hit cannot be stale."""
     section = cfg.sections["distance"]
-    return section["metric"], section["radius"], section["band"]
-
-
-def _distance_matrix(cfg: engine_config.EngineConfig, tset: ds.TimeSeriesSet,
-                     cache_path=None) -> dist_mod.DistanceMatrix:
-    metric, radius, band = _distance_key(cfg)
-    path = cache_path or cfg.sections["distance"]["cache"]
+    metric, radius, band, cache = (section[k] for k in ("metric", "radius", "band", "cache"))
+    if cache and os.path.exists(cache) and not os.path.isdir(cache):
+        raise ValueError(f"distance.cache {cache} must be a directory")
+    path = cache and os.path.join(cache, f"{metric}-r{radius}-b{band}-{tset.fingerprint()}.bin")
     if path and os.path.exists(path):
-        matrix = dist_mod.load_matrix(path)
-        if matrix.metric != metric:
-            raise ValueError(
-                f"cache {path} holds metric '{matrix.metric}' but config wants '{metric}'")
-        if matrix.n != tset.n:
-            raise ValueError(f"cache {path} is for N={matrix.n}, dataset has N={tset.n}")
         log.info("distance cache hit: %s", path)
-        return matrix
+        return dist_mod.load_matrix(path)
     if path:
         log.info("distance cache miss: %s (no such file)", path)
     matrix = dist_mod.pairwise(tset, metric, {"radius": radius, "band": band})
     if path:
+        os.makedirs(cache, exist_ok=True)
         dist_mod.save_matrix(matrix, path)
     return matrix
 
@@ -87,7 +81,8 @@ def cmd_distances(args) -> int:
     cfg = _load_config(args)
     _echo_config(cfg, args)
     tset = _build_dataset(cfg)
-    matrix = _distance_matrix(cfg, tset, cache_path=args.out)
+    matrix = _distance_matrix(cfg, tset)
+    dist_mod.save_matrix(matrix, args.out)
     off = matrix.values[~np.eye(matrix.n, dtype=bool)]
     print(f"metric={matrix.metric} N={matrix.n} "
           f"offdiag min={off.min():.6f} max={off.max():.6f} mean={off.mean():.6f}")
@@ -167,7 +162,12 @@ def cmd_evaluate(args) -> int:
         scores = ev.anomaly_scores(state.model, series)
         labels = None
         if args.labels:
-            labels = np.loadtxt(args.labels, delimiter=",").astype(bool)
+            labels = np.loadtxt(args.labels, delimiter=",")
+            bad = labels[~np.isin(labels, (0, 1))]
+            if bad.size:
+                raise ValueError(f"{args.labels}: anomaly labels must be 0 or 1, "
+                                 f"found {bad[0]:g}")
+            labels = labels.astype(bool)
         _, report = ev.threshold_anomalies(scores, labels=labels, c=eval_cfg["anomaly_c"])
         if args.scores_out:
             np.savetxt(args.scores_out, scores, delimiter=",")
@@ -208,7 +208,6 @@ def cmd_ablate(args) -> int:
     _echo_config(base, args)
     tset = _build_dataset(base)
     _require_croppable(tset)
-    base_key = _distance_key(base)
     matrices = {}
     rows = []
     for name, value, patch in _ablate_rows(base, args.axis):
@@ -216,15 +215,11 @@ def cmd_ablate(args) -> int:
         for section, changes in patch.items():
             raw[section] = {**raw[section], **changes}
         cfg = engine_config.validate(raw)
-        key = _distance_key(cfg)
+        key = tuple(sorted(cfg.sections["distance"].items()))
         if key not in matrices:
-            # the configured cache file holds the base settings' matrix only
-            metric, radius, band = key
-            matrices[key] = (_distance_matrix(base, tset) if key == base_key else
-                             dist_mod.pairwise(tset, metric, {"radius": radius, "band": band}))
-        matrix = matrices[key]
+            matrices[key] = _distance_matrix(cfg, tset)
         state = tr.TrainState.fresh(cfg.train_config, tset.dims)
-        _, history = tr.pretrain(tset, matrix, cfg.train_config, state=state)
+        _, history = tr.pretrain(tset, matrices[key], cfg.train_config, state=state)
         report = _probe_split(tset, state.model, cfg.sections["eval"]["probe_k"])
         rows.append({
             "axis": name,

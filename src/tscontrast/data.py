@@ -1,6 +1,7 @@
 """Time-series collections: TSV ingestion, normalization, synthesis, cropping."""
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -53,6 +54,14 @@ class TimeSeriesSet:
     def series(self, i: int) -> np.ndarray:
         """Unpadded [length_i, D] view of series i."""
         return self.values[i, : self.lengths[i], :]
+
+    def fingerprint(self) -> str:
+        """SHA-256 hex digest of the shape (N, D), the lengths and every
+        series' unpadded values; labels and padding contents do not enter it."""
+        digest = hashlib.sha256(np.array([self.n, self.dims], dtype=np.int64).tobytes())
+        digest.update(self.lengths.tobytes())
+        digest.update(self.values[np.arange(self.t_max) < self.lengths[:, None]].tobytes())
+        return digest.hexdigest()
 
     def subset(self, idx) -> "TimeSeriesSet":
         idx = np.asarray(idx)
@@ -199,6 +208,9 @@ def make_synthetic(
         freq = spec.get("freq")
         if isinstance(freq, bool) or not isinstance(freq, numbers.Real) or not freq > 0:
             raise ValueError(f"class spec needs a positive numeric 'freq': {spec!r}")
+        amp = spec.get("amplitude", 1.0)
+        if isinstance(amp, bool) or not isinstance(amp, numbers.Real) or not math.isfinite(amp):
+            raise ValueError(f"class spec needs a finite numeric 'amplitude': {spec!r}")
         unknown = set(spec) - {"kind", "freq", "amplitude"}
         if unknown:
             raise ValueError(f"unknown class spec keys: {sorted(unknown)}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -291,14 +292,26 @@ def cosine_dist(a, b) -> float:
     return d
 
 
-def _dp_metric(metric: str, params: dict | None):
+def _checked_params(params: dict | None) -> tuple[int, float | None]:
+    """(radius, band) from `pairwise`'s params, checked without a cast."""
+    params = params or {}
+    unknown = set(params) - {"radius", "band"}
+    if unknown:
+        raise ValueError(f"unknown pairwise params: {sorted(unknown)}")
+    radius, band = params.get("radius", 1), params.get("band")
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral) or radius < 1:
+        raise ValueError(f"radius must be an int >= 1, got {radius!r}")
+    if band is not None and (isinstance(band, bool) or not isinstance(band, numbers.Real)
+                             or not band >= 0):
+        raise ValueError(f"band must be None or a number >= 0, got {band!r}")
+    return radius, band
+
+
+def _dp_metric(metric: str, radius: int, band: float | None):
     """The DTW-family metric as a function of two [P, T, D] batches of pairs."""
-    params = dict(params or {})
     if metric == "dtw":
-        band = params.get("band")
         return lambda a, b: _dtw_values(a, b, band)
     if metric == "fastdtw":
-        radius = int(params.get("radius", 1))
         return lambda a, b: _fastdtw_values(a, b, radius)
     return _tam_values
 
@@ -323,14 +336,17 @@ def _dp_pairwise(tset: TimeSeriesSet, fn) -> np.ndarray:
 
 def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> DistanceMatrix:
     """Upper-triangle pairwise distances on unpadded series, mirrored, then
-    min-max normalized over the off-diagonal entries.  Raises ValueError
-    naming the first pair whose distance is not finite: a `band` that admits
-    no warping path, or a zero-norm common prefix under `cos`."""
+    min-max normalized over the off-diagonal entries.  `params` may hold
+    `radius` (fastdtw; an int >= 1, default 1) and `band` (dtw; None or a
+    number >= 0); any other key is rejected.  Raises ValueError naming the
+    first pair whose distance is not finite: a `band` that admits no warping
+    path, or a zero-norm common prefix under `cos`."""
+    radius, band = _checked_params(params)
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
     n = tset.n
     if metric in ("dtw", "fastdtw", "tam"):
-        values = _dp_pairwise(tset, _dp_metric(metric, params))
+        values = _dp_pairwise(tset, _dp_metric(metric, radius, band))
     elif metric in ("euc", "cos"):
         fn = euclidean if metric == "euc" else _cosine
         values = np.zeros((n, n))

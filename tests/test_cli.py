@@ -31,31 +31,127 @@ def test_usage_error_exit_code():
     assert cli.main(["pretrain"]) == 1  # missing required flags
 
 
+def _cache_file(cache, tset, metric="euc", radius=1, band=None):
+    return cache / f"{metric}-r{radius}-b{band}-{tset.fingerprint()}.bin"
+
+
+def _dataset():
+    """The z-normalized set `_config` describes."""
+    return ds.znormalize(ds.make_synthetic(
+        3, 16, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}],
+        noise_std=0.1, seed=2))
+
+
 def test_distances_cache_and_stats(tmp_path, capsys, caplog):
-    cfg = _config(tmp_path)
-    out = str(tmp_path / "dist.bin")
+    cache = tmp_path / "cache"
+    cfg = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)})
+    out = tmp_path / "dist.bin"
+    entry = _cache_file(cache, _dataset())
     caplog.set_level("INFO", logger="tscontrast.cli")
-    assert cli.main(["distances", "--config", cfg, "--out", out,
+    assert cli.main(["distances", "--config", cfg, "--out", str(out),
                      "--csv", str(tmp_path / "dist.csv")]) == 0
     assert capsys.readouterr().out.startswith("metric=euc")
     assert [r.getMessage() for r in caplog.records] == [
-        f"distance cache miss: {out} (no such file)"]
+        f"distance cache miss: {entry} (no such file)"]
+    first = out.read_bytes()
+    out.unlink()
     caplog.clear()
-    assert cli.main(["distances", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 0
     assert "cache" not in capsys.readouterr().out  # stdout holds only the result
-    assert [r.getMessage() for r in caplog.records] == [f"distance cache hit: {out}"]
+    assert [r.getMessage() for r in caplog.records] == [f"distance cache hit: {entry}"]
+    assert out.read_bytes() == first  # --out is written on a hit too
     grid = np.loadtxt(tmp_path / "dist.csv", delimiter=",")
     assert grid.shape == (6, 6)
 
 
 def test_distances_metric_mismatch(tmp_path, capsys):
-    cfg = _config(tmp_path)
-    out = str(tmp_path / "dist.bin")
-    assert cli.main(["distances", "--config", cfg, "--out", out]) == 0
-    capsys.readouterr()
-    cfg2 = _config(tmp_path, distance={"metric": "dtw"})
-    assert cli.main(["distances", "--config", cfg2, "--out", out]) == 2
-    assert "metric" in capsys.readouterr().err
+    # a matrix is filed under its metric: a second metric misses and is computed
+    cache = tmp_path / "cache"
+    out = tmp_path / "dist.bin"
+    for metric in ("euc", "dtw"):
+        cfg = _config(tmp_path, distance={"metric": metric, "cache": str(cache)})
+        assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 0
+        fresh = dist.pairwise(_dataset(), metric, {"radius": 1, "band": None})
+        assert dist.load_matrix(out).metric == metric
+        assert out.read_bytes() == _cache_file(cache, _dataset(), metric).read_bytes()
+        assert dist.load_matrix(out).values.tobytes() == fresh.values.tobytes()
+    assert len(list(cache.iterdir())) == 2
+
+
+def _capture_matrices(monkeypatch):
+    """The matrices the CLI goes on to use, in order."""
+    used, real = [], cli._distance_matrix
+
+    def capture(cfg, tset):
+        used.append(real(cfg, tset))
+        return used[-1]
+
+    monkeypatch.setattr(cli, "_distance_matrix", capture)
+    return used
+
+
+# the (distance, dataset.synthetic) settings of two runs that differ in one input
+_CHANGED_INPUT = {
+    "data": [({"metric": "dtw"}, {"seed": 0}), ({"metric": "dtw"}, {"seed": 1})],
+    "band": [({"metric": "dtw"}, {}), ({"metric": "dtw", "band": 0.1}, {})],
+    "radius": [({"metric": "fastdtw", "radius": 1}, {}), ({"metric": "fastdtw", "radius": 3}, {})],
+}
+
+
+@pytest.mark.parametrize("command", ["distances", "pretrain"])
+@pytest.mark.parametrize("changed", sorted(_CHANGED_INPUT))
+def test_cache_serves_only_the_matrix_of_the_same_inputs(tmp_path, capsys, monkeypatch,
+                                                         command, changed):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    used = _capture_matrices(monkeypatch)
+    fresh = []
+    for distance, data in _CHANGED_INPUT[changed]:
+        synthetic = {"n_per_class": 3, "length": 16, "noise_std": 0.1,
+                     "classes": [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}],
+                     **data}
+        cfg = _config(tmp_path, dataset={"synthetic": synthetic},
+                      distance={**distance, "cache": str(cache)})
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        fresh.append(dist.pairwise(ds.znormalize(ds.make_synthetic(**synthetic)),
+                                   distance["metric"], {"radius": distance.get("radius", 1),
+                                                        "band": distance.get("band")}))
+        assert used[-1].values.tobytes() == fresh[-1].values.tobytes()
+        if command == "distances":  # --out is rewritten and its stats are the new matrix's
+            dist.save_matrix(fresh[-1], tmp_path / "fresh.bin")
+            assert out.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+            off = fresh[-1].values[~np.eye(fresh[-1].n, dtype=bool)]
+            assert f"mean={off.mean():.6f}" in capsys.readouterr().out
+    assert not np.array_equal(fresh[0].values, fresh[1].values)  # the input matters
+    assert len(list(cache.iterdir())) == 2
+
+
+@pytest.mark.parametrize("command", ["distances", "pretrain"])
+def test_repeat_run_is_a_cache_hit(tmp_path, capsys, monkeypatch, command):
+    cache = tmp_path / "cache"
+    cfg = _config(tmp_path, distance={"metric": "dtw", "cache": str(cache)})
+    calls = _count_pairwise(monkeypatch)
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"run{run}.out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert calls == ["dtw"]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", [["distances", "--out"], ["pretrain", "--out"],
+                                     ["ablate", "--axis", "metric", "--out"]],
+                         ids=["distances", "pretrain", "ablate"])
+def test_cache_file_from_before_directories_is_rejected(tmp_path, capsys, monkeypatch, command):
+    cache = tmp_path / "dist.bin"
+    dist.save_matrix(dist.pairwise(_dataset(), "euc"), cache)
+    before = cache.read_bytes()
+    calls = _count_pairwise(monkeypatch)
+    cfg = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)})
+    out = tmp_path / "out"
+    assert cli.main([command[0], "--config", cfg, *command[1:], str(out)]) == 2
+    assert f"distance.cache {cache} must be a directory" in capsys.readouterr().err
+    assert calls == [] and cache.read_bytes() == before and not out.exists()
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -170,14 +266,19 @@ def _count_pairwise(monkeypatch):
 
 
 def test_ablate_metric_axis_with_cache(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "dist.bin"
+    cache = tmp_path / "cache"
     cfg = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)})
     calls = _count_pairwise(monkeypatch)
-    out = tmp_path / "ablate.csv"
-    assert cli.main(["ablate", "--config", cfg, "--axis", "metric", "--out", str(out)]) == 0
-    assert len(out.read_text().strip().splitlines()) == 1 + 4
-    assert sorted(calls) == sorted(cli.METRIC_GRID)
-    assert dist.load_matrix(cache).metric == "euc"  # only the base metric is cached
+    sweeps = []
+    for run in range(2):
+        out = tmp_path / f"ablate{run}.csv"
+        assert cli.main(["ablate", "--config", cfg, "--axis", "metric", "--out", str(out)]) == 0
+        sweeps.append(out.read_text())
+        assert sorted(calls) == sorted(cli.METRIC_GRID)  # the rerun computes none
+    assert len(sweeps[0].strip().splitlines()) == 1 + 4
+    assert sweeps[0] == sweeps[1]
+    assert sorted(cache.iterdir()) == sorted(
+        _cache_file(cache, _dataset(), metric) for metric in cli.METRIC_GRID)
 
 
 def test_ablate_computes_shared_matrix_once(tmp_path, capsys, monkeypatch):
@@ -276,6 +377,24 @@ def test_evaluate_anomaly_series_index_out_of_range(tmp_path, capsys, index):
                      "--ckpt", str(ckpt), "--data", str(tsv),
                      "--series-index", str(index)]) == 2
     assert f"--series-index {index} is out of range for 6 series" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "0.5", "2", "-1"])
+def test_evaluate_anomaly_labels_must_be_0_or_1(tmp_path, capsys, bad):
+    tset = ds.make_synthetic(1, 16, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join(["0", "1", bad, "3"] + ["0"] * 12) + "\n")
+    report = tmp_path / "report.csv"
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels),
+                     "--out", str(report)]) == 2
+    assert f"{labels}: anomaly labels must be 0 or 1, found {bad}" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("section,key,value,names_key", [

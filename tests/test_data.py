@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tscontrast import data as ds
 
@@ -146,7 +149,56 @@ def test_crop_rejects_tiny_series():
 
 
 @pytest.mark.parametrize("spec", [5, "sine", {"kind": "sine", "freq": "2"},
-                                  {"kind": "sine", "freq": True}, {"kind": "sine"}])
+                                  {"kind": "sine", "freq": True}, {"kind": "sine"},
+                                  {"kind": "sine", "freq": 2.0, "amplitude": [1]},
+                                  {"kind": "sine", "freq": 2.0, "amplitude": "2"},
+                                  {"kind": "sine", "freq": 2.0, "amplitude": float("nan")},
+                                  {"kind": "sine", "freq": 2.0, "amplitude": True}])
 def test_make_synthetic_rejects_malformed_class_spec(spec):
     with pytest.raises(ValueError, match="class spec"):
         ds.make_synthetic(2, 16, [spec])
+
+
+_RAGGED = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.integers(1, 40).flatmap(lambda t: arrays(np.float64, (t, d), elements=st.floats(-10, 10))),
+    min_size=1, max_size=5))
+
+
+def _padded(series, fill=0.0, labels=None):
+    t_max = max(len(s) for s in series)
+    values = np.full((len(series), t_max, series[0].shape[1]), fill)
+    for i, s in enumerate(series):
+        values[i, : len(s)] = s
+    return ds.TimeSeriesSet(values=values, lengths=[len(s) for s in series], labels=labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=_RAGGED, data=st.data())
+def test_fingerprint_names_exactly_the_valid_values(series, data):
+    tset = _padded(series)
+    fp = tset.fingerprint()
+    # padding contents and labels do not enter it
+    fill = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+    labels = data.draw(st.lists(st.integers(-5, 5), min_size=len(series), max_size=len(series)))
+    assert _padded(series, fill, labels).fingerprint() == fp
+    # any valid value does
+    i = data.draw(st.integers(0, len(series) - 1))
+    t = data.draw(st.integers(0, len(series[i]) - 1))
+    c = data.draw(st.integers(0, series[i].shape[1] - 1))
+    changed = [s.copy() for s in series]
+    changed[i][t, c] = data.draw(st.floats(-10, 10).filter(lambda v: v != series[i][t, c]))
+    assert _padded(changed).fingerprint() != fp
+    # so does a length, with the values kept
+    lengths = tset.lengths.copy()
+    lengths[i] += 1
+    padded = np.concatenate([tset.values, np.zeros((tset.n, 1, tset.dims))], axis=1)
+    assert ds.TimeSeriesSet(values=padded, lengths=lengths).fingerprint() != fp
+    if tset.lengths[i] > 1:
+        lengths[i] -= 2
+        assert ds.TimeSeriesSet(values=tset.values, lengths=lengths).fingerprint() != fp
+    # and so does D: one more channel, or the channels laid out along time
+    wider = np.concatenate([tset.values, np.zeros((tset.n, tset.t_max, 1))], axis=2)
+    assert ds.TimeSeriesSet(values=wider, lengths=tset.lengths).fingerprint() != fp
+    if tset.dims > 1:
+        flat = tset.values.reshape(tset.n, -1, 1)
+        assert ds.TimeSeriesSet(values=flat, lengths=tset.lengths * tset.dims).fingerprint() != fp

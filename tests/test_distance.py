@@ -68,6 +68,13 @@ def test_dp_oracle_matches_brute_force(a, b, band):
 def test_dtw_rejects_negative_band():
     with pytest.raises(ValueError, match="band"):
         dist.dtw(np.zeros((4, 1)), np.zeros((4, 1)), band=-1)
+    # pairwise checks its params before any work: a misspelt key is not ignored
+    tset = _corpus()
+    with pytest.raises(ValueError, match="unknown pairwise params: \\['bnad'\\]"):
+        dist.pairwise(tset, "dtw", {"bnad": 2})
+    for band in (-1, math.nan, "2", True):
+        with pytest.raises(ValueError, match="band must be None or a number >= 0"):
+            dist.pairwise(tset, "dtw", {"band": band})
 
 
 def test_fastdtw_exact_at_full_radius(rng):
@@ -80,6 +87,10 @@ def test_fastdtw_exact_at_full_radius(rng):
 def test_fastdtw_radius_validation():
     with pytest.raises(ValueError):
         dist.fastdtw(np.zeros((4, 1)), np.zeros((4, 1)), radius=0)
+    # pairwise takes the radius as given, with no cast
+    for radius in (0, 1.9, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match="radius must be an int >= 1"):
+            dist.pairwise(_corpus(), "fastdtw", {"radius": radius})
 
 
 def test_tam_properties(rng):
