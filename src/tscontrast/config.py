@@ -9,7 +9,7 @@ import copy
 import json
 from dataclasses import asdict, dataclass
 
-from .distance import METRICS
+from .distance import METRICS, checked_params
 from .train import TrainConfig
 
 # JSON keys that feed TrainConfig, by section; each key is its field's name
@@ -51,10 +51,6 @@ DEFAULTS = {
 
 # the one type a null-default key takes besides null
 NULLABLE_TYPES = {"dataset.path": str, "distance.band": float, "distance.cache": str}
-
-# (lowest, highest) of the keys outside TrainConfig, which checks its own
-_RANGES = {("distance", "radius"): (1, None), ("distance", "band"): (0, None),
-           ("eval", "probe_k"): (1, None)}
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "a list", dict: "an object"}
@@ -118,11 +114,13 @@ def validate(raw: dict) -> EngineConfig:
         raise ValueError("dataset: give either 'path' or 'synthetic', not both")
     if sections["distance"]["metric"] not in METRICS:
         raise ValueError(f"distance.metric must be one of {METRICS}")
-    for (section, key), (lo, hi) in _RANGES.items():
-        value = sections[section][key]
-        if value is not None and not (lo <= value and (hi is None or value <= hi)):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ValueError(f"{section}.{key} must be {bound}, got {value}")
+    for key in ("radius", "band"):
+        try:
+            checked_params({key: sections["distance"][key]})
+        except ValueError as exc:
+            raise ValueError(f"distance.{key}: {exc}") from None
+    if sections["eval"]["probe_k"] < 1:
+        raise ValueError(f"eval.probe_k must be >= 1, got {sections['eval']['probe_k']}")
     # Each of TrainConfig's rules reads one field, so building it from every
     # key alone against the defaults finds every bad value and names its key.
     train_fields = {}

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,18 +33,15 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def _as_2d(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[0] < 1:
+def _as_batch(a, b):
+    """[1, T, D] arrays of one pair, for the batched metrics."""
+    a, b = (np.asarray(x, dtype=np.float64) for x in (a, b))
+    a, b = (x[:, None] if x.ndim == 1 else x for x in (a, b))
+    if a.ndim != 2 or b.ndim != 2 or min(a.shape[0], b.shape[0]) < 1:
         raise ValueError("series must be [T, D] with T >= 1")
-    return a
-
-
-def _check_dims(a, b):
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"channel mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return a[None], b[None]
 
 
 # Cap on the cells of one skewed DP table: pairwise runs the pairs of a length
@@ -195,16 +193,12 @@ def _fastdtw_table(a, b, radius: int) -> np.ndarray:
 
 
 def _dtw_values(a, b, band=None) -> np.ndarray:
-    if band is not None and not band >= 0:
-        raise ValueError("band must be >= 0")
     ta, tb = a.shape[1], b.shape[1]
     bounds = _full_bounds(ta, tb) if band is None else _band_bounds(ta, tb, band)
     return _dp(a, b, *bounds)[-1, :, ta]
 
 
 def _fastdtw_values(a, b, radius: int) -> np.ndarray:
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
     return _fastdtw_table(a, b, radius)[-1, :, a.shape[1]]
 
 
@@ -225,23 +219,36 @@ def _tam_values(a, b) -> np.ndarray:
     return p_adv + p_del + (1.0 - p_phase)
 
 
-def _one_pair(a, b):
-    """[1, T, D] arrays of one pair, for the batched DP."""
-    a, b = _as_2d(a), _as_2d(b)
-    _check_dims(a, b)
-    return a[None], b[None]
+def _euc_values(a, b) -> np.ndarray:
+    t = min(a.shape[1], b.shape[1])
+    return np.sqrt(np.square(a[:, :t] - b[:, :t]).sum(axis=(1, 2)))
+
+
+def _cos_values(a, b) -> np.ndarray:
+    """1 - cosine similarity of the common prefix, clipped to [0, 2]; NaN when
+    either prefix has zero norm."""
+    t = min(a.shape[1], b.shape[1])
+    u, v = a[:, :t], b[:, :t]
+    nu, nv = (np.sqrt(np.square(x).sum(axis=(1, 2))) for x in (u, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.clip(1.0 - (u * v).sum(axis=(1, 2)) / (nu * nv), 0.0, 2.0)
+
+
+def _one_pair(metric: str, a, b, params: dict | None = None) -> float:
+    """`metric` of one pair, its params checked as `pairwise` checks them."""
+    return float(_batched(metric, *checked_params(params))(*_as_batch(a, b))[0])
 
 
 def dtw(a, b, band: int | None = None) -> float:
     """Classic dynamic-programming DTW; `band` is an optional Sakoe-Chiba
     half-width (off by default)."""
-    return float(_dtw_values(*_one_pair(a, b), band)[0])
+    return _one_pair("dtw", a, b, {"band": band})
 
 
 def dtw_path(a, b):
     """Optimal warping path as a list of (i, j), plus its cost.  Ties prefer
     the diagonal step, then the vertical one."""
-    a, b = _one_pair(a, b)
+    a, b = _as_batch(a, b)
     ta, tb = a.shape[1], b.shape[1]
     s = _dp(a, b, *_full_bounds(ta, tb))
     rows, cols = _backtrack(s, ta, tb)
@@ -253,47 +260,32 @@ def dtw_path(a, b):
 def fastdtw(a, b, radius: int = 1) -> float:
     """Recursive coarsen-and-refine DTW approximation (linear-time family);
     equals exact DTW once the radius covers the full alignment matrix."""
-    return float(_fastdtw_values(*_one_pair(a, b), radius)[0])
+    return _one_pair("fastdtw", a, b, {"radius": radius})
 
 
 def tam(a, b) -> float:
     """Time alignment measurement from the optimal warping path: advance and
     delay proportions plus the out-of-phase fraction; 0 = fully in phase,
     3 = fully out of phase."""
-    return float(_tam_values(*_one_pair(a, b))[0])
+    return _one_pair("tam", a, b)
 
 
 def euclidean(a, b) -> float:
     """Flattened L2 distance; unequal lengths compare the common prefix."""
-    a, b = _as_2d(a), _as_2d(b)
-    _check_dims(a, b)
-    t = min(a.shape[0], b.shape[0])
-    return float(np.linalg.norm(a[:t].ravel() - b[:t].ravel()))
-
-
-def _cosine(a, b) -> float:
-    """1 - cosine similarity of the flattened common prefix; in [0, 2], NaN
-    when either prefix has zero norm."""
-    a, b = _as_2d(a), _as_2d(b)
-    _check_dims(a, b)
-    t = min(a.shape[0], b.shape[0])
-    u, v = a[:t].ravel(), b[:t].ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return math.nan
-    return float(1.0 - np.dot(u, v) / (nu * nv))
+    return _one_pair("euc", a, b)
 
 
 def cosine_dist(a, b) -> float:
     """1 - cosine similarity of the flattened common prefix; in [0, 2]."""
-    d = _cosine(a, b)
+    d = _one_pair("cos", a, b)
     if math.isnan(d):
         raise ValueError("cosine distance undefined for zero-norm input")
     return d
 
 
-def _checked_params(params: dict | None) -> tuple[int, float | None]:
-    """(radius, band) from `pairwise`'s params, checked without a cast."""
+def checked_params(params: dict | None) -> tuple[int, float | None]:
+    """(radius, band) from a metric's params, checked without a cast: the one
+    check of every distance entry point and of the config."""
     params = params or {}
     unknown = set(params) - {"radius", "band"}
     if unknown:
@@ -307,26 +299,31 @@ def _checked_params(params: dict | None) -> tuple[int, float | None]:
     return radius, band
 
 
-def _dp_metric(metric: str, radius: int, band: float | None):
-    """The DTW-family metric as a function of two [P, T, D] batches of pairs."""
-    if metric == "dtw":
-        return lambda a, b: _dtw_values(a, b, band)
-    if metric == "fastdtw":
-        return lambda a, b: _fastdtw_values(a, b, radius)
-    return _tam_values
+def _batched(metric: str, radius: int, band: float | None):
+    """`metric` as a function of two [P, T, D] batches of pairs."""
+    table = {"cos": _cos_values, "euc": _euc_values, "tam": _tam_values,
+             "dtw": lambda a, b: _dtw_values(a, b, band),
+             "fastdtw": lambda a, b: _fastdtw_values(a, b, radius)}
+    if metric not in table:
+        raise ValueError(f"unknown metric: {metric!r}")
+    return table[metric]
 
 
-def _dp_pairwise(tset: TimeSeriesSet, fn) -> np.ndarray:
+def _grouped_values(tset: TimeSeriesSet, fn, prefix: bool) -> np.ndarray:
     """[N, N] raw distances of the pairs i < j, mirrored.  The pairs are grouped
-    by (len_i, len_j) and each group runs in chunks of at most `_CHUNK_CELLS`
+    by (len_i, len_j), or by min(len_i, len_j) for a metric that reads only the
+    common `prefix`, and each group runs in chunks of at most `_CHUNK_CELLS`
     table cells."""
     n, lengths = tset.n, tset.lengths
     values = np.zeros((n, n))
     first, second = np.triu_indices(n, k=1)
-    keys = lengths[first] * (tset.t_max + 1) + lengths[second]
+    la, lb = lengths[first], lengths[second]
+    if prefix:
+        la = lb = np.minimum(la, lb)
+    keys = la * (tset.t_max + 1) + lb
     order = np.argsort(keys, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        ta, tb = int(lengths[first[group[0]]]), int(lengths[second[group[0]]])
+        ta, tb = int(la[group[0]]), int(lb[group[0]])
         size = max(1, _CHUNK_CELLS // _table_cells(ta, tb))
         for c in range(0, group.size, size):
             i, j = first[group[c:c + size]], second[group[c:c + size]]
@@ -341,20 +338,11 @@ def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> Di
     number >= 0); any other key is rejected.  Raises ValueError naming the
     first pair whose distance is not finite: a `band` that admits no warping
     path, or a zero-norm common prefix under `cos`."""
-    radius, band = _checked_params(params)
+    fn = _batched(metric, *checked_params(params))
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
     n = tset.n
-    if metric in ("dtw", "fastdtw", "tam"):
-        values = _dp_pairwise(tset, _dp_metric(metric, radius, band))
-    elif metric in ("euc", "cos"):
-        fn = euclidean if metric == "euc" else _cosine
-        values = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                values[i, j] = values[j, i] = fn(tset.series(i), tset.series(j))
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
+    values = _grouped_values(tset, fn, prefix=metric in ("cos", "euc"))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0].tolist()
@@ -376,14 +364,22 @@ _VERSION = 1
 
 
 def save_matrix(m: DistanceMatrix, path) -> None:
+    """All or nothing: write a temporary file beside `path`, then move it there."""
     metric_tag = m.metric.encode("ascii").ljust(8, b"\x00")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HB8sI", _VERSION, int(m.normalized), metric_tag, m.n))
-        fh.write(np.ascontiguousarray(m.values).tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<HB8sI", _VERSION, int(m.normalized), metric_tag, m.n))
+            fh.write(np.ascontiguousarray(m.values).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
 
 
 def load_matrix(path) -> DistanceMatrix:
+    """Each malformed part of the file is a ValueError that names it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header = struct.calcsize("<4sHB8sI")
@@ -394,11 +390,15 @@ def load_matrix(path) -> DistanceMatrix:
         raise ValueError(f"{path}: not a distance cache")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
-    metric = metric_tag.rstrip(b"\x00").decode("ascii")
+    metric = metric_tag.rstrip(b"\x00").decode("ascii", errors="replace")
+    if metric not in METRICS:
+        raise ValueError(f"{path}: unknown metric {metric!r}")
     body = blob[header:]
     if len(body) != n * n * 8:
         raise ValueError(f"{path}: size mismatch for N={n}")
     values = np.frombuffer(body, dtype=np.float64).reshape(n, n).copy()
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: non-finite distance values")
     return DistanceMatrix(values=values, metric=metric, normalized=bool(normalized))
 
 

@@ -133,6 +133,25 @@ def tam_from_path(path, ta: int, tb: int) -> float:
     return p_adv + p_del + (1.0 - p_phase)
 
 
+def _flat_prefixes(a, b):
+    a, b = _as_rows(a), _as_rows(b)
+    t = min(len(a), len(b))
+    return [x for row in a[:t] for x in row], [y for row in b[:t] for y in row]
+
+
+def euclidean_prefix(a, b) -> float:
+    """L2 distance of the flattened common prefix, by a scalar loop."""
+    u, v = _flat_prefixes(a, b)
+    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(u, v)))
+
+
+def cosine_prefix(a, b) -> float:
+    """1 - cosine similarity of the flattened common prefixes, both of nonzero
+    norm, by scalar loops."""
+    u, v = _flat_prefixes(a, b)
+    return 1.0 - _scalar_dot(u, v) / math.sqrt(_scalar_dot(u, u) * _scalar_dot(v, v))
+
+
 def _scalar_dot(u, v):
     return sum(ui * vi for ui, vi in zip(u, v))
 

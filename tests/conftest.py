@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,3 +8,49 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(1234)))
+
+
+class _FullDisk:
+    """A binary file whose writes after the first fail, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("No space left on device")
+        return self.fh.write(data)
+
+
+@pytest.fixture
+def full_disk_open():
+    """An `open` to set on a module: files it opens fail on their second write."""
+    return lambda *args: _FullDisk(open(*args))
+
+
+# Malformed parts of a TSDM v1 file: byte offset, the bytes written there, and
+# what `load_matrix` says.  The header is 19 bytes; the metric tag is bytes 7-14.
+_TSDM_DEFECTS = {
+    "undecodable-tag": (7, b"\xff\xfe\x00\x00\x00\x00\x00\x00", "unknown metric"),
+    "unknown-tag": (7, b"xyz\x00\x00\x00\x00\x00", "unknown metric 'xyz'"),
+    "non-finite-value": (19 + 8, struct.pack("<d", math.nan), "non-finite distance values"),
+}
+
+
+@pytest.fixture
+def break_tsdm():
+    """Rewrite one part of a saved matrix file; returns the expected error text."""
+    def apply(path, defect):
+        offset, patch, message = _TSDM_DEFECTS[defect]
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(patch)] = patch
+        path.write_bytes(bytes(blob))
+        return message
+    return apply

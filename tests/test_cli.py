@@ -154,6 +154,36 @@ def test_cache_file_from_before_directories_is_rejected(tmp_path, capsys, monkey
     assert calls == [] and cache.read_bytes() == before and not out.exists()
 
 
+def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch, full_disk_open):
+    cache, out = tmp_path / "cache", tmp_path / "d.bin"
+    cfg = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)})
+    with monkeypatch.context() as patched:
+        patched.setattr(dist, "open", full_disk_open, raising=False)
+        assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert list(cache.iterdir()) == [] and not out.exists()
+    # the rerun misses the cache, computes the matrix and files it
+    assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 0
+    dist.save_matrix(dist.pairwise(_dataset(), "euc"), tmp_path / "fresh.bin")
+    fresh = (tmp_path / "fresh.bin").read_bytes()
+    assert _cache_file(cache, _dataset()).read_bytes() == fresh == out.read_bytes()
+    assert len(list(cache.iterdir())) == 1
+
+
+@pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag"])
+def test_malformed_cache_entry_exits_2_naming_it(tmp_path, capsys, break_tsdm, defect):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    entry = _cache_file(cache, _dataset())
+    dist.save_matrix(dist.pairwise(_dataset(), "euc"), entry)
+    message = break_tsdm(entry, defect)
+    cfg = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)})
+    ckpt = tmp_path / "model.npz"
+    assert cli.main(["pretrain", "--config", cfg, "--out", str(ckpt)]) == 2
+    assert f"{entry}: {message}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"train": {"learning_rate": 0.1}}))

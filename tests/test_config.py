@@ -2,11 +2,14 @@ import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tscontrast import assign as asg
 from tscontrast import config as engine_config
+from tscontrast import data as ds
+from tscontrast import distance as dist
 from tscontrast import encoder as enc
 from tscontrast import train as tr
 from tscontrast.distance import METRICS
@@ -189,3 +192,20 @@ def test_train_config_checks_its_own_fields(section, key, value):
     # Python callers get the same rules as a config file
     with pytest.raises(ValueError):
         tr.TrainConfig(**{engine_config._FIELD_NAMES.get(key, key): value})
+
+
+_TWO_SERIES = ds.TimeSeriesSet(values=np.arange(8.0).reshape(2, 4, 1), lengths=[4, 4])
+
+
+@pytest.mark.parametrize("key,value", [("radius", 0), ("band", -1.0), ("band", math.nan)])
+def test_distance_params_fail_as_in_pairwise(key, value):
+    # the config and pairwise share one check, and the config names the key
+    with pytest.raises(ValueError) as pairwise_error:
+        dist.pairwise(_TWO_SERIES, "dtw", {key: value})
+    with pytest.raises(ValueError, match=re.escape(f"distance.{key}: {pairwise_error.value}")):
+        engine_config.validate({"distance": {key: value}})
+
+
+def test_probe_k_must_be_positive():
+    with pytest.raises(ValueError, match="eval.probe_k must be >= 1, got 0"):
+        engine_config.validate({"eval": {"probe_k": 0}})

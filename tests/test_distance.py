@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,14 +67,16 @@ def test_dp_oracle_matches_brute_force(a, b, band):
 
 
 def test_dtw_rejects_negative_band():
-    with pytest.raises(ValueError, match="band"):
-        dist.dtw(np.zeros((4, 1)), np.zeros((4, 1)), band=-1)
     # pairwise checks its params before any work: a misspelt key is not ignored
     tset = _corpus()
     with pytest.raises(ValueError, match="unknown pairwise params: \\['bnad'\\]"):
         dist.pairwise(tset, "dtw", {"bnad": 2})
+    # dtw and pairwise check the band alike, with no cast
     for band in (-1, math.nan, "2", True):
-        with pytest.raises(ValueError, match="band must be None or a number >= 0"):
+        message = re.escape(f"band must be None or a number >= 0, got {band!r}")
+        with pytest.raises(ValueError, match=message):
+            dist.dtw(np.zeros((4, 1)), np.zeros((4, 1)), band=band)
+        with pytest.raises(ValueError, match=message):
             dist.pairwise(tset, "dtw", {"band": band})
 
 
@@ -85,11 +88,12 @@ def test_fastdtw_exact_at_full_radius(rng):
 
 
 def test_fastdtw_radius_validation():
-    with pytest.raises(ValueError):
-        dist.fastdtw(np.zeros((4, 1)), np.zeros((4, 1)), radius=0)
-    # pairwise takes the radius as given, with no cast
+    # fastdtw and pairwise take the radius as given, with no cast
     for radius in (0, 1.9, 2.0, "2", True, None):
-        with pytest.raises(ValueError, match="radius must be an int >= 1"):
+        message = re.escape(f"radius must be an int >= 1, got {radius!r}")
+        with pytest.raises(ValueError, match=message):
+            dist.fastdtw(np.zeros((4, 1)), np.zeros((4, 1)), radius=radius)
+        with pytest.raises(ValueError, match=message):
             dist.pairwise(_corpus(), "fastdtw", {"radius": radius})
 
 
@@ -117,6 +121,33 @@ def test_euclidean_and_cosine(rng):
 def test_channel_mismatch_rejected():
     with pytest.raises(ValueError):
         dist.dtw(np.zeros((3, 1)), np.zeros((3, 2)))
+
+
+def _with_nonzero_start(draw, shape):
+    """A float array whose first cell is nonzero, so every prefix has nonzero norm."""
+    x = draw(arrays(np.float64, shape, elements=st.floats(-10, 10)))
+    x[0, 0] = draw(st.floats(0.5, 10) | st.floats(-10, -0.5))
+    return x
+
+
+@st.composite
+def _cos_cases(draw):
+    a = _with_nonzero_start(draw, (draw(st.integers(1, 20)), draw(st.integers(1, 3))))
+    partner = draw(st.sampled_from(["same", "negated", "scaled", "other"]))
+    if partner == "same":
+        return a, a
+    if partner == "negated":
+        return a, -a
+    if partner == "scaled":
+        return a, a * draw(st.floats(1e-3, 1e3))
+    return a, _with_nonzero_start(draw, (draw(st.integers(1, 20)), a.shape[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cos_cases())
+def test_cosine_distance_stays_in_its_range(case):
+    a, b = case
+    assert 0.0 <= dist.cosine_dist(a, b) <= 2.0
 
 
 def _corpus():
@@ -183,6 +214,34 @@ def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band):
             continue
         got = dist.pairwise(tset, metric, params).values
         assert got.tobytes() == _normalized(raw).tobytes(), (metric, params)
+
+
+@st.composite
+def _ragged_nonzero_sets(draw):
+    d = draw(st.integers(1, 3))
+    return [_with_nonzero_start(draw, (draw(st.integers(1, 40)), d))
+            for _ in range(draw(st.integers(2, 8)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=_ragged_nonzero_sets())
+def test_euc_and_cos_match_scalar_oracles_on_ragged_sets(series):
+    tset = _ragged_set(series)
+    n = tset.n
+    for metric, fn, expected in (("euc", dist.euclidean, oracle.euclidean_prefix),
+                                 ("cos", dist.cosine_dist, oracle.cosine_prefix)):
+        raw = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                raw[i, j] = raw[j, i] = expected(series[i], series[j])
+                # cos is bounded by 2, so its rounding error is absolute
+                assert fn(series[i], series[j]) == pytest.approx(raw[i, j], rel=1e-12, abs=1e-12)
+        off = raw[~np.eye(n, dtype=bool)]
+        # min-max normalization divides the rounding error by the spread, so the
+        # matrices are compared where the spread is far above it
+        if n == 2 or off.max() - off.min() > 1e-2 * max(off.max(), 1.0):
+            np.testing.assert_allclose(dist.pairwise(tset, metric).values, _normalized(raw),
+                                       rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,6 +334,29 @@ def test_matrix_cache_rejects_garbage(tmp_path):
         dist.load_matrix(path)
     path.write_bytes(b"TS")
     with pytest.raises(ValueError, match="truncated"):
+        dist.load_matrix(path)
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_save_matrix_is_all_or_nothing(tmp_path, monkeypatch, full_disk_open, existed):
+    path = tmp_path / "m.bin"
+    if existed:
+        dist.save_matrix(dist.pairwise(_corpus(), "euc"), path)
+    before = path.read_bytes() if existed else None
+    monkeypatch.setattr(dist, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        dist.save_matrix(dist.pairwise(_corpus(), "dtw"), path)
+    assert list(tmp_path.iterdir()) == ([path] if existed else [])  # no stray file
+    if existed:
+        assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag"])
+def test_load_matrix_names_the_file_for_each_malformed_part(tmp_path, break_tsdm, defect):
+    path = tmp_path / "m.bin"
+    dist.save_matrix(dist.pairwise(_corpus(), "dtw"), path)
+    message = break_tsdm(path, defect)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         dist.load_matrix(path)
 
 
