@@ -47,8 +47,11 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: reshape/transpose/concat pass on views of their output's
+        # grad, which a later in-place add here must not write through to
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -222,7 +225,7 @@ def conv1d_dilated(x, kernel, dilation=1) -> Tensor:
             if lo >= hi:
                 continue
             gx[:, lo + off:hi + off, :] += g[:, lo:hi, :] @ kernel.data[j].T
-            gk[j] += np.einsum("blc,bld->cd", x.data[:, lo + off:hi + off, :], g[:, lo:hi, :])
+            gk[j] += x.data[:, lo + off:hi + off].reshape(-1, Cin).T @ g[:, lo:hi].reshape(-1, Cout)
         _accumulate(x, gx)
         _accumulate(kernel, gk)
 

@@ -251,6 +251,35 @@ def knn_vote(train_reprs, train_labels, query, k: int):
             return label
 
 
+def conv1d_direct(x, kernel, dilation: int):
+    """Same-length dilated 1-D convolution by scalar loops over an explicitly
+    zero-padded copy of each series.
+
+    x: [B, L, Cin], kernel: [K, Cin, Cout]; tap K // 2 sits on t, so
+    out[b, t, o] = sum over j, c of x[b, t + (j - K // 2) * dilation, c]
+    * kernel[j, c, o], reading 0 outside [0, L).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    k = np.asarray(kernel, dtype=np.float64).tolist()
+    n_b, n_t, n_in = x.shape
+    n_k, n_out = len(k), len(k[0][0])
+    zero_row = [0.0] * n_in
+    left = [zero_row] * ((n_k // 2) * dilation)
+    right = [zero_row] * ((n_k - 1 - n_k // 2) * dilation)
+    out = np.zeros((n_b, n_t, n_out))
+    for b in range(n_b):
+        padded = left + x[b].tolist() + right
+        for t in range(n_t):
+            acc = [0.0] * n_out
+            for j in range(n_k):
+                row = padded[t + j * dilation]
+                for c in range(n_in):
+                    for o in range(n_out):
+                        acc[o] += row[c] * k[j][c][o]
+            out[b, t] = acc
+    return out
+
+
 def fd_gradient(f, params, h: float = 1e-5):
     """Central-difference gradient of scalar f with respect to a list of
     numpy arrays; mutates copies only."""

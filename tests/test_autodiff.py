@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tscontrast import autodiff as ad
+from tscontrast import oracle
 from tscontrast.oracle import fd_gradient
 
 
@@ -94,6 +97,22 @@ def test_conv1d_dilated_grads(rng):
     _check_grad(lambda a, b: ad.tsum(ad.mul(ad.conv1d_dilated(a, b, dilation=2), 1.5)), [x, k])
 
 
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), length=st.integers(1, 12), cin=st.integers(1, 4),
+       cout=st.integers(1, 4), taps=st.integers(1, 3), dilation=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(b=2, length=3, cin=2, cout=3, taps=3, dilation=5, seed=0)  # side taps empty
+@example(b=3, length=12, cin=4, cout=4, taps=3, dilation=8, seed=1)
+def test_conv1d_dilated_matches_direct_oracle(b, length, cin, cout, taps, dilation, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, length, cin))
+    k = rng.normal(size=(taps, cin, cout))
+    w = rng.normal(size=(b, length, cout))  # a non-uniform output adjoint
+    out = ad.conv1d_dilated(ad.Tensor(x), ad.Tensor(k), dilation=dilation).data
+    np.testing.assert_allclose(out, oracle.conv1d_direct(x, k, dilation), rtol=0, atol=1e-12)
+    _check_grad(lambda a, c: ad.tsum(ad.mul(ad.conv1d_dilated(a, c, dilation=dilation), w)), [x, k])
+
+
 def test_conv1d_channel_mismatch():
     with pytest.raises(ValueError):
         ad.conv1d_dilated(ad.Tensor(np.zeros((1, 4, 2))), ad.Tensor(np.zeros((3, 3, 2))))
@@ -131,3 +150,26 @@ def test_zero_grads():
     assert a.grad is not None
     ad.zero_grads([a])
     assert a.grad is None
+
+
+def test_first_grad_is_a_copy_not_an_alias(rng):
+    """reshape hands x a view of r's grad as x's first adjoint; x's second
+    adjoint must not write through it into r.grad."""
+    x = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    w = rng.normal(size=(3, 4))
+    v = rng.normal(size=(2, 6))
+
+    def run():
+        r = ad.reshape(x, (3, 4))
+        ad.backward(ad.add(ad.tsum(ad.mul(r, w)), ad.tsum(ad.mul(x, v))))
+        return r
+
+    r = run()
+    first, snapshot = x.grad, x.grad.copy()
+    np.testing.assert_array_equal(r.grad, w)
+    np.testing.assert_array_equal(x.grad, w.reshape(2, 6) + v)
+    ad.zero_grads([x])
+    r = run()
+    np.testing.assert_array_equal(r.grad, w)
+    assert x.grad.tobytes() == snapshot.tobytes()
+    assert first.tobytes() == snapshot.tobytes()  # the second run wrote a new array
