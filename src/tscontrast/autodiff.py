@@ -43,13 +43,15 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add adjoint `g` into `t.grad`.  An op passes `owned=True` for a fresh
+    array of its own that nothing else sees, which a first adjoint keeps."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a copy: reshape/transpose/concat pass on views of their output's
-        # grad, which a later in-place add here must not write through to
-        t.grad = np.array(g, dtype=np.float64)
+        # unless owned, a copy: reshape/transpose/concat pass on views of
+        # their output's grad, which a later in-place add must not write through to
+        t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -164,9 +166,11 @@ def tslice(a, key) -> Tensor:
     out_data = a.data[key]
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
-        buf[key] += g  # basic slicing only, so indices never repeat
-        _accumulate(a, buf)
+        if not a.requires_grad:
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g  # basic slicing only, so indices never repeat
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 
@@ -252,7 +256,7 @@ def max_pool1d(x, m: int) -> Tensor:
     def bwd(g):
         buf = np.zeros((B, S, m, C))
         np.put_along_axis(buf, idx[:, :, None, :], g[:, :, None, :], axis=2)
-        _accumulate(x, buf.reshape(B, S * m, C)[:, :L, :])
+        _accumulate(x, buf.reshape(B, S * m, C)[:, :L, :], owned=True)
 
     return Tensor(out_data, parents=(x,), backward=bwd)
 

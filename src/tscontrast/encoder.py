@@ -59,7 +59,11 @@ def init_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderModel:
 
 
 def build_mask(mask_mode: str, batch: int, length: int, rng=None, mask_index=None) -> np.ndarray | None:
-    """0/1 keep-mask of shape [batch, length, 1], or None for no masking."""
+    """0/1 keep-mask of shape [batch, length, 1], or None for no masking.
+
+    `last_point` hides one timestamp per row: `mask_index` is one integer for
+    every row, a [batch] integer array with one index per row, or None for
+    the last timestamp."""
     if mask_mode == "none":
         return None
     if mask_mode == "binomial":
@@ -67,11 +71,16 @@ def build_mask(mask_mode: str, batch: int, length: int, rng=None, mask_index=Non
             raise ValueError("binomial masking needs an RNG")
         return (rng.random((batch, length, 1)) > 0.5).astype(np.float64)
     if mask_mode == "last_point":
-        idx = length - 1 if mask_index is None else int(mask_index)
-        if not 0 <= idx < length:
-            raise ValueError("mask_index out of range")
+        idx = np.asarray(length - 1 if mask_index is None else mask_index)
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"mask_index must be integer, got {idx.dtype}")
+        if idx.ndim not in (0, 1) or (idx.ndim == 1 and idx.shape != (batch,)):
+            raise ValueError(f"mask_index must be a scalar or of shape ({batch},), got {idx.shape}")
+        bad = np.flatnonzero((idx < 0) | (idx >= length))
+        if bad.size:
+            raise ValueError(f"mask_index {idx.flat[bad[0]]} out of range for length {length}")
         mask = np.ones((batch, length, 1))
-        mask[:, idx, :] = 0.0
+        mask[np.arange(batch), idx, 0] = 0.0
         return mask
     raise ValueError(f"unknown mask mode: {mask_mode!r}")
 

@@ -76,21 +76,56 @@ def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 
     )
 
 
+# Window timestamps per masked `encode` in `anomaly_scores`: a chunk of
+# windows holds at most this many rows of every activation, so memory stays
+# bounded on long series (a 128-step series at depth 3 is one chunk).
+WINDOW_ROWS = 8192
+
+
 def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     """Per-timestamp scores for one [L, D] series: L1 distance at position t
-    between the encoding with the observation at t hidden and the plain one."""
+    between the encoding with the observation at t hidden and the plain one.
+
+    Hiding t moves the output at t only through inputs in [t - R, t + R],
+    where R = (KERNEL_SIZE // 2) * 2 * (2^depth - 1): block b holds two
+    convolutions of dilation 2^b.  So t is scored from the one window of
+    W = min(L, 2R + 1) timestamps that starts at clip(t - R, 0, L - W).  It
+    lies inside the series, so its zero-padded edges are the series' own.
+    One unmasked encode of the series gives the reference; the L windows,
+    each with its t hidden, are encoded in chunks of at most WINDOW_ROWS
+    window timestamps.  The cost is O(L * (2R + 1)), not the O(L^2) of one
+    full encode per timestamp (`oracle.anomaly_scores`), whose scores these
+    equal.
+
+    Raises ValueError naming the first timestamp with a non-finite value.
+    """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim == 1:
         series = series[:, None]
     if series.ndim != 2:
         raise ValueError("series must be [L, D]")
-    x = series[None, :, :]
-    full = enc.encode(model, x).data[0]
+    bad = np.flatnonzero(~np.isfinite(series).all(axis=1))
+    if bad.size:
+        raise ValueError(f"series value at timestamp {bad[0]} is not finite")
     length = series.shape[0]
     scores = np.empty(length)
-    for t in range(length):
-        masked = enc.encode(model, x, mask_mode="last_point", mask_index=t).data[0]
-        scores[t] = np.abs(masked[t] - full[t]).sum()
+    if length == 0:
+        return scores
+    full = enc.encode(model, series[None]).data[0]
+    radius = (enc.KERNEL_SIZE // 2) * 2 * (2 ** model.config.depth - 1)
+    width = min(length, 2 * radius + 1)
+    ts = np.arange(length)
+    starts = np.clip(ts - radius, 0, length - width)
+    offsets = ts - starts
+    # [L - W + 1, W, D]: every window of W consecutive timestamps, as a view
+    windows = np.lib.stride_tricks.sliding_window_view(series, width, axis=0).transpose(0, 2, 1)
+    per_chunk = max(1, WINDOW_ROWS // width)
+    for lo in range(0, length, per_chunk):
+        rows = slice(lo, lo + per_chunk)
+        at = offsets[rows]
+        masked = enc.encode(model, windows[starts[rows]], mask_mode="last_point",
+                            mask_index=at).data
+        scores[rows] = np.abs(masked[np.arange(at.size), at] - full[rows]).sum(axis=1)
     return scores
 
 

@@ -2,14 +2,18 @@
 
 Nothing here shares code with the production modules: alignments are found by
 exhaustive path enumeration or by the textbook scalar DP, losses by nested
-scalar loops, gradients by central finite differences.  Sizes are expected to
-be tiny.
+scalar loops, gradients by central finite differences.  The one exception is
+`anomaly_scores`, which calls the encoder itself: what it checks is the
+scoring protocol, one full encode per hidden timestamp.  Sizes are expected
+to be tiny.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from . import encoder as enc
 
 
 def _paths(ta: int, tb: int):
@@ -298,3 +302,22 @@ def fd_gradient(f, params, h: float = 1e-5):
             flat_g[idx] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def anomaly_scores(model, series) -> np.ndarray:
+    """Per-timestamp scores for one [L, D] series by L + 1 full encodes: L1
+    distance at position t between the encoding with the observation at t
+    hidden and the plain one."""
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim == 1:
+        series = series[:, None]
+    if series.ndim != 2:
+        raise ValueError("series must be [L, D]")
+    x = series[None, :, :]
+    full = enc.encode(model, x).data[0]
+    length = series.shape[0]
+    scores = np.empty(length)
+    for t in range(length):
+        masked = enc.encode(model, x, mask_mode="last_point", mask_index=t).data[0]
+        scores[t] = np.abs(masked[t] - full[t]).sum()
+    return scores

@@ -256,6 +256,8 @@ def test_criterion_8_anomaly_smoke(capsys):
     series = (series - series.mean()) / series.std()
 
     scores = tc.anomaly_scores(model, series[:, None])
+    np.testing.assert_allclose(scores, oracle.anomaly_scores(model, series[:, None]),
+                               rtol=1e-12, atol=1e-12)
     argmax_ok = int(np.argmax(scores)) == spike_at
     labels = np.zeros(128, dtype=bool)
     labels[spike_at] = True

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,63 @@ def test_anomaly_scores_spike(rng):
     np.testing.assert_array_equal(scores, flat)
     with pytest.raises(ValueError):
         ev.anomaly_scores(model, np.zeros((2, 3, 4)))
+
+
+@st.composite
+def _scoring_case(draw):
+    """A random small encoder and series; lengths below the receptive radius
+    R, at one window (2R + 1) and one past it are drawn on purpose."""
+    depth = draw(st.integers(1, 4))
+    radius = 2 * (2 ** depth - 1)
+    length = draw(st.one_of(st.integers(0, 150),
+                            st.sampled_from([radius - 1, 2 * radius + 1, 2 * radius + 2])))
+    cfg = enc.EncoderConfig(input_dims=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 8)),
+                            output_dims=draw(st.integers(1, 4)), depth=depth)
+    seed = draw(st.integers(0, 2 ** 16))
+    series = np.random.Generator(np.random.Philox(seed)).normal(size=(length, cfg.input_dims))
+    return enc.init_encoder(cfg, seed=seed), series
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scoring_case())
+def test_anomaly_scores_match_the_oracle(case):
+    model, series = case
+    scores = ev.anomaly_scores(model, series)
+    assert scores.shape == (series.shape[0],)
+    np.testing.assert_allclose(scores, oracle.anomaly_scores(model, series),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_anomaly_scores_name_the_first_non_finite_timestamp(bad):
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=4, output_dims=2, depth=1))
+    series = np.zeros((5, 2))
+    series[3, 1] = bad
+    series[4, 0] = np.nan
+    with pytest.raises(ValueError, match="timestamp 3 is not finite"):
+        ev.anomaly_scores(model, series)
+    with pytest.raises(ValueError, match="timestamp 1 is not finite"):
+        ev.anomaly_scores(model, np.array([0.0, bad, 1.0]))
+    assert ev.anomaly_scores(model, np.zeros((0, 2))).shape == (0,)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_anomaly_scores_memory_stays_near_one_encode(rng):
+    """Depth 4 gives 61-step windows; all 4096 of them in one batch would
+    take ~60x the memory of one encode of the series."""
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=8, output_dims=4, depth=4))
+    series = rng.normal(size=(4096, 1))
+    one_encode = _peak_bytes(lambda: enc.encode(model, series[None]))
+    scoring = _peak_bytes(lambda: ev.anomaly_scores(model, series))
+    assert scoring <= 4 * one_encode, (scoring, one_encode)
 
 
 def test_threshold_anomalies():
