@@ -6,7 +6,6 @@ Set TSCONTRAST_VERBOSE=1 for debug logging.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -87,7 +86,8 @@ def cmd_distances(args) -> int:
     print(f"metric={matrix.metric} N={matrix.n} "
           f"offdiag min={off.min():.6f} max={off.max():.6f} mean={off.mean():.6f}")
     if args.csv:
-        dist_mod.export_csv(matrix, args.csv)
+        with ds.whole_file(args.csv) as fh:
+            np.savetxt(fh, matrix.values, delimiter=",")
     return 0
 
 
@@ -109,10 +109,10 @@ def cmd_encode(args) -> int:
     state, _ = tr.load_checkpoint(args.ckpt)
     tset = ds.znormalize(ds.load_ucr_tsv(args.data))
     inst = _instance_reprs(state.model, tset)
-    np.savetxt(args.out, inst, delimiter=",")
+    with ds.whole_file(args.out) as fh:
+        np.savetxt(fh, inst, delimiter=",")
     if args.full:
-        # np.savez appends ".npz" to a bare file name; a handle writes the path as given
-        with open(args.full, "wb") as fh:
+        with ds.whole_file(args.full, "wb") as fh:
             np.savez(fh, reps=enc.encode(state.model, tset.values).data)  # [N, T, M]
     print(f"wrote {inst.shape[0]} instance representations of dim {inst.shape[1]}")
     return 0
@@ -162,15 +162,19 @@ def cmd_evaluate(args) -> int:
         scores = ev.anomaly_scores(state.model, series)
         labels = None
         if args.labels:
-            labels = np.loadtxt(args.labels, delimiter=",")
+            labels = np.loadtxt(args.labels, delimiter=",", ndmin=1)
             bad = labels[~np.isin(labels, (0, 1))]
             if bad.size:
                 raise ValueError(f"{args.labels}: anomaly labels must be 0 or 1, "
                                  f"found {bad[0]:g}")
+            if labels.shape != scores.shape:
+                raise ValueError(f"{args.labels}: {labels.size} anomaly labels for a series "
+                                 f"of {scores.size} timestamps")
             labels = labels.astype(bool)
         _, report = ev.threshold_anomalies(scores, labels=labels, c=eval_cfg["anomaly_c"])
         if args.scores_out:
-            np.savetxt(args.scores_out, scores, delimiter=",")
+            with ds.whole_file(args.scores_out) as fh:
+                np.savetxt(fh, scores, delimiter=",")
     print(report.to_text())
     if args.out:
         report.to_csv(args.out)
@@ -221,18 +225,10 @@ def cmd_ablate(args) -> int:
         state = tr.TrainState.fresh(cfg.train_config, tset.dims)
         _, history = tr.pretrain(tset, matrices[key], cfg.train_config, state=state)
         report = _probe_split(tset, state.model, cfg.sections["eval"]["probe_k"])
-        rows.append({
-            "axis": name,
-            "value": value,
-            "final_loss": history[-1][1].total if history else float("nan"),
-            "probe_accuracy": report.accuracy,
-        })
-        log.info("ablate %s=%s: loss=%.4f acc=%.3f", name, value,
-                 rows[-1]["final_loss"], rows[-1]["probe_accuracy"])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["axis", "value", "final_loss", "probe_accuracy"])
-        writer.writeheader()
-        writer.writerows(rows)
+        rows.append([name, value, history[-1][1].total if history else float("nan"),
+                     report.accuracy])
+        log.info("ablate %s=%s: loss=%.4f acc=%.3f", *rows[-1])
+    ds.write_csv(args.out, ["axis", "value", "final_loss", "probe_accuracy"], rows)
     print(f"wrote {len(rows)} ablation rows to {args.out}")
     return 0
 

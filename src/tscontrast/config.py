@@ -148,12 +148,16 @@ def train_config_from_fields(stored: dict) -> TrainConfig:
 
 def load(path, overrides: dict | None = None) -> EngineConfig:
     """Read and validate a JSON config.  `overrides` maps (section, key) to a
-    value that wins over the file's (flag > file > default)."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if overrides and isinstance(raw, dict):
-        for (section, key), value in overrides.items():
-            part = raw.get(section, {})
-            if isinstance(part, dict):  # anything else is rejected by validate
-                raw[section] = {**part, key: value}
-    return validate(raw)
+    value that wins over the file's (flag > file > default).  A parse or
+    validation error names the file."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if overrides and isinstance(raw, dict):
+            for (section, key), value in overrides.items():
+                part = raw.get(section, {})
+                if isinstance(part, dict):  # anything else is rejected by validate
+                    raw[section] = {**part, key: value}
+        return validate(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

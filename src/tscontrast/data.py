@@ -1,9 +1,13 @@
-"""Time-series collections: TSV ingestion, normalization, synthesis, cropping."""
+"""Time-series collections: TSV ingestion, normalization, synthesis, cropping;
+and the one way every artifact is written to disk."""
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -150,12 +154,39 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
     return TimeSeriesSet(values=values, lengths=lengths, labels=labels)
 
 
+@contextlib.contextmanager
+def whole_file(path, mode: str = "w"):
+    """Write `path` all or nothing: the block writes to `<path>.<pid>.tmp`
+    beside it (text mode with newline="" unless `mode` is binary), which is
+    moved onto `path` when the block completes and removed when it raises.
+
+    np.save/np.savez/np.savetxt on the handle write to it as given; np.savez
+    adds its ".npz" suffix only to a bare file name.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV file of one header row and `rows`, through `whole_file`."""
+    with whole_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_ucr_tsv(tset: TimeSeriesSet, path) -> None:
     """Inverse of load_ucr_tsv; univariate sets only, padding written as NaN."""
     if tset.dims != 1:
         raise ValueError("UCR TSV export is univariate only")
     labels = tset.labels if tset.labels is not None else np.zeros(tset.n, dtype=np.int64)
-    with open(path, "w") as fh:
+    with whole_file(path) as fh:
         for i in range(tset.n):
             cells = [str(int(labels[i]))]
             for t in range(tset.t_max):
@@ -202,6 +233,11 @@ def make_synthetic(
         raise ValueError("length must be >= 8")
     if not classes:
         raise ValueError("need at least one class spec")
+    if (isinstance(noise_std, bool) or not isinstance(noise_std, numbers.Real)
+            or not 0 <= noise_std < math.inf):
+        raise ValueError(f"noise_std must be a finite number >= 0, got {noise_std!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     for spec in classes:
         if not isinstance(spec, dict) or spec.get("kind") not in _WAVEFORMS:
             raise ValueError(f"class spec needs a known waveform 'kind': {spec!r}")

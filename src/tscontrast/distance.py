@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesSet
+from .data import TimeSeriesSet, whole_file
 
 METRICS = ("cos", "euc", "dtw", "fastdtw", "tam")
 
@@ -364,18 +363,12 @@ _VERSION = 1
 
 
 def save_matrix(m: DistanceMatrix, path) -> None:
-    """All or nothing: write a temporary file beside `path`, then move it there."""
+    """A TSDM v1 file, written all or nothing through `whole_file`."""
     metric_tag = m.metric.encode("ascii").ljust(8, b"\x00")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<HB8sI", _VERSION, int(m.normalized), metric_tag, m.n))
-            fh.write(np.ascontiguousarray(m.values).tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.remove(tmp)
+    with whole_file(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<HB8sI", _VERSION, int(m.normalized), metric_tag, m.n))
+        fh.write(np.ascontiguousarray(m.values).tobytes())
 
 
 def load_matrix(path) -> DistanceMatrix:
@@ -401,6 +394,3 @@ def load_matrix(path) -> DistanceMatrix:
         raise ValueError(f"{path}: non-finite distance values")
     return DistanceMatrix(values=values, metric=metric, normalized=bool(normalized))
 
-
-def export_csv(m: DistanceMatrix, path) -> None:
-    np.savetxt(path, m.values, delimiter=",")

@@ -2,13 +2,13 @@
 representations, and anomaly scoring via masked/unmasked encoding distance."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import encoder as enc
+from .data import write_csv
 
 
 @dataclass
@@ -40,10 +40,7 @@ class EvalReport:
             value = getattr(self, name)
             if value is not None:
                 fields[name] = value
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields.keys())
-            writer.writerow(fields.values())
+        write_csv(path, fields.keys(), [fields.values()])
 
 
 def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 1) -> EvalReport:

@@ -2,7 +2,6 @@
 logging, and bit-exact checkpoint/resume."""
 from __future__ import annotations
 
-import csv
 import json
 import zipfile
 import zlib
@@ -14,7 +13,7 @@ from . import assign as asg
 from . import autodiff as ad
 from . import encoder as enc
 from . import loss as losses
-from .data import TimeSeriesSet, crop_two_views
+from .data import TimeSeriesSet, crop_two_views, whole_file, write_csv
 from .distance import DistanceMatrix
 
 
@@ -171,13 +170,8 @@ def write_log_csv(history, path):
     header = ["step", "total", "instance_term", "temporal_term"]
     for k in range(depth):
         header += [f"level{k}_instance", f"level{k}_temporal"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for step, b in history:
-            row = [step] + b.csv_row()
-            row += [""] * (len(header) - len(row))
-            writer.writerow(row)
+    rows = ([step] + b.csv_row() for step, b in history)
+    write_csv(path, header, (row + [""] * (len(header) - len(row)) for row in rows))
 
 
 _CKPT_VERSION = 1
@@ -194,8 +188,7 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
         "rng_state": state.rng.bit_generator.state,
         "step": state.step,
     }
-    # np.savez appends ".npz" to a bare file name; a handle writes the path as given
-    with open(path, "wb") as fh:
+    with whole_file(path, "wb") as fh:
         np.savez(
             fh,
             version=np.int64(_CKPT_VERSION),

@@ -11,7 +11,7 @@ def rng():
 
 
 class _FullDisk:
-    """A binary file whose writes after the first fail, as on a full disk."""
+    """A file whose writes after the first fail, as on a full disk."""
 
     def __init__(self, fh):
         self.fh, self.writes = fh, 0
@@ -28,11 +28,15 @@ class _FullDisk:
             raise OSError("No space left on device")
         return self.fh.write(data)
 
+    def __getattr__(self, name):  # any other file method reaches the file
+        return getattr(self.fh, name)
+
 
 @pytest.fixture
 def full_disk_open():
-    """An `open` to set on a module: files it opens fail on their second write."""
-    return lambda *args: _FullDisk(open(*args))
+    """An `open` to set on `tscontrast.data`, where `whole_file` opens every
+    file the package writes: files it opens fail on their second write."""
+    return lambda *args, **kwargs: _FullDisk(open(*args, **kwargs))
 
 
 # Malformed parts of a TSDM v1 file: byte offset, the bytes written there, and

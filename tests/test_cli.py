@@ -158,7 +158,7 @@ def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch, 
     cache, out = tmp_path / "cache", tmp_path / "d.bin"
     cfg = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)})
     with monkeypatch.context() as patched:
-        patched.setattr(dist, "open", full_disk_open, raising=False)
+        patched.setattr(ds, "open", full_disk_open, raising=False)
         assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 2
     assert "No space left" in capsys.readouterr().err
     assert list(cache.iterdir()) == [] and not out.exists()
@@ -425,6 +425,35 @@ def test_evaluate_anomaly_labels_must_be_0_or_1(tmp_path, capsys, bad):
                      "--out", str(report)]) == 2
     assert f"{labels}: anomaly labels must be 0 or 1, found {bad}" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_evaluate_anomaly_labels_must_count_the_timestamps(tmp_path, capsys):
+    tset = ds.make_synthetic(1, 32, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n0\n")
+    report = tmp_path / "report.csv"
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels),
+                     "--out", str(report)]) == 2
+    assert f"{labels}: 3 anomaly labels for a series of 32 timestamps" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("key,value", [("noise_std", -0.5), ("noise_std", float("nan")),
+                                       ("noise_std", True), ("seed", -1), ("seed", True)])
+def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, value):
+    synthetic = {"n_per_class": 3, "length": 16, "seed": 2, "noise_std": 0.1,
+                 "classes": [{"kind": "sine", "freq": 2.0}], key: value}
+    out = tmp_path / "d.bin"
+    cfg = _config(tmp_path, dataset={"synthetic": synthetic})
+    assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key,value,names_key", [

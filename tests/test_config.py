@@ -209,3 +209,17 @@ def test_distance_params_fail_as_in_pairwise(key, value):
 def test_probe_k_must_be_positive():
     with pytest.raises(ValueError, match="eval.probe_k must be >= 1, got 0"):
         engine_config.validate({"eval": {"probe_k": 0}})
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"train": {"iters": 2,}}', "Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "config root must be an object"),
+    ('{"bogus": 1}', "unknown keys in 'config': ['bogus']"),
+    ('{"loss": {"lambda": 1.5}}', "loss.lambda: lambda must be in [0, 1], got 1.5"),
+])
+def test_load_names_the_file_in_every_error(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")) as error:
+        engine_config.load(path)
+    assert str(error.value).count(str(path)) == 1

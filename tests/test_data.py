@@ -1,3 +1,7 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +126,21 @@ def test_make_synthetic_validation():
         ds.make_synthetic(2, 16, [])
 
 
+_CLASSES = [{"kind": "sine", "freq": 1.0}]
+
+
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf, True, "0.1", None])
+def test_make_synthetic_rejects_bad_noise_std(value):
+    with pytest.raises(ValueError, match=f"noise_std must be a finite number >= 0, got {value!r}"):
+        ds.make_synthetic(2, 16, _CLASSES, noise_std=value)
+
+
+@pytest.mark.parametrize("value", [-1, True, 1.5, "3", None])
+def test_make_synthetic_rejects_bad_seed(value):
+    with pytest.raises(ValueError, match=f"seed must be an int >= 0, got {value!r}"):
+        ds.make_synthetic(2, 16, _CLASSES, seed=value)
+
+
 def test_crop_two_views_invariants():
     tset = ds.make_synthetic(3, 20, [{"kind": "sine", "freq": 2.0}], seed=0)
     for seed in range(50):
@@ -202,3 +221,47 @@ def test_fingerprint_names_exactly_the_valid_values(series, data):
     if tset.dims > 1:
         flat = tset.values.reshape(tset.n, -1, 1)
         assert ds.TimeSeriesSet(values=flat, lengths=tset.lengths * tset.dims).fingerprint() != fp
+
+
+_PACKAGE = Path(ds.__file__).parent
+
+
+def _unguarded_writes(node, in_helper=False, in_with=False):
+    """(line, call) of each file write under `node` that bypasses `whole_file`:
+    an `open` for writing outside `whole_file` itself, or an np.save,
+    np.savez or np.savetxt call outside a `with whole_file(...)` block."""
+    if isinstance(node, ast.FunctionDef) and node.name == "whole_file":
+        in_helper = True
+    if isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call)
+            and ast.unparse(item.context_expr.func).split(".")[-1] == "whole_file"
+            for item in node.items):
+        in_with = True
+    if isinstance(node, ast.Call):
+        name = ast.unparse(node.func)
+        if name == "open" and not in_helper:
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                yield node.lineno, name
+        if name in ("np.save", "np.savez", "np.savetxt") and not in_with:
+            yield node.lineno, name
+    for child in ast.iter_child_nodes(node):
+        yield from _unguarded_writes(child, in_helper, in_with)
+
+
+def test_every_write_goes_through_whole_file():
+    found = {path.name: list(_unguarded_writes(ast.parse(path.read_text())))
+             for path in sorted(_PACKAGE.glob("*.py"))}
+    assert {name: writes for name, writes in found.items() if writes} == {}
+    # the guard itself flags each idiom it forbids, and nothing else
+    source = """
+def f(p, m):
+    open(p, "w"); open(p, mode="ab"); open(p, "r+"); open(p, m); np.savez(p)
+    open(p); open(p, "rb")
+    with ds.whole_file(p, "wb") as fh:
+        np.savez(fh); np.savetxt(fh, x)
+    with open(p) as fh:
+        np.savetxt(fh, x)
+"""
+    assert [line for line, _ in _unguarded_writes(ast.parse(source))] == [3] * 5 + [8]

@@ -1,5 +1,9 @@
+import contextlib
+import io
+import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -7,9 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tscontrast import cli
+from tscontrast import config as engine_config
 from tscontrast import data as ds
 from tscontrast import distance as dist
+from tscontrast import evaluate as ev
 from tscontrast import oracle
+from tscontrast import train as tr
 
 
 def test_dtw_matches_brute_force(rng):
@@ -337,18 +345,84 @@ def test_matrix_cache_rejects_garbage(tmp_path):
         dist.load_matrix(path)
 
 
+def _writer_inputs(folder):
+    """A config, a UCR TSV of `_corpus` and an untrained checkpoint in `folder`."""
+    folder.mkdir()
+    inputs = types.SimpleNamespace(cfg=folder / "config.json", tsv=folder / "data.tsv",
+                                   ckpt=folder / "model.npz", side=folder)
+    inputs.cfg.write_text(json.dumps({
+        "dataset": {"synthetic": {"n_per_class": 3, "length": 16, "seed": 2, "classes": [
+            {"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}]}},
+        "distance": {"metric": "euc"},
+        "train": {"iters": 2, "batch_size": 4, "hidden": 4, "repr_dims": 3, "depth": 1}}))
+    ds.write_ucr_tsv(_corpus(), inputs.tsv)
+    train_cfg = engine_config.load(inputs.cfg).train_config
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, 1), train_cfg, inputs.ckpt)
+    return inputs
+
+
+def _cli(*argv):
+    """Run the CLI; a failed run raises an OSError holding its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([str(a) for a in argv])
+    if code:
+        raise OSError(f"exit {code}: {err.getvalue()}")
+
+
+# every file the package writes: writer(target, inputs) writes `target`, and
+# any other output of the same command goes beside the inputs
+_WRITERS = {
+    "save_matrix": lambda t, i: dist.save_matrix(dist.pairwise(_corpus(), "euc"), t),
+    "save_checkpoint": lambda t, i: tr.save_checkpoint(*tr.load_checkpoint(i.ckpt), t),
+    "write_log_csv": lambda t, i: tr.pretrain(_corpus(), dist.pairwise(_corpus(), "euc"),
+                                              tr.TrainConfig(iters=2, hidden=4, depth=1),
+                                              log_path=t),
+    "EvalReport.to_csv": lambda t, i: ev.EvalReport("classify", accuracy=0.5).to_csv(t),
+    "write_ucr_tsv": lambda t, i: ds.write_ucr_tsv(_corpus(), t),
+    "pretrain --out": lambda t, i: _cli("pretrain", "--config", i.cfg, "--out", t),
+    "pretrain --log": lambda t, i: _cli("pretrain", "--config", i.cfg,
+                                        "--out", i.side / "out.npz", "--log", t),
+    "encode --out": lambda t, i: _cli("encode", "--ckpt", i.ckpt, "--data", i.tsv, "--out", t),
+    "encode --full": lambda t, i: _cli("encode", "--ckpt", i.ckpt, "--data", i.tsv,
+                                       "--out", i.side / "reps.csv", "--full", t),
+    "evaluate --out": lambda t, i: _cli("evaluate", "--config", i.cfg, "--task", "classify",
+                                        "--ckpt", i.ckpt, "--train-data", i.tsv,
+                                        "--test-data", i.tsv, "--out", t),
+    "evaluate --scores-out": lambda t, i: _cli("evaluate", "--config", i.cfg, "--task", "anomaly",
+                                               "--ckpt", i.ckpt, "--data", i.tsv,
+                                               "--scores-out", t),
+    "ablate --out": lambda t, i: _cli("ablate", "--config", i.cfg, "--axis", "hierarchy",
+                                      "--iters", 1, "--out", t),
+    "distances --out": lambda t, i: _cli("distances", "--config", i.cfg, "--out", t),
+    "distances --csv": lambda t, i: _cli("distances", "--config", i.cfg,
+                                         "--out", i.side / "d.bin", "--csv", t),
+}
+
+
 @pytest.mark.parametrize("existed", [False, True])
-def test_save_matrix_is_all_or_nothing(tmp_path, monkeypatch, full_disk_open, existed):
-    path = tmp_path / "m.bin"
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_save_matrix_is_all_or_nothing(tmp_path, monkeypatch, full_disk_open, writer, existed):
+    """Every writer, failing partway: the target is absent or as it was, and
+    nothing else is left beside it."""
+    inputs = _writer_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "artifact"
+    write = _WRITERS[writer]
     if existed:
-        dist.save_matrix(dist.pairwise(_corpus(), "euc"), path)
-    before = path.read_bytes() if existed else None
-    monkeypatch.setattr(dist, "open", full_disk_open, raising=False)
+        write(target, inputs)
+    before = target.read_bytes() if existed else None
+    monkeypatch.setattr(ds, "open", lambda file, *args, **kwargs: (
+        full_disk_open if str(file).startswith(str(target)) else open)(file, *args, **kwargs),
+        raising=False)
     with pytest.raises(OSError, match="No space left"):
-        dist.save_matrix(dist.pairwise(_corpus(), "dtw"), path)
-    assert list(tmp_path.iterdir()) == ([path] if existed else [])  # no stray file
+        write(target, inputs)
+    assert list(out.iterdir()) == ([target] if existed else [])  # no stray file
     if existed:
-        assert path.read_bytes() == before
+        assert target.read_bytes() == before
+        if writer in ("save_checkpoint", "pretrain --out"):
+            tr.load_checkpoint(target)  # still a whole checkpoint
 
 
 @pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag"])
@@ -359,10 +433,3 @@ def test_load_matrix_names_the_file_for_each_malformed_part(tmp_path, break_tsdm
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         dist.load_matrix(path)
 
-
-def test_export_csv(tmp_path):
-    m = dist.pairwise(_corpus(), "euc")
-    path = tmp_path / "m.csv"
-    dist.export_csv(m, path)
-    loaded = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(loaded, m.values)
