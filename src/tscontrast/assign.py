@@ -119,12 +119,10 @@ def extend_instance(w: np.ndarray) -> np.ndarray:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("assignment weights must be square")
     period = w.shape[0]
-    idx = np.arange(2 * period)
-    mod_i = idx[:, None] % period
-    mod_j = idx[None, :] % period
-    out = w[mod_i, mod_j]
-    out[mod_i == mod_j] = 1.0       # positive pair / same-origin rule
-    np.fill_diagonal(out, 0.0)      # anchor excluded
+    out = np.tile(w, (2, 2))
+    np.fill_diagonal(out[:period, period:], 1.0)   # cross-view positive pairs
+    np.fill_diagonal(out[period:, :period], 1.0)
+    np.fill_diagonal(out, 0.0)                     # anchor excluded
     return out
 
 

@@ -3,7 +3,8 @@
 The graph lives on the tensors themselves: every op records its parents and
 a closure that pushes the adjoint back to them.  `backward` walks the graph
 once in reverse topological order.  Only what the encoder and the contrastive
-losses need is implemented; everything is float64.
+losses need is implemented, plus `transpose` and `masked_log_softmax`, kept as
+general ops; everything is float64.
 """
 from __future__ import annotations
 

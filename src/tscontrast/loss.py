@@ -4,8 +4,10 @@ Two views of a batch are stacked so row i and row i+N hold the same instance;
 the instance loss contrasts rows at each shared timestamp, the temporal loss
 contrasts timestamps of the doubled 2T axis within each instance.  Weighted
 cross-entropies use the extended assignment matrices, so the hard InfoNCE
-case falls out at zero soft weights.  Everything is built from autodiff ops
-so the joint objective is differentiable end to end.
+case falls out at zero soft weights.  Each term at each level of the pooling
+ladder is one autodiff node with a closed-form gradient; the ladder and the
+level mean are autodiff ops, so the joint objective is differentiable end to
+end.
 """
 from __future__ import annotations
 
@@ -35,30 +37,66 @@ class LossBreakdown:
         return cells
 
 
-def _log_p(z: Tensor) -> Tensor:
-    """[B, A, A] log-probabilities; entry (b, i, j) is log p of pair (i, j) in
-    group b, self-similarities excluded from the normalizer."""
+def _groups(x: np.ndarray, temporal: bool) -> np.ndarray:
+    """The [2N, T, M] stack as [B, A, M] contrast groups: [T, 2N, M] for the
+    instance term, [N, 2T, M] (the two views of each instance joined along
+    time) for the temporal term."""
+    if not temporal:
+        return x.transpose(1, 0, 2)
+    two_n, t, m = x.shape
+    n = two_n // 2
+    return x.reshape(2, n, t, m).transpose(1, 0, 2, 3).reshape(n, 2 * t, m)
+
+
+def _ungroup(g: np.ndarray, temporal: bool) -> np.ndarray:
+    """Inverse of `_groups`: [2N, T, M], a view of `g` or a copy."""
+    if not temporal:
+        return g.transpose(1, 0, 2)
+    n, two_t, m = g.shape
+    return g.reshape(n, 2, two_t // 2, m).transpose(1, 0, 2, 3).reshape(2 * n, two_t // 2, m)
+
+
+def _softmax_off_diagonal(z: np.ndarray):
+    """(log p, p), both [B, A, A]: the softmax of each row of the logits
+    z zᵀ over the entries off the diagonal, with log p and p 0 on it."""
     a = z.shape[1]
     if a < 2:
         raise ValueError("need at least 2 items to contrast")
-    sim = ad.matmul(z, ad.transpose(z, (0, 2, 1)))         # [B, A, A]
-    mask = ~np.eye(a, dtype=bool)[None, :, :]
-    return ad.masked_log_softmax(sim, mask)
+    diag = np.arange(a)
+    sim = np.matmul(z, z.transpose(0, 2, 1))
+    sim[:, diag, diag] = -np.inf
+    sim -= sim.max(axis=-1, keepdims=True)
+    e = np.exp(sim)
+    total = e.sum(axis=-1, keepdims=True)
+    sim -= np.log(total)
+    sim[:, diag, diag] = 0.0          # not -inf, so a zero weight there adds 0
+    return sim, e / total
 
 
-def _weighted_ce(logp: Tensor, w_ext: np.ndarray) -> Tensor:
-    """Mean over the B*A anchors of the cross-entropy weighted by `w_ext`."""
-    b, a = logp.shape[0], logp.shape[1]
-    return ad.mul(ad.tsum(ad.mul(logp, w_ext[None, :, :])), -1.0 / (b * a))
+def _soft_ce(reps: Tensor, w_ext: np.ndarray, temporal: bool) -> Tensor:
+    """Mean over the B*A anchors of the cross-entropy of the off-diagonal
+    softmax weighted by `w_ext` (its diagonal ignored), as one graph node.
 
+    With s = z zᵀ, p its row softmax and c = 1/(B·A), the loss is
+    −c Σ w ⊙ log p, so G = ∂L/∂s = c (p · Σ_{j≠i} w_ij − w) off the diagonal
+    (0 on it) and ∂L/∂z = (G + Gᵀ) z.
+    """
+    z = _groups(reps.data, temporal)
+    b, a = z.shape[0], z.shape[1]
+    logp, p = _softmax_off_diagonal(z)
+    c = 1.0 / (b * a)
+    out = np.sum(logp * w_ext[None, :, :]) * -c
 
-def _temporal_view(reps: Tensor) -> Tensor:
-    """[2N, T, M] stack -> [N, 2T, M], the two views of each instance joined
-    along time."""
-    if reps.shape[0] % 2 != 0:
-        raise ValueError("stacked representations must pair up")
-    n = reps.shape[0] // 2
-    return ad.concat([reps[:n], reps[n:]], axis=1)
+    def bwd(g):
+        w = w_ext.copy()
+        np.fill_diagonal(w, 0.0)
+        gs = p * w.sum(axis=1)[:, None]
+        gs -= w
+        gs *= g * c
+        gz = np.matmul(gs + gs.transpose(0, 2, 1), z)
+        ad._accumulate(reps, _ungroup(gz, temporal), owned=True)
+
+    return Tensor(out, parents=(reps,), backward=bwd)
 
 
 def soft_instance_loss(reps, w_ext: np.ndarray) -> Tensor:
@@ -68,7 +106,7 @@ def soft_instance_loss(reps, w_ext: np.ndarray) -> Tensor:
     two_n = reps.shape[0]
     if w_ext.shape != (two_n, two_n):
         raise ValueError(f"extended weights must be [{two_n}, {two_n}]")
-    return _weighted_ce(_log_p(ad.transpose(reps, (1, 0, 2))), w_ext)
+    return _soft_ce(reps, w_ext, temporal=False)
 
 
 def soft_temporal_loss(reps, w_ext_t: np.ndarray) -> Tensor:
@@ -81,7 +119,9 @@ def soft_temporal_loss(reps, w_ext_t: np.ndarray) -> Tensor:
     t = reps.shape[1]
     if w_ext_t.shape != (2 * t, 2 * t):
         raise ValueError(f"extended temporal weights must be [{2 * t}, {2 * t}]")
-    return _weighted_ce(_log_p(_temporal_view(reps)), w_ext_t)
+    if reps.shape[0] % 2 != 0:
+        raise ValueError("stacked representations must pair up")
+    return _soft_ce(reps, w_ext_t, temporal=True)
 
 
 def joint_loss(
@@ -151,13 +191,11 @@ def kl_identity_check(reps, w_ext: np.ndarray, which: str):
     reps = ad.as_tensor(reps)
     if which == "instance":
         lhs = float(soft_instance_loss(reps, w_ext).data)
-        view = ad.transpose(reps, (1, 0, 2))
     elif which == "temporal":
         lhs = float(soft_temporal_loss(reps, w_ext).data)
-        view = _temporal_view(reps)
     else:
         raise ValueError("which must be 'instance' or 'temporal'")
-    logp = _log_p(view).data                               # [B, A, A]
+    logp, _ = _softmax_off_diagonal(_groups(reps.data, which == "temporal"))  # [B, A, A]
     rows = logp.reshape(-1, logp.shape[-1])                # anchors x A
     w_rows = np.broadcast_to(w_ext[None, :, :], logp.shape).reshape(-1, logp.shape[-1])
 

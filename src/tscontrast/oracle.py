@@ -213,6 +213,21 @@ def scalar_loss_eq6(reps, w_t) -> float:
     return total / (n * 2 * t_len)
 
 
+def extend_weights(w) -> np.ndarray:
+    """[2P, 2P] extended assignments of a [P, P] table by scalar loops: 0 on
+    the diagonal, 1 at the cross-view positives (i, i + P) and (i + P, i),
+    w[i mod P][j mod P] everywhere else."""
+    rows = np.asarray(w, dtype=np.float64).tolist()
+    p = len(rows)
+    out = np.zeros((2 * p, 2 * p))
+    for i in range(2 * p):
+        for j in range(2 * p):
+            if i == j:
+                continue
+            out[i, j] = 1.0 if i % p == j % p else rows[i % p][j % p]
+    return out
+
+
 def infonce_instance(reps) -> float:
     """Textbook InfoNCE over stacked views: cross-view positives only."""
     reps = np.asarray(reps, dtype=np.float64)

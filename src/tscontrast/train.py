@@ -128,6 +128,16 @@ def evaluate_batch_loss(state: TrainState, batch: TimeSeriesSet, w_inst: np.ndar
                              lam=cfg.lam, hard=cfg.hard)
 
 
+def _culprit(breakdown) -> str:
+    """Name the first non-finite term of a step's breakdown, instance before
+    temporal at each level, as ` (<term> term, level <k>)`; empty if none."""
+    for k, inst, temp in breakdown.per_level:
+        for term, value in (("instance", inst), ("temporal", temp)):
+            if not np.isfinite(value):
+                return f" ({term} term, level {k})"
+    return ""
+
+
 def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
              state: TrainState | None = None, log_path=None):
     """Optimize the joint objective; returns (model, list of per-step logs).
@@ -154,7 +164,7 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         w_batch = w_full[np.ix_(idx, idx)]
         total, breakdown = evaluate_batch_loss(state, batch, w_batch, cfg, crop_seed, mask_seed)
         if not np.isfinite(total.data):
-            raise RuntimeError(f"non-finite loss at step {state.step}; aborting")
+            raise RuntimeError(f"non-finite loss at step {state.step}{_culprit(breakdown)}; aborting")
         ad.zero_grads(state.model.params.values())
         ad.backward(total)
         _adam_step(state, cfg)

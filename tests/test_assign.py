@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tscontrast import assign as asg
+from tscontrast import oracle
 from tscontrast.distance import DistanceMatrix
 
 
@@ -104,6 +107,17 @@ def test_extend_instance_structure(rng):
         for j in range(6):
             if i != j and i % 3 != j % 3:
                 assert ext[i, j] == w[i % 3, j % 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 40), symmetric=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=1, symmetric=False, seed=0)
+@example(p=40, symmetric=False, seed=0)
+def test_extend_instance_matches_scalar_oracle(p, symmetric, seed):
+    w = np.random.default_rng(seed).uniform(0.0, 2.0, size=(p, p))
+    if symmetric:
+        w = (w + w.T) / 2
+    np.testing.assert_array_equal(asg.extend_instance(w), oracle.extend_weights(w))
 
 
 def test_extend_temporal_matches_instance_rule(rng):

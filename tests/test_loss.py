@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tscontrast import assign as asg
 from tscontrast import autodiff as ad
@@ -39,6 +43,79 @@ def test_hard_reduction(rng):
     temp = float(losses.soft_temporal_loss(
         ad.Tensor(reps), asg.extend_temporal(np.zeros((t, t)))).data)
     assert abs(temp - oracle.infonce_temporal(reps)) < 1e-10
+
+
+# term -> (loss, weight extension, scalar oracle, size of the [P, P] weights)
+_TERMS = {
+    "instance": (losses.soft_instance_loss, asg.extend_instance, oracle.scalar_loss_eq3,
+                 lambda n, t: n),
+    "temporal": (losses.soft_temporal_loss, asg.extend_temporal, oracle.scalar_loss_eq6,
+                 lambda n, t: t),
+}
+_CASE = dict(term=st.sampled_from(sorted(_TERMS)), n=st.integers(1, 3), t=st.integers(1, 4),
+             m=st.integers(1, 3), weights=st.sampled_from(["soft", "hard", "diagonal"]),
+             seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _fused_case(term, n, t, m, weights, seed):
+    """(reps, w, w_ext): soft, all-zero (`hard`) or soft weights whose
+    extension carries a nonzero diagonal, which the loss must ignore."""
+    rng = np.random.default_rng(seed)
+    _, extend, _, size = _TERMS[term]
+    reps = rng.uniform(-1.5, 1.5, size=(2 * n, t, m))
+    p = size(n, t)
+    w = np.zeros((p, p)) if weights == "hard" else rng.uniform(size=(p, p))
+    w_ext = extend(w)
+    if weights == "diagonal":
+        np.fill_diagonal(w_ext, rng.uniform(0.5, 3.0, size=2 * p))
+    return reps, w, w_ext
+
+
+@settings(max_examples=120, deadline=None)
+@given(**_CASE)
+@example(term="instance", n=1, t=3, m=2, weights="soft", seed=0)      # A = 2
+@example(term="temporal", n=2, t=1, m=2, weights="diagonal", seed=0)  # A = 2
+def test_fused_term_matches_scalar_oracle(term, n, t, m, weights, seed):
+    reps, w, w_ext = _fused_case(term, n, t, m, weights, seed)
+    fn, _, scalar, _ = _TERMS[term]
+    ours = float(fn(ad.Tensor(reps), w_ext).data)
+    assert abs(ours - scalar(reps, w)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_CASE)
+@example(term="instance", n=1, t=2, m=2, weights="hard", seed=0)
+@example(term="temporal", n=1, t=1, m=3, weights="soft", seed=0)
+def test_fused_term_gradient_matches_central_differences(term, n, t, m, weights, seed):
+    reps, _, w_ext = _fused_case(term, n, t, m, weights, seed)
+    fn = _TERMS[term][0]
+    x = ad.Tensor(reps.copy(), requires_grad=True)
+    ad.backward(fn(x, w_ext))
+    (numeric,) = oracle.fd_gradient(lambda: float(fn(ad.Tensor(reps), w_ext).data), [reps])
+    np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("term, shape, w_size, message", [
+    ("temporal", (3, 4, 2), 8, "stacked representations must pair up"),
+    ("instance", (1, 4, 2), 1, "need at least 2 items to contrast"),
+    ("instance", (4, 3, 2), 3, r"extended weights must be \[4, 4\]"),
+    ("temporal", (4, 3, 2), 3, r"extended temporal weights must be \[6, 6\]"),
+])
+def test_fused_term_rejects_bad_shapes(term, shape, w_size, message):
+    with pytest.raises(ValueError, match=message):
+        _TERMS[term][0](ad.Tensor(np.ones(shape)), np.ones((w_size, w_size)))
+
+
+@pytest.mark.parametrize("term", sorted(_TERMS))
+def test_fused_term_nan_input_gives_nan_without_warning(term):
+    reps, _, w_ext = _fused_case(term, 2, 3, 2, "soft", 5)
+    reps[1, 2, 0] = np.nan
+    x = ad.Tensor(reps, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _TERMS[term][0](x, w_ext)
+        ad.backward(out)
+    assert np.isnan(out.data)
 
 
 def test_kl_identity(rng):

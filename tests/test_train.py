@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tscontrast import autodiff as ad
 from tscontrast import cli
 from tscontrast import data as ds
 from tscontrast import distance as dist
+from tscontrast import loss as losses
 from tscontrast import train as tr
 
 
@@ -78,8 +80,21 @@ def test_divergence_guard():
     tset, dm, cfg = _setup()
     state = tr.TrainState.fresh(cfg, tset.dims)
     state.model.params["proj_w"].data[0, 0] = np.nan
-    with pytest.raises(RuntimeError, match="non-finite"):
+    with pytest.raises(RuntimeError, match=r"^non-finite loss at step 0 "
+                                           r"\(instance term, level 0\); aborting$"):
         tr.pretrain(tset, dm, cfg, state=state)
+
+
+def test_divergence_guard_names_first_term_in_ladder_order(monkeypatch):
+    # level 1's temporal term goes first: levels in order, instance before temporal
+    breakdown = losses.LossBreakdown(total=np.nan, instance_term=np.nan, temporal_term=np.nan,
+                                     lam=0.5, per_level=[(0, 1.0, 2.0), (1, 1.0, np.inf),
+                                                         (2, np.nan, np.nan)])
+    monkeypatch.setattr(tr, "evaluate_batch_loss",
+                        lambda *args: (ad.Tensor(np.nan), breakdown))
+    tset, dm, cfg = _setup()
+    with pytest.raises(RuntimeError, match=r"step 0 \(temporal term, level 1\)"):
+        tr.pretrain(tset, dm, cfg)
 
 
 def test_hierarchy_off_keeps_hard_and_lambda_checks():
