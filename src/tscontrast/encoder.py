@@ -38,6 +38,11 @@ def _uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def dilation(b: int) -> int:
+    """Dilation of both convolutions of block `b`."""
+    return 2 ** b
+
+
 def param_shapes(cfg: EncoderConfig) -> dict:
     """name -> (shape, fan_in) of every weight, in initialization order."""
     k, h = KERNEL_SIZE, cfg.hidden
@@ -61,9 +66,8 @@ def init_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderModel:
 def build_mask(mask_mode: str, batch: int, length: int, rng=None, mask_index=None) -> np.ndarray | None:
     """0/1 keep-mask of shape [batch, length, 1], or None for no masking.
 
-    `last_point` hides one timestamp per row: `mask_index` is one integer for
-    every row, a [batch] integer array with one index per row, or None for
-    the last timestamp."""
+    `last_point` hides the same timestamp in every row: `mask_index`, one
+    integer, or None for the last timestamp."""
     if mask_mode == "none":
         return None
     if mask_mode == "binomial":
@@ -74,15 +78,36 @@ def build_mask(mask_mode: str, batch: int, length: int, rng=None, mask_index=Non
         idx = np.asarray(length - 1 if mask_index is None else mask_index)
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"mask_index must be integer, got {idx.dtype}")
-        if idx.ndim not in (0, 1) or (idx.ndim == 1 and idx.shape != (batch,)):
-            raise ValueError(f"mask_index must be a scalar or of shape ({batch},), got {idx.shape}")
-        bad = np.flatnonzero((idx < 0) | (idx >= length))
-        if bad.size:
-            raise ValueError(f"mask_index {idx.flat[bad[0]]} out of range for length {length}")
+        if idx.ndim != 0:
+            raise ValueError(f"mask_index must be one integer, got an array of shape {idx.shape}")
+        if not 0 <= idx < length:
+            raise ValueError(f"mask_index {idx} out of range for length {length}")
         mask = np.ones((batch, length, 1))
-        mask[np.arange(batch), idx, 0] = 0.0
+        mask[:, idx, 0] = 0.0
         return mask
     raise ValueError(f"unknown mask mode: {mask_mode!r}")
+
+
+def project(model: EncoderModel, x) -> Tensor:
+    """Input projection of [B, L, D] inputs to the [B, L, H] residual stream;
+    raises ValueError unless D is the model's input width."""
+    x = ad.as_tensor(x)
+    if x.ndim != 3 or x.shape[2] != model.config.input_dims:
+        raise ValueError(f"expected input [B, L, {model.config.input_dims}], got {x.shape}")
+    return ad.add(ad.matmul(x, model.params["proj_w"]), model.params["proj_b"])
+
+
+def conv_stage(model: EncoderModel, y, b: int, i: int) -> Tensor:
+    """Convolution `i` (1 or 2) of block `b` on [B, L, H] inputs: the
+    same-length dilated convolution by `block{b}_conv{i}` with dilation 2^b,
+    plus `block{b}_bias{i}`."""
+    p = model.params
+    return ad.add(ad.conv1d_dilated(y, p[f"block{b}_conv{i}"], dilation(b)), p[f"block{b}_bias{i}"])
+
+
+def readout(model: EncoderModel, h) -> Tensor:
+    """Output projection of the [..., H] residual stream to [..., M]."""
+    return ad.add(ad.matmul(h, model.params["out_w"]), model.params["out_b"])
 
 
 def encode(model: EncoderModel, x, mask_mode: str = "none", rng=None, mask_index=None) -> Tensor:
@@ -90,24 +115,17 @@ def encode(model: EncoderModel, x, mask_mode: str = "none", rng=None, mask_index
 
     Unmasked by default.  Masked timestamps are zeroed after the input
     projection, before the conv stack, so context can still fill them in.
+    Block b is gelu -> conv_stage(b, 1) -> gelu -> conv_stage(b, 2), added
+    to its input.
     """
-    cfg = model.config
-    x = ad.as_tensor(x)
-    if x.ndim != 3 or x.shape[2] != cfg.input_dims:
-        raise ValueError(f"expected input [B, L, {cfg.input_dims}], got {x.shape}")
-    p = model.params
-    h = ad.add(ad.matmul(x, p["proj_w"]), p["proj_b"])
-    mask = build_mask(mask_mode, x.shape[0], x.shape[1], rng=rng, mask_index=mask_index)
+    h = project(model, x)
+    mask = build_mask(mask_mode, h.shape[0], h.shape[1], rng=rng, mask_index=mask_index)
     if mask is not None:
         h = ad.mul(h, mask)
-    for b in range(cfg.depth):
-        dilation = 2 ** b
-        y = ad.gelu(h)
-        y = ad.add(ad.conv1d_dilated(y, p[f"block{b}_conv1"], dilation), p[f"block{b}_bias1"])
-        y = ad.gelu(y)
-        y = ad.add(ad.conv1d_dilated(y, p[f"block{b}_conv2"], dilation), p[f"block{b}_bias2"])
-        h = ad.add(h, y)
-    return ad.add(ad.matmul(h, p["out_w"]), p["out_b"])
+    for b in range(model.config.depth):
+        y = conv_stage(model, ad.gelu(h), b, 1)
+        h = ad.add(h, conv_stage(model, ad.gelu(y), b, 2))
+    return readout(model, h)
 
 
 def pool_ladder(r: Tensor, m: int) -> list[Tensor]:

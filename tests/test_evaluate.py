@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tscontrast import autodiff as ad
 from tscontrast import encoder as enc
 from tscontrast import evaluate as ev
 from tscontrast import oracle
@@ -76,12 +77,14 @@ def test_anomaly_scores_spike(rng):
 
 @st.composite
 def _scoring_case(draw):
-    """A random small encoder and series; lengths below the receptive radius
-    R, at one window (2R + 1) and one past it are drawn on purpose."""
+    """A random small encoder and series; lengths 1, R - 1, R and R + 1 (R the
+    receptive radius), at which every cone is cut at both ends of the series,
+    and one window (2R + 1) and one past it are drawn on purpose."""
     depth = draw(st.integers(1, 4))
     radius = 2 * (2 ** depth - 1)
     length = draw(st.one_of(st.integers(0, 150),
-                            st.sampled_from([radius - 1, 2 * radius + 1, 2 * radius + 2])))
+                            st.sampled_from([1, radius - 1, radius, radius + 1,
+                                             2 * radius + 1, 2 * radius + 2])))
     cfg = enc.EncoderConfig(input_dims=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 8)),
                             output_dims=draw(st.integers(1, 4)), depth=depth)
     seed = draw(st.integers(0, 2 ** 16))
@@ -97,6 +100,71 @@ def test_anomaly_scores_match_the_oracle(case):
     assert scores.shape == (series.shape[0],)
     np.testing.assert_allclose(scores, oracle.anomaly_scores(model, series),
                                rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def _far_change(draw):
+    """A random small encoder, a series, a timestamp t and the same series
+    changed only outside [t - R, t + R]."""
+    depth = draw(st.integers(1, 4))
+    radius = 2 * (2 ** depth - 1)
+    cfg = enc.EncoderConfig(input_dims=draw(st.integers(1, 2)), hidden=draw(st.integers(1, 6)),
+                            output_dims=draw(st.integers(1, 3)), depth=depth)
+    length = draw(st.integers(1, 2 * radius + 40))
+    t = draw(st.integers(0, length - 1))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.Generator(np.random.Philox(seed))
+    series = rng.normal(size=(length, cfg.input_dims))
+    changed = series.copy()
+    far = np.abs(np.arange(length) - t) > radius
+    changed[far] = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])),
+                              size=(int(far.sum()), cfg.input_dims))
+    return enc.init_encoder(cfg, seed=seed), series, changed, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(_far_change())
+def test_anomaly_score_ignores_steps_past_the_receptive_radius(case):
+    model, series, changed, t = case
+    np.testing.assert_allclose(ev.anomaly_scores(model, changed)[t],
+                               ev.anomaly_scores(model, series)[t], rtol=1e-12, atol=1e-12)
+
+
+def test_anomaly_scores_do_not_depend_on_the_chunking(rng, monkeypatch):
+    """At depth 3 the widest window is 17 steps, so 1000 rows make chunks of
+    58, 58 and 34 timestamps, and 1 row makes one timestamp a chunk."""
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=6, output_dims=3, depth=3))
+    series = rng.normal(size=(150, 2))
+    default = ev.anomaly_scores(model, series)
+    for rows in (1, 1000):
+        monkeypatch.setattr(ev, "WINDOW_ROWS", rows)
+        assert np.array_equal(ev.anomaly_scores(model, series), default), rows
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_anomaly_scores_convolve_at_most_half_of_full_windows(depth, monkeypatch):
+    """Input steps (B x L) of every conv during one scoring of a 128-step
+    series, against one plain encode plus a full window of min(L, 2R + 1)
+    steps per timestamp."""
+    seen = []
+    conv = ad.conv1d_dilated
+
+    def counting(x, kernel, dilation=1):
+        seen.append(x.shape[0] * x.shape[1])
+        return conv(x, kernel, dilation)
+
+    monkeypatch.setattr(ad, "conv1d_dilated", counting)
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
+    length, radius = 128, 2 * (2 ** depth - 1)
+    ev.anomaly_scores(model, np.zeros((length, 1)))
+    full_windows = 2 * depth * length * (1 + min(length, 2 * radius + 1))
+    assert 0 < sum(seen) <= full_windows / 2, (sum(seen), full_windows)
+
+
+def test_anomaly_scores_check_the_series_width():
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=4, output_dims=2, depth=2))
+    with pytest.raises(ValueError, match=r"expected input \[B, L, 2\]"):
+        ev.anomaly_scores(model, np.zeros((9, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
