@@ -43,9 +43,17 @@ def _as_batch(a, b):
     return a[None], b[None]
 
 
-# Cap on the cells of one skewed DP table: pairwise runs the pairs of a length
-# group in chunks of at most this many cells (2 MB of float64).
+# Cap on the cells of one skewed DP table: pairwise runs its pairs in chunks
+# of at most this many cells (2 MB of float64), padded cells included.
 _CHUNK_CELLS = 1 << 18
+# A chunk of a bucketed metric pads its pairs to its longest lengths, and
+# closes before its padded cells would pass this many times the pairs' own.
+_BUCKET_WASTE = 2
+# The metrics whose pairs are bucketed: each pair's DTW is its own cell of the
+# padded table.  fastdtw keeps exact length pairs, because `_reduce_by_half`
+# keeps an odd last step alone and a padded series would coarsen differently;
+# euc and cos keep their common-prefix groups.
+_BUCKETED = ("dtw", "tam")
 
 
 def _table_cells(ta: int, tb: int) -> int:
@@ -108,10 +116,11 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
     return s
 
 
-def _backtrack(s: np.ndarray, ta: int, tb: int):
+def _backtrack(s: np.ndarray, la, lb):
     """Optimal warping paths of every pair in the skewed table `s` of `_dp`.
 
-    Each walk goes from (ta-1, tb-1) back to (0, 0) along the cheapest
+    `la`/`lb` are the pairs' own lengths, [P] or one int for all, so pair p's
+    walk goes from (la[p]-1, lb[p]-1) back to (0, 0) along the cheapest
     predecessor, the first minimum of (diagonal, vertical, horizontal): ties
     prefer the diagonal step, then the vertical one.  The inf pad keeps a
     walk on row 0 or column 0 on it.  Returns (rows, cols), each
@@ -124,10 +133,12 @@ def _backtrack(s: np.ndarray, ta: int, tb: int):
     # a cell is tracked by its flat index in `s`; a step moves it by `moves`
     moves = np.array([-2 * plane - 1, -plane - 1, -plane])
     origin = 2 * plane + np.arange(p) * width + 1
-    cell = origin + (ta + tb - 2) * plane + ta - 1
+    cell = origin + (la + lb - 2) * plane + la - 1
     walk = [cell]
-    for step in range(ta + tb - 2):
-        if step >= max(ta, tb) - 1 and (cell == origin).all():
+    # pair p's walk takes at least max(la[p], lb[p]) - 1 steps
+    fewest = int(np.max(np.maximum(la, lb))) - 1
+    for step in range(int(np.max(la + lb)) - 2):
+        if step >= fewest and (cell == origin).all():
             break
         best = np.argmin(flat[cell[:, None] + moves], axis=1)
         cell = np.maximum(cell + moves[best], origin)  # a finished walk stays at (0, 0)
@@ -139,6 +150,20 @@ def _backtrack(s: np.ndarray, ta: int, tb: int):
 
 def _full_bounds(ta: int, tb: int):
     return np.zeros(ta, dtype=np.int64), np.full(ta, tb - 1)
+
+
+def _pair_bands(la, lb, ta: int, band) -> tuple[np.ndarray, np.ndarray]:
+    """[P, ta] bounds of each pair's own Sakoe-Chiba band in a table padded to
+    `ta` rows, or [ta] when every pair has the same lengths.  Rows past a
+    pair's length repeat its last row, so lo and hi stay non-decreasing, as
+    `_dp` assumes."""
+    keys = list(zip(la.tolist(), lb.tolist()))
+    bands = {key: tuple(np.pad(x, (0, ta - key[0]), mode="edge")
+                        for x in _band_bounds(*key, band)) for key in set(keys)}
+    if len(bands) == 1:
+        return bands[keys[0]]
+    lo, hi = zip(*(bands[key] for key in keys))
+    return np.stack(lo), np.stack(hi)
 
 
 def _band_bounds(ta: int, tb: int, band) -> tuple[np.ndarray, np.ndarray]:
@@ -191,31 +216,39 @@ def _fastdtw_table(a, b, radius: int) -> np.ndarray:
     return _dp(a, b, *_window_bounds(rows, cols, ta, tb, radius))
 
 
-def _dtw_values(a, b, band=None) -> np.ndarray:
+# The batched metrics below take two [P, T, D] batches and the pairs' own
+# lengths la, lb ([P] each).  A bucketed metric reads pair p's value at its
+# own cell (la[p]-1, lb[p]-1): a DTW cell depends only on the cells above it
+# and to its left, so that cell is the DTW of the pair's unpadded series.
+
+
+def _dtw_values(a, b, la, lb, band=None) -> np.ndarray:
     ta, tb = a.shape[1], b.shape[1]
-    bounds = _full_bounds(ta, tb) if band is None else _band_bounds(ta, tb, band)
-    return _dp(a, b, *bounds)[-1, :, ta]
+    bounds = _full_bounds(ta, tb) if band is None else _pair_bands(la, lb, ta, band)
+    return _dp(a, b, *bounds)[la + lb, np.arange(a.shape[0]), la]
 
 
 def _fastdtw_values(a, b, radius: int) -> np.ndarray:
     return _fastdtw_table(a, b, radius)[-1, :, a.shape[1]]
 
 
-def _tam_values(a, b) -> np.ndarray:
+def _share(count, total) -> np.ndarray:
+    """count / total per pair, 0 where total is 0."""
+    return np.divide(count, total, out=np.zeros(count.shape), where=total > 0)
+
+
+def _tam_values(a, b, la, lb) -> np.ndarray:
     """Advance and delay proportions plus the out-of-phase fraction of the
-    optimal warping path of every pair."""
-    ta, tb = a.shape[1], b.shape[1]
-    if ta == 1 and tb == 1:
-        return np.zeros(a.shape[0])
-    rows, cols = _backtrack(_dp(a, b, *_full_bounds(ta, tb)), ta, tb)
+    optimal warping path of every pair; two single-step series are in phase."""
+    rows, cols = _backtrack(_dp(a, b, *_full_bounds(a.shape[1], b.shape[1])), la, lb)
     di, dj = rows[:-1] - rows[1:], cols[:-1] - cols[1:]
     advance = np.sum((di == 0) & (dj == 1), axis=0)
     delay = np.sum((di == 1) & (dj == 0), axis=0)
     phase = np.sum((di == 1) & (dj == 1), axis=0)
-    p_adv = advance / (tb - 1) if tb > 1 else 0.0
-    p_del = delay / (ta - 1) if ta > 1 else 0.0
-    p_phase = phase / (min(ta, tb) - 1) if min(ta, tb) > 1 else 0.0
-    return p_adv + p_del + (1.0 - p_phase)
+    values = _share(advance, lb - 1) + _share(delay, la - 1) + (
+        1.0 - _share(phase, np.minimum(la, lb) - 1))
+    values[(la == 1) & (lb == 1)] = 0.0
+    return values
 
 
 def _euc_values(a, b) -> np.ndarray:
@@ -235,7 +268,9 @@ def _cos_values(a, b) -> np.ndarray:
 
 def _one_pair(metric: str, a, b, params: dict | None = None) -> float:
     """`metric` of one pair, its params checked as `pairwise` checks them."""
-    return float(_batched(metric, *checked_params(params))(*_as_batch(a, b))[0])
+    fn = _batched(metric, *checked_params(params))
+    a, b = _as_batch(a, b)
+    return float(fn(a, b, np.array([a.shape[1]]), np.array([b.shape[1]]))[0])
 
 
 def dtw(a, b, band: int | None = None) -> float:
@@ -299,49 +334,85 @@ def checked_params(params: dict | None) -> tuple[int, float | None]:
 
 
 def _batched(metric: str, radius: int, band: float | None):
-    """`metric` as a function of two [P, T, D] batches of pairs."""
-    table = {"cos": _cos_values, "euc": _euc_values, "tam": _tam_values,
-             "dtw": lambda a, b: _dtw_values(a, b, band),
-             "fastdtw": lambda a, b: _fastdtw_values(a, b, radius)}
+    """`metric` as a function of two [P, T, D] batches of pairs and the pairs'
+    own [P] lengths."""
+    table = {"cos": lambda a, b, la, lb: _cos_values(a, b),
+             "euc": lambda a, b, la, lb: _euc_values(a, b),
+             "tam": _tam_values,
+             "dtw": lambda a, b, la, lb: _dtw_values(a, b, la, lb, band),
+             "fastdtw": lambda a, b, la, lb: _fastdtw_values(a, b, radius)}
     if metric not in table:
         raise ValueError(f"unknown metric: {metric!r}")
     return table[metric]
 
 
-def _grouped_values(tset: TimeSeriesSet, fn, prefix: bool) -> np.ndarray:
-    """[N, N] raw distances of the pairs i < j, mirrored.  The pairs are grouped
+def _chunks(la: list, lb: list, waste: int):
+    """[start, stop) runs of the sorted pairs with lengths `la`/`lb`.  A run
+    is padded to its longest la and lb; it closes before the pair that would
+    take its padded table cells past `_CHUNK_CELLS` or past `waste` times its
+    pairs' own cells, but always takes at least one pair.  At `waste` 1 every
+    run holds one length pair only."""
+    runs, start, ta, tb, own = [], 0, 0, 0, 0
+    for p, (a, b) in enumerate(zip(la, lb)):
+        cells = _table_cells(a, b)
+        padded = (p + 1 - start) * _table_cells(max(ta, a), max(tb, b))
+        if p > start and (padded > _CHUNK_CELLS or padded > waste * (own + cells)):
+            runs.append((start, p))
+            start, ta, tb, own = p, 0, 0, 0
+        ta, tb, own = max(ta, a), max(tb, b), own + cells
+    runs.append((start, len(la)))
+    return runs
+
+
+def _padded(values: np.ndarray, rows: np.ndarray, lengths: np.ndarray, t: int) -> np.ndarray:
+    """[P, t, D] copy of the first t steps of the given rows, zero past each
+    row's own length, so no padding value enters a cost (inf - inf would)."""
+    out = values[rows, :t]
+    out[np.arange(t) >= lengths[:, None]] = 0.0
+    return out
+
+
+def _grouped_values(tset: TimeSeriesSet, fn, prefix: bool, bucket: bool) -> np.ndarray:
+    """[N, N] raw distances of the pairs i < j, mirrored.  The pairs are sorted
     by (len_i, len_j), or by min(len_i, len_j) for a metric that reads only the
-    common `prefix`, and each group runs in chunks of at most `_CHUNK_CELLS`
-    table cells."""
+    common `prefix`, and run in chunks of at most `_CHUNK_CELLS` table cells,
+    padded cells included.  A chunk holds one length pair, or for a `bucket`
+    metric a length bucket: pairs of nearby lengths padded to the chunk's
+    longest, as long as its padded cells stay within `_BUCKET_WASTE` times the
+    pairs' own.  Equal lengths make the same chunks either way."""
     n, lengths = tset.n, tset.lengths
     values = np.zeros((n, n))
     first, second = np.triu_indices(n, k=1)
     la, lb = lengths[first], lengths[second]
     if prefix:
         la = lb = np.minimum(la, lb)
-    keys = la * (tset.t_max + 1) + lb
-    order = np.argsort(keys, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        ta, tb = int(la[group[0]]), int(lb[group[0]])
-        size = max(1, _CHUNK_CELLS // _table_cells(ta, tb))
-        for c in range(0, group.size, size):
-            i, j = first[group[c:c + size]], second[group[c:c + size]]
-            values[i, j] = values[j, i] = fn(tset.values[i, :ta], tset.values[j, :tb])
+    order = np.lexsort((lb, la))
+    la, lb, first, second = la[order], lb[order], first[order], second[order]
+    for start, stop in _chunks(la.tolist(), lb.tolist(), _BUCKET_WASTE if bucket else 1):
+        i, j, pa, pb = (x[start:stop] for x in (first, second, la, lb))
+        ta, tb = int(pa.max()), int(pb.max())
+        values[i, j] = values[j, i] = fn(_padded(tset.values, i, pa, ta),
+                                          _padded(tset.values, j, pb, tb), pa, pb)
     return values
 
 
 def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> DistanceMatrix:
     """Upper-triangle pairwise distances on unpadded series, mirrored, then
-    min-max normalized over the off-diagonal entries.  `params` may hold
-    `radius` (fastdtw; an int >= 1, default 1) and `band` (dtw; None or a
-    number >= 0); any other key is rejected.  Raises ValueError naming the
+    min-max normalized over the off-diagonal entries.  Pairs run in chunks of
+    at most 2 MB of DP table, padded cells included: `dtw` and `tam` by length
+    bucket (nearby lengths share a table padded to the longest, each pair read
+    at its own cell), `fastdtw` by exact length pair and `euc`/`cos` by common
+    prefix (see `_grouped_values`); the padding of `tset` is never read.
+    `params` may hold `radius` (fastdtw; an int >= 1, default 1) and `band`
+    (dtw; None or a number >= 0); any other key is rejected.  Raises ValueError naming the
     first pair whose distance is not finite: a `band` that admits no warping
     path, or a zero-norm common prefix under `cos`."""
     fn = _batched(metric, *checked_params(params))
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
     n = tset.n
-    values = _grouped_values(tset, fn, prefix=metric in ("cos", "euc"))
+    values = _grouped_values(tset, fn, prefix=metric in ("cos", "euc"),
+                             bucket=metric in _BUCKETED)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0].tolist()

@@ -175,9 +175,10 @@ def test_pairwise_normalized(metric):
     np.testing.assert_allclose(m.values, m.values.T)
 
 
-def _ragged_set(series):
+def _ragged_set(series, fill=0.0):
+    """The series padded to one array with `fill`, which no distance may read."""
     t_max = max(len(s) for s in series)
-    values = np.zeros((len(series), t_max, series[0].shape[1]))
+    values = np.full((len(series), t_max, series[0].shape[1]), fill)
     for i, s in enumerate(series):
         values[i, : len(s)] = s
     return ds.TimeSeriesSet(values=values, lengths=[len(s) for s in series])
@@ -202,11 +203,15 @@ _RAGGED_SETS = st.integers(1, 2).flatmap(lambda d: st.lists(
         lambda t: arrays(np.float64, (t, d), elements=st.floats(-10, 10))),
     min_size=3, max_size=5))
 
+# padding values that fail a test if they reach a cost: the suite turns the
+# warnings of inf - inf and of squaring 1e300 into errors
+_FILLS = st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e300])
+
 
 @settings(max_examples=30, deadline=None)
-@given(series=_RAGGED_SETS, band=st.integers(0, 6))
-def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band):
-    tset = _ragged_set(series)
+@given(series=_RAGGED_SETS, band=st.integers(0, 6), fill=_FILLS)
+def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band, fill):
+    tset = _ragged_set(series, fill)
     cases = (("dtw", None, oracle.dp_dtw),
              ("dtw", {"band": band}, lambda a, b: oracle.dp_dtw(a, b, band=band)),
              ("tam", None, _oracle_tam))
@@ -232,9 +237,9 @@ def _ragged_nonzero_sets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(series=_ragged_nonzero_sets())
-def test_euc_and_cos_match_scalar_oracles_on_ragged_sets(series):
-    tset = _ragged_set(series)
+@given(series=_ragged_nonzero_sets(), fill=_FILLS)
+def test_euc_and_cos_match_scalar_oracles_on_ragged_sets(series, fill):
+    tset = _ragged_set(series, fill)
     n = tset.n
     for metric, fn, expected in (("euc", dist.euclidean, oracle.euclidean_prefix),
                                  ("cos", dist.cosine_dist, oracle.cosine_prefix)):
@@ -285,17 +290,101 @@ def test_pairwise_cos_names_zero_norm_series():
         dist.pairwise(tset, "cos")
 
 
-@pytest.mark.parametrize("pairs_per_chunk", [1, 2])
-def test_pairwise_chunking_keeps_values(monkeypatch, pairs_per_chunk):
+@pytest.mark.parametrize("tables", [0, 1, 2])
+def test_pairwise_chunking_keeps_values(monkeypatch, tables):
     rng = np.random.default_rng(4)
     lengths = [9, 9, 9, 9, 9, 12, 12, 12, 5]
     tset = _ragged_set([rng.normal(size=(t, 2)) for t in lengths])
     methods = (("dtw", None), ("dtw", {"band": 2}), ("fastdtw", {"radius": 1}), ("tam", None))
     whole = [dist.pairwise(tset, m, p).values for m, p in methods]
-    # the (9, 9) group has 10 pairs, so it now spans 10 or 5 chunks
-    monkeypatch.setattr(dist, "_CHUNK_CELLS", pairs_per_chunk * dist._table_cells(9, 9))
+    # At the default cap the 36 pairs fit in a few chunks: dtw and tam pad
+    # pairs of nearby lengths to one length bucket, fastdtw keeps one length
+    # pair per chunk.  A cap of one (9, 9) table puts each of the 10 (9, 9)
+    # pairs in a chunk of its own, a cap of two at most two in one; a cap of 0
+    # is below every table, so each chunk takes the one pair it must.
+    monkeypatch.setattr(dist, "_CHUNK_CELLS", tables * dist._table_cells(9, 9))
     for (metric, params), before in zip(methods, whole):
         assert np.array_equal(dist.pairwise(tset, metric, params).values, before)
+
+
+def _dp_calls(monkeypatch, tset, metric, params=None):
+    """(a.shape, b.shape, lo.shape, hi.shape) of each `_dp` call of one `pairwise`."""
+    calls, dp = [], dist._dp
+
+    def spy(a, b, lo, hi):
+        calls.append((a.shape, b.shape, np.shape(lo), np.shape(hi)))
+        return dp(a, b, lo, hi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dist, "_dp", spy)
+        dist.pairwise(tset, metric, params)
+    return calls
+
+
+def _own_cells(lengths):
+    return sum(dist._table_cells(int(a), int(b))
+               for i, a in enumerate(lengths) for b in lengths[i + 1:])
+
+
+_BUCKETED_METHODS = [("dtw", None), ("dtw", {"band": 8}), ("tam", None)]
+
+
+@pytest.mark.parametrize("metric, params", _BUCKETED_METHODS)
+def test_equal_lengths_keep_the_chunks_of_exact_grouping(monkeypatch, metric, params):
+    # 60 series of 64 steps, as the desk corpus: 1770 pairs of one length
+    # pair, so 31 per chunk under the cap, one band for all, and no padding
+    tset = ds.TimeSeriesSet(values=np.random.default_rng(7).normal(size=(60, 64, 1)),
+                            lengths=[64] * 60)
+    per_chunk = dist._CHUNK_CELLS // dist._table_cells(64, 64)
+    sizes = [per_chunk] * (1770 // per_chunk) + [1770 % per_chunk]
+    assert _dp_calls(monkeypatch, tset, metric, params) == [
+        ((p, 64, 1), (p, 64, 1), (64,), (64,)) for p in sizes]
+
+
+@pytest.mark.parametrize("metric, params", _BUCKETED_METHODS)
+def test_length_buckets_pad_at_most_twice_their_own_cells(monkeypatch, metric, params):
+    # one long series among short ones: its pairs must not pad the short ones
+    lengths = [40] * 10 + [1000] + [40] * 10
+    rng = np.random.default_rng(8)
+    tset = _ragged_set([rng.normal(size=(t, 1)) for t in lengths], fill=math.nan)
+    calls = _dp_calls(monkeypatch, tset, metric, params)
+    padded = [a[0] * dist._table_cells(a[1], b[1]) for a, b, _, _ in calls]
+    assert sum(padded) <= 2 * _own_cells(lengths)
+    # a chunk stays under the cap unless it holds one pair
+    assert all(cells <= dist._CHUNK_CELLS or a[0] == 1
+               for cells, (a, *_) in zip(padded, calls))
+
+
+@pytest.mark.parametrize("metric, params", _BUCKETED_METHODS)
+def test_ragged_pairs_share_tables(monkeypatch, metric, params):
+    # the ragged-ucr slice: 28 pairs of 22 distinct length pairs
+    lengths = [40, 67, 93, 120, 147, 40, 67, 93]
+    assert len({(a, b) for i, a in enumerate(lengths) for b in lengths[i + 1:]}) == 22
+    rng = np.random.default_rng(9)
+    tset = _ragged_set([rng.normal(size=(t, 1)) for t in lengths])
+    assert len(_dp_calls(monkeypatch, tset, metric, params)) < 22
+
+
+_TIED_SETS = st.lists(st.integers(1, 30).flatmap(
+    lambda t: arrays(np.float64, (t, 1), elements=st.integers(-2, 2).map(float))),
+    min_size=3, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series=_TIED_SETS, fill=_FILLS)
+# two single-step series are in phase, also in a bucket with longer pairs
+@example(series=[np.ones((1, 1)), np.zeros((1, 1)), np.ones((2, 1)), np.zeros((2, 1))],
+         fill=math.nan)
+def test_ragged_tam_breaks_ties_as_the_oracle(series, fill):
+    # integer values make equal predecessors, so each pair's walk must start
+    # at its own last cell of the bucket's table and break ties as the oracle
+    tset = _ragged_set(series, fill)
+    n = tset.n
+    raw = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            raw[i, j] = raw[j, i] = _oracle_tam(series[i], series[j])
+    assert dist.pairwise(tset, "tam").values.tobytes() == _normalized(raw).tobytes()
 
 
 def test_dtw_path_matches_scalar_oracle_on_long_series(rng):
