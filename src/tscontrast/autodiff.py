@@ -83,8 +83,8 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
@@ -96,8 +96,8 @@ def matmul(a, b) -> Tensor:
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        _accumulate(a, _unbroadcast(ga, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(gb, b.data.shape), owned=True)
 
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
@@ -109,8 +109,15 @@ def gelu(a) -> Tensor:
     out_data = a.data * phi
 
     def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data ** 2)
-        _accumulate(a, g * (phi + a.data * pdf))
+        # g * (phi + a * pdf(a)) in one buffer, in that order of operations
+        buf = np.square(a.data, out=np.empty_like(a.data))
+        buf *= -0.5
+        np.exp(buf, out=buf)
+        buf *= _INV_SQRT_2PI
+        buf *= a.data
+        buf += phi
+        buf *= g
+        _accumulate(a, buf, owned=True)
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 
@@ -121,9 +128,9 @@ def tsum(a, axis=None) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            _accumulate(a, np.full_like(a.data, g))
+            _accumulate(a, np.full_like(a.data, g), owned=True)
         else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(), owned=True)
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 
@@ -231,8 +238,8 @@ def conv1d_dilated(x, kernel, dilation=1) -> Tensor:
                 continue
             gx[:, lo + off:hi + off, :] += g[:, lo:hi, :] @ kernel.data[j].T
             gk[j] += x.data[:, lo + off:hi + off].reshape(-1, Cin).T @ g[:, lo:hi].reshape(-1, Cout)
-        _accumulate(x, gx)
-        _accumulate(kernel, gk)
+        _accumulate(x, gx, owned=True)
+        _accumulate(kernel, gk, owned=True)
 
     return Tensor(out_data, parents=(x, kernel), backward=bwd)
 

@@ -43,14 +43,20 @@ def dilation(b: int) -> int:
     return 2 ** b
 
 
+def _stage_names(b: int, i: int) -> tuple[str, str]:
+    """Parameter names of the kernel and bias of convolution `i` of block `b`."""
+    return f"block{b}_conv{i}", f"block{b}_bias{i}"
+
+
 def param_shapes(cfg: EncoderConfig) -> dict:
     """name -> (shape, fan_in) of every weight, in initialization order."""
     k, h = KERNEL_SIZE, cfg.hidden
     shapes = {"proj_w": ((cfg.input_dims, h), cfg.input_dims), "proj_b": ((h,), cfg.input_dims)}
     for b in range(cfg.depth):
         for i in (1, 2):
-            shapes[f"block{b}_conv{i}"] = ((k, h, h), k * h)
-            shapes[f"block{b}_bias{i}"] = ((h,), k * h)
+            kernel, bias = _stage_names(b, i)
+            shapes[kernel] = ((k, h, h), k * h)
+            shapes[bias] = ((h,), k * h)
     shapes["out_w"] = ((h, cfg.output_dims), h)
     shapes["out_b"] = ((cfg.output_dims,), h)
     return shapes
@@ -97,12 +103,18 @@ def project(model: EncoderModel, x) -> Tensor:
     return ad.add(ad.matmul(x, model.params["proj_w"]), model.params["proj_b"])
 
 
+def stage_weights(model: EncoderModel, b: int, i: int) -> tuple[Tensor, Tensor, int]:
+    """(kernel [K, H, H], bias [H], dilation) of convolution `i` (1 or 2) of
+    block `b`."""
+    kernel, bias = _stage_names(b, i)
+    return model.params[kernel], model.params[bias], dilation(b)
+
+
 def conv_stage(model: EncoderModel, y, b: int, i: int) -> Tensor:
     """Convolution `i` (1 or 2) of block `b` on [B, L, H] inputs: the
-    same-length dilated convolution by `block{b}_conv{i}` with dilation 2^b,
-    plus `block{b}_bias{i}`."""
-    p = model.params
-    return ad.add(ad.conv1d_dilated(y, p[f"block{b}_conv{i}"], dilation(b)), p[f"block{b}_bias{i}"])
+    same-length dilated convolution by its kernel, plus its bias."""
+    kernel, bias, d = stage_weights(model, b, i)
+    return ad.add(ad.conv1d_dilated(y, kernel, d), bias)
 
 
 def readout(model: EncoderModel, h) -> Tensor:

@@ -7,6 +7,7 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from . import encoder as enc
@@ -82,16 +83,21 @@ def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 
 WINDOW_ROWS = 8192
 
 
-def _plain_pass(model: enc.EncoderModel, series: np.ndarray):
+def _plain_pass(model: enc.EncoderModel, series: np.ndarray, pad: int):
     """One unmasked pass over an [L, D] series: per block b, its input h_b,
-    gelu(h_b) and gelu(y1_b) (y1_b the block's first conv stage) as [L, H]
-    arrays, and the [L, M] output."""
+    gelu(h_b) and gelu(y1_b) (y1_b the block's first conv stage) as
+    [L + 2 pad, H] arrays with `pad` zero rows at each end, and the [L, M]
+    output."""
+    length = series.shape[0]
     h = enc.project(model, series[None])
     stream = []
     for b in range(model.config.depth):
         gelu_h = ad.gelu(h)
         gelu_y1 = ad.gelu(enc.conv_stage(model, gelu_h, b, 1))
-        stream.append((h.data[0], gelu_h.data[0], gelu_y1.data[0]))
+        padded = np.zeros((3, length + 2 * pad, model.config.hidden))
+        for rows, a in zip(padded, (h, gelu_h, gelu_y1)):
+            rows[pad:pad + length] = a.data[0]
+        stream.append(padded)
         h = ad.add(h, enc.conv_stage(model, gelu_y1, b, 2))
     return stream, enc.readout(model, h).data[0]
 
@@ -105,18 +111,46 @@ def _cone_widths(reaches: list[int]) -> list[int]:
     return [min(r, total - r) for r in accumulate(reaches)]
 
 
-def _window(plain: np.ndarray, ts: np.ndarray, half: int, centre: np.ndarray) -> np.ndarray:
-    """[n, 2 half + 1, H]: the rows of `plain` ([L, H]) at offsets -half..half
-    around each t of `ts`, with `centre` ([n, 2c + 1, H], also centred on t)
-    over the middle ones and 0 outside [0, L)."""
-    length = plain.shape[0]
-    idx = ts[:, None] + np.arange(-half, half + 1)
-    win = plain[np.clip(idx, 0, length - 1)]
+def _window(padded: np.ndarray, pad: int, lo: int, n: int, half: int,
+            centre: np.ndarray) -> np.ndarray:
+    """[n, 2 half + 1, H]: the rows of a plain-pass array at offsets
+    -half..half around each t of lo..lo + n - 1, read from `padded` (the
+    [L, H] rows with `pad` >= half zero rows at each end), with `centre`
+    ([n, 2c + 1, H], also centred on t) over the middle ones; every position
+    outside [0, L) is 0."""
+    length = padded.shape[0] - 2 * pad
+    start = lo + pad - half
+    win = sliding_window_view(padded, 2 * half + 1, axis=0)[start:start + n].transpose(0, 2, 1).copy()
     c = centre.shape[1] // 2
     k = min(c, half)
-    win[:, half - k:half + k + 1] = centre[:, c - k:c + k + 1]
-    win[(idx < 0) | (idx >= length)] = 0.0
+    middle = win[:, half - k:half + k + 1]
+    middle[...] = centre[:, c - k:c + k + 1]
+    # the centre of t spans t - k..t + k: zero what lies before 0 for t < k
+    # and past L - 1 for t > L - 1 - k, in chunks that reach an end
+    for i in range(min(n, k - lo)):
+        middle[i, :k - lo - i] = 0.0
+    for i in range(max(0, length - k - lo), n):
+        middle[i, length - lo - i + k:] = 0.0
     return win
+
+
+def cone_stage(model: enc.EncoderModel, windows: np.ndarray, b: int, i: int) -> np.ndarray:
+    """Convolution `i` of block `b` over [n, W, H] windows, forward only:
+    the [n, W - 2d, H] outputs (d its dilation) whose taps all lie inside
+    their window.  Each tap is one GEMM over all n W window rows; the kept
+    rows are added in tap order and then the bias, so every output has the
+    bits of `encoder.conv_stage` at an interior position."""
+    kernel, bias, dil = enc.stage_weights(model, b, i)
+    n, width, hidden = windows.shape
+    keep = width - (enc.KERNEL_SIZE - 1) * dil
+    rows = windows.reshape(n * width, hidden)
+    out = np.zeros((n, keep, kernel.shape[2]))
+    product = np.empty((n * width, kernel.shape[2]))
+    for j, tap in enumerate(kernel.data):
+        np.matmul(rows, tap, out=product)
+        out += product.reshape(n, width, -1)[:, j * dil:j * dil + keep]
+    out += bias.data
+    return out
 
 
 def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
@@ -127,18 +161,19 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     widens the changed span by its reach d = (KERNEL_SIZE // 2) * 2^b on each
     side; of a stage's outputs, only those within q steps of t, q the reach
     of the stages after it, can still move the output at t.  So one plain
-    pass keeps h_b, gelu(h_b) and gelu(y1_b) of every block b, and then, for
-    a chunk of timestamps at once, each stage recomputes only its outputs
-    within w = min(r, q) of t, r its reach plus that of the stages before it
-    (half-widths 1, 2, 4, 6, 4, 0 at depth 3): a same-length `conv_stage`
-    over the [n, 2(w + d) + 1, H] window around t (recomputed values in the
-    middle, the plain pass's around them, 0 outside [0, L)), of which the
-    middle 2w + 1 outputs are kept, plus the residual over the same offsets.
-    The output projection reads the stream at t alone.  A series costs one
-    plain pass plus sum(2w + 1) positions per timestamp, 40 at depth 3 and
-    98 at depth 4, against 2R + 1 per stage (174 and 488) for a masked
-    encode of its receptive-field window.  The scores equal those of one
-    full masked encode per timestamp (`oracle.anomaly_scores`).
+    pass keeps h_b, gelu(h_b) and gelu(y1_b) of every block b, zero-padded
+    once by the widest window's half-width, and then, for a chunk of
+    timestamps at once, each stage computes only its outputs within
+    w = min(r, q) of t, r its reach plus that of the stages before it
+    (half-widths 1, 2, 4, 6, 4, 0 at depth 3): `cone_stage` over the
+    [n, 2(w + d) + 1, H] window around t (recomputed values in the middle,
+    the plain pass's rows around them, 0 outside [0, L)), then the residual
+    over the same offsets.  The output projection reads the stream at t
+    alone.  A series costs one plain pass plus sum(2w + 1) positions per
+    timestamp, 40 at depth 3 and 98 at depth 4, against 2R + 1 per stage
+    (174 and 488) for a masked encode of its receptive-field window.  The
+    scores equal those of one full masked encode per timestamp
+    (`oracle.anomaly_scores`).
 
     Raises ValueError naming the first timestamp with a non-finite value,
     and the encoder's ValueError for a series of the wrong width.
@@ -154,23 +189,23 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     length = series.shape[0]
     if length == 0:
         return np.empty(0)
-    stream, full = _plain_pass(model, series)
     depth = model.config.depth
     reaches = [(enc.KERNEL_SIZE // 2) * enc.dilation(b) for b in range(depth)]
     widths = _cone_widths([d for d in reaches for _ in (1, 2)])
-    widest = max(2 * (w + reaches[s // 2]) + 1 for s, w in enumerate(widths))
-    per_chunk = max(1, WINDOW_ROWS // widest)
+    pad = max(w + reaches[s // 2] for s, w in enumerate(widths))
+    stream, full = _plain_pass(model, series, pad)
+    per_chunk = max(1, WINDOW_ROWS // (2 * pad + 1))
     at_t = np.empty((length, model.config.hidden))  # the masked residual stream at t
     for lo in range(0, length, per_chunk):
-        ts = np.arange(lo, min(lo + per_chunk, length))
-        h = np.zeros((ts.size, 1, model.config.hidden))  # masked projection at t
+        n = min(per_chunk, length - lo)
+        h = np.zeros((n, 1, model.config.hidden))  # masked projection at t
         for b, (h_b, gelu_h, gelu_y1) in enumerate(stream):
             d, w1, w2 = reaches[b], widths[2 * b], widths[2 * b + 1]
-            y = enc.conv_stage(model, _window(gelu_h, ts, w1 + d, ad.gelu(h).data), b, 1)
-            y = y.data[:, d:d + 2 * w1 + 1]
-            y = enc.conv_stage(model, _window(gelu_y1, ts, w2 + d, ad.gelu(y).data), b, 2)
-            h = ad.add(_window(h_b, ts, w2, h), y.data[:, d:d + 2 * w2 + 1]).data
-        at_t[ts] = h[:, 0]  # the last stage's width is 0
+            y = cone_stage(model, _window(gelu_h, pad, lo, n, w1 + d, ad.gelu(h).data), b, 1)
+            y = cone_stage(model, _window(gelu_y1, pad, lo, n, w2 + d, ad.gelu(y).data), b, 2)
+            h = _window(h_b, pad, lo, n, w2, h)
+            h += y
+        at_t[lo:lo + n] = h[:, 0]  # the last stage's width is 0
     # one projection of all L rows, so a row's arithmetic is the plain pass's
     # whatever the chunk size
     masked = enc.readout(model, at_t).data

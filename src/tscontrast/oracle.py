@@ -228,6 +228,22 @@ def extend_weights(w) -> np.ndarray:
     return out
 
 
+def pool_ladder_lengths(length: int, m: int) -> list[int]:
+    """Time lengths of the levels of the max-pooling ladder by a scalar loop:
+    level 0 has `length` steps, each next level one step per window of m
+    (a short last window still makes a step), and the ladder ends at the last
+    level of at least 2 steps (a level of 1 step stands alone)."""
+    lengths = [length]
+    while lengths[-1] >= 2:
+        steps = 0
+        for _ in range(0, lengths[-1], m):
+            steps += 1
+        if steps < 2:
+            break
+        lengths.append(steps)
+    return lengths
+
+
 def infonce_instance(reps) -> float:
     """Textbook InfoNCE over stacked views: cross-view positives only."""
     reps = np.asarray(reps, dtype=np.float64)

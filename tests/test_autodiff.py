@@ -173,3 +173,45 @@ def test_first_grad_is_a_copy_not_an_alias(rng):
     np.testing.assert_array_equal(r.grad, w)
     assert x.grad.tobytes() == snapshot.tobytes()
     assert first.tobytes() == snapshot.tobytes()  # the second run wrote a new array
+
+
+# op -> (forward on the inputs, input shapes); each backward hands its inputs
+# fresh adjoints that the first consumer's grad keeps and the second adds into
+_FRESH_ADJOINT_OPS = {
+    "gelu": (ad.gelu, [(3, 5)]),
+    "conv1d_dilated": (lambda x, k: ad.conv1d_dilated(x, k, 2), [(2, 7, 3), (3, 3, 4)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "mul": (ad.mul, [(3, 4), (4,)]),
+    "tsum": (lambda x: ad.tsum(x, axis=1), [(3, 4, 2)]),
+    "tsum_all": (lambda x: ad.reshape(ad.tsum(x), (1,)), [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_FRESH_ADJOINT_OPS))
+def test_two_consumers_get_the_same_grads_on_every_backward(op, rng):
+    """Every input feeds two applications of the op.  Two backwards separated
+    by zero_grads give bit-identical grads, leave the first run's grads and
+    the inputs as they were, and match one consumer weighted by the sum."""
+    forward, shapes = _FRESH_ADJOINT_OPS[op]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    inputs = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out_shape = forward(*[ad.Tensor(a) for a in arrays]).shape
+    w1, w2 = rng.normal(size=(2,) + out_shape)
+
+    def run(weights):
+        terms = [ad.tsum(ad.mul(forward(*inputs), w)) for w in weights]
+        ad.backward(terms[0] if len(terms) == 1 else ad.add(*terms))
+        return [t.grad for t in inputs]
+
+    first = run([w1, w2])
+    snapshot = [g.copy() for g in first]
+    ad.zero_grads(inputs)
+    second = run([w1, w2])
+    for g1, g2, kept in zip(first, second, snapshot):
+        assert g2.tobytes() == kept.tobytes()
+        assert g1.tobytes() == kept.tobytes()  # the second run wrote new arrays
+    for t, a in zip(inputs, arrays):
+        assert t.data.tobytes() == a.tobytes()
+    ad.zero_grads(inputs)
+    for got, want in zip(snapshot, run([w1 + w2])):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -1,4 +1,6 @@
-"""The fast demos run clean; 03 and 04 train models and are left to be run by hand."""
+"""The demos that run in seconds run clean under -W error: 01 and 02, and 04,
+which trains a small model for 100 steps and must find its planted
+spike.  03 trains longer and is left to be run by hand."""
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo,expected", [
     ("01_distances.py", "cache round-trip bit-exact: True"),
     ("02_soft_assignments.py", ""),
+    ("04_anomaly.py", "score argmax at 40"),
 ])
 def test_fast_demo_runs_without_warnings(tmp_path, demo, expected):
     env = dict(os.environ)

@@ -79,8 +79,9 @@ def test_anomaly_scores_spike(rng):
 def _scoring_case(draw):
     """A random small encoder and series; lengths 1, R - 1, R and R + 1 (R the
     receptive radius), at which every cone is cut at both ends of the series,
-    and one window (2R + 1) and one past it are drawn on purpose."""
-    depth = draw(st.integers(1, 4))
+    and one window (2R + 1) and one past it are drawn on purpose.  From depth
+    5 (R = 62) on, the zero-padded windows are wider than most series."""
+    depth = draw(st.integers(1, 6))
     radius = 2 * (2 ** depth - 1)
     length = draw(st.one_of(st.integers(0, 150),
                             st.sampled_from([1, radius - 1, radius, radius + 1,
@@ -141,24 +142,70 @@ def test_anomaly_scores_do_not_depend_on_the_chunking(rng, monkeypatch):
         assert np.array_equal(ev.anomaly_scores(model, series), default), rows
 
 
-@pytest.mark.parametrize("depth", [3, 4])
-def test_anomaly_scores_convolve_at_most_half_of_full_windows(depth, monkeypatch):
-    """Input steps (B x L) of every conv during one scoring of a 128-step
-    series, against one plain encode plus a full window of min(L, 2R + 1)
-    steps per timestamp."""
-    seen = []
-    conv = ad.conv1d_dilated
+def _spy_on_the_cone(monkeypatch):
+    """Record the [B, L] of every same-length conv and the [n, W] -> [n, K]
+    (window -> kept) shape of every cone stage."""
+    plain, cone = [], []
+    conv, stage = ad.conv1d_dilated, ev.cone_stage
 
-    def counting(x, kernel, dilation=1):
-        seen.append(x.shape[0] * x.shape[1])
+    def counting_conv(x, kernel, dilation=1):
+        plain.append(x.shape[:2])
         return conv(x, kernel, dilation)
 
-    monkeypatch.setattr(ad, "conv1d_dilated", counting)
+    def counting_stage(model, windows, b, i):
+        out = stage(model, windows, b, i)
+        cone.append((windows.shape[:2], out.shape[:2]))
+        return out
+
+    monkeypatch.setattr(ad, "conv1d_dilated", counting_conv)
+    monkeypatch.setattr(ev, "cone_stage", counting_stage)
+    return plain, cone
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_anomaly_scores_convolve_at_most_half_of_full_windows(depth, monkeypatch):
+    """Conv output positions computed during one scoring of a 128-step
+    series (the plain pass's plus the cone's), against one plain encode plus
+    a full window of min(L, 2R + 1) steps per timestamp."""
+    plain, cone = _spy_on_the_cone(monkeypatch)
     model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
     length, radius = 128, 2 * (2 ** depth - 1)
     ev.anomaly_scores(model, np.zeros((length, 1)))
+    computed = sum(b * steps for b, steps in plain) + sum(n * kept for _, (n, kept) in cone)
     full_windows = 2 * depth * length * (1 + min(length, 2 * radius + 1))
-    assert 0 < sum(seen) <= full_windows / 2, (sum(seen), full_windows)
+    assert 0 < computed <= full_windows / 2, (computed, full_windows)
+
+
+@pytest.mark.parametrize("depth, kept", [(3, 40), (4, 98)])
+def test_anomaly_cone_computes_only_the_kept_positions(depth, kept, monkeypatch):
+    """Per timestamp the cone computes sum(2w + 1) conv outputs, w = min(r, q)
+    per stage, from windows only the stage's taps (d steps at each end) wider
+    than that; the only same-length convs are the plain pass's, one per
+    stage."""
+    plain, cone = _spy_on_the_cone(monkeypatch)
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
+    length = 128
+    ev.anomaly_scores(model, np.zeros((length, 1)))
+    assert plain == [(1, length)] * (2 * depth)
+    assert len(cone) == 2 * depth
+    assert sum(n * k for _, (n, k) in cone) == kept * length
+    for s, ((n, width), (n_out, k)) in enumerate(cone):
+        assert n == n_out == length
+        assert width - k == 2 * enc.dilation(s // 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), half=st.integers(0, 9), hidden=st.integers(1, 8),
+       b=st.integers(0, 2), i=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
+def test_cone_stage_equals_conv_stage_inside_the_window(n, half, hidden, b, i, seed):
+    """Bit for bit, the outputs of `conv_stage` whose taps all lie inside the
+    window, including windows of one kept output."""
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=hidden, output_dims=1, depth=3),
+                             seed=seed)
+    d = enc.dilation(b)
+    windows = np.random.default_rng(seed).normal(size=(n, 2 * (half + d) + 1, hidden))
+    full = enc.conv_stage(model, windows, b, i).data
+    assert ev.cone_stage(model, windows, b, i).tobytes() == full[:, d:d + 2 * half + 1].tobytes()
 
 
 def test_anomaly_scores_check_the_series_width():

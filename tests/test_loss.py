@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tscontrast import assign as asg
 from tscontrast import autodiff as ad
+from tscontrast import encoder as enc
 from tscontrast import loss as losses
 from tscontrast import oracle
 from tscontrast.distance import DistanceMatrix
@@ -175,6 +176,25 @@ def test_joint_loss_hard_flag(rng):
     # hard=True zeroes the instance weights; temporal weights differ (also zeroed)
     assert hard_bd.per_level[0][1] == pytest.approx(zero_bd.per_level[0][1])
     assert hard_bd.temporal_term <= zero_bd.temporal_term + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 200), m=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(length=1, m=2, seed=0)  # one level of one step
+@example(length=4, m=4, seed=0)  # pooling would leave one step: one level
+@example(length=5, m=2, seed=0)  # a short last window: 5, 3, 2
+def test_pool_ladder_and_joint_loss_levels_match_the_scalar_ladder(length, m, seed):
+    """Ceil pooling down to the last level of length >= 2, and the joint loss
+    has an instance and a temporal term at each of those levels."""
+    rng = np.random.default_rng(seed)
+    expected = oracle.pool_ladder_lengths(length, m)
+    ra, rb = rng.normal(size=(2, 2, length, 2))
+    ladder = enc.pool_ladder(ad.Tensor(ra), m)
+    assert [level.shape[1] for level in ladder] == expected
+    tcfg = asg.TemporalAssignConfig(pool_kernel_m=m)
+    _, bd = losses.joint_loss(ra, rb, np.zeros((2, 2)), asg.InstanceAssignConfig(), tcfg)
+    assert [k for k, _, _ in bd.per_level] == list(range(len(expected)))
+    assert all(np.isfinite([li, lt]).all() for _, li, lt in bd.per_level)
 
 
 def test_joint_loss_shape_checks(rng):
