@@ -60,15 +60,35 @@ def _table_cells(ta: int, tb: int) -> int:
     return (ta + tb + 1) * (ta + 1)
 
 
-def _cost_diagonal(a, rb, k: int, i0: int, i1: int) -> np.ndarray:
-    """[P, i1 - i0] step costs of the cells (i, k - i), i0 <= i < i1: the L2
-    norm of the channel difference.  `rb` is b with its steps reversed, so
-    the partners of a[:, i0:i1] are one forward slice of it."""
-    tail = rb.shape[1] - 1 - k
-    diff = a[:, i0:i1] - rb[:, tail + i0:tail + i1]
-    np.square(diff, out=diff)
-    cost = diff[:, :, 0] if diff.shape[2] == 1 else diff.sum(axis=2)
-    return np.sqrt(cost)
+def _runs(lo, hi, ta: int, tb: int) -> tuple[np.ndarray, np.ndarray]:
+    """[P, ta + tb - 1] first and end rows [start, stop) of each pair's run on
+    each anti-diagonal k = i + j, for bounds `lo`/`hi` of shape [P, ta] (P is
+    1 for bounds of shape [ta] or [1, ta]).  Row i meets diagonal k inside
+    its bounds iff lo[i] + i <= k <= hi[i] + i; both sides grow strictly with
+    i, so those rows are one run, and start counts the rows with
+    hi[i] + i < k, stop those with lo[i] + i <= k: one cumulative sum over
+    the diagonals of each side's keys, which are distinct within a pair."""
+    lo, hi = np.atleast_2d(lo, hi)
+    p, diagonals = hi.shape[0], ta + tb - 1
+    rows, pairs = np.arange(ta), np.arange(p)[:, None]
+    hits = np.zeros((2, p, diagonals + 1), dtype=np.int32)
+    hits[0, pairs, hi + rows + 1] = 1
+    # a key past the last diagonal (lo[i] = tb) counts on none
+    hits[1, pairs, np.minimum(lo + rows, diagonals)] = 1
+    start, stop = hits.cumsum(axis=2, dtype=np.int32)[:, :, :diagonals]
+    return start, stop
+
+
+def _outside(start, stop, i0s, i1s, masked) -> np.ndarray:
+    """Flat [diagonal, row, pair] mask of the cells outside their own pair's
+    run: for each diagonal of `masked` in turn, the rows i0..i1 of the union
+    of the runs, so each diagonal's mask is one contiguous block."""
+    widths = (i1s - i0s)[masked]
+    rows = np.arange(widths.sum(), dtype=start.dtype)
+    rows += np.repeat(i0s[masked] + widths - np.cumsum(widths, dtype=start.dtype), widths)
+    rows = rows[:, None]
+    return ((rows < np.repeat(start.T[masked], widths, axis=0))
+            | (rows >= np.repeat(stop.T[masked], widths, axis=0))).reshape(-1)
 
 
 def _dp(a: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
@@ -79,41 +99,61 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
     columns lo[p, i]..hi[p, i] (inclusive; `lo`/`hi` are [ta], [1, ta] or
     [P, ta]) and every other cell stays inf, so the full matrix, a Sakoe-Chiba
     band and a FastDTW window all run through this one loop.  The table is
-    skewed, S[i + j + 2, p, i + 1] = acc[p, i, j]: the cells of one
-    anti-diagonal depend only on the two before it, so each diagonal is two
-    `np.minimum` and one `np.add` over contiguous slices.  Column 0 and
-    diagonals 0-1 are an inf pad except S[0, :, 0] = 0, the predecessor of
-    (0, 0), so every cell is cost + min(up, left, diagonal).
+    skewed with the pair innermost, S[i + j + 2, i + 1, p] = acc[p, i, j]:
+    the cells of one anti-diagonal depend only on the two before it, and on
+    each diagonal the rows i0..i1 of every pair are one contiguous run of the
+    flat table, as are their three predecessors, so each diagonal is two
+    `np.minimum` and one `np.add` over runs addressed by offset.  The step
+    costs of a run come from step-major copies of a and of b reversed
+    ([t, P, D]), where the partners of rows i0..i1 are again one run each.
+    Column 0 and diagonals 0-1 are an inf pad except S[0, 0, :] = 0, the
+    predecessor of (0, 0), so every cell is cost + min(up, left, diagonal).
     """
-    p, ta, _ = a.shape
+    p, ta, d = a.shape
     tb = b.shape[1]
-    lo, hi = np.atleast_2d(lo, hi)
-    rb = np.ascontiguousarray(b[:, ::-1])
-    s = np.full((ta + tb + 1, p, ta + 1), np.inf)
-    s[0, :, 0] = 0.0
-    # Row i meets diagonal k inside its bounds iff lo[i] + i <= k <= hi[i] + i;
-    # both sides grow with i, so those rows are one run [start, stop) per pair
-    # and the loop fills the union of the runs.
-    rows, diagonals = np.arange(ta), np.arange(ta + tb - 1)
-    start = np.array([np.searchsorted(h + rows, diagonals, "left") for h in hi])
-    stop = np.array([np.searchsorted(l + rows, diagonals, "right") for l in lo])
+    width = ta + 1
+    steps_a = np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(-1)
+    steps_rb = np.ascontiguousarray(b[:, ::-1].transpose(1, 0, 2)).reshape(-1)
+    s = np.full((ta + tb + 1, width, p), np.inf)
+    s[0, 0] = 0.0
+    flat = s.reshape(-1)
+    start, stop = _runs(lo, hi, ta, tb)
+    # the loop fills the union [i0, i1) of the pairs' runs on each diagonal
     i0s, i1s = start.min(axis=0), stop.max(axis=0)
     shared = (start.max(axis=0) == i0s) & (stop.min(axis=0) == i1s)
-    if not shared.all():
-        # [P, diagonal, row]: cells outside their own pair's run get cost inf
-        outside = (rows < start[..., None]) | (rows >= stop[..., None])
-    for k, i0, i1, same in zip(range(ta + tb - 1), i0s.tolist(), i1s.tolist(), shared.tolist()):
-        if i0 >= i1:
-            continue
-        cost = _cost_diagonal(a, rb, k, i0, i1)
+    filled = np.flatnonzero(i0s < i1s)
+    outside, at_mask = _outside(start, stop, i0s, i1s, filled[~shared[filled]]), 0
+    diff = np.empty(ta * p * d)
+    for k, i0, i1, same in zip(filled.tolist(), i0s[filled].tolist(), i1s[filled].tolist(),
+                               shared[filled].tolist()):
+        n = (i1 - i0) * p
+        # a's rows i0..i1 and their partners, b's columns k - i0 down to k - i1 + 1
+        ai, bi = i0 * p * d, (tb - 1 - k + i0) * p * d
+        cost = diff[:n * d]
+        np.subtract(steps_a[ai:ai + n * d], steps_rb[bi:bi + n * d], out=cost)
+        np.square(cost, out=cost)
+        if d > 1:
+            # channels added left to right, as the scalar step cost adds them
+            cost = np.cumsum(cost.reshape(n, d), axis=1)[:, -1]
+        np.sqrt(cost, out=cost)
         if not same:
-            np.copyto(cost, np.inf, where=outside[:, k, i0:i1])
-        d = k + 2
-        out = s[d, :, i0 + 1:i1 + 1]
-        np.minimum(s[d - 1, :, i0:i1], s[d - 1, :, i0 + 1:i1 + 1], out=out)
-        np.minimum(out, s[d - 2, :, i0:i1], out=out)
+            np.copyto(cost, np.inf, where=outside[at_mask:at_mask + n])
+            at_mask += n
+        # the run's cells, then those of its up (i - 1, j) and diagonal
+        # (i - 1, j - 1) predecessors; the left ones (i, j - 1) follow up's
+        at = ((k + 2) * width + i0 + 1) * p
+        up, diagonal = at - (width + 1) * p, at - (2 * width + 1) * p
+        out = flat[at:at + n]
+        np.minimum(flat[up:up + n], flat[up + p:up + p + n], out=out)
+        np.minimum(out, flat[diagonal:diagonal + n], out=out)
         np.add(cost, out, out=out)
     return s
+
+
+def _last_cells(s: np.ndarray, la, lb) -> np.ndarray:
+    """[P] values of each pair's own last cell (la[p] - 1, lb[p] - 1) of the
+    `_dp` table `s`; `la`/`lb` are [P] or one int for all."""
+    return s[la + lb, la, np.arange(s.shape[2])]
 
 
 def _backtrack(s: np.ndarray, la, lb):
@@ -123,29 +163,33 @@ def _backtrack(s: np.ndarray, la, lb):
     walk goes from (la[p]-1, lb[p]-1) back to (0, 0) along the cheapest
     predecessor, the first minimum of (diagonal, vertical, horizontal): ties
     prefer the diagonal step, then the vertical one.  The inf pad keeps a
-    walk on row 0 or column 0 on it.  Returns (rows, cols), each
+    walk on row 0 or column 0 on it.  Each walk is a flat index into
+    S[i + j + 2, i + 1, p], so one step of all pairs is one gather of their
+    [3, P] predecessors and one argmin.  Returns (rows, cols), each
     [steps, P] and last cell first; a pair whose path ended earlier repeats
     (0, 0).
     """
-    _, p, width = s.shape
-    plane = p * width
+    _, width, p = s.shape
+    plane = width * p
     flat = s.reshape(-1)
-    # a cell is tracked by its flat index in `s`; a step moves it by `moves`
-    moves = np.array([-2 * plane - 1, -plane - 1, -plane])
-    origin = 2 * plane + np.arange(p) * width + 1
-    cell = origin + (la + lb - 2) * plane + la - 1
+    # a cell is tracked by its flat index ((i + j + 2) * width + i + 1) * P + p
+    # in `s`; a step moves it by `moves`
+    moves = np.array([[-2 * plane - p], [-plane - p], [-plane]])
+    pairs = np.arange(p)
+    origin = (2 * width + 1) * p + pairs
+    cell = ((la + lb) * width + la) * p + pairs
     walk = [cell]
     # pair p's walk takes at least max(la[p], lb[p]) - 1 steps
     fewest = int(np.max(np.maximum(la, lb))) - 1
     for step in range(int(np.max(la + lb)) - 2):
         if step >= fewest and (cell == origin).all():
             break
-        best = np.argmin(flat[cell[:, None] + moves], axis=1)
-        cell = np.maximum(cell + moves[best], origin)  # a finished walk stays at (0, 0)
+        best = flat.take(cell + moves).argmin(axis=0)  # of the [3, P] predecessors
+        cell = np.maximum(cell + moves.take(best), origin)  # a finished walk stays at (0, 0)
         walk.append(cell)
-    at = np.stack(walk) - np.arange(p) * width  # (i + j + 2) * plane + i + 1
+    at = np.stack(walk) // p  # (i + j + 2) * width + i + 1
     rows = at % width - 1
-    return rows, at // plane - 2 - rows
+    return rows, at // width - 2 - rows
 
 
 def _full_bounds(ta: int, tb: int):
@@ -153,28 +197,21 @@ def _full_bounds(ta: int, tb: int):
 
 
 def _pair_bands(la, lb, ta: int, band) -> tuple[np.ndarray, np.ndarray]:
-    """[P, ta] bounds of each pair's own Sakoe-Chiba band in a table padded to
-    `ta` rows, or [ta] when every pair has the same lengths.  Rows past a
-    pair's length repeat its last row, so lo and hi stay non-decreasing, as
-    `_dp` assumes."""
-    keys = list(zip(la.tolist(), lb.tolist()))
-    bands = {key: tuple(np.pad(x, (0, ta - key[0]), mode="edge")
-                        for x in _band_bounds(*key, band)) for key in set(keys)}
-    if len(bands) == 1:
-        return bands[keys[0]]
-    lo, hi = zip(*(bands[key] for key in keys))
-    return np.stack(lo), np.stack(hi)
-
-
-def _band_bounds(ta: int, tb: int, band) -> tuple[np.ndarray, np.ndarray]:
-    """Columns j of row i with |i*tb - j*ta| <= band*max(ta, tb).  The left
-    side is an integer, so flooring the width keeps the bounds exact; widths
-    past ta*tb admit every cell."""
-    width = math.floor(min(band * max(ta, tb), ta * tb))
-    i = np.arange(ta) * tb
-    lo = np.maximum(-((width - i) // ta), 0)
-    hi = np.minimum((i + width) // ta, tb - 1)
-    return lo, hi
+    """[P, ta] bounds of each pair's own Sakoe-Chiba band, the columns j of
+    row i with |i*lb - j*la| <= band*max(la, lb), in a table padded to `ta`
+    rows; [ta] when every pair has the same lengths.  The left side is an
+    integer, so flooring the width keeps the bounds exact; widths past la*lb
+    admit every cell.  Rows past a pair's length repeat its last row, so lo
+    and hi stay non-decreasing, as `_dp` assumes."""
+    if (la == la[0]).all() and (lb == lb[0]).all():
+        la, lb = la[:1], lb[:1]
+    width = np.array([math.floor(min(band * max(a, b), a * b))
+                      for a, b in zip(la.tolist(), lb.tolist())])[:, None]
+    la, lb = la[:, None], lb[:, None]
+    i = np.minimum(np.arange(ta), la - 1) * lb
+    lo = np.maximum(-((width - i) // la), 0)
+    hi = np.minimum((i + width) // la, lb - 1)
+    return (lo[0], hi[0]) if len(lo) == 1 else (lo, hi)
 
 
 def _reduce_by_half(a: np.ndarray) -> np.ndarray:
@@ -225,11 +262,11 @@ def _fastdtw_table(a, b, radius: int) -> np.ndarray:
 def _dtw_values(a, b, la, lb, band=None) -> np.ndarray:
     ta, tb = a.shape[1], b.shape[1]
     bounds = _full_bounds(ta, tb) if band is None else _pair_bands(la, lb, ta, band)
-    return _dp(a, b, *bounds)[la + lb, np.arange(a.shape[0]), la]
+    return _last_cells(_dp(a, b, *bounds), la, lb)
 
 
 def _fastdtw_values(a, b, radius: int) -> np.ndarray:
-    return _fastdtw_table(a, b, radius)[-1, :, a.shape[1]]
+    return _last_cells(_fastdtw_table(a, b, radius), a.shape[1], b.shape[1])
 
 
 def _share(count, total) -> np.ndarray:
@@ -288,7 +325,7 @@ def dtw_path(a, b):
     rows, cols = _backtrack(s, ta, tb)
     steps = int(np.argmax((rows[:, 0] == 0) & (cols[:, 0] == 0))) + 1
     path = list(zip(rows[steps - 1::-1, 0].tolist(), cols[steps - 1::-1, 0].tolist()))
-    return path, float(s[-1, 0, ta])
+    return path, float(_last_cells(s, ta, tb)[0])
 
 
 def fastdtw(a, b, radius: int = 1) -> float:
@@ -402,7 +439,9 @@ def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> Di
     at most 2 MB of DP table, padded cells included: `dtw` and `tam` by length
     bucket (nearby lengths share a table padded to the longest, each pair read
     at its own cell), `fastdtw` by exact length pair and `euc`/`cos` by common
-    prefix (see `_grouped_values`); the padding of `tset` is never read.
+    prefix (see `_grouped_values`); the padding of `tset` is never read.  A
+    chunk's pairs share one `_dp` table with the pair index innermost, so each
+    anti-diagonal of all of them is one contiguous run of it.
     `params` may hold `radius` (fastdtw; an int >= 1, default 1) and `band`
     (dtw; None or a number >= 0); any other key is rejected.  Raises ValueError naming the
     first pair whose distance is not finite: a `band` that admits no warping

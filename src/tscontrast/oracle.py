@@ -68,15 +68,15 @@ def _in_band(i, j, ta, tb, band) -> bool:
     return band is None or abs(i * tb - j * ta) <= band * max(ta, tb)
 
 
-def _dp_table(a, b, band=None):
-    """Row-by-row cumulative-cost table acc[i][j] = cost(i, j) + min of the
-    three predecessors; cells outside the band stay inf."""
-    a, b = _as_rows(a), _as_rows(b)
+def _dp_table(a, b, inside):
+    """Row-by-row cumulative-cost table of the rows `a`, `b`: acc[i][j] =
+    cost(i, j) + min of the three predecessors on the cells where
+    inside(i, j) holds; every other cell stays inf."""
     ta, tb = len(a), len(b)
     acc = [[math.inf] * tb for _ in range(ta)]
     for i in range(ta):
         for j in range(tb):
-            if not _in_band(i, j, ta, tb, band):
+            if not inside(i, j):
                 continue
             if i == 0 and j == 0:
                 prev = 0.0
@@ -88,18 +88,10 @@ def _dp_table(a, b, band=None):
     return acc
 
 
-def dp_dtw(a, b, band=None) -> float:
-    """Textbook O(ta*tb) DTW with scalar loops, for lengths past `brute_dtw`'s
-    reach.  `band` is the Sakoe-Chiba condition of `brute_dtw`; inf when no
-    path fits."""
-    return _dp_table(a, b, band)[-1][-1]
-
-
-def dp_dtw_path(a, b):
-    """(path, cost) of the optimal alignment from the textbook table, walked
-    back from the last cell; at each cell the first strict minimum of
-    (diagonal, vertical, horizontal) predecessor wins."""
-    acc = _dp_table(a, b)
+def _walk(acc):
+    """The path through a cumulative-cost table, walked back from its last
+    cell; at each cell the first strict minimum of (diagonal, vertical,
+    horizontal) predecessor wins."""
     i, j = len(acc) - 1, len(acc[0]) - 1
     path = [(i, j)]
     while i > 0 or j > 0:
@@ -114,7 +106,51 @@ def dp_dtw_path(a, b):
                     best = cand
             i, j = best
         path.append((i, j))
-    return path[::-1], acc[-1][-1]
+    return path[::-1]
+
+
+def dp_dtw(a, b, band=None) -> float:
+    """Textbook O(ta*tb) DTW with scalar loops, for lengths past `brute_dtw`'s
+    reach.  `band` is the Sakoe-Chiba condition of `brute_dtw`; inf when no
+    path fits."""
+    a, b = _as_rows(a), _as_rows(b)
+    ta, tb = len(a), len(b)
+    return _dp_table(a, b, lambda i, j: _in_band(i, j, ta, tb, band))[-1][-1]
+
+
+def dp_dtw_path(a, b):
+    """(path, cost) of the optimal alignment from the textbook table, walked
+    back from the last cell; at each cell the first strict minimum of
+    (diagonal, vertical, horizontal) predecessor wins."""
+    acc = _dp_table(_as_rows(a), _as_rows(b), lambda i, j: True)
+    return _walk(acc), acc[-1][-1]
+
+
+def _halve(rows):
+    """Means of consecutive steps, channel by channel; an odd last step is
+    kept as it is."""
+    out = [[(u + v) / 2 for u, v in zip(rows[t], rows[t + 1])]
+           for t in range(0, len(rows) - 1, 2)]
+    return out + rows[len(rows) - len(rows) % 2:]
+
+
+def _fastdtw_table(a, b, radius: int):
+    """The scalar table that `fastdtw` reads its value from."""
+    if len(a) <= radius + 2 or len(b) <= radius + 2:
+        return _dp_table(a, b, lambda i, j: True)
+    path = _walk(_fastdtw_table(_halve(a), _halve(b), radius))
+    near = {(r + dr, c + dc) for r, c in path
+            for dr in range(-radius, radius + 1) for dc in range(-radius, radius + 1)}
+    return _dp_table(a, b, lambda i, j: (i // 2, j // 2) in near)
+
+
+def fastdtw(a, b, radius: int) -> float:
+    """FastDTW (Salvador & Chan, 2007) by scalar loops: while both series are
+    longer than radius + 2, halve them, align the halves recursively, and
+    fill the scalar table only on the fine cells whose coarse cell lies
+    within `radius` (in both directions) of the coarse path; shorter series
+    get the full table."""
+    return _fastdtw_table(_as_rows(a), _as_rows(b), radius)[-1][-1]
 
 
 def tam_from_path(path, ta: int, tb: int) -> float:

@@ -198,10 +198,16 @@ def _oracle_tam(a, b):
     return oracle.tam_from_path(path, len(a), len(b))
 
 
-_RAGGED_SETS = st.integers(1, 2).flatmap(lambda d: st.lists(
-    st.integers(1, 40).flatmap(
-        lambda t: arrays(np.float64, (t, d), elements=st.floats(-10, 10))),
-    min_size=3, max_size=5))
+def _ragged_series(channels):
+    return channels.flatmap(lambda d: st.lists(
+        st.integers(1, 40).flatmap(
+            lambda t: arrays(np.float64, (t, d), elements=st.floats(-10, 10))),
+        min_size=3, max_size=5))
+
+
+# 8 and 9 channels are past numpy's 8-way pairwise summation: a step cost must
+# still add its channels left to right, as the oracle does
+_RAGGED_SETS = _ragged_series(st.sampled_from([1, 2, 8, 9]))
 
 # padding values that fail a test if they reach a cost: the suite turns the
 # warnings of inf - inf and of squaring 1e300 into errors
@@ -227,6 +233,19 @@ def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band, fill):
             continue
         got = dist.pairwise(tset, metric, params).values
         assert got.tobytes() == _normalized(raw).tobytes(), (metric, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(series=_ragged_series(st.integers(1, 3)), radius=st.integers(1, 3), fill=_FILLS)
+def test_pairwise_fastdtw_matches_scalar_oracle_bit_for_bit(series, radius, fill):
+    tset = _ragged_set(series, fill)
+    n = tset.n
+    raw = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            raw[i, j] = raw[j, i] = oracle.fastdtw(series[i], series[j], radius)
+    got = dist.pairwise(tset, "fastdtw", {"radius": radius}).values
+    assert got.tobytes() == _normalized(raw).tobytes()
 
 
 @st.composite

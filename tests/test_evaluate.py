@@ -181,17 +181,20 @@ def test_anomaly_cone_computes_only_the_kept_positions(depth, kept, monkeypatch)
     """Per timestamp the cone computes sum(2w + 1) conv outputs, w = min(r, q)
     per stage, from windows only the stage's taps (d steps at each end) wider
     than that; the only same-length convs are the plain pass's, one per
-    stage."""
+    stage.  Each chunk of timestamps runs every stage once, in order (at
+    depth 4 the 128 timestamps take two chunks)."""
     plain, cone = _spy_on_the_cone(monkeypatch)
     model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
-    length = 128
+    length, stages = 128, 2 * depth
     ev.anomaly_scores(model, np.zeros((length, 1)))
-    assert plain == [(1, length)] * (2 * depth)
-    assert len(cone) == 2 * depth
+    assert plain == [(1, length)] * stages
+    assert len(cone) % stages == 0
     assert sum(n * k for _, (n, k) in cone) == kept * length
     for s, ((n, width), (n_out, k)) in enumerate(cone):
-        assert n == n_out == length
-        assert width - k == 2 * enc.dilation(s // 2)
+        assert n == n_out
+        assert width - k == 2 * enc.dilation(s % stages // 2)
+    for s in range(stages):
+        assert sum(n for (n, _), _ in cone[s::stages]) == length
 
 
 @settings(max_examples=40, deadline=None)
