@@ -209,36 +209,87 @@ def masked_log_softmax(a, mask: np.ndarray) -> Tensor:
     return Tensor(logp, parents=(a,), backward=bwd)
 
 
+def _tap_rows(s: int, n: int) -> tuple[slice, slice]:
+    """(source, destination) rows of a tap shifted by s on n rows: output
+    row r reads input row r + s."""
+    return (slice(s, n), slice(0, n - s)) if s >= 0 else (slice(0, n + s), slice(-s, n))
+
+
+def _zero_crossing(buf: np.ndarray, batch: int, length: int, u: int):
+    """Zero the rows (b, t >= length - u), b < batch - 1, of a [batch *
+    length, C] buffer whose first rows hold a tap shifted by u rows: their
+    partner lies in the next series.  One series has none."""
+    if batch > 1:
+        buf.reshape(batch, length, buf.shape[1])[:-1, length - u:] = 0.0
+
+
+def _tap_sum(rows: np.ndarray, mats, shifts, batch: int, length: int) -> np.ndarray:
+    """Sum over taps j of rows @ mats[j] shifted by shifts[j], on the
+    contiguous [batch * length, C] rows of `batch` series: output row (b, t)
+    gets product row (b, t + s) of each tap, nothing where t + s leaves
+    [0, length).
+
+    The tap with shift 0 starts the sum.  Every other tap is one 2-D GEMM
+    over the rows it reaches, its rows whose partner lies in a neighbouring
+    series zeroed, added as one contiguous block shifted by s rows.  Adding
+    an exact 0 leaves a sum as it was, so with three taps each output is
+    (centre + left) + right: the float order of adding the taps in turn to
+    zeros.
+    """
+    n = rows.shape[0]
+    out = rows @ mats[shifts.index(0)]
+    prod = np.empty_like(out)
+    for s, mat in zip(shifts, mats):
+        if s == 0 or abs(s) >= length:
+            continue
+        src, dst = _tap_rows(s, n)
+        block = prod[:n - abs(s)]
+        np.matmul(rows[src], mat, out=block)
+        _zero_crossing(prod, batch, length, abs(s))
+        out[dst] += block
+    return out
+
+
 def conv1d_dilated(x, kernel, dilation=1) -> Tensor:
     """Same-length dilated 1-D convolution.
 
     x: [B, L, Cin], kernel: [K, Cin, Cout]; taps are centered, out-of-range
-    positions are zero-padded.
+    positions are zero-padded.  x is read as its contiguous [B·L, Cin] rows:
+    tap j is one 2-D GEMM over all rows, shifted by (j - K // 2) * dilation
+    rows, with the products that would cross into a neighbouring series
+    zeroed (`_tap_sum`).  The backward pass does the same with the adjoint's
+    rows and each tap's transposed kernel for x, and for the kernel one GEMM
+    per tap of the shifted input rows against the adjoint's rows, a copy of
+    them with the crossing rows zeroed for a side tap.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     B, L, Cin = x.data.shape
     K, KCin, Cout = kernel.data.shape
     if KCin != Cin:
         raise ValueError(f"conv1d_dilated: channel mismatch {Cin} vs {KCin}")
-    center = K // 2
-    out_data = np.zeros((B, L, Cout))
-    spans = []
-    for j in range(K):
-        off = (j - center) * dilation
-        lo, hi = max(0, -off), min(L, L - off)
-        spans.append((off, lo, hi))
-        if lo < hi:
-            out_data[:, lo:hi, :] += x.data[:, lo + off:hi + off, :] @ kernel.data[j]
+    if dilation < 1:
+        raise ValueError(f"conv1d_dilated: dilation must be >= 1, got {dilation}")
+    n = B * L
+    shifts = [(j - K // 2) * dilation for j in range(K)]
+    rows = np.ascontiguousarray(x.data).reshape(n, Cin)
+    out_data = _tap_sum(rows, kernel.data, shifts, B, L).reshape(B, L, Cout)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        g2 = np.ascontiguousarray(g).reshape(n, Cout)
+        kernel_t = np.ascontiguousarray(kernel.data.transpose(0, 2, 1))
+        gx = _tap_sum(g2, kernel_t, [-s for s in shifts], B, L)
         gk = np.zeros_like(kernel.data)
-        for j, (off, lo, hi) in enumerate(spans):
-            if lo >= hi:
-                continue
-            gx[:, lo + off:hi + off, :] += g[:, lo:hi, :] @ kernel.data[j].T
-            gk[j] += x.data[:, lo + off:hi + off].reshape(-1, Cin).T @ g[:, lo:hi].reshape(-1, Cout)
-        _accumulate(x, gx, owned=True)
+        gbuf = np.empty_like(g2)
+        for j, s in enumerate(shifts):
+            if s == 0:
+                np.matmul(rows.T, g2, out=gk[j])
+            elif abs(s) < L:
+                src, dst = _tap_rows(s, n)
+                block = gbuf[:n - abs(s)]
+                np.copyto(block, g2[dst])
+                _zero_crossing(gbuf, B, L, abs(s))
+                np.matmul(rows[src].T, block, out=gk[j])
+        _accumulate(x, gx.reshape(B, L, Cin), owned=True)
         _accumulate(kernel, gk, owned=True)
 
     return Tensor(out_data, parents=(x, kernel), backward=bwd)
@@ -247,23 +298,37 @@ def conv1d_dilated(x, kernel, dilation=1) -> Tensor:
 def max_pool1d(x, m: int) -> Tensor:
     """Max-pool along axis 1 with kernel = stride = m; last window may be short.
 
-    Output length is ceil(L / m).  The subgradient routes to the first argmax
-    in each window.
+    Output length is ceil(L / m).  The windows are read straight from x
+    when m divides L, else from a copy padded with -inf.  A loop over the m
+    slots of every window keeps each window's first maximum and its slot (a
+    NaN wins its window, as with numpy's argmax), with `np.where` on the
+    whole [B, S, C] slot at once.  The subgradient routes to that slot.
     """
     x = as_tensor(x)
     if m < 1:
         raise ValueError("pool kernel must be >= 1")
     B, L, C = x.data.shape
     S = -(-L // m)
-    padded = np.full((B, S * m, C), -np.inf)
-    padded[:, :L, :] = x.data
+    if L % m:
+        padded = np.full((B, S * m, C), -np.inf)
+        padded[:, :L, :] = x.data
+    else:
+        padded = x.data
     windows = padded.reshape(B, S, m, C)
-    idx = windows.argmax(axis=2)
-    out_data = np.take_along_axis(windows, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    # np.where below makes a fresh output; with one slot, copy, so it never aliases x
+    out_data = windows[:, :, 0] if m > 1 else windows[:, :, 0].copy()
+    idx = np.zeros((B, S, C), dtype=np.intp)
+    for slot in range(1, m):
+        value = windows[:, :, slot]
+        wins = ~(value <= out_data)  # greater, or either is NaN
+        wins &= out_data == out_data  # a NaN already kept stays
+        out_data = np.where(wins, value, out_data)
+        idx = np.where(wins, slot, idx)
 
     def bwd(g):
-        buf = np.zeros((B, S, m, C))
-        np.put_along_axis(buf, idx[:, :, None, :], g[:, :, None, :], axis=2)
+        buf = np.empty((B, S, m, C))
+        for slot in range(m):
+            buf[:, :, slot] = np.where(idx == slot, g, 0.0)
         _accumulate(x, buf.reshape(B, S * m, C)[:, :L, :], owned=True)
 
     return Tensor(out_data, parents=(x,), backward=bwd)

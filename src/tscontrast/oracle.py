@@ -351,6 +351,61 @@ def conv1d_direct(x, kernel, dilation: int):
     return out
 
 
+def conv1d_direct_grads(x, kernel, dilation: int, g):
+    """Adjoints (gx, gk) of `conv1d_direct` for the output adjoint g, by
+    scalar loops over an explicitly zero-padded copy of each series: every
+    product x_pad[b, t + j * dilation, c] * kernel[j, c, o] of the forward
+    pass sends g[b, t, o] times one factor to the other factor's adjoint;
+    what lands on the padding is dropped."""
+    x = np.asarray(x, dtype=np.float64)
+    k = np.asarray(kernel, dtype=np.float64).tolist()
+    g = np.asarray(g, dtype=np.float64)
+    n_b, n_t, n_in = x.shape
+    n_k, n_out = len(k), len(k[0][0])
+    lead = (n_k // 2) * dilation
+    trail = (n_k - 1 - n_k // 2) * dilation
+    gk = [[[0.0] * n_out for _ in range(n_in)] for _ in range(n_k)]
+    gx = np.zeros((n_b, n_t, n_in))
+    for b in range(n_b):
+        padded = [[0.0] * n_in for _ in range(lead)] + x[b].tolist() \
+            + [[0.0] * n_in for _ in range(trail)]
+        g_pad = [[0.0] * n_in for _ in range(len(padded))]
+        g_b = g[b].tolist()
+        for t in range(n_t):
+            for j in range(n_k):
+                row, g_row = padded[t + j * dilation], g_pad[t + j * dilation]
+                for c in range(n_in):
+                    for o in range(n_out):
+                        gk[j][c][o] += row[c] * g_b[t][o]
+                        g_row[c] += k[j][c][o] * g_b[t][o]
+        gx[b] = np.asarray(g_pad[lead:lead + n_t]).reshape(n_t, n_in)
+    return gx, np.asarray(gk).reshape(n_k, n_in, n_out)
+
+
+def max_pool_direct(x, m: int):
+    """Max-pooling of [B, L, C] values along time by windows of m steps,
+    the last one short when m does not divide L: (values [B, S, C], the time
+    index of each window's first maximum [B, S, C]), S = ceil(L / m), by a
+    scalar scan of each window.  A NaN counts as the maximum, the first NaN
+    winning."""
+    x = np.asarray(x, dtype=np.float64)
+    n_b, n_t, n_c = x.shape
+    n_s = -(-n_t // m)
+    values = np.empty((n_b, n_s, n_c))
+    where = np.empty((n_b, n_s, n_c), dtype=np.intp)
+    for b in range(n_b):
+        for s in range(n_s):
+            for c in range(n_c):
+                best_t = s * m
+                for t in range(s * m + 1, min(s * m + m, n_t)):
+                    best, v = x[b, best_t, c], x[b, t, c]
+                    if not math.isnan(best) and (math.isnan(v) or v > best):
+                        best_t = t
+                values[b, s, c] = x[b, best_t, c]
+                where[b, s, c] = best_t
+    return values, where
+
+
 def fd_gradient(f, params, h: float = 1e-5):
     """Central-difference gradient of scalar f with respect to a list of
     numpy arrays; mutates copies only."""

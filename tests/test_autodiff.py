@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tscontrast import autodiff as ad
 from tscontrast import oracle
@@ -113,6 +114,46 @@ def test_conv1d_dilated_matches_direct_oracle(b, length, cin, cout, taps, dilati
     _check_grad(lambda a, c: ad.tsum(ad.mul(ad.conv1d_dilated(a, c, dilation=dilation), w)), [x, k])
 
 
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), length=st.integers(0, 12), cin=st.integers(1, 4),
+       cout=st.integers(1, 4), taps=st.integers(1, 3), dilation=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(b=2, length=0, cin=2, cout=3, taps=3, dilation=1, seed=0)  # empty series
+@example(b=3, length=4, cin=3, cout=2, taps=3, dilation=5, seed=1)  # side taps wholly outside
+@example(b=8, length=48, cin=32, cout=32, taps=3, dilation=8, seed=2)  # a training shape
+def test_conv1d_dilated_backward_matches_direct_adjoint(b, length, cin, cout, taps, dilation, seed):
+    """Both adjoints of the convolution equal the scalar-loop adjoint of
+    `oracle.conv1d_direct` for a non-uniform output adjoint."""
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(b, length, cin)), requires_grad=True)
+    k = ad.Tensor(rng.normal(size=(taps, cin, cout)), requires_grad=True)
+    w = rng.normal(size=(b, length, cout))
+    ad.backward(ad.tsum(ad.mul(ad.conv1d_dilated(x, k, dilation=dilation), w)))
+    gx, gk = oracle.conv1d_direct_grads(x.data, k.data, dilation, w)
+    np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(k.grad, gk, rtol=0, atol=1e-12)
+
+
+def test_conv1d_dilated_backward_reads_a_transposed_adjoint_like_its_copy(rng):
+    """An output adjoint that arrives as a transposed view gives the same
+    bits as the same adjoint laid out contiguously."""
+    x0, k0 = rng.normal(size=(3, 10, 4)), rng.normal(size=(3, 4, 5))
+    w = rng.normal(size=(3, 5, 10))
+
+    def grads(transposed):
+        x, k = ad.Tensor(x0, requires_grad=True), ad.Tensor(k0, requires_grad=True)
+        y = ad.conv1d_dilated(x, k, dilation=2)
+        if transposed:  # transpose's backward hands on a non-contiguous view
+            loss = ad.tsum(ad.mul(ad.transpose(y, (0, 2, 1)), w))
+        else:
+            loss = ad.tsum(ad.mul(y, np.ascontiguousarray(w.transpose(0, 2, 1))))
+        ad.backward(loss)
+        return x.grad, k.grad
+
+    for a, c in zip(grads(True), grads(False)):
+        assert a.tobytes() == c.tobytes()
+
+
 def test_conv1d_channel_mismatch():
     with pytest.raises(ValueError):
         ad.conv1d_dilated(ad.Tensor(np.zeros((1, 4, 2))), ad.Tensor(np.zeros((3, 3, 2))))
@@ -130,6 +171,37 @@ def test_max_pool1d_grad_routes_to_argmax(rng):
     x = rng.normal(size=(2, 6, 3))
     w = rng.normal(size=(2, 3, 3))
     _check_grad(lambda a: ad.tsum(ad.mul(ad.max_pool1d(a, 2), w)), [x])
+
+
+_POOL_CELLS = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(1, 4), x=st.tuples(st.integers(1, 2), st.integers(1, 13), st.integers(1, 3))
+       .flatmap(lambda shape: arrays(np.float64, shape, elements=_POOL_CELLS)),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=2, x=np.array([[[1.0], [1.0], [np.nan], [np.nan], [-np.inf], [-np.inf], [2.0]]]), seed=0)
+@example(m=3, x=np.array([[[-np.inf], [-np.inf], [np.nan], [0.0], [np.nan]]]), seed=0)
+def test_max_pool1d_matches_direct_scan_on_ties_and_non_finite(m, x, seed):
+    """Values and the routed adjoint equal a scalar scan for the first
+    maximum of each window, bit for bit: ties go to the earliest slot, a NaN
+    wins its window, -inf ties with the padding of a short last window."""
+    values, where = oracle.max_pool_direct(x, m)
+    w = np.random.default_rng(seed).normal(size=values.shape)
+    t = ad.Tensor(x, requires_grad=True)
+    out = ad.max_pool1d(t, m)
+    with np.errstate(invalid="ignore"):  # the loss itself may read inf - inf
+        ad.backward(ad.tsum(ad.mul(out, w)))
+    assert out.data.tobytes() == values.tobytes()
+    expected = np.zeros_like(x)
+    b, _, c = np.indices(where.shape)
+    expected[b, where, c] = w
+    assert t.grad.tobytes() == expected.tobytes()
+
+
+def test_conv1d_rejects_a_dilation_below_one():
+    with pytest.raises(ValueError):
+        ad.conv1d_dilated(ad.Tensor(np.zeros((1, 4, 2))), ad.Tensor(np.zeros((3, 2, 2))), dilation=0)
 
 
 def test_backward_requires_scalar():
