@@ -16,20 +16,20 @@ row = DistanceMatrix(values=np.tile(grid, (6, 1)), metric="dtw", normalized=True
 print("instance weight vs normalized distance:")
 print("  D:        " + "  ".join(f"{d:5.2f}" for d in grid))
 for kernel in asg.INSTANCE_KERNELS:
-    cfg = tc.InstanceAssignConfig(kernel=kernel, tau=10.0, alpha=0.5, kernel_sigma=0.5)
+    cfg = tc.TrainConfig(inst_kernel=kernel, tau_inst=10.0, alpha=0.5, kernel_sigma=0.5)
     w = asg.w_instance(row, cfg)[0]
     print(f"  {kernel:9s}" + "  ".join(f"{v:5.3f}" for v in w))
 
 # temporal weights as a function of gap, per kernel
 print("\ntemporal weight vs gap (T = 8, level 0):")
 for kernel in asg.TEMPORAL_KERNELS:
-    cfg = tc.TemporalAssignConfig(kernel=kernel, tau_base=1.0)
+    cfg = tc.TrainConfig(temp_kernel=kernel, tau_temp=1.0)
     w = tc.w_temporal(8, 0, cfg)[0]
     print(f"  {kernel:9s}" + "  ".join(f"{v:5.3f}" for v in w))
 
-# hierarchical sharpening: deeper pooling levels use sharpness m^k * tau_base
+# hierarchical sharpening: pooling level k uses sharpness pool_m^k * tau_temp
 print("\nsigmoid temporal weight at gap 1 per pooling level (m = 2, tau_base = 1):")
-cfg = tc.TemporalAssignConfig(tau_base=1.0, pool_kernel_m=2)
+cfg = tc.TrainConfig(tau_temp=1.0, pool_m=2)
 for k in range(4):
     w = tc.w_temporal(8, k, cfg)
     print(f"  level {k}: effective tau = {asg.effective_tau(cfg, k):4.1f}, "

@@ -2,8 +2,6 @@
 objectives driven by data-space distances and timestamp gaps."""
 
 from .assign import (
-    InstanceAssignConfig,
-    TemporalAssignConfig,
     effective_tau,
     extend_instance,
     extend_temporal,
@@ -11,6 +9,7 @@ from .assign import (
     w_instance,
     w_temporal,
 )
+from .config import TrainConfig
 from .data import (
     TimeSeriesSet,
     ViewPair,
@@ -36,13 +35,11 @@ from .distance import (
 from .encoder import EncoderConfig, EncoderModel, encode, init_encoder, instance_repr, pool_ladder
 from .evaluate import EvalReport, anomaly_scores, classify_probe, threshold_anomalies
 from .loss import LossBreakdown, joint_loss, kl_identity_check, soft_instance_loss, soft_temporal_loss
-from .train import TrainConfig, TrainState, load_checkpoint, pretrain, save_checkpoint, split_seed
+from .train import TrainState, load_checkpoint, pretrain, save_checkpoint, split_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "InstanceAssignConfig",
-    "TemporalAssignConfig",
     "effective_tau",
     "extend_instance",
     "extend_temporal",

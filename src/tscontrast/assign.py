@@ -2,59 +2,24 @@
 
 Instance weights come from the normalized data-space distance matrix, temporal
 weights from integer timestamp gaps; both have the paper-free kernels used in
-ablations plus the default sigmoid form.  Extended/normalized variants back
-the KL-identity checks.
+ablations plus the default sigmoid form.  Every setting (sharpness, alpha,
+kernel and its width, the pooling factor of the hierarchy) is read from a
+`config.TrainConfig`, whose rules have already checked it.  Extended/normalized
+variants back the KL-identity checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distance import DistanceMatrix
 
+if TYPE_CHECKING:  # config imports this module for the kernel names
+    from .config import TrainConfig
+
 INSTANCE_KERNELS = ("sigmoid", "no_kernel", "gaussian", "laplacian")
 TEMPORAL_KERNELS = ("sigmoid", "neighbor", "linear", "gaussian")
-
-
-@dataclass(frozen=True)
-class InstanceAssignConfig:
-    tau: float = 10.0          # sharpness of the sigmoid decay
-    alpha: float = 0.5         # upper bound on distinct-pair weights
-    kernel: str = "sigmoid"
-    kernel_sigma: float = 0.5  # sigma for gaussian / laplacian
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.kernel not in INSTANCE_KERNELS:
-            raise ValueError(f"unknown instance kernel: {self.kernel!r}")
-        if self.kernel_sigma <= 0:
-            raise ValueError("kernel_sigma must be > 0")
-
-
-@dataclass(frozen=True)
-class TemporalAssignConfig:
-    tau_base: float = 1.0          # base sharpness, scaled by m^k per level
-    pool_kernel_m: int = 2
-    kernel: str = "sigmoid"
-    neighbor_window_frac: float = 0.3
-    gaussian_std: float = 1.0
-    hierarchical: bool = True      # False: tau_base at every level (ablation)
-
-    def __post_init__(self):
-        if self.tau_base <= 0:
-            raise ValueError("tau_base must be > 0")
-        if self.pool_kernel_m < 2:
-            raise ValueError("pool_kernel_m must be >= 2")
-        if self.kernel not in TEMPORAL_KERNELS:
-            raise ValueError(f"unknown temporal kernel: {self.kernel!r}")
-        if not 0.0 < self.neighbor_window_frac <= 1.0:
-            raise ValueError("neighbor_window_frac must be in (0, 1]")
-        if self.gaussian_std <= 0:
-            raise ValueError("gaussian_std must be > 0")
 
 
 def _sigmoid(x):
@@ -68,43 +33,43 @@ def _sigmoid(x):
     return out
 
 
-def w_instance(dist: DistanceMatrix, cfg: InstanceAssignConfig) -> np.ndarray:
+def w_instance(dist: DistanceMatrix, cfg: TrainConfig) -> np.ndarray:
     """[N, N] soft weights, non-increasing in the normalized distance."""
     if not dist.normalized:
         raise ValueError("instance weights need a min-max normalized matrix")
     d = dist.values
-    if cfg.kernel == "sigmoid":
-        w = 2.0 * cfg.alpha * _sigmoid(-cfg.tau * d)
-    elif cfg.kernel == "no_kernel":
+    if cfg.inst_kernel == "sigmoid":
+        w = 2.0 * cfg.alpha * _sigmoid(-cfg.tau_inst * d)
+    elif cfg.inst_kernel == "no_kernel":
         w = 1.0 - d
-    elif cfg.kernel == "gaussian":
+    elif cfg.inst_kernel == "gaussian":
         w = np.exp(-(d ** 2) / (2.0 * cfg.kernel_sigma ** 2))
     else:  # laplacian
         w = np.exp(-d / cfg.kernel_sigma)
     return w
 
 
-def effective_tau(cfg: TemporalAssignConfig, level_k: int) -> float:
-    """Sharpness at pooling depth k: m^k times the base value, or the base
-    value itself when the hierarchy is off."""
-    if not cfg.hierarchical:
-        return cfg.tau_base
-    return cfg.pool_kernel_m ** level_k * cfg.tau_base
+def effective_tau(cfg: TrainConfig, level_k: int) -> float:
+    """Temporal sharpness at pooling depth k: pool_m^k times tau_temp, or
+    tau_temp itself when the hierarchy is off."""
+    if not cfg.hierarchical_tau:
+        return cfg.tau_temp
+    return cfg.pool_m ** level_k * cfg.tau_temp
 
 
-def w_temporal(t: int, level_k: int, cfg: TemporalAssignConfig) -> np.ndarray:
+def w_temporal(t: int, level_k: int, cfg: TrainConfig) -> np.ndarray:
     """[T, T] soft weights from timestamp gaps at hierarchy level k."""
     if t < 1:
         raise ValueError("T must be >= 1")
     if level_k < 0:
         raise ValueError("level_k must be >= 0")
     gap = np.abs(np.arange(t)[:, None] - np.arange(t)[None, :]).astype(np.float64)
-    if cfg.kernel == "sigmoid":
+    if cfg.temp_kernel == "sigmoid":
         w = 2.0 * _sigmoid(-effective_tau(cfg, level_k) * gap)
-    elif cfg.kernel == "neighbor":
+    elif cfg.temp_kernel == "neighbor":
         window = int(np.ceil(cfg.neighbor_window_frac * t))
         w = (gap <= window).astype(np.float64)
-    elif cfg.kernel == "linear":
+    elif cfg.temp_kernel == "linear":
         w = np.ones((t, t)) if t == 1 else 1.0 - gap / (t - 1)
     else:  # gaussian
         w = np.exp(-(gap ** 2) / (2.0 * cfg.gaussian_std ** 2))

@@ -1,4 +1,6 @@
-"""Engine configuration: JSON file with validated sections, plus defaults.
+"""Engine configuration: `TrainConfig`, the one declaration of every training
+setting with its default and its rule, and the JSON file of validated
+sections that builds it, plus the other sections' defaults.
 
 Precedence is flag > file > default.  Unknown keys, values not of their
 default's JSON type and out-of-range values all fail at load, before any work.
@@ -7,10 +9,66 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass
 
+from . import encoder as enc
+from .assign import INSTANCE_KERNELS, TEMPORAL_KERNELS
 from .distance import METRICS, checked_params
-from .train import TrainConfig
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    lr: float = 0.001
+    batch_size: int = 8
+    iters: int = 200
+    lam: float = 0.5                # weight of the instance term
+    tau_inst: float = 10.0          # sharpness of the instance sigmoid
+    tau_temp: float = 1.0           # temporal sharpness, scaled by pool_m^k at level k
+    alpha: float = 0.5              # upper bound on distinct-pair instance weights
+    inst_kernel: str = "sigmoid"
+    temp_kernel: str = "sigmoid"
+    kernel_sigma: float = 0.5       # sigma of the gaussian / laplacian instance kernels
+    neighbor_window_frac: float = 0.3
+    gaussian_std: float = 1.0       # std of the gaussian temporal kernel
+    pool_m: int = 2                 # max-pool kernel of the hierarchy
+    hierarchical_tau: bool = True   # False: tau_temp at every level (ablation)
+    hard: bool = False  # conventional contrastive baseline: all soft weights zero
+    hidden: int = 32
+    repr_dims: int = 16
+    depth: int = 4                  # dilated blocks, dilation 2^b at block b
+    mask_mode: str = "none"
+    seed: int = 0
+
+    def __post_init__(self):
+        # each rule reads one field, so validate() can check a key alone
+        for name, lowest in (("batch_size", 2), ("iters", 0), ("seed", 0), ("pool_m", 2),
+                             ("hidden", 1), ("repr_dims", 1), ("depth", 1)):
+            value = getattr(self, name)
+            if not value >= lowest:  # NaN fails too
+                raise ValueError(f"{name} must be >= {lowest}, got {value}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for name in ("tau_inst", "tau_temp", "kernel_sigma", "gaussian_std"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name, value in (("lambda", self.lam), ("alpha", self.alpha)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not 0.0 < self.neighbor_window_frac <= 1.0:
+            raise ValueError(f"neighbor_window_frac must be in (0, 1], "
+                             f"got {self.neighbor_window_frac}")
+        for name, choices in (("inst_kernel", INSTANCE_KERNELS),
+                              ("temp_kernel", TEMPORAL_KERNELS), ("mask_mode", enc.MASK_MODES)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+    def encoder_cfg(self, input_dims: int) -> enc.EncoderConfig:
+        return enc.EncoderConfig(input_dims=input_dims, hidden=self.hidden,
+                                 output_dims=self.repr_dims, depth=self.depth)
+
 
 # JSON keys that feed TrainConfig, by section; each key is its field's name
 # except "lambda", which is a Python keyword.

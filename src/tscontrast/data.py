@@ -196,16 +196,22 @@ def write_ucr_tsv(tset: TimeSeriesSet, path) -> None:
 
 def znormalize(tset: TimeSeriesSet) -> TimeSeriesSet:
     """Per-series, per-channel zero mean / unit population stdev over the valid
-    prefix.  Constant channels map to all-zeros; padding stays zero."""
+    prefix.  Constant channels map to all-zeros; padding stays zero.  A series
+    whose mean or stdev is not finite (NaN cells, or values so large that the
+    stdev overflows) raises ValueError naming its index."""
     values = np.zeros_like(tset.values)
     for i in range(tset.n):
         li = tset.lengths[i]
         seg = tset.values[i, :li, :]
-        mean = seg.mean(axis=0)
-        std = seg.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = seg.mean(axis=0)
+            spread = seg.std(axis=0)
+        if not (np.isfinite(mean).all() and np.isfinite(spread).all()):
+            raise ValueError(f"series {i}: mean or stdev is not finite, so it cannot be "
+                             f"z-normalized (mean {mean.tolist()}, stdev {spread.tolist()})")
+        std = np.where(spread > 0, spread, 1.0)
         out = (seg - mean) / std
-        out[:, seg.std(axis=0) == 0] = 0.0
+        out[:, spread == 0] = 0.0
         values[i, :li, :] = out
     return TimeSeriesSet(values=values, lengths=tset.lengths, labels=tset.labels)
 
@@ -277,10 +283,14 @@ MIN_CROP_LENGTH = 4
 
 
 def crop_two_views(tset: TimeSeriesSet, seed: int) -> ViewPair:
-    """Two equal-length random overlapping crops, shared across the batch.
+    """Two equal-length random overlapping crops.
 
     Crop length is uniform in [ceil(T/2), T] and offsets are uniform subject
-    to a nonempty overlap; T is the shortest series length in the batch.
+    to a nonempty overlap; T is the shortest series length in the batch.  In
+    a ragged batch both views of row i then move by one more draw, uniform in
+    [0, L_i - T], so every step of a longer series can be cropped; the overlap
+    offsets within the views stay shared.  A batch of equal lengths draws
+    nothing more.
     """
     t = int(tset.lengths.min())
     if t < MIN_CROP_LENGTH:
@@ -293,9 +303,13 @@ def crop_two_views(tset: TimeSeriesSet, seed: int) -> ViewPair:
     off_b = int(rng.integers(lo, hi + 1))
     ov_lo = max(off_a, off_b)
     ov_hi = min(off_a, off_b) + crop_len
+    steps = np.arange(crop_len)
+    if tset.lengths.max() > t:
+        steps = steps + rng.integers(0, tset.lengths - t + 1)[:, None]  # [N, crop_len]
+    rows = np.arange(tset.n)[:, None]
     return ViewPair(
-        view_a=tset.values[:, off_a : off_a + crop_len].copy(),
-        view_b=tset.values[:, off_b : off_b + crop_len].copy(),
+        view_a=tset.values[rows, off_a + steps],
+        view_b=tset.values[rows, off_b + steps],
         overlap_start_a=ov_lo - off_a,
         overlap_start_b=ov_lo - off_b,
         overlap_len=ov_hi - ov_lo,

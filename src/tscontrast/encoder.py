@@ -17,10 +17,11 @@ KERNEL_SIZE = 3  # taps per dilated convolution
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """A model's architecture; `TrainConfig.encoder_cfg` builds the trained one."""
     input_dims: int
-    hidden: int = 32
-    output_dims: int = 16
-    depth: int = 4          # dilated blocks, dilation 2^b at block b
+    hidden: int
+    output_dims: int
+    depth: int              # dilated blocks, dilation 2^b at block b
 
     def __post_init__(self):
         if self.depth < 1 or self.output_dims < 1 or self.hidden < 1 or self.input_dims < 1:

@@ -215,9 +215,10 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     return np.abs(masked - full).sum(axis=1)
 
 
-def threshold_anomalies(scores, labels=None, c: float = 3.0):
+def threshold_anomalies(scores, labels=None, *, c: float):
     """Static mean + c*stdev threshold; returns (binary flags, EvalReport).
 
+    `c` has no default of its own: the CLI passes the config's `eval.anomaly_c`.
     Precision/recall/F1 are filled in when ground-truth labels are given.
     """
     scores = np.asarray(scores, dtype=np.float64)

@@ -7,7 +7,8 @@ cross-entropies use the extended assignment matrices, so the hard InfoNCE
 case falls out at zero soft weights.  Each term at each level of the pooling
 ladder is one autodiff node with a closed-form gradient; the ladder and the
 level mean are autodiff ops, so the joint objective is differentiable end to
-end.
+end.  `joint_loss` takes the batch's instance weights and reads lambda, `hard`,
+the pooling factor and the temporal settings from one `config.TrainConfig`.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from . import assign as asg
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .distance import DistanceMatrix
+from .config import TrainConfig
 
 
 @dataclass
@@ -124,53 +125,39 @@ def soft_temporal_loss(reps, w_ext_t: np.ndarray) -> Tensor:
     return _soft_ce(reps, w_ext_t, temporal=True)
 
 
-def joint_loss(
-    reps_a,
-    reps_b,
-    dist: DistanceMatrix | np.ndarray,
-    icfg: asg.InstanceAssignConfig,
-    tcfg: asg.TemporalAssignConfig,
-    lam: float = 0.5,
-    hard: bool = False,
-):
+def joint_loss(reps_a, reps_b, w_inst: np.ndarray, cfg: TrainConfig):
     """Hierarchical joint objective over the pooling ladder of two aligned
     views [N, T, M]; returns (scalar Tensor, LossBreakdown).
 
-    Instance weights are computed once from the distance matrix; temporal
-    weights are rebuilt per level with sharpness `asg.effective_tau` (m^k *
-    tau_base, or tau_base throughout when `tcfg.hierarchical` is off).  With
-    `hard=True` every soft weight is zeroed, leaving only the cross-view
+    `w_inst` holds the batch's [N, N] instance weights (`asg.w_instance`).
+    Temporal weights are rebuilt per level from `cfg` with sharpness
+    `asg.effective_tau` (pool_m^k * tau_temp, or tau_temp throughout when
+    `cfg.hierarchical_tau` is off), and `cfg.lam` weights the instance term.
+    With `cfg.hard` every soft weight is zeroed, leaving only the cross-view
     positives (the conventional contrastive baseline).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
     reps_a, reps_b = ad.as_tensor(reps_a), ad.as_tensor(reps_b)
     if reps_a.shape != reps_b.shape:
         raise ValueError("views must have matching overlap shapes")
     n = reps_a.shape[0]
-    if hard:
-        w_inst = np.zeros((n, n))
-    elif isinstance(dist, DistanceMatrix):
-        w_inst = asg.w_instance(dist, icfg)
-    else:
-        w_inst = np.asarray(dist, dtype=np.float64)
+    w_inst = np.zeros((n, n)) if cfg.hard else np.asarray(w_inst, dtype=np.float64)
     if w_inst.shape != (n, n):
         raise ValueError(f"instance weights must be [{n}, {n}]")
     w_inst_ext = asg.extend_instance(w_inst)
 
     # max-pooling acts on each row alone, so pooling the stack pools both views
-    ladder = enc.pool_ladder(ad.concat([reps_a, reps_b], axis=0), tcfg.pool_kernel_m)
+    ladder = enc.pool_ladder(ad.concat([reps_a, reps_b], axis=0), cfg.pool_m)
     per_level = []
     level_totals = []
     for k, stacked in enumerate(ladder):                   # [2N, T_k, M]
         t_k = stacked.shape[1]
         inst_k = soft_instance_loss(stacked, w_inst_ext)
-        if hard:
+        if cfg.hard:
             w_t = np.zeros((t_k, t_k))
         else:
-            w_t = asg.w_temporal(t_k, k, tcfg)
+            w_t = asg.w_temporal(t_k, k, cfg)
         temp_k = soft_temporal_loss(stacked, asg.extend_temporal(w_t))
-        level_totals.append(ad.add(ad.mul(inst_k, lam), ad.mul(temp_k, 1.0 - lam)))
+        level_totals.append(ad.add(ad.mul(inst_k, cfg.lam), ad.mul(temp_k, 1.0 - cfg.lam)))
         per_level.append((k, float(inst_k.data), float(temp_k.data)))
 
     total = ad.mul(ad.tsum(ad.concat([ad.reshape(t, (1,)) for t in level_totals], axis=0)),
@@ -179,7 +166,7 @@ def joint_loss(
         total=float(total.data),
         instance_term=float(np.mean([li for _, li, _ in per_level])),
         temporal_term=float(np.mean([lt for _, _, lt in per_level])),
-        lam=lam,
+        lam=cfg.lam,
         per_level=per_level,
     )
     return total, breakdown

@@ -13,6 +13,7 @@ from . import assign as asg
 from . import autodiff as ad
 from . import encoder as enc
 from . import loss as losses
+from .config import TrainConfig, train_config_from_fields
 from .data import TimeSeriesSet, crop_two_views, whole_file, write_csv
 from .distance import DistanceMatrix
 
@@ -20,62 +21,6 @@ from .distance import DistanceMatrix
 def split_seed(master: int, label: str) -> int:
     """Derive an independent stream seed from one master seed and a label."""
     return int(np.random.SeedSequence([master, zlib.crc32(label.encode())]).generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 0.001
-    batch_size: int = 8
-    iters: int = 200
-    lam: float = 0.5
-    tau_inst: float = asg.InstanceAssignConfig.tau
-    tau_temp: float = asg.TemporalAssignConfig.tau_base
-    alpha: float = asg.InstanceAssignConfig.alpha
-    inst_kernel: str = asg.InstanceAssignConfig.kernel
-    temp_kernel: str = asg.TemporalAssignConfig.kernel
-    kernel_sigma: float = asg.InstanceAssignConfig.kernel_sigma
-    neighbor_window_frac: float = asg.TemporalAssignConfig.neighbor_window_frac
-    gaussian_std: float = asg.TemporalAssignConfig.gaussian_std
-    pool_m: int = asg.TemporalAssignConfig.pool_kernel_m
-    hierarchical_tau: bool = asg.TemporalAssignConfig.hierarchical
-    hard: bool = False  # conventional contrastive baseline: all soft weights zero
-    hidden: int = enc.EncoderConfig.hidden
-    repr_dims: int = enc.EncoderConfig.output_dims
-    depth: int = enc.EncoderConfig.depth
-    mask_mode: str = "none"
-    seed: int = 0
-
-    def __post_init__(self):
-        # each rule reads one field, so config.validate can check a key alone
-        for name, lowest in (("lr", 0), ("batch_size", 2), ("iters", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not value >= lowest:  # NaN fails too
-                raise ValueError(f"{name} must be >= {lowest}, got {value}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.mask_mode not in enc.MASK_MODES:
-            raise ValueError(f"mask_mode must be one of {enc.MASK_MODES}, got {self.mask_mode!r}")
-        self.instance_cfg()
-        self.temporal_cfg()
-        self.encoder_cfg(input_dims=1)
-
-    def instance_cfg(self) -> asg.InstanceAssignConfig:
-        return asg.InstanceAssignConfig(
-            tau=self.tau_inst, alpha=self.alpha,
-            kernel=self.inst_kernel, kernel_sigma=self.kernel_sigma,
-        )
-
-    def temporal_cfg(self) -> asg.TemporalAssignConfig:
-        return asg.TemporalAssignConfig(
-            tau_base=self.tau_temp, pool_kernel_m=self.pool_m,
-            kernel=self.temp_kernel,
-            neighbor_window_frac=self.neighbor_window_frac,
-            gaussian_std=self.gaussian_std, hierarchical=self.hierarchical_tau,
-        )
-
-    def encoder_cfg(self, input_dims: int) -> enc.EncoderConfig:
-        return enc.EncoderConfig(input_dims=input_dims, hidden=self.hidden,
-                                 output_dims=self.repr_dims, depth=self.depth)
 
 
 @dataclass
@@ -124,8 +69,7 @@ def evaluate_batch_loss(state: TrainState, batch: TimeSeriesSet, w_inst: np.ndar
     ra = enc.encode(state.model, views.view_a, mask_mode=cfg.mask_mode, rng=mask_rng)
     rb = enc.encode(state.model, views.view_b, mask_mode=cfg.mask_mode, rng=mask_rng)
     ra_ov, rb_ov = views.overlap(ra, rb)
-    return losses.joint_loss(ra_ov, rb_ov, w_inst, cfg.instance_cfg(), cfg.temporal_cfg(),
-                             lam=cfg.lam, hard=cfg.hard)
+    return losses.joint_loss(ra_ov, rb_ov, w_inst, cfg)
 
 
 def _culprit(breakdown) -> str:
@@ -151,7 +95,7 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         raise ValueError(f"training needs at least 2 series, got {tset.n}")
     if state is None:
         state = TrainState.fresh(cfg, tset.dims)
-    w_full = asg.w_instance(dist, cfg.instance_cfg())
+    w_full = asg.w_instance(dist, cfg)
     history = []
     n = tset.n
     bs = min(cfg.batch_size, n)
@@ -216,8 +160,6 @@ def load_checkpoint(path):
     weights; weights of any other name or shape are rejected.  A missing or
     malformed field raises a ValueError naming the file and the field.
     """
-    from .config import train_config_from_fields  # config imports this module
-
     try:
         # np.load leaves a file it opened itself open when the zip is bad
         with open(path, "rb") as fh:

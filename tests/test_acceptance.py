@@ -92,12 +92,12 @@ def test_criterion_4_gradient_correctness(capsys):
     dvals = (dvals + dvals.T) / 2
     np.fill_diagonal(dvals, 0.0)
     dm = dist.DistanceMatrix(values=dvals / dvals.max(), metric="dtw", normalized=True)
-    icfg, tcfg = asg.InstanceAssignConfig(), asg.TemporalAssignConfig()
+    cfg = tr.TrainConfig(lam=0.5)
 
     def forward():
         ra = tc.encode(model, xa)
         rb = tc.encode(model, xb)
-        total, _ = losses.joint_loss(ra, rb, dm, icfg, tcfg, lam=0.5)
+        total, _ = losses.joint_loss(ra, rb, asg.w_instance(dm, cfg), cfg)
         return total
 
     total = forward()
@@ -155,14 +155,14 @@ def test_criterion_6_kernel_properties(capsys):
     d_grid = np.linspace(0, 1, 21)
     m = dist.DistanceMatrix(values=np.tile(d_grid, (21, 1)), metric="dtw", normalized=True)
     for kernel in asg.INSTANCE_KERNELS:
-        cfg = asg.InstanceAssignConfig(kernel=kernel, tau=8.0, kernel_sigma=0.5)
+        cfg = tr.TrainConfig(inst_kernel=kernel, tau_inst=8.0, kernel_sigma=0.5)
         w = asg.w_instance(m, cfg)[0]
         mono = bool(np.all(np.diff(w) <= 1e-12))
         ok = ok and mono
         details.append(f"inst:{kernel} mono={mono}")
     # monotonicity in |t - t'| for every temporal kernel
     for kernel in asg.TEMPORAL_KERNELS:
-        cfg = asg.TemporalAssignConfig(kernel=kernel)
+        cfg = tr.TrainConfig(temp_kernel=kernel)
         w = asg.w_temporal(12, 0, cfg)[0]
         mono = bool(np.all(np.diff(w) <= 1e-12))
         ok = ok and mono
@@ -171,13 +171,13 @@ def test_criterion_6_kernel_properties(capsys):
     alpha_ok = True
     zero = dist.DistanceMatrix(values=np.zeros((2, 2)), metric="dtw", normalized=True)
     for alpha in (0.25, 0.5, 0.75, 1.0):
-        w = asg.w_instance(zero, asg.InstanceAssignConfig(alpha=alpha))
+        w = asg.w_instance(zero, tr.TrainConfig(alpha=alpha))
         alpha_ok = alpha_ok and abs(w[0, 1] - alpha) < 1e-12
     ok = ok and alpha_ok
     # hierarchical sharpness tau_T = m^k * tau_base, verified numerically
     tau_ok = True
     for m_val in (2, 3):
-        cfg = asg.TemporalAssignConfig(tau_base=0.7, pool_kernel_m=m_val)
+        cfg = tr.TrainConfig(tau_temp=0.7, pool_m=m_val)
         for k in range(4):
             expected = m_val ** k * 0.7
             tau_ok = tau_ok and abs(asg.effective_tau(cfg, k) - expected) < 1e-12

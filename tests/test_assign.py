@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tscontrast import assign as asg
 from tscontrast import oracle
+from tscontrast.config import TrainConfig
 from tscontrast.distance import DistanceMatrix
 
 
@@ -12,30 +13,17 @@ def _dist(values):
     return DistanceMatrix(values=np.asarray(values, dtype=float), metric="dtw", normalized=True)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        asg.InstanceAssignConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        asg.InstanceAssignConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        asg.InstanceAssignConfig(kernel="cubic")
-    with pytest.raises(ValueError):
-        asg.TemporalAssignConfig(pool_kernel_m=1)
-    with pytest.raises(ValueError):
-        asg.TemporalAssignConfig(neighbor_window_frac=0.0)
-
-
 def test_instance_requires_normalized():
     raw = DistanceMatrix(values=np.zeros((2, 2)), metric="dtw", normalized=False)
     with pytest.raises(ValueError):
-        asg.w_instance(raw, asg.InstanceAssignConfig())
+        asg.w_instance(raw, TrainConfig())
 
 
 @pytest.mark.parametrize("kernel", asg.INSTANCE_KERNELS)
 def test_instance_kernels_monotone_nonincreasing(kernel):
     d = np.linspace(0, 1, 11)
     m = _dist(np.tile(d, (11, 1)))
-    cfg = asg.InstanceAssignConfig(kernel=kernel, tau=5.0, alpha=0.5, kernel_sigma=0.5)
+    cfg = TrainConfig(inst_kernel=kernel, tau_inst=5.0, alpha=0.5, kernel_sigma=0.5)
     w = asg.w_instance(m, cfg)[0]
     assert np.all(np.diff(w) <= 1e-12)
     assert np.all(w >= 0.0) and np.all(w <= 1.0)
@@ -43,14 +31,14 @@ def test_instance_kernels_monotone_nonincreasing(kernel):
 
 def test_instance_sigmoid_alpha_at_zero():
     for alpha in (0.25, 0.5, 0.75, 1.0):
-        cfg = asg.InstanceAssignConfig(alpha=alpha)
+        cfg = TrainConfig(alpha=alpha)
         w = asg.w_instance(_dist([[0.0, 0.0], [0.0, 0.0]]), cfg)
         assert w[0, 1] == pytest.approx(alpha)
 
 
 def test_effective_tau_scaling():
-    cfg = asg.TemporalAssignConfig(tau_base=1.5, pool_kernel_m=2)
-    flat = asg.TemporalAssignConfig(tau_base=1.5, pool_kernel_m=2, hierarchical=False)
+    cfg = TrainConfig(tau_temp=1.5, pool_m=2)
+    flat = TrainConfig(tau_temp=1.5, pool_m=2, hierarchical_tau=False)
     for k in range(5):
         assert asg.effective_tau(cfg, k) == pytest.approx(2 ** k * 1.5)
         assert asg.effective_tau(flat, k) == 1.5
@@ -58,7 +46,7 @@ def test_effective_tau_scaling():
 
 @pytest.mark.parametrize("kernel", asg.TEMPORAL_KERNELS)
 def test_temporal_kernels_monotone_in_gap(kernel):
-    cfg = asg.TemporalAssignConfig(kernel=kernel, tau_base=1.0, gaussian_std=1.0)
+    cfg = TrainConfig(temp_kernel=kernel, tau_temp=1.0, gaussian_std=1.0)
     w = asg.w_temporal(10, 0, cfg)
     row = w[0]  # gap increases along the row
     assert np.all(np.diff(row) <= 1e-12)
@@ -67,28 +55,28 @@ def test_temporal_kernels_monotone_in_gap(kernel):
 
 
 def test_temporal_neighbor_window():
-    cfg = asg.TemporalAssignConfig(kernel="neighbor", neighbor_window_frac=0.3)
+    cfg = TrainConfig(temp_kernel="neighbor", neighbor_window_frac=0.3)
     w = asg.w_temporal(10, 0, cfg)  # window = ceil(3) = 3, two-sided inclusive
     assert w[0, 3] == 1.0 and w[0, 4] == 0.0
     assert w[5, 2] == 1.0 and w[5, 8] == 1.0 and w[5, 9] == 0.0
 
 
 def test_temporal_linear_endpoints():
-    cfg = asg.TemporalAssignConfig(kernel="linear")
+    cfg = TrainConfig(temp_kernel="linear")
     w = asg.w_temporal(5, 0, cfg)
     assert w[0, 0] == 1.0
     assert w[0, 4] == pytest.approx(0.0)
 
 
 def test_temporal_sharpening_with_level():
-    cfg = asg.TemporalAssignConfig(kernel="sigmoid", tau_base=1.0)
+    cfg = TrainConfig(temp_kernel="sigmoid", tau_temp=1.0)
     w0 = asg.w_temporal(8, 0, cfg)
     w2 = asg.w_temporal(8, 2, cfg)
     assert np.all(w2[0, 1:] <= w0[0, 1:] + 1e-12)  # sharper decay at depth
 
 
 def test_temporal_validation():
-    cfg = asg.TemporalAssignConfig()
+    cfg = TrainConfig()
     with pytest.raises(ValueError):
         asg.w_temporal(0, 0, cfg)
     with pytest.raises(ValueError):

@@ -463,6 +463,8 @@ def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, va
     ("train", "batch_size", 1, True),
     ("train", "iters", None, True),
     ("loss", "hard", "false", True),
+    ("assignment", "tau_temp", float("nan"), True),  # json writes and reads NaN
+    ("assignment", "tau_inst", float("inf"), True),
 ])
 def test_bad_config_fails_before_any_work(tmp_path, capsys, section, key, value, names_key):
     cache = tmp_path / "dist.bin"
@@ -497,6 +499,20 @@ def test_short_series_fail_before_the_distance_matrix(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert f"length >= {ds.MIN_CROP_LENGTH}" in err and "shortest has 3" in err
     assert not cache.exists() and not out.exists()
+
+
+def test_series_too_large_to_normalize_exits_2_naming_it(tmp_path, capsys):
+    # finite cells, so the loader takes them, but the stdev overflows
+    tset = ds.make_synthetic(2, 16, [{"kind": "sine", "freq": 2.0}], seed=2)
+    values = tset.values.copy()
+    values[1, :, 0] = np.resize([1e300, -1e300], 16)
+    tsv = tmp_path / "huge.tsv"
+    ds.write_ucr_tsv(ds.TimeSeriesSet(values, tset.lengths, tset.labels), tsv)
+    out = tmp_path / "model.npz"
+    cfg = _config(tmp_path, dataset={"path": str(tsv)})
+    assert cli.main(["pretrain", "--config", cfg, "--out", str(out)]) == 2
+    assert "series 1: mean or stdev is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mask_mode", ["binomial", "last_point"])

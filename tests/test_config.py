@@ -11,7 +11,7 @@ from tscontrast import config as engine_config
 from tscontrast import data as ds
 from tscontrast import distance as dist
 from tscontrast import encoder as enc
-from tscontrast import train as tr
+from tscontrast.config import TrainConfig
 from tscontrast.distance import METRICS
 
 DEFAULTS = engine_config.DEFAULTS
@@ -160,14 +160,12 @@ def test_valid_config_round_trips(raw):
 def test_every_train_config_field_is_a_config_key():
     keys = {engine_config._FIELD_NAMES.get(key, key)
             for keys in engine_config._TRAIN_SECTIONS.values() for key in keys}
-    assert {f.name for f in fields(tr.TrainConfig)} == keys
-    cfg = tr.TrainConfig()
-    assert cfg.instance_cfg() == asg.InstanceAssignConfig()
-    assert cfg.temporal_cfg() == asg.TemporalAssignConfig()
-    assert cfg.encoder_cfg(3) == enc.EncoderConfig(3)
+    assert {f.name for f in fields(TrainConfig)} == keys
+    assert TrainConfig().encoder_cfg(3) == enc.EncoderConfig(3, hidden=32, output_dims=16, depth=4)
 
 
-# one out-of-range value for every TrainConfig rule, sub-configs included
+# one out-of-range value for every TrainConfig rule, and NaN and infinity for
+# every number that must be finite
 _TRAIN_RULE_CASES = [
     ("assignment", "tau_inst", 0), ("assignment", "tau_temp", 0),
     ("assignment", "alpha", 1.5), ("assignment", "pool_m", 1),
@@ -178,6 +176,10 @@ _TRAIN_RULE_CASES = [
     ("train", "lr", -0.1), ("loss", "lambda", 1.5),
     ("train", "batch_size", 1), ("train", "iters", -1),
     ("train", "seed", -1), ("train", "mask_mode", "bogus"),
+    *[("assignment", key, value)
+      for key in ("tau_inst", "tau_temp", "kernel_sigma", "gaussian_std")
+      for value in (math.nan, math.inf)],
+    ("train", "lr", math.nan), ("train", "lr", math.inf),
 ]
 
 
@@ -191,7 +193,7 @@ def test_sub_config_rule_names_the_key(section, key, value):
 def test_train_config_checks_its_own_fields(section, key, value):
     # Python callers get the same rules as a config file
     with pytest.raises(ValueError):
-        tr.TrainConfig(**{engine_config._FIELD_NAMES.get(key, key): value})
+        TrainConfig(**{engine_config._FIELD_NAMES.get(key, key): value})
 
 
 _TWO_SERIES = ds.TimeSeriesSet(values=np.arange(8.0).reshape(2, 4, 1), lengths=[4, 4])

@@ -102,6 +102,18 @@ def test_znormalize_constant_channel():
     assert np.all(out.values == 0.0)
 
 
+@pytest.mark.parametrize("row", [[1e300, -1e300] * 3, [1e308] * 6, [0.0] * 5 + [math.nan]])
+def test_znormalize_rejects_a_series_it_cannot_scale(row):
+    # +-1e300 used to overflow the stdev to inf and normalize to all zeros
+    # with only a RuntimeWarning (an error in this suite)
+    values = np.zeros((3, 6, 1))
+    values[0, :, 0] = np.arange(6)
+    values[1, :, 0] = row
+    values[2, :, 0] = np.arange(6)[::-1]
+    with pytest.raises(ValueError, match=r"^series 1: mean or stdev is not finite"):
+        ds.znormalize(ds.TimeSeriesSet(values, [6, 6, 6]))
+
+
 def test_make_synthetic_deterministic_and_labeled():
     classes = [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}]
     a = ds.make_synthetic(4, 16, classes, noise_std=0.1, seed=5)
@@ -165,6 +177,64 @@ def test_crop_rejects_tiny_series():
     tset = ds.TimeSeriesSet(values=np.zeros((2, 3, 1)), lengths=[3, 3])
     with pytest.raises(ValueError):
         ds.crop_two_views(tset, seed=0)
+
+
+def _shared_crop(t, seed):
+    """(crop length, offset of view a, offset of view b): the draws of one
+    crop shared by every row of a batch whose shortest length is t."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    crop_len = int(rng.integers(math.ceil(t / 2), t + 1))
+    off_a = int(rng.integers(0, t - crop_len + 1))
+    off_b = int(rng.integers(max(0, off_a - crop_len + 1),
+                             min(t - crop_len, off_a + crop_len - 1) + 1))
+    return crop_len, off_a, off_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), length=st.integers(ds.MIN_CROP_LENGTH, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_equal_length_crop_is_one_slice_for_every_row(n, length, seed):
+    values = np.random.default_rng(seed).normal(size=(n, length, 2))
+    views = ds.crop_two_views(ds.TimeSeriesSet(values, [length] * n), seed=seed)
+    crop_len, off_a, off_b = _shared_crop(length, seed)
+    np.testing.assert_array_equal(views.view_a, values[:, off_a:off_a + crop_len])
+    np.testing.assert_array_equal(views.view_b, values[:, off_b:off_b + crop_len])
+
+
+_LADDER = st.lists(st.integers(ds.MIN_CROP_LENGTH, 30), min_size=2, max_size=5).filter(
+    lambda lengths: len(set(lengths)) > 1)
+
+
+def _numbered(lengths):
+    """Series whose cell at step t holds t, padded with NaN."""
+    values = np.full((len(lengths), max(lengths), 1), np.nan)
+    for i, length in enumerate(lengths):
+        values[i, :length, 0] = np.arange(length)
+    return ds.TimeSeriesSet(values, lengths)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=_LADDER, seed=st.integers(0, 2 ** 32 - 1))
+def test_ragged_crop_reads_no_padding(lengths, seed):
+    views = ds.crop_two_views(_numbered(lengths), seed=seed)
+    assert np.isfinite(views.view_a).all() and np.isfinite(views.view_b).all()
+    # each row's two views cover the same steps over the overlap
+    np.testing.assert_array_equal(*views.overlap(views.view_a, views.view_b))
+    # and the offsets within the views are the batch's shared draws
+    crop_len, off_a, off_b = _shared_crop(min(lengths), seed)
+    assert views.view_a.shape[1] == crop_len
+    assert views.overlap_start_a == max(off_a, off_b) - off_a
+
+
+def test_ragged_crop_reaches_every_step_of_the_longest_series():
+    lengths = [8, 13, 30]
+    tset = _numbered(lengths)
+    seen = set()
+    for seed in range(200):
+        views = ds.crop_two_views(tset, seed=seed)
+        seen.update(views.view_a[2, :, 0].astype(int).tolist())
+        seen.update(views.view_b[2, :, 0].astype(int).tolist())
+    assert seen == set(range(30))
 
 
 @pytest.mark.parametrize("spec", [5, "sine", {"kind": "sine", "freq": "2"},

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo,expected", [
     ("01_distances.py", "cache round-trip bit-exact: True"),
-    ("02_soft_assignments.py", ""),
+    ("02_soft_assignments.py", "level 3: effective tau =  8.0, w(gap=1) = 0.0007"),
     ("04_anomaly.py", "score argmax at 40"),
 ])
 def test_fast_demo_runs_without_warnings(tmp_path, demo, expected):

@@ -12,7 +12,7 @@ def _model(depth=2, hidden=8, out=4, dims=2):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        enc.EncoderConfig(input_dims=0)
+        enc.EncoderConfig(input_dims=0, hidden=8, output_dims=4, depth=2)
 
 
 def test_init_deterministic():

@@ -258,9 +258,9 @@ def test_threshold_anomalies():
     assert report.f1 == 1.0 and report.precision == 1.0 and report.recall == 1.0
     assert report.per_class == {"tp": 1, "fp": 0, "fn": 0}
     with pytest.raises(ValueError):
-        ev.threshold_anomalies(np.array([]))
+        ev.threshold_anomalies(np.array([]), c=1.0)
     with pytest.raises(ValueError):
-        ev.threshold_anomalies(scores, labels=labels[:3])
+        ev.threshold_anomalies(scores, labels=labels[:3], c=1.0)
 
 
 def test_report_text_and_csv(tmp_path):

@@ -10,6 +10,7 @@ from tscontrast import autodiff as ad
 from tscontrast import encoder as enc
 from tscontrast import loss as losses
 from tscontrast import oracle
+from tscontrast.config import TrainConfig
 from tscontrast.distance import DistanceMatrix
 
 
@@ -28,8 +29,7 @@ def test_temporal_loss_matches_oracle(rng):
     for _ in range(10):
         n, t, m = rng.integers(1, 4), rng.integers(2, 5), rng.integers(1, 5)
         reps = rng.normal(size=(2 * n, t, m))
-        cfg = asg.TemporalAssignConfig()
-        w_t = asg.w_temporal(t, 0, cfg)
+        w_t = asg.w_temporal(t, 0, TrainConfig())
         ours = float(losses.soft_temporal_loss(ad.Tensor(reps), asg.extend_temporal(w_t)).data)
         ref = oracle.scalar_loss_eq6(reps, w_t)
         assert abs(ours - ref) < 1e-10
@@ -134,6 +134,8 @@ def test_kl_identity(rng):
 
 
 def _joint_inputs(rng, n=3, t=8, m=4):
+    """Two views [n, t, m] and the default instance weights of a random
+    normalized distance matrix."""
     ra = rng.normal(size=(n, t, m))
     rb = rng.normal(size=(n, t, m))
     d = rng.uniform(size=(n, n))
@@ -141,13 +143,12 @@ def _joint_inputs(rng, n=3, t=8, m=4):
     np.fill_diagonal(d, 0.0)
     d = d / d.max()
     dist = DistanceMatrix(values=d, metric="dtw", normalized=True)
-    return ra, rb, dist
+    return ra, rb, asg.w_instance(dist, TrainConfig())
 
 
 def test_joint_loss_breakdown(rng):
-    ra, rb, dist = _joint_inputs(rng)
-    icfg, tcfg = asg.InstanceAssignConfig(), asg.TemporalAssignConfig()
-    total, bd = losses.joint_loss(ra, rb, dist, icfg, tcfg, lam=0.3)
+    ra, rb, w = _joint_inputs(rng)
+    total, bd = losses.joint_loss(ra, rb, w, TrainConfig(lam=0.3))
     assert total.data.shape == ()
     assert bd.lam == 0.3
     assert len(bd.per_level) == 3  # T=8 -> 8, 4, 2
@@ -157,22 +158,18 @@ def test_joint_loss_breakdown(rng):
 
 
 def test_joint_loss_lambda_extremes(rng):
-    ra, rb, dist = _joint_inputs(rng)
-    icfg, tcfg = asg.InstanceAssignConfig(), asg.TemporalAssignConfig()
-    total0, bd0 = losses.joint_loss(ra, rb, dist, icfg, tcfg, lam=0.0)
+    ra, rb, w = _joint_inputs(rng)
+    total0, bd0 = losses.joint_loss(ra, rb, w, TrainConfig(lam=0.0))
     assert bd0.total == pytest.approx(bd0.temporal_term)
-    total1, bd1 = losses.joint_loss(ra, rb, dist, icfg, tcfg, lam=1.0)
+    total1, bd1 = losses.joint_loss(ra, rb, w, TrainConfig(lam=1.0))
     assert bd1.total == pytest.approx(bd1.instance_term)
-    with pytest.raises(ValueError):
-        losses.joint_loss(ra, rb, dist, icfg, tcfg, lam=1.5)
 
 
 def test_joint_loss_hard_flag(rng):
-    ra, rb, dist = _joint_inputs(rng)
-    icfg, tcfg = asg.InstanceAssignConfig(), asg.TemporalAssignConfig()
-    _, hard_bd = losses.joint_loss(ra, rb, dist, icfg, tcfg, hard=True)
+    ra, rb, w = _joint_inputs(rng)
+    _, hard_bd = losses.joint_loss(ra, rb, w, TrainConfig(hard=True))
     n = ra.shape[0]
-    _, zero_bd = losses.joint_loss(ra, rb, np.zeros((n, n)), icfg, tcfg)
+    _, zero_bd = losses.joint_loss(ra, rb, np.zeros((n, n)), TrainConfig())
     # hard=True zeroes the instance weights; temporal weights differ (also zeroed)
     assert hard_bd.per_level[0][1] == pytest.approx(zero_bd.per_level[0][1])
     assert hard_bd.temporal_term <= zero_bd.temporal_term + 1e-9
@@ -191,19 +188,17 @@ def test_pool_ladder_and_joint_loss_levels_match_the_scalar_ladder(length, m, se
     ra, rb = rng.normal(size=(2, 2, length, 2))
     ladder = enc.pool_ladder(ad.Tensor(ra), m)
     assert [level.shape[1] for level in ladder] == expected
-    tcfg = asg.TemporalAssignConfig(pool_kernel_m=m)
-    _, bd = losses.joint_loss(ra, rb, np.zeros((2, 2)), asg.InstanceAssignConfig(), tcfg)
+    _, bd = losses.joint_loss(ra, rb, np.zeros((2, 2)), TrainConfig(pool_m=m))
     assert [k for k, _, _ in bd.per_level] == list(range(len(expected)))
     assert all(np.isfinite([li, lt]).all() for _, li, lt in bd.per_level)
 
 
 def test_joint_loss_shape_checks(rng):
-    ra, rb, dist = _joint_inputs(rng)
-    icfg, tcfg = asg.InstanceAssignConfig(), asg.TemporalAssignConfig()
+    ra, rb, w = _joint_inputs(rng)
     with pytest.raises(ValueError):
-        losses.joint_loss(ra, rb[:2], dist, icfg, tcfg)
+        losses.joint_loss(ra, rb[:2], w, TrainConfig())
     with pytest.raises(ValueError):
-        losses.joint_loss(ra, rb, np.zeros((2, 2)), icfg, tcfg)
+        losses.joint_loss(ra, rb, np.zeros((2, 2)), TrainConfig())
 
 
 def test_csv_row_order():

@@ -11,6 +11,7 @@ from tscontrast import evaluate as ev
 from tscontrast import loss as losses
 from tscontrast import oracle
 from tscontrast import train as tr
+from tscontrast.config import TrainConfig
 
 
 def test_dtw_small_closed_form():
@@ -71,23 +72,23 @@ def test_synthetic_classes_separate_under_dtw():
 def test_instance_weight_closed_forms():
     d1 = dist.DistanceMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]),
                              metric="dtw", normalized=True)
-    w = asg.w_instance(d1, asg.InstanceAssignConfig(tau=10.0, alpha=0.5))
+    w = asg.w_instance(d1, TrainConfig(tau_inst=10.0, alpha=0.5))
     assert w[0, 1] == pytest.approx(1.0 / (1.0 + np.exp(10.0)))
-    w = asg.w_instance(d1, asg.InstanceAssignConfig(kernel="no_kernel"))
+    w = asg.w_instance(d1, TrainConfig(inst_kernel="no_kernel"))
     assert w[0, 0] == 1.0 and w[0, 1] == 0.0
 
 
 def test_instance_sharpness_limits():
     d = dist.DistanceMatrix(values=np.array([[0.0, 0.4], [0.4, 0.0]]),
                             metric="dtw", normalized=True)
-    tight = asg.w_instance(d, asg.InstanceAssignConfig(tau=1e6, alpha=0.5))
+    tight = asg.w_instance(d, TrainConfig(tau_inst=1e6, alpha=0.5))
     assert tight[0, 1] == pytest.approx(0.0, abs=1e-12)  # hard-CL limit
-    loose = asg.w_instance(d, asg.InstanceAssignConfig(tau=1e-9, alpha=0.5))
+    loose = asg.w_instance(d, TrainConfig(tau_inst=1e-9, alpha=0.5))
     assert loose[0, 1] == pytest.approx(0.5, abs=1e-6)   # -> alpha everywhere
 
 
 def test_temporal_weight_closed_forms():
-    cfg = asg.TemporalAssignConfig(tau_base=1.0)
+    cfg = TrainConfig(tau_temp=1.0)
     w = asg.w_temporal(5, 0, cfg)
     assert w[2, 2] == pytest.approx(1.0)                       # 2*sigmoid(0)
     assert w[0, 2] == pytest.approx(2.0 / (1.0 + np.exp(2.0)))
@@ -131,13 +132,13 @@ def test_loss_invariant_under_batch_permutation(rng):
     d = rng.uniform(size=(n, n))
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
-    icfg, tcfg = asg.InstanceAssignConfig(), asg.TemporalAssignConfig()
+    cfg = TrainConfig()
     dm = dist.DistanceMatrix(values=d / d.max(), metric="dtw", normalized=True)
-    base, _ = losses.joint_loss(ra, rb, dm, icfg, tcfg)
+    base, _ = losses.joint_loss(ra, rb, asg.w_instance(dm, cfg), cfg)
     perm = rng.permutation(n)
     dmp = dist.DistanceMatrix(values=dm.values[np.ix_(perm, perm)],
                               metric="dtw", normalized=True)
-    permuted, _ = losses.joint_loss(ra[perm], rb[perm], dmp, icfg, tcfg)
+    permuted, _ = losses.joint_loss(ra[perm], rb[perm], asg.w_instance(dmp, cfg), cfg)
     assert float(permuted.data) == pytest.approx(float(base.data), rel=1e-12)
 
 
