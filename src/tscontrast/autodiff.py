@@ -122,15 +122,13 @@ def gelu(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=bwd)
 
 
-def tsum(a, axis=None) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every element, as a scalar."""
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis)
+    out_data = a.data.sum()
 
     def bwd(g):
-        if axis is None:
-            _accumulate(a, np.full_like(a.data, g), owned=True)
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(), owned=True)
+        _accumulate(a, np.full_like(a.data, g), owned=True)
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 

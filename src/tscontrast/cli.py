@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -108,19 +109,32 @@ def cmd_pretrain(args) -> int:
 def cmd_encode(args) -> int:
     state, _ = tr.load_checkpoint(args.ckpt)
     tset = ds.znormalize(ds.load_ucr_tsv(args.data))
-    inst = _instance_reprs(state.model, tset)
+    inst, reps = _encode_by_length(state.model, tset)
     with ds.whole_file(args.out) as fh:
         np.savetxt(fh, inst, delimiter=",")
     if args.full:
         with ds.whole_file(args.full, "wb") as fh:
-            np.savez(fh, reps=enc.encode(state.model, tset.values).data)  # [N, T, M]
+            np.savez(fh, reps=reps)
     print(f"wrote {inst.shape[0]} instance representations of dim {inst.shape[1]}")
     return 0
 
 
+def _encode_by_length(model: enc.EncoderModel, tset: ds.TimeSeriesSet):
+    """([N, M] instance, [N, T, M] per-timestamp) representations of every
+    series in `tset`, the latter 0 past each series' length.  Each length is
+    encoded on its own unpadded steps, so no series sees another's padding."""
+    reps = np.zeros((tset.n, tset.t_max, model.config.output_dims))
+    inst = np.empty((tset.n, model.config.output_dims))
+    for length in np.unique(tset.lengths):
+        rows = np.flatnonzero(tset.lengths == length)
+        reps[rows, :length] = enc.encode(model, tset.values[rows, :length]).data
+        inst[rows] = enc.instance_repr(reps[rows, :length])
+    return inst, reps
+
+
 def _instance_reprs(model: enc.EncoderModel, tset: ds.TimeSeriesSet) -> np.ndarray:
     """[N, M] instance representations of every series in `tset`."""
-    return enc.instance_repr(enc.encode(model, tset.values).data)
+    return _encode_by_length(model, tset)[0]
 
 
 def _probe_split(tset, model, k):
@@ -162,7 +176,10 @@ def cmd_evaluate(args) -> int:
         scores = ev.anomaly_scores(state.model, series)
         labels = None
         if args.labels:
-            labels = np.loadtxt(args.labels, delimiter=",", ndmin=1)
+            with warnings.catch_warnings():
+                # an empty file is reported below as 0 labels, not as numpy's warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                labels = np.loadtxt(args.labels, delimiter=",", ndmin=1)
             bad = labels[~np.isin(labels, (0, 1))]
             if bad.size:
                 raise ValueError(f"{args.labels}: anomaly labels must be 0 or 1, "

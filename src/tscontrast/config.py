@@ -179,6 +179,8 @@ def validate(raw: dict) -> EngineConfig:
             raise ValueError(f"distance.{key}: {exc}") from None
     if sections["eval"]["probe_k"] < 1:
         raise ValueError(f"eval.probe_k must be >= 1, got {sections['eval']['probe_k']}")
+    if not math.isfinite(sections["eval"]["anomaly_c"]):
+        raise ValueError(f"eval.anomaly_c must be finite, got {sections['eval']['anomaly_c']}")
     # Each of TrainConfig's rules reads one field, so building it from every
     # key alone against the defaults finds every bad value and names its key.
     train_fields = {}

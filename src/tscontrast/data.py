@@ -286,11 +286,10 @@ def crop_two_views(tset: TimeSeriesSet, seed: int) -> ViewPair:
     """Two equal-length random overlapping crops.
 
     Crop length is uniform in [ceil(T/2), T] and offsets are uniform subject
-    to a nonempty overlap; T is the shortest series length in the batch.  In
-    a ragged batch both views of row i then move by one more draw, uniform in
-    [0, L_i - T], so every step of a longer series can be cropped; the overlap
-    offsets within the views stay shared.  A batch of equal lengths draws
-    nothing more.
+    to a nonempty overlap; T is the shortest series length in the batch.  Both
+    views of row i then move by one more draw, uniform in [0, L_i - T], so
+    every step of a longer series can be cropped (in a batch of equal lengths
+    every such draw is 0); the overlap offsets within the views stay shared.
     """
     t = int(tset.lengths.min())
     if t < MIN_CROP_LENGTH:
@@ -303,9 +302,7 @@ def crop_two_views(tset: TimeSeriesSet, seed: int) -> ViewPair:
     off_b = int(rng.integers(lo, hi + 1))
     ov_lo = max(off_a, off_b)
     ov_hi = min(off_a, off_b) + crop_len
-    steps = np.arange(crop_len)
-    if tset.lengths.max() > t:
-        steps = steps + rng.integers(0, tset.lengths - t + 1)[:, None]  # [N, crop_len]
+    steps = np.arange(crop_len) + rng.integers(0, tset.lengths - t + 1)[:, None]  # [N, crop_len]
     rows = np.arange(tset.n)[:, None]
     return ViewPair(
         view_a=tset.values[rows, off_a + steps],

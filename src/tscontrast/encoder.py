@@ -1,7 +1,7 @@
 """Per-timestamp embedding network: input projection, dilated convolution
 blocks with residuals, and the max-pooling ladder used by the hierarchical
-loss.  Timestamp masking is chosen per call: training and anomaly scoring
-mask, every other use encodes unmasked."""
+loss.  Timestamp masking is for training only; every other use encodes
+unmasked, and anomaly scoring hides timestamps itself."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-MASK_MODES = ("none", "binomial", "last_point")
+MASK_MODES = ("none", "binomial")
 KERNEL_SIZE = 3  # taps per dilated convolution
 
 
@@ -70,31 +70,6 @@ def init_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderModel:
     return EncoderModel(params=params, config=cfg)
 
 
-def build_mask(mask_mode: str, batch: int, length: int, rng=None, mask_index=None) -> np.ndarray | None:
-    """0/1 keep-mask of shape [batch, length, 1], or None for no masking.
-
-    `last_point` hides the same timestamp in every row: `mask_index`, one
-    integer, or None for the last timestamp."""
-    if mask_mode == "none":
-        return None
-    if mask_mode == "binomial":
-        if rng is None:
-            raise ValueError("binomial masking needs an RNG")
-        return (rng.random((batch, length, 1)) > 0.5).astype(np.float64)
-    if mask_mode == "last_point":
-        idx = np.asarray(length - 1 if mask_index is None else mask_index)
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(f"mask_index must be integer, got {idx.dtype}")
-        if idx.ndim != 0:
-            raise ValueError(f"mask_index must be one integer, got an array of shape {idx.shape}")
-        if not 0 <= idx < length:
-            raise ValueError(f"mask_index {idx} out of range for length {length}")
-        mask = np.ones((batch, length, 1))
-        mask[:, idx, 0] = 0.0
-        return mask
-    raise ValueError(f"unknown mask mode: {mask_mode!r}")
-
-
 def project(model: EncoderModel, x) -> Tensor:
     """Input projection of [B, L, D] inputs to the [B, L, H] residual stream;
     raises ValueError unless D is the model's input width."""
@@ -123,22 +98,39 @@ def readout(model: EncoderModel, h) -> Tensor:
     return ad.add(ad.matmul(h, model.params["out_w"]), model.params["out_b"])
 
 
-def encode(model: EncoderModel, x, mask_mode: str = "none", rng=None, mask_index=None) -> Tensor:
+def residual_stream(model: EncoderModel, h) -> tuple[Tensor, list[tuple[Tensor, Tensor, Tensor]]]:
+    """The dilated blocks on the [B, L, H] residual stream `h`: the output
+    stream, and each block b's input h_b, gelu(h_b) and gelu(y1_b), y1_b its
+    first conv stage.  Block b is gelu -> conv_stage(b, 1) -> gelu ->
+    conv_stage(b, 2), added to its input."""
+    blocks = []
+    for b in range(model.config.depth):
+        gelu_h = ad.gelu(h)
+        gelu_y1 = ad.gelu(conv_stage(model, gelu_h, b, 1))
+        blocks.append((h, gelu_h, gelu_y1))
+        h = ad.add(h, conv_stage(model, gelu_y1, b, 2))
+    return h, blocks
+
+
+def encode(model: EncoderModel, x, mask_mode: str = "none", rng=None) -> Tensor:
     """Map [B, L, D] inputs to per-timestamp representations [B, L, M].
 
-    Unmasked by default.  Masked timestamps are zeroed after the input
-    projection, before the conv stack, so context can still fill them in.
-    Block b is gelu -> conv_stage(b, 1) -> gelu -> conv_stage(b, 2), added
-    to its input.
+    Unmasked by default.  Training may pass `mask_mode="binomial"` with an
+    RNG: each timestamp of each row is then zeroed with probability 1/2
+    after the input projection, before the conv stack, so context can still
+    fill it in.  A zero-padded ragged array is encoded as given, padding
+    included: its convs carry the padded steps into the valid ones, so
+    encode each length on its own steps for representations that do not
+    depend on the rest of the batch.
     """
     h = project(model, x)
-    mask = build_mask(mask_mode, h.shape[0], h.shape[1], rng=rng, mask_index=mask_index)
-    if mask is not None:
-        h = ad.mul(h, mask)
-    for b in range(model.config.depth):
-        y = conv_stage(model, ad.gelu(h), b, 1)
-        h = ad.add(h, conv_stage(model, ad.gelu(y), b, 2))
-    return readout(model, h)
+    if mask_mode == "binomial":
+        if rng is None:
+            raise ValueError("binomial masking needs an RNG")
+        h = ad.mul(h, (rng.random((h.shape[0], h.shape[1], 1)) > 0.5).astype(np.float64))
+    elif mask_mode != "none":
+        raise ValueError(f"unknown mask mode: {mask_mode!r}")
+    return readout(model, residual_stream(model, h)[0])
 
 
 def pool_ladder(r: Tensor, m: int) -> list[Tensor]:

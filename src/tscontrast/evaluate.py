@@ -1,5 +1,6 @@
 """Downstream evaluation: kNN classification probe on instance
-representations, and anomaly scoring via masked/unmasked encoding distance."""
+representations, and anomaly scoring by the distance between the encoding
+with one timestamp hidden and the plain one."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -87,22 +88,18 @@ WINDOW_ROWS = 4096
 
 
 def _plain_pass(model: enc.EncoderModel, series: np.ndarray, pad: int):
-    """One unmasked pass over an [L, D] series: per block b, its input h_b,
-    gelu(h_b) and gelu(y1_b) (y1_b the block's first conv stage) as
-    [L + 2 pad, H] arrays with `pad` zero rows at each end, and the [L, M]
-    output."""
+    """One unmasked pass over an [L, D] series: per block, the arrays of
+    `encoder.residual_stream` as [L + 2 pad, H] arrays with `pad` zero rows
+    at each end, and the [L, M] output."""
     length = series.shape[0]
-    h = enc.project(model, series[None])
+    out, blocks = enc.residual_stream(model, enc.project(model, series[None]))
     stream = []
-    for b in range(model.config.depth):
-        gelu_h = ad.gelu(h)
-        gelu_y1 = ad.gelu(enc.conv_stage(model, gelu_h, b, 1))
+    for block in blocks:
         padded = np.zeros((3, length + 2 * pad, model.config.hidden))
-        for rows, a in zip(padded, (h, gelu_h, gelu_y1)):
+        for rows, a in zip(padded, block):
             rows[pad:pad + length] = a.data[0]
         stream.append(padded)
-        h = ad.add(h, enc.conv_stage(model, gelu_y1, b, 2))
-    return stream, enc.readout(model, h).data[0]
+    return stream, enc.readout(model, out).data[0]
 
 
 def _cone_widths(reaches: list[int]) -> list[int]:
@@ -160,7 +157,7 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     """Per-timestamp scores for one [L, D] series: L1 distance at position t
     between the encoding with the observation at t hidden and the plain one.
 
-    Hiding t changes the masked projection at t alone, and each conv stage
+    Hiding t zeroes the input projection at t alone, and each conv stage
     widens the changed span by its reach d = (KERNEL_SIZE // 2) * 2^b on each
     side; of a stage's outputs, only those within q steps of t, q the reach
     of the stages after it, can still move the output at t.  So one plain
@@ -174,8 +171,8 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     over the same offsets.  The output projection reads the stream at t
     alone.  A series costs one plain pass plus sum(2w + 1) positions per
     timestamp, 40 at depth 3 and 98 at depth 4, against 2R + 1 per stage
-    (174 and 488) for a masked encode of its receptive-field window.  The
-    scores equal those of one full masked encode per timestamp
+    (174 and 488) for an encode of its receptive-field window with t hidden.
+    The scores equal those of one full encode per hidden timestamp
     (`oracle.anomaly_scores`).
 
     Raises ValueError naming the first timestamp with a non-finite value,
@@ -198,10 +195,10 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     pad = max(w + reaches[s // 2] for s, w in enumerate(widths))
     stream, full = _plain_pass(model, series, pad)
     per_chunk = max(1, WINDOW_ROWS // (2 * pad + 1))
-    at_t = np.empty((length, model.config.hidden))  # the masked residual stream at t
+    at_t = np.empty((length, model.config.hidden))  # the residual stream at t, t hidden
     for lo in range(0, length, per_chunk):
         n = min(per_chunk, length - lo)
-        h = np.zeros((n, 1, model.config.hidden))  # masked projection at t
+        h = np.zeros((n, 1, model.config.hidden))  # the hidden projection at t
         for b, (h_b, gelu_h, gelu_y1) in enumerate(stream):
             d, w1, w2 = reaches[b], widths[2 * b], widths[2 * b + 1]
             y = cone_stage(model, _window(gelu_h, pad, lo, n, w1 + d, ad.gelu(h).data), b, 1)

@@ -28,7 +28,6 @@ class LossBreakdown:
     total: float
     instance_term: float
     temporal_term: float
-    lam: float
     per_level: list = field(default_factory=list)  # (k, instance, temporal)
 
     def csv_row(self):
@@ -166,7 +165,6 @@ def joint_loss(reps_a, reps_b, w_inst: np.ndarray, cfg: TrainConfig):
         total=float(total.data),
         instance_term=float(np.mean([li for _, li, _ in per_level])),
         temporal_term=float(np.mean([lt for _, _, lt in per_level])),
-        lam=cfg.lam,
         per_level=per_level,
     )
     return total, breakdown

@@ -3,7 +3,8 @@
 Nothing here shares code with the production modules: alignments are found by
 exhaustive path enumeration or by the textbook scalar DP, losses by nested
 scalar loops, gradients by central finite differences.  The one exception is
-`anomaly_scores`, which calls the encoder itself: what it checks is the
+`anomaly_scores`, which calls the encoder's stages (projection, dilated
+blocks, readout) and hides each timestamp itself: what it checks is the
 scoring protocol, one full encode per hidden timestamp.  Sizes are expected
 to be tiny.
 """
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import autodiff as ad
 from . import encoder as enc
 
 
@@ -429,7 +431,8 @@ def fd_gradient(f, params, h: float = 1e-5):
 def anomaly_scores(model, series) -> np.ndarray:
     """Per-timestamp scores for one [L, D] series by L + 1 full encodes: L1
     distance at position t between the encoding with the observation at t
-    hidden and the plain one."""
+    hidden (its projection zeroed before the dilated blocks) and the plain
+    one."""
     series = np.asarray(series, dtype=np.float64)
     if series.ndim == 1:
         series = series[:, None]
@@ -440,6 +443,9 @@ def anomaly_scores(model, series) -> np.ndarray:
     length = series.shape[0]
     scores = np.empty(length)
     for t in range(length):
-        masked = enc.encode(model, x, mask_mode="last_point", mask_index=t).data[0]
+        keep = np.ones((1, length, 1))
+        keep[0, t, 0] = 0.0
+        h = ad.mul(enc.project(model, x), keep)
+        masked = enc.readout(model, enc.residual_stream(model, h)[0]).data[0]
         scores[t] = np.abs(masked[t] - full[t]).sum()
     return scores

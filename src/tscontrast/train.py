@@ -60,12 +60,12 @@ def _adam_step(state: TrainState, cfg: TrainConfig):
 
 
 def evaluate_batch_loss(state: TrainState, batch: TimeSeriesSet, w_inst: np.ndarray,
-                        cfg: TrainConfig, crop_seed: int, mask_seed: int | None = None):
+                        cfg: TrainConfig, crop_seed: int, mask_seed: int):
     """Forward pass on one batch; returns (scalar Tensor, LossBreakdown)."""
     views = crop_two_views(batch, seed=crop_seed)
     mask_rng = None
     if cfg.mask_mode == "binomial":
-        mask_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(mask_seed or 0)))
+        mask_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(mask_seed)))
     ra = enc.encode(state.model, views.view_a, mask_mode=cfg.mask_mode, rng=mask_rng)
     rb = enc.encode(state.model, views.view_b, mask_mode=cfg.mask_mode, rng=mask_rng)
     ra_ov, rb_ov = views.overlap(ra, rb)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscontrast import cli
 from tscontrast import config as engine_config
@@ -444,6 +445,69 @@ def test_evaluate_anomaly_labels_must_count_the_timestamps(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_evaluate_anomaly_empty_labels_file_prints_only_the_error(tmp_path, capsys):
+    tset = ds.make_synthetic(1, 32, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("")
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labels}: 0 anomaly labels for a series of 32 timestamps\n")
+
+
+@st.composite
+def _ragged_set(draw):
+    """A small random encoder and a zero-padded set of 2-6 series of lengths 4-80."""
+    lengths = draw(st.lists(st.integers(4, 80), min_size=2, max_size=6))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.Generator(np.random.Philox(seed))
+    values = np.zeros((len(lengths), max(lengths), 1))
+    for i, length in enumerate(lengths):
+        values[i, :length] = rng.normal(size=(length, 1))
+    cfg = enc.EncoderConfig(input_dims=1, hidden=draw(st.integers(1, 6)),
+                            output_dims=draw(st.integers(1, 4)), depth=draw(st.integers(1, 3)))
+    return enc.init_encoder(cfg, seed=seed), ds.TimeSeriesSet(values, lengths)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ragged_set())
+def test_instance_reprs_do_not_depend_on_the_rest_of_the_set(case):
+    model, tset = case
+    alone = [enc.instance_repr(enc.encode(model, tset.series(i)[None]))[0] for i in range(tset.n)]
+    np.testing.assert_allclose(cli._instance_reprs(model, tset), alone, rtol=0, atol=1e-12)
+
+
+def test_encode_full_holds_each_series_as_if_alone_and_0_past_its_length(tmp_path, capsys):
+    ckpt = str(tmp_path / "model.npz")
+    assert cli.main(["pretrain", "--config", _config(tmp_path), "--out", ckpt]) == 0
+    rng = np.random.Generator(np.random.Philox(4))
+    lengths = [30, 9, 60, 30, 17]
+    values = np.zeros((len(lengths), max(lengths), 1))
+    for i, length in enumerate(lengths):
+        values[i, :length] = rng.normal(size=(length, 1))
+    tsv = tmp_path / "ragged.tsv"
+    ds.write_ucr_tsv(ds.TimeSeriesSet(values, lengths), tsv)
+    reps_csv, full = tmp_path / "reps.csv", tmp_path / "full.npz"
+    assert cli.main(["encode", "--ckpt", ckpt, "--data", str(tsv), "--out", str(reps_csv),
+                     "--full", str(full)]) == 0
+    state, _ = tr.load_checkpoint(ckpt)
+    tset = ds.znormalize(ds.load_ucr_tsv(tsv))
+    inst = np.loadtxt(reps_csv, delimiter=",")
+    with np.load(full) as blob:
+        reps = blob["reps"]
+    assert reps.shape == (5, 60, 3)
+    for i, length in enumerate(lengths):
+        alone = enc.encode(state.model, tset.series(i)[None]).data[0]
+        np.testing.assert_allclose(reps[i, :length], alone, rtol=0, atol=1e-12)
+        assert not reps[i, length:].any()
+        np.testing.assert_allclose(inst[i], alone.max(axis=0), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("key,value", [("noise_std", -0.5), ("noise_std", float("nan")),
                                        ("noise_std", True), ("seed", -1), ("seed", True)])
 def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, value):
@@ -465,6 +529,9 @@ def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, va
     ("loss", "hard", "false", True),
     ("assignment", "tau_temp", float("nan"), True),  # json writes and reads NaN
     ("assignment", "tau_inst", float("inf"), True),
+    ("eval", "anomaly_c", float("nan"), True),
+    ("eval", "anomaly_c", float("inf"), True),
+    ("eval", "anomaly_c", float("-inf"), True),
 ])
 def test_bad_config_fails_before_any_work(tmp_path, capsys, section, key, value, names_key):
     cache = tmp_path / "dist.bin"
@@ -515,7 +582,7 @@ def test_series_too_large_to_normalize_exits_2_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mask_mode", ["binomial", "last_point"])
+@pytest.mark.parametrize("mask_mode", [m for m in enc.MASK_MODES if m != "none"])
 def test_masked_training_checkpoint_encodes_unmasked(tmp_path, capsys, mask_mode):
     cfg = _config(tmp_path, train={"iters": 3, "batch_size": 4, "hidden": 6, "repr_dims": 3,
                                    "depth": 2, "mask_mode": mask_mode})

@@ -50,39 +50,10 @@ def test_binomial_mask_needs_rng(rng):
         enc.encode(model, rng.normal(size=(1, 8, 2)), mask_mode="binomial")
 
 
-def test_last_point_mask_local(rng):
-    model = _model()
-    x = rng.normal(size=(1, 16, 2))
-    plain = enc.encode(model, x).data
-    masked = enc.encode(model, x, mask_mode="last_point", mask_index=5).data
-    assert not np.allclose(plain[0, 5], masked[0, 5])
-    with pytest.raises(ValueError):
-        enc.build_mask("last_point", 1, 16, mask_index=16)
-
-
-def test_mask_index_default_is_last():
-    mask = enc.build_mask("last_point", 2, 6)
-    assert mask[0, 5, 0] == 0.0 and mask[0, :5, 0].sum() == 5
-
-
-def test_mask_index_scalar_masks_every_row_alike():
-    expected = np.ones((3, 6, 1))
-    expected[:, 2, 0] = 0.0
-    np.testing.assert_array_equal(enc.build_mask("last_point", 3, 6, mask_index=2), expected)
-    np.testing.assert_array_equal(enc.build_mask("last_point", 3, 6, mask_index=np.int64(2)),
-                                  expected)
-
-
-@pytest.mark.parametrize("index", [2.5, 2.0, np.array([1.0, 2.0]), "2", True])
-def test_mask_index_must_be_integer(index):
-    with pytest.raises(ValueError, match="mask_index must be integer"):
-        enc.build_mask("last_point", 2, 6, mask_index=index)
-
-
-@pytest.mark.parametrize("index", [np.array([1, 2]), np.array([[1], [2]])])
-def test_mask_index_array_is_rejected(index):
-    with pytest.raises(ValueError, match="mask_index must be one integer, got an array"):
-        enc.build_mask("last_point", 2, 6, mask_index=index)
+def test_encode_rejects_an_unknown_mask_mode(rng):
+    assert enc.MASK_MODES == ("none", "binomial")
+    with pytest.raises(ValueError, match="unknown mask mode: 'bogus'"):
+        enc.encode(_model(), rng.normal(size=(1, 8, 2)), mask_mode="bogus")
 
 
 def test_pool_ladder_lengths(rng):

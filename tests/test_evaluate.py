@@ -75,6 +75,12 @@ def test_anomaly_scores_spike(rng):
         ev.anomaly_scores(model, np.zeros((2, 3, 4)))
 
 
+def test_hiding_a_timestamp_moves_its_own_output(rng):
+    model = enc.init_encoder(
+        enc.EncoderConfig(input_dims=2, hidden=8, output_dims=4, depth=2), seed=3)
+    assert np.all(ev.anomaly_scores(model, rng.normal(size=(16, 2))) > 0)
+
+
 @st.composite
 def _scoring_case(draw):
     """A random small encoder and series; lengths 1, R - 1, R and R + 1 (R the

@@ -150,7 +150,6 @@ def test_joint_loss_breakdown(rng):
     ra, rb, w = _joint_inputs(rng)
     total, bd = losses.joint_loss(ra, rb, w, TrainConfig(lam=0.3))
     assert total.data.shape == ()
-    assert bd.lam == 0.3
     assert len(bd.per_level) == 3  # T=8 -> 8, 4, 2
     expected = np.mean([0.3 * li + 0.7 * lt for _, li, lt in bd.per_level])
     assert bd.total == pytest.approx(expected)
@@ -203,5 +202,5 @@ def test_joint_loss_shape_checks(rng):
 
 def test_csv_row_order():
     bd = losses.LossBreakdown(total=1.0, instance_term=2.0, temporal_term=3.0,
-                              lam=0.5, per_level=[(0, 4.0, 5.0), (1, 6.0, 7.0)])
+                              per_level=[(0, 4.0, 5.0), (1, 6.0, 7.0)])
     assert bd.csv_row() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]

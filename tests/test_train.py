@@ -88,8 +88,8 @@ def test_divergence_guard():
 def test_divergence_guard_names_first_term_in_ladder_order(monkeypatch):
     # level 1's temporal term goes first: levels in order, instance before temporal
     breakdown = losses.LossBreakdown(total=np.nan, instance_term=np.nan, temporal_term=np.nan,
-                                     lam=0.5, per_level=[(0, 1.0, 2.0), (1, 1.0, np.inf),
-                                                         (2, np.nan, np.nan)])
+                                     per_level=[(0, 1.0, 2.0), (1, 1.0, np.inf),
+                                                (2, np.nan, np.nan)])
     monkeypatch.setattr(tr, "evaluate_batch_loss",
                         lambda *args: (ad.Tensor(np.nan), breakdown))
     tset, dm, cfg = _setup()
@@ -104,7 +104,8 @@ def test_hierarchy_off_keeps_hard_and_lambda_checks():
     def batch_loss(**kwargs):
         _, _, cfg = _setup(**kwargs)
         state = tr.TrainState.fresh(cfg, tset.dims)
-        total, _ = tr.evaluate_batch_loss(state, batch, np.zeros((4, 4)), cfg, crop_seed=3)
+        total, _ = tr.evaluate_batch_loss(state, batch, np.zeros((4, 4)), cfg, crop_seed=3,
+                                          mask_seed=0)
         return float(total.data)
 
     # hard=True zeroes every soft weight, so the temporal sharpness and the
