@@ -10,7 +10,6 @@ import json
 import logging
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -132,13 +131,42 @@ def _encode_by_length(model: enc.EncoderModel, tset: ds.TimeSeriesSet):
     return inst, reps
 
 
-def _instance_reprs(model: enc.EncoderModel, tset: ds.TimeSeriesSet) -> np.ndarray:
-    """[N, M] instance representations of every series in `tset`."""
-    return _encode_by_length(model, tset)[0]
+def _check_probe_k(cfg: engine_config.EngineConfig, n_train: int, rows: str) -> None:
+    """Reject an `eval.probe_k` past the probe's `n_train` training rows,
+    which `rows` names for the message."""
+    k = cfg.sections["eval"]["probe_k"]
+    if k > n_train:
+        raise ValueError(f"eval.probe_k {k} is more than the probe's {n_train} "
+                         f"training rows ({rows})")
+
+
+def _read_labels(path) -> np.ndarray:
+    """Anomaly labels, one 0 or 1 per line, the way `--scores-out` writes
+    scores; blank lines are skipped.  Any other line is an error naming the
+    file and the line."""
+    labels = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            cells = line.split(",")
+            if len(cells) > 1:
+                raise ValueError(f"{path}: line {number} holds {len(cells)} values, "
+                                 "not one anomaly label")
+            if not line.strip():
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise ValueError(f"{path}: line {number}: cannot read {line.strip()!r} "
+                                 "as an anomaly label") from None
+            if value not in (0.0, 1.0):
+                raise ValueError(f"{path}: anomaly labels must be 0 or 1, found {value:g} "
+                                 f"at line {number}")
+            labels.append(value == 1.0)
+    return np.array(labels, dtype=bool)
 
 
 def _probe_split(tset, model, k):
-    reps = _instance_reprs(model, tset)
+    reps = _encode_by_length(model, tset)[0]
     train_idx = np.arange(tset.n) % 2 == 0
     report = ev.classify_probe(
         reps[train_idx], tset.labels[train_idx],
@@ -163,9 +191,10 @@ def cmd_evaluate(args) -> int:
     state, _ = tr.load_checkpoint(args.ckpt)
     if args.task == "classify":
         train_set = ds.znormalize(ds.load_ucr_tsv(args.train_data))
+        _check_probe_k(cfg, train_set.n, f"the series of --train-data {args.train_data}")
         test_set = ds.znormalize(ds.load_ucr_tsv(args.test_data))
-        report = ev.classify_probe(_instance_reprs(state.model, train_set), train_set.labels,
-                                   _instance_reprs(state.model, test_set), test_set.labels,
+        report = ev.classify_probe(_encode_by_length(state.model, train_set)[0], train_set.labels,
+                                   _encode_by_length(state.model, test_set)[0], test_set.labels,
                                    k=eval_cfg["probe_k"])
     else:
         tset = ds.znormalize(ds.load_ucr_tsv(args.data))
@@ -176,18 +205,10 @@ def cmd_evaluate(args) -> int:
         scores = ev.anomaly_scores(state.model, series)
         labels = None
         if args.labels:
-            with warnings.catch_warnings():
-                # an empty file is reported below as 0 labels, not as numpy's warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                labels = np.loadtxt(args.labels, delimiter=",", ndmin=1)
-            bad = labels[~np.isin(labels, (0, 1))]
-            if bad.size:
-                raise ValueError(f"{args.labels}: anomaly labels must be 0 or 1, "
-                                 f"found {bad[0]:g}")
+            labels = _read_labels(args.labels)
             if labels.shape != scores.shape:
                 raise ValueError(f"{args.labels}: {labels.size} anomaly labels for a series "
                                  f"of {scores.size} timestamps")
-            labels = labels.astype(bool)
         _, report = ev.threshold_anomalies(scores, labels=labels, c=eval_cfg["anomaly_c"])
         if args.scores_out:
             with ds.whole_file(args.scores_out) as fh:
@@ -229,6 +250,7 @@ def cmd_ablate(args) -> int:
     _echo_config(base, args)
     tset = _build_dataset(base)
     _require_croppable(tset)
+    _check_probe_k(base, (tset.n + 1) // 2, f"the even-index series of {tset.n}")
     matrices = {}
     rows = []
     for name, value, patch in _ablate_rows(base, args.axis):

@@ -8,7 +8,6 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from . import encoder as enc
@@ -87,21 +86,6 @@ def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 
 WINDOW_ROWS = 4096
 
 
-def _plain_pass(model: enc.EncoderModel, series: np.ndarray, pad: int):
-    """One unmasked pass over an [L, D] series: per block, the arrays of
-    `encoder.residual_stream` as [L + 2 pad, H] arrays with `pad` zero rows
-    at each end, and the [L, M] output."""
-    length = series.shape[0]
-    out, blocks = enc.residual_stream(model, enc.project(model, series[None]))
-    stream = []
-    for block in blocks:
-        padded = np.zeros((3, length + 2 * pad, model.config.hidden))
-        for rows, a in zip(padded, block):
-            rows[pad:pad + length] = a.data[0]
-        stream.append(padded)
-    return stream, enc.readout(model, out).data[0]
-
-
 def _cone_widths(reaches: list[int]) -> list[int]:
     """Half-width min(r, q) of the outputs each conv stage recomputes: hiding
     t changes a stage's output within r steps of t, r the reach of it and the
@@ -111,26 +95,16 @@ def _cone_widths(reaches: list[int]) -> list[int]:
     return [min(r, total - r) for r in accumulate(reaches)]
 
 
-def _window(padded: np.ndarray, pad: int, lo: int, n: int, half: int,
-            centre: np.ndarray) -> np.ndarray:
-    """[n, 2 half + 1, H]: the rows of a plain-pass array at offsets
-    -half..half around each t of lo..lo + n - 1, read from `padded` (the
-    [L, H] rows with `pad` >= half zero rows at each end), with `centre`
-    ([n, 2c + 1, H], also centred on t) over the middle ones; every position
-    outside [0, L) is 0."""
-    length = padded.shape[0] - 2 * pad
-    start = lo + pad - half
-    win = sliding_window_view(padded, 2 * half + 1, axis=0)[start:start + n].transpose(0, 2, 1).copy()
+def _window(rows: np.ndarray, lo: int, n: int, half: int, centre: np.ndarray) -> np.ndarray:
+    """[n, 2 half + 1, H]: the [L, H] plain-pass `rows` at offsets -half..half
+    around each t of lo..lo + n - 1, with `centre` ([n, 2c + 1, H], also
+    centred on t) over the middle ones; every position outside [0, L) is 0."""
+    at = np.arange(lo, lo + n)[:, None] + np.arange(-half, half + 1)
+    win = rows.take(at, axis=0, mode="clip")
     c = centre.shape[1] // 2
     k = min(c, half)
-    middle = win[:, half - k:half + k + 1]
-    middle[...] = centre[:, c - k:c + k + 1]
-    # the centre of t spans t - k..t + k: zero what lies before 0 for t < k
-    # and past L - 1 for t > L - 1 - k, in chunks that reach an end
-    for i in range(min(n, k - lo)):
-        middle[i, :k - lo - i] = 0.0
-    for i in range(max(0, length - k - lo), n):
-        middle[i, length - lo - i + k:] = 0.0
+    win[:, half - k:half + k + 1] = centre[:, c - k:c + k + 1]
+    win[(at < 0) | (at >= rows.shape[0])] = 0.0
     return win
 
 
@@ -161,19 +135,19 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     widens the changed span by its reach d = (KERNEL_SIZE // 2) * 2^b on each
     side; of a stage's outputs, only those within q steps of t, q the reach
     of the stages after it, can still move the output at t.  So one plain
-    pass keeps h_b, gelu(h_b) and gelu(y1_b) of every block b, zero-padded
-    once by the widest window's half-width, and then, for a chunk of
-    timestamps at once, each stage computes only its outputs within
-    w = min(r, q) of t, r its reach plus that of the stages before it
-    (half-widths 1, 2, 4, 6, 4, 0 at depth 3): `cone_stage` over the
-    [n, 2(w + d) + 1, H] window around t (recomputed values in the middle,
-    the plain pass's rows around them, 0 outside [0, L)), then the residual
-    over the same offsets.  The output projection reads the stream at t
-    alone.  A series costs one plain pass plus sum(2w + 1) positions per
-    timestamp, 40 at depth 3 and 98 at depth 4, against 2R + 1 per stage
-    (174 and 488) for an encode of its receptive-field window with t hidden.
-    The scores equal those of one full encode per hidden timestamp
-    (`oracle.anomaly_scores`).
+    pass (`encoder.residual_stream`) keeps h_b, gelu(h_b) and gelu(y1_b) of
+    every block b as [L, H] rows, and then, for a chunk of timestamps at
+    once, each stage computes only its outputs within w = min(r, q) of t,
+    r its reach plus that of the stages before it (half-widths 1, 2, 4, 6,
+    4, 0 at depth 3): `cone_stage` over the [n, 2(w + d) + 1, H] window
+    gathered around t (recomputed values in the middle, the plain pass's
+    rows around them, 0 outside [0, L)), then the residual over the same
+    offsets.  The output projection reads the stream at t alone.  A series
+    costs one plain pass plus sum(2w + 1) positions per timestamp, 40 at
+    depth 3 and 98 at depth 4, against 2R + 1 per stage (174 and 488) for
+    an encode of its receptive-field window with t hidden.  The scores
+    equal those of one full encode per hidden timestamp
+    (`oracle.anomaly_scores`) to rounding, not bit for bit.
 
     Raises ValueError naming the first timestamp with a non-finite value,
     and the encoder's ValueError for a series of the wrong width.
@@ -192,24 +166,24 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     depth = model.config.depth
     reaches = [(enc.KERNEL_SIZE // 2) * enc.dilation(b) for b in range(depth)]
     widths = _cone_widths([d for d in reaches for _ in (1, 2)])
-    pad = max(w + reaches[s // 2] for s, w in enumerate(widths))
-    stream, full = _plain_pass(model, series, pad)
-    per_chunk = max(1, WINDOW_ROWS // (2 * pad + 1))
+    widest = max(w + reaches[s // 2] for s, w in enumerate(widths))
+    out, blocks = enc.residual_stream(model, enc.project(model, series[None]))
+    per_chunk = max(1, WINDOW_ROWS // (2 * widest + 1))
     at_t = np.empty((length, model.config.hidden))  # the residual stream at t, t hidden
     for lo in range(0, length, per_chunk):
         n = min(per_chunk, length - lo)
         h = np.zeros((n, 1, model.config.hidden))  # the hidden projection at t
-        for b, (h_b, gelu_h, gelu_y1) in enumerate(stream):
+        for b, (h_b, gelu_h, gelu_y1) in enumerate(blocks):
             d, w1, w2 = reaches[b], widths[2 * b], widths[2 * b + 1]
-            y = cone_stage(model, _window(gelu_h, pad, lo, n, w1 + d, ad.gelu(h).data), b, 1)
-            y = cone_stage(model, _window(gelu_y1, pad, lo, n, w2 + d, ad.gelu(y).data), b, 2)
-            h = _window(h_b, pad, lo, n, w2, h)
+            y = cone_stage(model, _window(gelu_h.data[0], lo, n, w1 + d, ad.gelu(h).data), b, 1)
+            y = cone_stage(model, _window(gelu_y1.data[0], lo, n, w2 + d, ad.gelu(y).data), b, 2)
+            h = _window(h_b.data[0], lo, n, w2, h)
             h += y
         at_t[lo:lo + n] = h[:, 0]  # the last stage's width is 0
     # one projection of all L rows, so a row's arithmetic is the plain pass's
     # whatever the chunk size
     masked = enc.readout(model, at_t).data
-    return np.abs(masked - full).sum(axis=1)
+    return np.abs(masked - enc.readout(model, out).data[0]).sum(axis=1)
 
 
 def threshold_anomalies(scores, labels=None, *, c: float):

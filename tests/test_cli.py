@@ -460,6 +460,60 @@ def test_evaluate_anomaly_empty_labels_file_prints_only_the_error(tmp_path, caps
         f"error: {labels}: 0 anomaly labels for a series of 32 timestamps\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0\n1\nabc\n" + "0\n" * 5, "line 3: cannot read 'abc' as an anomaly label"),
+    ("0\n1,0\n" + "0\n" * 6, "line 2 holds 2 values, not one anomaly label"),
+    ("0,1\n1,0\n0,0\n1,1\n", "line 1 holds 2 values, not one anomaly label"),
+], ids=["unreadable-cell", "two-values-on-a-line", "4x2-for-8-steps"])
+def test_evaluate_anomaly_labels_file_errors_name_the_file_and_line(tmp_path, capsys,
+                                                                   text, message):
+    tset = ds.make_synthetic(1, 8, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    labels = tmp_path / "labels.csv"
+    labels.write_text(text)
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == f"error: {labels}: {message}\n"
+
+
+def test_evaluate_classify_probe_k_past_the_train_rows_names_the_key_and_file(tmp_path, capsys):
+    tset = ds.make_synthetic(1, 16, [{"kind": "sine", "freq": 2.0},
+                                     {"kind": "square", "freq": 3.0}], seed=2)
+    tsv = tmp_path / "two.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    args = ["evaluate", "--task", "classify", "--ckpt", str(ckpt),
+            "--train-data", str(tsv), "--test-data", str(tsv)]
+    assert cli.main([*args, "--config", _config(tmp_path, eval={"probe_k": 2})]) == 0
+    capsys.readouterr()
+    assert cli.main([*args, "--config", _config(tmp_path, eval={"probe_k": 3})]) == 2
+    assert capsys.readouterr().err == (
+        f"error: eval.probe_k 3 is more than the probe's 2 training rows "
+        f"(the series of --train-data {tsv})\n")
+
+
+def test_ablate_probe_k_past_the_training_rows_fails_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr(tr, "pretrain", no_training)
+    calls = _count_pairwise(monkeypatch)
+    out = tmp_path / "ablate.csv"
+    cfg = _config(tmp_path, eval={"probe_k": 4})
+    assert cli.main(["ablate", "--config", cfg, "--axis", "alpha", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: eval.probe_k 4 is more than the probe's 3 training rows "
+        "(the even-index series of 6)\n")
+    assert calls == [] and not out.exists()
+
+
 @st.composite
 def _ragged_set(draw):
     """A small random encoder and a zero-padded set of 2-6 series of lengths 4-80."""
@@ -479,7 +533,7 @@ def _ragged_set(draw):
 def test_instance_reprs_do_not_depend_on_the_rest_of_the_set(case):
     model, tset = case
     alone = [enc.instance_repr(enc.encode(model, tset.series(i)[None]))[0] for i in range(tset.n)]
-    np.testing.assert_allclose(cli._instance_reprs(model, tset), alone, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cli._encode_by_length(model, tset)[0], alone, rtol=0, atol=1e-12)
 
 
 def test_encode_full_holds_each_series_as_if_alone_and_0_past_its_length(tmp_path, capsys):

@@ -86,7 +86,8 @@ def _scoring_case(draw):
     """A random small encoder and series; lengths 1, R - 1, R and R + 1 (R the
     receptive radius), at which every cone is cut at both ends of the series,
     and one window (2R + 1) and one past it are drawn on purpose.  From depth
-    5 (R = 62) on, the zero-padded windows are wider than most series."""
+    5 (R = 62) on, the widest window (77 steps and more) is wider than most
+    series, so most of its positions lie outside [0, L)."""
     depth = draw(st.integers(1, 6))
     radius = 2 * (2 ** depth - 1)
     length = draw(st.one_of(st.integers(0, 150),
@@ -137,15 +138,22 @@ def test_anomaly_score_ignores_steps_past_the_receptive_radius(case):
                                ev.anomaly_scores(model, series)[t], rtol=1e-12, atol=1e-12)
 
 
-def test_anomaly_scores_do_not_depend_on_the_chunking(rng, monkeypatch):
-    """At depth 3 the widest window is 17 steps, so 1000 rows make chunks of
-    58, 58 and 34 timestamps, and 1 row makes one timestamp a chunk."""
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=6, output_dims=3, depth=3))
-    series = rng.normal(size=(150, 2))
-    default = ev.anomaly_scores(model, series)
-    for rows in (1, 1000):
-        monkeypatch.setattr(ev, "WINDOW_ROWS", rows)
-        assert np.array_equal(ev.anomaly_scores(model, series), default), rows
+@settings(max_examples=40, deadline=None)
+@given(_scoring_case())
+def test_anomaly_scores_do_not_depend_on_the_chunking(case):
+    """The widest window holds 5 steps at depth 1 up to 157 at depth 6, so
+    1 row makes one timestamp a chunk at every depth, 100 rows chunks of 20
+    down to 2 timestamps up to depth 4, and 1000 rows chunks of 200 down to
+    6 (58, 58 and 34 for 150 steps at depth 3).  The chunks then start at
+    every position relative to both ends of the series, and the positions
+    each zeroes outside [0, L) must leave every score's bits as they are in
+    the default chunking."""
+    model, series = case
+    default = ev.anomaly_scores(model, series).tobytes()
+    for rows in (1, 100, 1000):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ev, "WINDOW_ROWS", rows)
+            assert ev.anomaly_scores(model, series).tobytes() == default, rows
 
 
 def _spy_on_the_cone(monkeypatch):
