@@ -16,7 +16,7 @@ corpus = tc.znormalize(tc.make_synthetic(
 print(f"corpus: {corpus.n} series, length {corpus.t_max}, classes {np.unique(corpus.labels)}")
 
 for metric in tc.METRICS:
-    matrix = tc.pairwise(corpus, metric, {"radius": 2})
+    matrix = tc.pairwise(corpus, metric, {"radius": 2} if metric == "fastdtw" else None)
     off = matrix.values[~np.eye(matrix.n, dtype=bool)]
     same = matrix.values[(corpus.labels[:, None] == corpus.labels[None, :])
                          & ~np.eye(matrix.n, dtype=bool)]

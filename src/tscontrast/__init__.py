@@ -22,10 +22,7 @@ from .data import (
 from .distance import (
     METRICS,
     DistanceMatrix,
-    cosine_dist,
     dtw,
-    dtw_path,
-    euclidean,
     fastdtw,
     load_matrix,
     pairwise,
@@ -55,10 +52,7 @@ __all__ = [
     "znormalize",
     "METRICS",
     "DistanceMatrix",
-    "cosine_dist",
     "dtw",
-    "dtw_path",
-    "euclidean",
     "fastdtw",
     "load_matrix",
     "pairwise",

@@ -37,7 +37,8 @@ def _build_dataset(cfg: engine_config.EngineConfig) -> ds.TimeSeriesSet:
 def _distance_matrix(cfg: engine_config.EngineConfig,
                      tset: ds.TimeSeriesSet) -> dist_mod.DistanceMatrix:
     """The configured matrix.  A `distance.cache` directory holds each matrix
-    under the name of every input that determines it, so a hit cannot be stale."""
+    under the name of every input that determines it, so a hit cannot be stale.
+    `pairwise` gets only the configured metric's own keys."""
     section = cfg.sections["distance"]
     metric, radius, band, cache = (section[k] for k in ("metric", "radius", "band", "cache"))
     if cache and os.path.exists(cache) and not os.path.isdir(cache):
@@ -48,7 +49,8 @@ def _distance_matrix(cfg: engine_config.EngineConfig,
         return dist_mod.load_matrix(path)
     if path:
         log.info("distance cache miss: %s (no such file)", path)
-    matrix = dist_mod.pairwise(tset, metric, {"radius": radius, "band": band})
+    matrix = dist_mod.pairwise(tset, metric, {key: section[key]
+                                              for key in dist_mod.METRIC_PARAMS.get(metric, ())})
     if path:
         os.makedirs(cache, exist_ok=True)
         dist_mod.save_matrix(matrix, path)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import encoder as enc
 from .assign import INSTANCE_KERNELS, TEMPORAL_KERNELS
-from .distance import METRICS, checked_params
+from .distance import METRIC_PARAMS, METRICS, checked_params
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,10 @@ def validate(raw: dict) -> EngineConfig:
         raise ValueError("dataset: give either 'path' or 'synthetic', not both")
     if sections["distance"]["metric"] not in METRICS:
         raise ValueError(f"distance.metric must be one of {METRICS}")
-    for key in ("radius", "band"):
+    # each key is checked against the metric that reads it, whatever the metric
+    for metric, (key,) in METRIC_PARAMS.items():
         try:
-            checked_params({key: sections["distance"][key]})
+            checked_params(metric, {key: sections["distance"][key]})
         except ValueError as exc:
             raise ValueError(f"distance.{key}: {exc}") from None
     if sections["eval"]["probe_k"] < 1:

@@ -109,7 +109,8 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
     """Read a UCR-style TSV: label first, one univariate series per line.
 
     Trailing NaN cells shorten the series; interior NaNs, infinite values
-    and non-finite or non-integral labels are rejected with the line number.
+    and non-finite, non-integral or out-of-int64-range labels (|label| >=
+    2^63) are rejected with the line number.
     """
     rows = []
     with open(path, "r") as fh:
@@ -129,6 +130,8 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
                 raise ValueError(f"{path}:{lineno}: non-finite label")
             if not label.is_integer():
                 raise ValueError(f"{path}:{lineno}: non-integral label")
+            if abs(label) >= 2.0 ** 63:  # past int64, where the labels are stored
+                raise ValueError(f"{path}:{lineno}: label out of range")
             if np.isinf(vals).any():
                 raise ValueError(f"{path}:{lineno}: infinite value")
             nan = np.isnan(vals)
@@ -230,9 +233,9 @@ def make_synthetic(
     noise_std: float = 0.0,
     seed: int = 0,
 ) -> TimeSeriesSet:
-    """Deterministic desk-scale corpus.  Each class spec is a dict with keys
-    kind ('sine' | 'square' | 'sawtooth'), freq (cycles over the series), and
-    optional amplitude.  Phase is random per series."""
+    """Deterministic desk-scale corpus of unit-amplitude waves.  Each class
+    spec is a dict with exactly the keys kind ('sine' | 'square' | 'sawtooth')
+    and freq (cycles over the series).  Phase is random per series."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     if length < 8:
@@ -250,10 +253,7 @@ def make_synthetic(
         freq = spec.get("freq")
         if isinstance(freq, bool) or not isinstance(freq, numbers.Real) or not freq > 0:
             raise ValueError(f"class spec needs a positive numeric 'freq': {spec!r}")
-        amp = spec.get("amplitude", 1.0)
-        if isinstance(amp, bool) or not isinstance(amp, numbers.Real) or not math.isfinite(amp):
-            raise ValueError(f"class spec needs a finite numeric 'amplitude': {spec!r}")
-        unknown = set(spec) - {"kind", "freq", "amplitude"}
+        unknown = set(spec) - {"kind", "freq"}
         if unknown:
             raise ValueError(f"unknown class spec keys: {sorted(unknown)}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -261,10 +261,9 @@ def make_synthetic(
     all_vals, labels = [], []
     for ci, spec in enumerate(classes):
         wave = _WAVEFORMS[spec["kind"]]
-        amp = float(spec.get("amplitude", 1.0))
         for _ in range(n_per_class):
             phase = rng.uniform(0, 2 * np.pi)
-            x = amp * wave(2 * np.pi * spec["freq"] * t + phase)
+            x = wave(2 * np.pi * spec["freq"] * t + phase)
             if noise_std > 0:
                 x = x + rng.normal(0.0, noise_std, size=length)
             all_vals.append(x)

@@ -305,7 +305,7 @@ def _cos_values(a, b) -> np.ndarray:
 
 def _one_pair(metric: str, a, b, params: dict | None = None) -> float:
     """`metric` of one pair, its params checked as `pairwise` checks them."""
-    fn = _batched(metric, *checked_params(params))
+    fn = _batched(metric, params)
     a, b = _as_batch(a, b)
     return float(fn(a, b, np.array([a.shape[1]]), np.array([b.shape[1]]))[0])
 
@@ -314,18 +314,6 @@ def dtw(a, b, band: int | None = None) -> float:
     """Classic dynamic-programming DTW; `band` is an optional Sakoe-Chiba
     half-width (off by default)."""
     return _one_pair("dtw", a, b, {"band": band})
-
-
-def dtw_path(a, b):
-    """Optimal warping path as a list of (i, j), plus its cost.  Ties prefer
-    the diagonal step, then the vertical one."""
-    a, b = _as_batch(a, b)
-    ta, tb = a.shape[1], b.shape[1]
-    s = _dp(a, b, *_full_bounds(ta, tb))
-    rows, cols = _backtrack(s, ta, tb)
-    steps = int(np.argmax((rows[:, 0] == 0) & (cols[:, 0] == 0))) + 1
-    path = list(zip(rows[steps - 1::-1, 0].tolist(), cols[steps - 1::-1, 0].tolist()))
-    return path, float(_last_cells(s, ta, tb)[0])
 
 
 def fastdtw(a, b, radius: int = 1) -> float:
@@ -341,26 +329,20 @@ def tam(a, b) -> float:
     return _one_pair("tam", a, b)
 
 
-def euclidean(a, b) -> float:
-    """Flattened L2 distance; unequal lengths compare the common prefix."""
-    return _one_pair("euc", a, b)
+# the param keys each metric reads; any other key is rejected
+METRIC_PARAMS = {"dtw": ("band",), "fastdtw": ("radius",)}
 
 
-def cosine_dist(a, b) -> float:
-    """1 - cosine similarity of the flattened common prefix; in [0, 2]."""
-    d = _one_pair("cos", a, b)
-    if math.isnan(d):
-        raise ValueError("cosine distance undefined for zero-norm input")
-    return d
-
-
-def checked_params(params: dict | None) -> tuple[int, float | None]:
-    """(radius, band) from a metric's params, checked without a cast: the one
-    check of every distance entry point and of the config."""
+def checked_params(metric: str, params: dict | None) -> tuple[int, float | None]:
+    """(radius, band) from `metric`'s params, checked without a cast: the one
+    check of every distance entry point and of the config.  A key that
+    `metric` does not read is an error, not ignored."""
     params = params or {}
-    unknown = set(params) - {"radius", "band"}
+    reads = METRIC_PARAMS.get(metric, ())
+    unknown = set(params) - set(reads)
     if unknown:
-        raise ValueError(f"unknown pairwise params: {sorted(unknown)}")
+        raise ValueError(f"unknown pairwise params: {sorted(unknown)} "
+                         f"({metric} reads {', '.join(reads) or 'none'})")
     radius, band = params.get("radius", 1), params.get("band")
     if isinstance(radius, bool) or not isinstance(radius, numbers.Integral) or radius < 1:
         raise ValueError(f"radius must be an int >= 1, got {radius!r}")
@@ -370,16 +352,17 @@ def checked_params(params: dict | None) -> tuple[int, float | None]:
     return radius, band
 
 
-def _batched(metric: str, radius: int, band: float | None):
+def _batched(metric: str, params: dict | None):
     """`metric` as a function of two [P, T, D] batches of pairs and the pairs'
-    own [P] lengths."""
+    own [P] lengths, its params checked by `checked_params`."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric: {metric!r}")
+    radius, band = checked_params(metric, params)
     table = {"cos": lambda a, b, la, lb: _cos_values(a, b),
              "euc": lambda a, b, la, lb: _euc_values(a, b),
              "tam": _tam_values,
              "dtw": lambda a, b, la, lb: _dtw_values(a, b, la, lb, band),
              "fastdtw": lambda a, b, la, lb: _fastdtw_values(a, b, radius)}
-    if metric not in table:
-        raise ValueError(f"unknown metric: {metric!r}")
     return table[metric]
 
 
@@ -442,11 +425,12 @@ def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> Di
     prefix (see `_grouped_values`); the padding of `tset` is never read.  A
     chunk's pairs share one `_dp` table with the pair index innermost, so each
     anti-diagonal of all of them is one contiguous run of it.
-    `params` may hold `radius` (fastdtw; an int >= 1, default 1) and `band`
-    (dtw; None or a number >= 0); any other key is rejected.  Raises ValueError naming the
-    first pair whose distance is not finite: a `band` that admits no warping
-    path, or a zero-norm common prefix under `cos`."""
-    fn = _batched(metric, *checked_params(params))
+    `params` holds only the keys `metric` reads (`METRIC_PARAMS`): `band` for
+    dtw (None or a number >= 0) and `radius` for fastdtw (an int >= 1, default
+    1); any other key, a key of another metric too, is rejected.  Raises
+    ValueError naming the first pair whose distance is not finite: a `band`
+    that admits no warping path, or a zero-norm common prefix under `cos`."""
+    fn = _batched(metric, params)
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
     n = tset.n

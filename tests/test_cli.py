@@ -72,7 +72,7 @@ def test_distances_metric_mismatch(tmp_path, capsys):
     for metric in ("euc", "dtw"):
         cfg = _config(tmp_path, distance={"metric": metric, "cache": str(cache)})
         assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 0
-        fresh = dist.pairwise(_dataset(), metric, {"radius": 1, "band": None})
+        fresh = dist.pairwise(_dataset(), metric)
         assert dist.load_matrix(out).metric == metric
         assert out.read_bytes() == _cache_file(cache, _dataset(), metric).read_bytes()
         assert dist.load_matrix(out).values.tobytes() == fresh.values.tobytes()
@@ -113,9 +113,9 @@ def test_cache_serves_only_the_matrix_of_the_same_inputs(tmp_path, capsys, monke
         cfg = _config(tmp_path, dataset={"synthetic": synthetic},
                       distance={**distance, "cache": str(cache)})
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        params = {key: value for key, value in distance.items() if key != "metric"}
         fresh.append(dist.pairwise(ds.znormalize(ds.make_synthetic(**synthetic)),
-                                   distance["metric"], {"radius": distance.get("radius", 1),
-                                                        "band": distance.get("band")}))
+                                   distance["metric"], params))
         assert used[-1].values.tobytes() == fresh[-1].values.tobytes()
         if command == "distances":  # --out is rewritten and its stats are the new matrix's
             dist.save_matrix(fresh[-1], tmp_path / "fresh.bin")
@@ -312,6 +312,24 @@ def test_ablate_metric_axis_with_cache(tmp_path, capsys, monkeypatch):
         _cache_file(cache, _dataset(), metric) for metric in cli.METRIC_GRID)
 
 
+def test_ablate_metric_axis_gives_each_metric_only_its_own_params(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the config's band is dtw's alone: the cos, euc and tam rows still run
+    calls, real = [], dist.pairwise
+
+    def spy(tset, metric, params=None):
+        calls.append((metric, params))
+        return real(tset, metric, params)
+
+    monkeypatch.setattr(cli.dist_mod, "pairwise", spy)
+    cfg = _config(tmp_path, distance={"metric": "dtw", "band": 8})
+    out = tmp_path / "ablate.csv"
+    assert cli.main(["ablate", "--config", cfg, "--axis", "metric", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 1 + len(cli.METRIC_GRID)
+    assert sorted(calls) == sorted((metric, {"band": 8} if metric == "dtw" else {})
+                                   for metric in cli.METRIC_GRID)
+
+
 def test_ablate_computes_shared_matrix_once(tmp_path, capsys, monkeypatch):
     calls = _count_pairwise(monkeypatch)
     out = tmp_path / "ablate.csv"
@@ -338,6 +356,14 @@ def test_distances_band_without_path_exits_2_and_writes_no_cache(tmp_path, capsy
     assert cli.main(["distances", "--config", cfg, "--out", str(out)]) == 2
     assert "series 0 and 1 (lengths 6 and 40)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_distances_label_past_int64_exits_2(tmp_path, capsys):
+    tsv = tmp_path / "big.tsv"
+    tsv.write_text("1e20\t0.5\t1.0\t0.25\t2.0\n1\t1.0\t0.5\t2.0\t0.25\n")
+    cfg = _config(tmp_path, dataset={"path": str(tsv)})
+    assert cli.main(["distances", "--config", cfg, "--out", str(tmp_path / "d.bin")]) == 2
+    assert capsys.readouterr().err == f"error: {tsv}:1: label out of range\n"
 
 
 def test_csv_export_matches_binary(tmp_path, capsys):

@@ -203,7 +203,7 @@ _TWO_SERIES = ds.TimeSeriesSet(values=np.arange(8.0).reshape(2, 4, 1), lengths=[
 def test_distance_params_fail_as_in_pairwise(key, value):
     # the config and pairwise share one check, and the config names the key
     with pytest.raises(ValueError) as pairwise_error:
-        dist.pairwise(_TWO_SERIES, "dtw", {key: value})
+        dist.pairwise(_TWO_SERIES, {"radius": "fastdtw", "band": "dtw"}[key], {key: value})
     with pytest.raises(ValueError, match=re.escape(f"distance.{key}: {pairwise_error.value}")):
         engine_config.validate({"distance": {key: value}})
 

@@ -65,6 +65,10 @@ def test_tsv_interior_nan_rejected(tmp_path):
     ("2\t1.0\tInfinity\t3.0", "infinite value"),
     ("inf\t1.0\t2.0", "non-finite label"),
     ("1.5\t1.0\t2.0", "non-integral label"),
+    # past int64, where the labels are stored
+    ("1e20\t1.0\t2.0", "label out of range"),
+    ("-1e19\t1.0\t2.0", "label out of range"),
+    ("9223372036854775808\t1.0\t2.0", "label out of range"),
 ])
 def test_tsv_non_finite_cell_rejected_with_line(tmp_path, line, why):
     # an inf cell used to load and turn into NaN under znormalize
@@ -239,10 +243,7 @@ def test_ragged_crop_reaches_every_step_of_the_longest_series():
 
 @pytest.mark.parametrize("spec", [5, "sine", {"kind": "sine", "freq": "2"},
                                   {"kind": "sine", "freq": True}, {"kind": "sine"},
-                                  {"kind": "sine", "freq": 2.0, "amplitude": [1]},
-                                  {"kind": "sine", "freq": 2.0, "amplitude": "2"},
-                                  {"kind": "sine", "freq": 2.0, "amplitude": float("nan")},
-                                  {"kind": "sine", "freq": 2.0, "amplitude": True}])
+                                  {"kind": "sine", "freq": 2.0, "amplitude": 1.0}])
 def test_make_synthetic_rejects_malformed_class_spec(spec):
     with pytest.raises(ValueError, match="class spec"):
         ds.make_synthetic(2, 16, [spec])

@@ -36,8 +36,12 @@ def test_brute_dtw_length_one():
 
 
 def test_cosine_antipodal(rng):
+    # raw cos distances 2, 0, 2: the antipodal pairs normalize to 1, the identical pair to 0
     a = rng.normal(size=(6, 1))
-    assert dist.cosine_dist(a, -a) == pytest.approx(2.0)
+    values = dist.pairwise(ds.TimeSeriesSet(values=np.stack([a, -a, a]), lengths=[6, 6, 6]),
+                           "cos").values
+    assert values[0, 1] == values[1, 2] == 1.0
+    assert values[0, 2] == 0.0
 
 
 def test_pairwise_two_series_single_value():
