@@ -1,16 +1,20 @@
 """Pairwise data-space distances: DTW family, Euclidean, cosine; caching."""
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .data import TimeSeriesSet, whole_file
 
 METRICS = ("cos", "euc", "dtw", "fastdtw", "tam")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -43,11 +47,14 @@ def _as_batch(a, b):
     return a[None], b[None]
 
 
-# Cap on the cells of one skewed DP table: pairwise runs its pairs in chunks
-# of at most this many cells (2 MB of float64), padded cells included.
+# Cap on the float64 cells one pass of pairwise holds (2 MB), padded cells
+# included: for dtw its three-diagonal ring, its copies of a and b and its
+# cost buffer (`_ring_cells`); for tam and fastdtw, whose backtracking reads
+# every cell, and for euc and cos, the whole skewed table.
 _CHUNK_CELLS = 1 << 18
-# A chunk of a bucketed metric pads its pairs to its longest lengths, and
-# closes before its padded cells would pass this many times the pairs' own.
+# A pass of a bucketed metric pads its pairs to its longest lengths, and
+# closes before its padded table cells would pass this many times the pairs'
+# own: the DP fills every padded cell, whether it keeps them or not.
 _BUCKET_WASTE = 2
 # The metrics whose pairs are bucketed: each pair's DTW is its own cell of the
 # padded table.  fastdtw keeps exact length pairs, because `_reduce_by_half`
@@ -58,6 +65,16 @@ _BUCKETED = ("dtw", "tam")
 
 def _table_cells(ta: int, tb: int) -> int:
     return (ta + tb + 1) * (ta + 1)
+
+
+def _ring_cells(ta: int, tb: int, d: int, masked: bool = False) -> int:
+    """Cells one pair holds in a dtw pass: three diagonals of its skewed
+    table, its padded copies of a and b and their step-major copies in `_dp`,
+    its cost buffer, and five for its last cell: the diagonal, the flat index
+    and the value, and their temporaries.  A `masked` pass, whose pairs have
+    bands of their own, also holds the `_outside` mask and its int32
+    temporaries: at most 8 bytes, one cell, per cell of the ta x tb grid."""
+    return 3 * (ta + 1) + (3 * ta + 2 * tb) * d + 5 + masked * ta * tb
 
 
 def _runs(lo, hi, ta: int, tb: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +108,7 @@ def _outside(start, stop, i0s, i1s, masked) -> np.ndarray:
             | (rows >= np.repeat(stop.T[masked], widths, axis=0))).reshape(-1)
 
 
-def _dp(a: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
+def _dp(a: np.ndarray, b: np.ndarray, lo, hi, ends=None) -> np.ndarray:
     """Cumulative-cost tables of P alignments with the step pattern
     {(1,0),(0,1),(1,1)}, filled one anti-diagonal at a time.
 
@@ -108,52 +125,88 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
     ([t, P, D]), where the partners of rows i0..i1 are again one run each.
     Column 0 and diagonals 0-1 are an inf pad except S[0, 0, :] = 0, the
     predecessor of (0, 0), so every cell is cost + min(up, left, diagonal).
+
+    The planes S[q] are kept in a ring of slots, plane q in slot q mod R.
+    Without `ends` the ring is the whole table (R = ta + tb + 1), which is
+    returned for `_backtrack`.  With `ends` = (la, lb), each [P] ints,
+    R is 3, the planes one diagonal reads and writes, and the [P] values
+    of each pair's cell (la[p] - 1, lb[p] - 1) are returned, read as its
+    diagonal is written.  A slot that takes plane q still holds plane q - 3:
+    of its rows that plane q does not write, those a later diagonal reads (the
+    origin's, and the one above a run whose first row does not advance) are
+    reset to inf first, and a pair whose last cell lies outside the run of its
+    diagonal, also where no pair's run meets that diagonal, reads inf.
     """
     p, ta, d = a.shape
     tb = b.shape[1]
-    width = ta + 1
+    width, diagonals = ta + 1, ta + tb - 1
+    ring = ta + tb + 1 if ends is None else 3
     steps_a = np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(-1)
     steps_rb = np.ascontiguousarray(b[:, ::-1].transpose(1, 0, 2)).reshape(-1)
-    s = np.full((ta + tb + 1, width, p), np.inf)
+    s = np.full((ring, width, p), np.inf)
     s[0, 0] = 0.0
     flat = s.reshape(-1)
     start, stop = _runs(lo, hi, ta, tb)
     # the loop fills the union [i0, i1) of the pairs' runs on each diagonal
     i0s, i1s = start.min(axis=0), stop.max(axis=0)
     shared = (start.max(axis=0) == i0s) & (stop.min(axis=0) == i1s)
-    filled = np.flatnonzero(i0s < i1s)
-    outside, at_mask = _outside(start, stop, i0s, i1s, filled[~shared[filled]]), 0
+    filled = i0s < i1s
+    outside, at_mask = _outside(start, stop, i0s, i1s, np.flatnonzero(filled & ~shared)), 0
+    base = np.arange(diagonals + 2) % ring * width  # plane q starts at base[q] * p
+    # the flat [start, stop) of each diagonal's reset, and its finished pairs
+    r0s = r1s = repeat(0)
+    finished = repeat(None)
+    if ends is not None:
+        # diagonal k writes rows i0 + 1..i1 of plane k + 2 (row r holds
+        # i = r - 1) over plane k - 1; of plane k + 2 only diagonal k + 1 reads
+        # rows from i0(k + 1) on, and k + 2 from i0(k + 2) >= i0(k + 1), as the
+        # runs' first and end rows never decrease from one diagonal to the next
+        first = np.concatenate(([0, 0], i0s + 1))
+        end = np.concatenate(([1, 0], np.where(filled, i1s + 1, first[2:])))
+        lower = np.maximum(first[:-3], np.append(i0s[2:], ta + 1))
+        upper = np.minimum(end[:-3], first[3:])
+        r0s, r1s = np.concatenate(([[0], [0]], (base[3:] + [lower, np.maximum(lower, upper)]) * p),
+                                  axis=1).tolist()
+        # a pair whose last cell (la - 1, lb - 1) lies outside its diagonal's
+        # run keeps inf; the others read it as that diagonal is written
+        la, lb = ends
+        last, finished = la + lb - 2, [None] * diagonals
+        covered = (i0s[last] < la) & (la <= i1s[last])
+        for k in set(last[covered].tolist()):
+            pairs = np.flatnonzero(covered & (last == k))
+            finished[k] = (pairs, (base[k + 2] + la[pairs]) * p + pairs)
+        values = np.full(p, np.inf)
+    # per diagonal: the run's cells, its flat offset, those of its up and
+    # diagonal predecessors, those of its step costs in a and in b reversed
+    runs = zip(((i1s - i0s) * p).tolist(), ((base[2:] + i0s + 1) * p).tolist(),
+               ((base[1:-1] + i0s) * p).tolist(), ((base[:-2] + i0s) * p).tolist(),
+               (i0s * p * d).tolist(), ((tb - 1 - np.arange(diagonals) + i0s) * p * d).tolist(),
+               shared.tolist(), r0s, r1s, finished)
     diff = np.empty(ta * p * d)
-    for k, i0, i1, same in zip(filled.tolist(), i0s[filled].tolist(), i1s[filled].tolist(),
-                               shared[filled].tolist()):
-        n = (i1 - i0) * p
-        # a's rows i0..i1 and their partners, b's columns k - i0 down to k - i1 + 1
-        ai, bi = i0 * p * d, (tb - 1 - k + i0) * p * d
-        cost = diff[:n * d]
-        np.subtract(steps_a[ai:ai + n * d], steps_rb[bi:bi + n * d], out=cost)
-        np.square(cost, out=cost)
-        if d > 1:
-            # channels added left to right, as the scalar step cost adds them
-            cost = np.cumsum(cost.reshape(n, d), axis=1)[:, -1]
-        np.sqrt(cost, out=cost)
-        if not same:
-            np.copyto(cost, np.inf, where=outside[at_mask:at_mask + n])
-            at_mask += n
-        # the run's cells, then those of its up (i - 1, j) and diagonal
-        # (i - 1, j - 1) predecessors; the left ones (i, j - 1) follow up's
-        at = ((k + 2) * width + i0 + 1) * p
-        up, diagonal = at - (width + 1) * p, at - (2 * width + 1) * p
-        out = flat[at:at + n]
-        np.minimum(flat[up:up + n], flat[up + p:up + p + n], out=out)
-        np.minimum(out, flat[diagonal:diagonal + n], out=out)
-        np.add(cost, out, out=out)
-    return s
-
-
-def _last_cells(s: np.ndarray, la, lb) -> np.ndarray:
-    """[P] values of each pair's own last cell (la[p] - 1, lb[p] - 1) of the
-    `_dp` table `s`; `la`/`lb` are [P] or one int for all."""
-    return s[la + lb, la, np.arange(s.shape[2])]
+    for n, at, up, diagonal, ai, bi, same, r0, r1, done in runs:
+        if r1 > r0:
+            flat[r0:r1] = np.inf
+        if n > 0:
+            # a's rows i0..i1 and their partners, b's columns k - i0 down to k - i1 + 1
+            cost = diff[:n * d]
+            np.subtract(steps_a[ai:ai + n * d], steps_rb[bi:bi + n * d], out=cost)
+            np.square(cost, out=cost)
+            if d > 1:
+                # channels added left to right, as the scalar step cost adds them
+                cost = np.cumsum(cost.reshape(n, d), axis=1)[:, -1]
+            np.sqrt(cost, out=cost)
+            if not same:
+                np.copyto(cost, np.inf, where=outside[at_mask:at_mask + n])
+                at_mask += n
+            # the run's cells, then those of its up (i - 1, j) and diagonal
+            # (i - 1, j - 1) predecessors; the left ones (i, j - 1) follow up's
+            out = flat[at:at + n]
+            np.minimum(flat[up:up + n], flat[up + p:up + p + n], out=out)
+            np.minimum(out, flat[diagonal:diagonal + n], out=out)
+            np.add(cost, out, out=out)
+        if done is not None:
+            values[done[0]] = flat[done[1]]
+    return s if ends is None else values
 
 
 def _backtrack(s: np.ndarray, la, lb):
@@ -242,15 +295,15 @@ def _window_bounds(rows, cols, ta: int, tb: int, radius: int):
     return np.maximum(lo, 0), np.minimum(hi, tb - 1)
 
 
-def _fastdtw_table(a, b, radius: int) -> np.ndarray:
-    """`_dp` table of FastDTW: align the half-length series recursively, then
-    fill only the window around the projected coarse path."""
+def _fastdtw_dp(a, b, radius: int, ends=None) -> np.ndarray:
+    """`_dp` of FastDTW, `ends` as there: align the half-length series
+    recursively, then fill only the window around the projected coarse path."""
     ta, tb = a.shape[1], b.shape[1]
     if ta <= radius + 2 or tb <= radius + 2:
-        return _dp(a, b, *_full_bounds(ta, tb))
+        return _dp(a, b, *_full_bounds(ta, tb), ends)
     ha, hb = _reduce_by_half(a), _reduce_by_half(b)
-    rows, cols = _backtrack(_fastdtw_table(ha, hb, radius), ha.shape[1], hb.shape[1])
-    return _dp(a, b, *_window_bounds(rows, cols, ta, tb, radius))
+    rows, cols = _backtrack(_fastdtw_dp(ha, hb, radius), ha.shape[1], hb.shape[1])
+    return _dp(a, b, *_window_bounds(rows, cols, ta, tb, radius), ends)
 
 
 # The batched metrics below take two [P, T, D] batches and the pairs' own
@@ -262,11 +315,12 @@ def _fastdtw_table(a, b, radius: int) -> np.ndarray:
 def _dtw_values(a, b, la, lb, band=None) -> np.ndarray:
     ta, tb = a.shape[1], b.shape[1]
     bounds = _full_bounds(ta, tb) if band is None else _pair_bands(la, lb, ta, band)
-    return _last_cells(_dp(a, b, *bounds), la, lb)
+    return _dp(a, b, *bounds, (la, lb))
 
 
 def _fastdtw_values(a, b, radius: int) -> np.ndarray:
-    return _last_cells(_fastdtw_table(a, b, radius), a.shape[1], b.shape[1])
+    p, ta, _ = a.shape
+    return _fastdtw_dp(a, b, radius, (np.full(p, ta), np.full(p, b.shape[1])))
 
 
 def _share(count, total) -> np.ndarray:
@@ -366,17 +420,20 @@ def _batched(metric: str, params: dict | None):
     return table[metric]
 
 
-def _chunks(la: list, lb: list, waste: int):
-    """[start, stop) runs of the sorted pairs with lengths `la`/`lb`.  A run
-    is padded to its longest la and lb; it closes before the pair that would
-    take its padded table cells past `_CHUNK_CELLS` or past `waste` times its
-    pairs' own cells, but always takes at least one pair.  At `waste` 1 every
-    run holds one length pair only."""
+def _chunks(la: list, lb: list, waste: int, held):
+    """[start, stop) passes of the sorted pairs with lengths `la`/`lb`.  A
+    pass is padded to its longest la and lb; it closes before the pair that
+    would take the cells it holds, `held(ta, tb, mixed)` per pair where
+    `mixed` says it holds more than one length pair, past `_CHUNK_CELLS`, or
+    its padded table cells past `waste` times its pairs' own, but always
+    takes at least one pair.  At `waste` 1 every pass holds one length pair
+    only."""
     runs, start, ta, tb, own = [], 0, 0, 0, 0
     for p, (a, b) in enumerate(zip(la, lb)):
-        cells = _table_cells(a, b)
-        padded = (p + 1 - start) * _table_cells(max(ta, a), max(tb, b))
-        if p > start and (padded > _CHUNK_CELLS or padded > waste * (own + cells)):
+        cells, pairs, pa, pb = _table_cells(a, b), p + 1 - start, max(ta, a), max(tb, b)
+        mixed = (a, b) != (la[start], lb[start])  # the pairs are sorted by lengths
+        if p > start and (pairs * held(pa, pb, mixed) > _CHUNK_CELLS
+                          or pairs * _table_cells(pa, pb) > waste * (own + cells)):
             runs.append((start, p))
             start, ta, tb, own = p, 0, 0, 0
         ta, tb, own = max(ta, a), max(tb, b), own + cells
@@ -392,39 +449,58 @@ def _padded(values: np.ndarray, rows: np.ndarray, lengths: np.ndarray, t: int) -
     return out
 
 
-def _grouped_values(tset: TimeSeriesSet, fn, prefix: bool, bucket: bool) -> np.ndarray:
-    """[N, N] raw distances of the pairs i < j, mirrored.  The pairs are sorted
-    by (len_i, len_j), or by min(len_i, len_j) for a metric that reads only the
-    common `prefix`, and run in chunks of at most `_CHUNK_CELLS` table cells,
-    padded cells included.  A chunk holds one length pair, or for a `bucket`
-    metric a length bucket: pairs of nearby lengths padded to the chunk's
-    longest, as long as its padded cells stay within `_BUCKET_WASTE` times the
-    pairs' own.  Equal lengths make the same chunks either way."""
+def _grouped_values(tset: TimeSeriesSet, metric: str, fn, banded: bool) -> np.ndarray:
+    """[N, N] raw `metric` distances of the pairs i < j, mirrored, `fn` as
+    `_batched` makes it.  The pairs are sorted by (len_i, len_j), or by
+    min(len_i, len_j) for euc and cos, which read only the common prefix, and
+    run in passes of at most `_CHUNK_CELLS` cells held, padded cells included:
+    for dtw those of its ring (`_ring_cells`), so hundreds of pairs share one
+    pass, with the mask of each pair's own band when dtw is `banded` and the
+    pass mixes lengths, and for the others those of the whole skewed table.
+    A pass holds one length pair, or for a bucketed metric a length bucket:
+    pairs of nearby lengths padded to the pass's longest, as long as its
+    padded table cells stay within `_BUCKET_WASTE` times the pairs' own.
+    Equal lengths make the same passes either way.  Logs one DEBUG record of
+    the passes; the padded cells are those of the passes' ta x tb grids."""
     n, lengths = tset.n, tset.lengths
     values = np.zeros((n, n))
     first, second = np.triu_indices(n, k=1)
     la, lb = lengths[first], lengths[second]
-    if prefix:
+    if metric in ("cos", "euc"):
         la = lb = np.minimum(la, lb)
     order = np.lexsort((lb, la))
     la, lb, first, second = la[order], lb[order], first[order], second[order]
-    for start, stop in _chunks(la.tolist(), lb.tolist(), _BUCKET_WASTE if bucket else 1):
+    ring = metric == "dtw"
+    held = ((lambda ta, tb, mixed: _ring_cells(ta, tb, tset.dims, banded and mixed)) if ring
+            else (lambda ta, tb, mixed: _table_cells(ta, tb)))
+    passes = _chunks(la.tolist(), lb.tolist(), _BUCKET_WASTE if metric in _BUCKETED else 1, held)
+    padded = 0
+    for start, stop in passes:
         i, j, pa, pb = (x[start:stop] for x in (first, second, la, lb))
         ta, tb = int(pa.max()), int(pb.max())
         values[i, j] = values[j, i] = fn(_padded(tset.values, i, pa, ta),
                                           _padded(tset.values, j, pb, tb), pa, pb)
+        padded += (stop - start) * ta * tb
+    _log.debug("pairwise %s: %d pairs in %d %s passes, %d padded cells", metric, len(la),
+               len(passes), "ring" if ring else "table", padded)
     return values
 
 
 def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> DistanceMatrix:
     """Upper-triangle pairwise distances on unpadded series, mirrored, then
-    min-max normalized over the off-diagonal entries.  Pairs run in chunks of
-    at most 2 MB of DP table, padded cells included: `dtw` and `tam` by length
-    bucket (nearby lengths share a table padded to the longest, each pair read
+    min-max normalized over the off-diagonal entries.  Pairs run in passes
+    that hold at most 2 MB, padded cells included: `dtw` and `tam` by length
+    bucket (nearby lengths share a pass padded to the longest, each pair read
     at its own cell), `fastdtw` by exact length pair and `euc`/`cos` by common
     prefix (see `_grouped_values`); the padding of `tset` is never read.  A
-    chunk's pairs share one `_dp` table with the pair index innermost, so each
-    anti-diagonal of all of them is one contiguous run of it.
+    pass's pairs share one `_dp` with the pair index innermost, so each
+    anti-diagonal of all of them is one contiguous run.  A `dtw` pass holds
+    three diagonals of that skewed table, its padded and step-major series
+    copies and its cost buffer, so hundreds of pairs share it; a pass of the
+    path metrics `tam` and `fastdtw` is capped as the whole table, which
+    their backtracking reads.  Logs one DEBUG record per call on
+    `tscontrast.distance`: the metric, the pairs, the passes, whether they
+    are capped as a ring or a table, and the padded cells.
     `params` holds only the keys `metric` reads (`METRIC_PARAMS`): `band` for
     dtw (None or a number >= 0) and `radius` for fastdtw (an int >= 1, default
     1); any other key, a key of another metric too, is rejected.  Raises
@@ -434,8 +510,7 @@ def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> Di
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
     n = tset.n
-    values = _grouped_values(tset, fn, prefix=metric in ("cos", "euc"),
-                             bucket=metric in _BUCKETED)
+    values = _grouped_values(tset, metric, fn, banded=(params or {}).get("band") is not None)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0].tolist()
@@ -466,7 +541,10 @@ def save_matrix(m: DistanceMatrix, path) -> None:
 
 
 def load_matrix(path) -> DistanceMatrix:
-    """Each malformed part of the file is a ValueError that names it."""
+    """Each malformed part of the file is a ValueError that names it.  A file
+    flagged normalized must also hold what `pairwise` makes: values in
+    [0, 1], a zero diagonal and a symmetric matrix; the first cell that is
+    not is named."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header = struct.calcsize("<4sHB8sI")
@@ -486,5 +564,13 @@ def load_matrix(path) -> DistanceMatrix:
     values = np.frombuffer(body, dtype=np.float64).reshape(n, n).copy()
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: non-finite distance values")
+    if normalized:
+        for defect, bad in (("outside [0, 1]", (values < 0) | (values > 1)),
+                            ("on a nonzero diagonal", np.diag(np.diag(values) != 0)),
+                            ("unequal to its mirror", values != values.T)):
+            if bad.any():
+                i, j = np.argwhere(bad)[0].tolist()
+                raise ValueError(f"{path}: normalized distance {float(values[i, j])!r} "
+                                 f"at ({i}, {j}) {defect}")
     return DistanceMatrix(values=values, metric=metric, normalized=bool(normalized))
 

@@ -45,6 +45,13 @@ _TSDM_DEFECTS = {
     "undecodable-tag": (7, b"\xff\xfe\x00\x00\x00\x00\x00\x00", "unknown metric"),
     "unknown-tag": (7, b"xyz\x00\x00\x00\x00\x00", "unknown metric 'xyz'"),
     "non-finite-value": (19 + 8, struct.pack("<d", math.nan), "non-finite distance values"),
+    # cells (0, 0) and (0, 1) of a file flagged normalized
+    "out-of-range": (19 + 8, struct.pack("<d", 1.5),
+                     "normalized distance 1.5 at (0, 1) outside [0, 1]"),
+    "nonzero-diagonal": (19, struct.pack("<d", 0.25),
+                         "normalized distance 0.25 at (0, 0) on a nonzero diagonal"),
+    "asymmetric": (19 + 8, struct.pack("<d", 0.0078125),
+                   "normalized distance 0.0078125 at (0, 1) unequal to its mirror"),
 }
 
 

@@ -171,7 +171,8 @@ def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch, 
     assert len(list(cache.iterdir())) == 1
 
 
-@pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag"])
+@pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag",
+                                    "out-of-range", "nonzero-diagonal", "asymmetric"])
 def test_malformed_cache_entry_exits_2_naming_it(tmp_path, capsys, break_tsdm, defect):
     cache = tmp_path / "cache"
     cache.mkdir()

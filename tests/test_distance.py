@@ -3,7 +3,9 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,10 +200,23 @@ _RAGGED_SETS = _ragged_series(st.sampled_from([1, 2, 8, 9]))
 _FILLS = st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e300])
 
 
-@settings(max_examples=30, deadline=None)
-@given(series=_RAGGED_SETS, band=st.integers(0, 6), fill=_FILLS)
-def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band, fill):
+@settings(max_examples=40, deadline=None)
+@given(series=_RAGGED_SETS, band=st.integers(0, 6), fill=_FILLS,
+       cap=st.sampled_from(["zero", "one pair", "default"]))
+# band 0 on unequal lengths: the run's first row stays put, and no run meets
+# the last cell (0, 3) of a 1 x 4 pair, whose slot still holds its (0, 0)
+@example(series=[np.ones((1, 1)), np.arange(4.0)[:, None], np.zeros((4, 1))], band=0,
+         fill=math.nan, cap="default")
+# single-step series: (0, 0) reads the origin, a longer partner reads its slot again
+@example(series=[np.ones((1, 1)), np.zeros((1, 1)), np.full((3, 1), 2.0)], band=0,
+         fill=math.nan, cap="default")
+def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band, fill, cap):
+    # a dtw pass keeps three diagonals in a ring of slots: a cell read from a
+    # reused slot must be the one the whole table holds, whatever the pass size
     tset = _ragged_set(series, fill)
+    longest, d = int(tset.lengths.max()), tset.dims
+    cells = {"zero": 0, "one pair": dist._ring_cells(longest, longest, d),
+             "default": dist._CHUNK_CELLS}[cap]
     cases = (("dtw", None, oracle.dp_dtw),
              ("dtw", {"band": band}, lambda a, b: oracle.dp_dtw(a, b, band=band)),
              ("tam", None, _oracle_tam))
@@ -211,12 +226,15 @@ def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band, fill):
         for i in range(n):
             for j in range(i + 1, n):
                 raw[i, j] = raw[j, i] = fn(series[i], series[j])
-        if not np.isfinite(raw).all():  # a band that admits no path for some pair
-            with pytest.raises(ValueError, match="not finite"):
-                dist.pairwise(tset, metric, params)
-            continue
-        got = dist.pairwise(tset, metric, params).values
-        assert got.tobytes() == _normalized(raw).tobytes(), (metric, params)
+        with mock.patch.object(dist, "_CHUNK_CELLS", cells):
+            bad = np.argwhere(~np.isfinite(raw))
+            if bad.size:  # a band that admits no path for some pair
+                i, j = bad[0].tolist()
+                with pytest.raises(ValueError, match=f"series {i} and {j} .* not finite"):
+                    dist.pairwise(tset, metric, params)
+                continue
+            got = dist.pairwise(tset, metric, params).values
+        assert got.tobytes() == _normalized(raw).tobytes(), (metric, params, cap)
 
 
 @settings(max_examples=30, deadline=None)
@@ -298,23 +316,25 @@ def test_pairwise_chunking_keeps_values(monkeypatch, tables):
     tset = _ragged_set([rng.normal(size=(t, 2)) for t in lengths])
     methods = (("dtw", None), ("dtw", {"band": 2}), ("fastdtw", {"radius": 1}), ("tam", None))
     whole = [dist.pairwise(tset, m, p).values for m, p in methods]
-    # At the default cap the 36 pairs fit in a few chunks: dtw and tam pad
+    # At the default cap the 36 pairs fit in a few passes: dtw and tam pad
     # pairs of nearby lengths to one length bucket, fastdtw keeps one length
-    # pair per chunk.  A cap of one (9, 9) table puts each of the 10 (9, 9)
-    # pairs in a chunk of its own, a cap of two at most two in one; a cap of 0
-    # is below every table, so each chunk takes the one pair it must.
+    # pair per pass.  A cap of one (9, 9) table puts each of the 10 (9, 9)
+    # pairs of tam and fastdtw in a pass of its own, a cap of two at most two
+    # in one, while dtw's smaller rings take a few more; a cap of 0 is below
+    # every pair, so each pass takes the one pair it must.
     monkeypatch.setattr(dist, "_CHUNK_CELLS", tables * dist._table_cells(9, 9))
     for (metric, params), before in zip(methods, whole):
         assert np.array_equal(dist.pairwise(tset, metric, params).values, before)
 
 
 def _dp_calls(monkeypatch, tset, metric, params=None):
-    """(a.shape, b.shape, lo.shape, hi.shape) of each `_dp` call of one `pairwise`."""
+    """(a.shape, b.shape, lo.shape, hi.shape, whether it keeps a ring of three
+    diagonals) of each `_dp` call of one `pairwise`."""
     calls, dp = [], dist._dp
 
-    def spy(a, b, lo, hi):
-        calls.append((a.shape, b.shape, np.shape(lo), np.shape(hi)))
-        return dp(a, b, lo, hi)
+    def spy(a, b, lo, hi, ends=None):
+        calls.append((a.shape, b.shape, np.shape(lo), np.shape(hi), ends is not None))
+        return dp(a, b, lo, hi, ends)
 
     with monkeypatch.context() as patch:
         patch.setattr(dist, "_dp", spy)
@@ -333,13 +353,19 @@ _BUCKETED_METHODS = [("dtw", None), ("dtw", {"band": 8}), ("tam", None)]
 @pytest.mark.parametrize("metric, params", _BUCKETED_METHODS)
 def test_equal_lengths_keep_the_chunks_of_exact_grouping(monkeypatch, metric, params):
     # 60 series of 64 steps, as the desk corpus: 1770 pairs of one length
-    # pair, so 31 per chunk under the cap, one band for all, and no padding
+    # pair, one band for all, and no padding.  A dtw pass holds 520 cells per
+    # pair (its ring, its series copies and its cost buffer), so 504 pairs
+    # under the cap; a tam pass holds whole tables, 31 per pass.
     tset = ds.TimeSeriesSet(values=np.random.default_rng(7).normal(size=(60, 64, 1)),
                             lengths=[64] * 60)
-    per_chunk = dist._CHUNK_CELLS // dist._table_cells(64, 64)
-    sizes = [per_chunk] * (1770 // per_chunk) + [1770 % per_chunk]
+    ring = metric == "dtw"
+    if ring:
+        sizes = [504, 504, 504, 258]
+    else:
+        per_chunk = dist._CHUNK_CELLS // dist._table_cells(64, 64)
+        sizes = [per_chunk] * (1770 // per_chunk) + [1770 % per_chunk]
     assert _dp_calls(monkeypatch, tset, metric, params) == [
-        ((p, 64, 1), (p, 64, 1), (64,), (64,)) for p in sizes]
+        ((p, 64, 1), (p, 64, 1), (64,), (64,), ring) for p in sizes]
 
 
 @pytest.mark.parametrize("metric, params", _BUCKETED_METHODS)
@@ -349,11 +375,13 @@ def test_length_buckets_pad_at_most_twice_their_own_cells(monkeypatch, metric, p
     rng = np.random.default_rng(8)
     tset = _ragged_set([rng.normal(size=(t, 1)) for t in lengths], fill=math.nan)
     calls = _dp_calls(monkeypatch, tset, metric, params)
-    padded = [a[0] * dist._table_cells(a[1], b[1]) for a, b, _, _ in calls]
+    padded = [a[0] * dist._table_cells(a[1], b[1]) for a, b, *_ in calls]
     assert sum(padded) <= 2 * _own_cells(lengths)
-    # a chunk stays under the cap unless it holds one pair
-    assert all(cells <= dist._CHUNK_CELLS or a[0] == 1
-               for cells, (a, *_) in zip(padded, calls))
+    # a pass stays under the cap unless it holds one pair: a dtw pass holds
+    # at least its rings, a tam pass its whole tables
+    held = [a[0] * (dist._ring_cells(a[1], b[1], 1) if ring else dist._table_cells(a[1], b[1]))
+            for a, b, _, _, ring in calls]
+    assert all(cells <= dist._CHUNK_CELLS or a[0] == 1 for cells, (a, *_) in zip(held, calls))
 
 
 @pytest.mark.parametrize("metric, params", _BUCKETED_METHODS)
@@ -364,6 +392,49 @@ def test_ragged_pairs_share_tables(monkeypatch, metric, params):
     rng = np.random.default_rng(9)
     tset = _ragged_set([rng.normal(size=(t, 1)) for t in lengths])
     assert len(_dp_calls(monkeypatch, tset, metric, params)) < 22
+
+
+def _peak_bytes(fn):
+    fn()  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["60x64", "ragged"])
+@pytest.mark.parametrize("params", [None, {"band": 8}, {"band": 100}])
+def test_dtw_passes_hold_no_more_than_a_whole_table_pass(ragged, params):
+    # 31 whole 64 x 64 skewed tables, the most one pass of the 60 x 64 set
+    # holds when it keeps every cell, peak at 2 273 742 bytes or more under
+    # tracemalloc (numpy 2.4, Python 3.11); hundreds of pairs in rings of three
+    # diagonals, and ragged pairs with bands of their own, stay below that
+    rng = np.random.default_rng(7)
+    if ragged:
+        lengths = np.linspace(40, 160, 30).astype(int)
+        tset = _ragged_set([rng.normal(size=(t, 1)) for t in lengths])
+    else:
+        tset = ds.TimeSeriesSet(values=rng.normal(size=(60, 64, 1)), lengths=[64] * 60)
+    assert _peak_bytes(lambda: dist.pairwise(tset, "dtw", params)) <= 2_273_000
+
+
+def test_pairwise_logs_its_passes_at_debug_only(caplog):
+    tset = ds.TimeSeriesSet(values=np.random.default_rng(3).normal(size=(12, 64, 1)),
+                            lengths=[64] * 12)
+    caplog.set_level("DEBUG", logger="tscontrast.distance")
+    dist.pairwise(tset, "dtw")
+    dist.pairwise(tset, "tam")
+    # 66 pairs of 64 x 64 cells: one pass of rings, or whole tables 31 a pass
+    assert {(r.name, r.levelname) for r in caplog.records} == {("tscontrast.distance", "DEBUG")}
+    assert [r.getMessage() for r in caplog.records] == [
+        "pairwise dtw: 66 pairs in 1 ring passes, 270336 padded cells",
+        "pairwise tam: 66 pairs in 3 table passes, 270336 padded cells"]
+    caplog.clear()
+    caplog.set_level("INFO", logger="tscontrast.distance")
+    dist.pairwise(tset, "dtw")
+    assert not caplog.records
 
 
 _TIED_SETS = st.lists(st.integers(1, 30).flatmap(
@@ -515,7 +586,8 @@ def test_save_matrix_is_all_or_nothing(tmp_path, monkeypatch, full_disk_open, wr
             tr.load_checkpoint(target)  # still a whole checkpoint
 
 
-@pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag"])
+@pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag",
+                                    "out-of-range", "nonzero-diagonal", "asymmetric"])
 def test_load_matrix_names_the_file_for_each_malformed_part(tmp_path, break_tsdm, defect):
     path = tmp_path / "m.bin"
     dist.save_matrix(dist.pairwise(_corpus(), "dtw"), path)
