@@ -12,11 +12,11 @@ from tscontrast.distance import DistanceMatrix
 
 # instance weights as a function of normalized distance, per kernel
 grid = np.linspace(0.0, 1.0, 6)
-row = DistanceMatrix(values=np.tile(grid, (6, 1)), metric="dtw", normalized=True)
+row = DistanceMatrix(values=np.tile(grid, (6, 1)), metric="dtw")
 print("instance weight vs normalized distance:")
 print("  D:        " + "  ".join(f"{d:5.2f}" for d in grid))
 for kernel in asg.INSTANCE_KERNELS:
-    cfg = tc.TrainConfig(inst_kernel=kernel, tau_inst=10.0, alpha=0.5, kernel_sigma=0.5)
+    cfg = tc.TrainConfig(inst_kernel=kernel, tau_inst=10.0, alpha=0.5)
     w = asg.w_instance(row, cfg)[0]
     print(f"  {kernel:9s}" + "  ".join(f"{v:5.3f}" for v in w))
 

@@ -1,11 +1,11 @@
 """Soft assignment weights for instance pairs and timestamp pairs.
 
-Instance weights come from the normalized data-space distance matrix, temporal
-weights from integer timestamp gaps; both have the paper-free kernels used in
-ablations plus the default sigmoid form.  Every setting (sharpness, alpha,
-kernel and its width, the pooling factor of the hierarchy) is read from a
-`config.TrainConfig`, whose rules have already checked it.  Extended/normalized
-variants back the KL-identity checks.
+Instance weights come from the normalized data-space distances, in [0, 1] by
+`DistanceMatrix`'s check, temporal weights from integer timestamp gaps; both
+have the paper-free kernels used in ablations plus the default sigmoid form.
+Every setting (sharpness, alpha, kernel, the pooling factor of the hierarchy)
+is read from a checked `config.TrainConfig`; the ablation kernels' widths are
+fixed constants.  Extended/normalized variants back the KL-identity checks.
 """
 from __future__ import annotations
 
@@ -15,11 +15,16 @@ import numpy as np
 
 from .distance import DistanceMatrix
 
-if TYPE_CHECKING:  # config imports this module for the kernel names
+if TYPE_CHECKING:  # config imports this module for the kernel names and widths
     from .config import TrainConfig
 
 INSTANCE_KERNELS = ("sigmoid", "no_kernel", "gaussian", "laplacian")
 TEMPORAL_KERNELS = ("sigmoid", "neighbor", "linear", "gaussian")
+
+# widths of the ablation kernels
+KERNEL_SIGMA = 0.5          # sigma of the gaussian / laplacian instance kernels
+NEIGHBOR_WINDOW_FRAC = 0.3  # half-width of the neighbor temporal kernel, as a fraction of T
+GAUSSIAN_STD = 1.0          # std of the gaussian temporal kernel
 
 
 def _sigmoid(x):
@@ -35,17 +40,15 @@ def _sigmoid(x):
 
 def w_instance(dist: DistanceMatrix, cfg: TrainConfig) -> np.ndarray:
     """[N, N] soft weights, non-increasing in the normalized distance."""
-    if not dist.normalized:
-        raise ValueError("instance weights need a min-max normalized matrix")
     d = dist.values
     if cfg.inst_kernel == "sigmoid":
         w = 2.0 * cfg.alpha * _sigmoid(-cfg.tau_inst * d)
     elif cfg.inst_kernel == "no_kernel":
         w = 1.0 - d
     elif cfg.inst_kernel == "gaussian":
-        w = np.exp(-(d ** 2) / (2.0 * cfg.kernel_sigma ** 2))
+        w = np.exp(-(d ** 2) / (2.0 * KERNEL_SIGMA ** 2))
     else:  # laplacian
-        w = np.exp(-d / cfg.kernel_sigma)
+        w = np.exp(-d / KERNEL_SIGMA)
     return w
 
 
@@ -67,12 +70,12 @@ def w_temporal(t: int, level_k: int, cfg: TrainConfig) -> np.ndarray:
     if cfg.temp_kernel == "sigmoid":
         w = 2.0 * _sigmoid(-effective_tau(cfg, level_k) * gap)
     elif cfg.temp_kernel == "neighbor":
-        window = int(np.ceil(cfg.neighbor_window_frac * t))
+        window = int(np.ceil(NEIGHBOR_WINDOW_FRAC * t))
         w = (gap <= window).astype(np.float64)
     elif cfg.temp_kernel == "linear":
         w = np.ones((t, t)) if t == 1 else 1.0 - gap / (t - 1)
     else:  # gaussian
-        w = np.exp(-(gap ** 2) / (2.0 * cfg.gaussian_std ** 2))
+        w = np.exp(-(gap ** 2) / (2.0 * GAUSSIAN_STD ** 2))
     return w
 
 

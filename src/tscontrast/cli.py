@@ -34,16 +34,24 @@ def _build_dataset(cfg: engine_config.EngineConfig) -> ds.TimeSeriesSet:
     return ds.znormalize(tset)
 
 
+def _distance_key(section: dict) -> str:
+    """The metric and the params it reads (`METRIC_PARAMS`), as in
+    `dtw-band8.0`: the settings that determine the matrix of a given set."""
+    reads = dist_mod.METRIC_PARAMS.get(section["metric"], ())
+    return section["metric"] + "".join(f"-{key}{section[key]}" for key in reads)
+
+
 def _distance_matrix(cfg: engine_config.EngineConfig,
                      tset: ds.TimeSeriesSet) -> dist_mod.DistanceMatrix:
     """The configured matrix.  A `distance.cache` directory holds each matrix
-    under the name of every input that determines it, so a hit cannot be stale.
+    under `_distance_key` and the set's fingerprint, every input that
+    determines it and no other, so a hit cannot be stale nor a miss spurious.
     `pairwise` gets only the configured metric's own keys."""
     section = cfg.sections["distance"]
-    metric, radius, band, cache = (section[k] for k in ("metric", "radius", "band", "cache"))
+    metric, cache = section["metric"], section["cache"]
     if cache and os.path.exists(cache) and not os.path.isdir(cache):
         raise ValueError(f"distance.cache {cache} must be a directory")
-    path = cache and os.path.join(cache, f"{metric}-r{radius}-b{band}-{tset.fingerprint()}.bin")
+    path = cache and os.path.join(cache, f"{_distance_key(section)}-{tset.fingerprint()}.bin")
     if path and os.path.exists(path):
         log.info("distance cache hit: %s", path)
         return dist_mod.load_matrix(path)
@@ -260,7 +268,7 @@ def cmd_ablate(args) -> int:
         for section, changes in patch.items():
             raw[section] = {**raw[section], **changes}
         cfg = engine_config.validate(raw)
-        key = tuple(sorted(cfg.sections["distance"].items()))
+        key = _distance_key(cfg.sections["distance"])
         if key not in matrices:
             matrices[key] = _distance_matrix(cfg, tset)
         state = tr.TrainState.fresh(cfg.train_config, tset.dims)

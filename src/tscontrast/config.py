@@ -4,17 +4,23 @@ sections that builds it, plus the other sections' defaults.
 
 Precedence is flag > file > default.  Unknown keys, values not of their
 default's JSON type and out-of-range values all fail at load, before any work.
+A retired key (`RETIRED_KEYS`) of an older file or checkpoint is dropped at
+the one value it may hold and fails at any other.
 """
 from __future__ import annotations
 
 import copy
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass
 
 from . import encoder as enc
-from .assign import INSTANCE_KERNELS, TEMPORAL_KERNELS
+from .assign import (GAUSSIAN_STD, INSTANCE_KERNELS, KERNEL_SIGMA, NEIGHBOR_WINDOW_FRAC,
+                     TEMPORAL_KERNELS)
 from .distance import METRIC_PARAMS, METRICS, checked_params
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -28,9 +34,6 @@ class TrainConfig:
     alpha: float = 0.5              # upper bound on distinct-pair instance weights
     inst_kernel: str = "sigmoid"
     temp_kernel: str = "sigmoid"
-    kernel_sigma: float = 0.5       # sigma of the gaussian / laplacian instance kernels
-    neighbor_window_frac: float = 0.3
-    gaussian_std: float = 1.0       # std of the gaussian temporal kernel
     pool_m: int = 2                 # max-pool kernel of the hierarchy
     hierarchical_tau: bool = True   # False: tau_temp at every level (ablation)
     hard: bool = False  # conventional contrastive baseline: all soft weights zero
@@ -49,16 +52,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {lowest}, got {value}")
         if not 0.0 <= self.lr < math.inf:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        for name in ("tau_inst", "tau_temp", "kernel_sigma", "gaussian_std"):
+        for name in ("tau_inst", "tau_temp"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name, value in (("lambda", self.lam), ("alpha", self.alpha)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 < self.neighbor_window_frac <= 1.0:
-            raise ValueError(f"neighbor_window_frac must be in (0, 1], "
-                             f"got {self.neighbor_window_frac}")
         for name, choices in (("inst_kernel", INSTANCE_KERNELS),
                               ("temp_kernel", TEMPORAL_KERNELS), ("mask_mode", enc.MASK_MODES)):
             value = getattr(self, name)
@@ -73,10 +73,8 @@ class TrainConfig:
 # JSON keys that feed TrainConfig, by section; each key is its field's name
 # except "lambda", which is a Python keyword.
 _TRAIN_SECTIONS = {
-    "assignment": (
-        "tau_inst", "tau_temp", "alpha", "pool_m", "inst_kernel", "temp_kernel",
-        "kernel_sigma", "neighbor_window_frac", "gaussian_std", "hierarchical_tau",
-    ),
+    "assignment": ("tau_inst", "tau_temp", "alpha", "pool_m", "inst_kernel", "temp_kernel",
+                   "hierarchical_tau"),
     "loss": ("lambda", "hard"),
     "train": ("lr", "batch_size", "iters", "seed", "hidden", "repr_dims", "depth", "mask_mode"),
 }
@@ -86,6 +84,15 @@ _FIELD_KEYS = {_FIELD_NAMES.get(key, key): (section, key)
                for section, keys in _TRAIN_SECTIONS.items() for key in keys}
 
 _TRAIN_DEFAULTS = asdict(TrainConfig())
+
+# Keys of earlier settings, by section, with the one value the code runs with:
+# --echo-config wrote the assignment ones, and checkpoints store them all flat.
+RETIRED_KEYS = {
+    "assignment": {"kernel_sigma": KERNEL_SIGMA, "gaussian_std": GAUSSIAN_STD,
+                   "neighbor_window_frac": NEIGHBOR_WINDOW_FRAC},
+    "loss": {"temperature": 1.0},
+    "train": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8},  # Adam's, fixed in `train`
+}
 
 # Every (section, key) with its default, which also fixes the value's JSON
 # type.  A nested dict is a subsection.  The dataset section holds only the
@@ -137,14 +144,21 @@ def _checked(where: str, value, default):
     return value
 
 
-def _resolve(where: str, given, defaults: dict, fill: bool = True) -> dict:
+def _resolve(where: str, given, defaults: dict, fill: bool = True, source=None) -> dict:
     """Check `given` key by key against `defaults`; with `fill`, a missing key
-    takes its default (a subsection only appears when given)."""
+    takes its default (a subsection only appears when given).  A retired key
+    at its value is dropped, logged at INFO with `source`."""
     if not isinstance(given, dict):
         raise ValueError(f"section '{where}' must be an object")
-    unknown = set(given) - set(defaults)
+    retired = RETIRED_KEYS.get(where, {})
+    unknown = set(given) - set(defaults) - set(retired)
     if unknown:
         raise ValueError(f"unknown keys in '{where}': {sorted(unknown)}")
+    for key in sorted(retired.keys() & given.keys()):
+        if _checked(f"{where}.{key}", given[key], retired[key]) != retired[key]:
+            raise ValueError(f"{where}.{key}: {key} is retired and must be {retired[key]}, "
+                             f"got {json.dumps(given[key])}")
+        _log.info("%s: dropped retired key %s.%s", source, where, key)
     out = {}
     for key, default in defaults.items():
         if isinstance(default, dict):
@@ -157,14 +171,14 @@ def _resolve(where: str, given, defaults: dict, fill: bool = True) -> dict:
     return out
 
 
-def validate(raw: dict) -> EngineConfig:
+def validate(raw: dict, source="config") -> EngineConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be an object")
     unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ValueError(f"unknown keys in 'config': {sorted(unknown)}")
     sections = {section: _resolve(section, raw.get(section, {}), defaults,
-                                  fill=section != "dataset")
+                                  fill=section != "dataset", source=source)
                 for section, defaults in DEFAULTS.items()}
 
     dataset = sections["dataset"]
@@ -194,17 +208,19 @@ def validate(raw: dict) -> EngineConfig:
     return EngineConfig(sections=sections, train_config=TrainConfig(**train_fields))
 
 
-def train_config_from_fields(stored: dict) -> TrainConfig:
+def train_config_from_fields(stored: dict, source="train_config") -> TrainConfig:
     """Build a TrainConfig from its flat fields (a checkpoint's train_config)
     through the same checks as a config file; a missing field takes its default."""
-    unknown = sorted(set(stored) - set(_FIELD_KEYS))
+    places = {**_FIELD_KEYS, **{key: (section, key)
+                                for section, keys in RETIRED_KEYS.items() for key in keys}}
+    unknown = sorted(set(stored) - set(places))
     if unknown:
         raise ValueError(f"unknown train_config key(s): {', '.join(unknown)}")
     raw = {}
     for name, value in stored.items():
-        section, key = _FIELD_KEYS[name]
+        section, key = places[name]
         raw.setdefault(section, {})[key] = value
-    return validate(raw).train_config
+    return validate(raw, source).train_config
 
 
 def load(path, overrides: dict | None = None) -> EngineConfig:
@@ -219,6 +235,6 @@ def load(path, overrides: dict | None = None) -> EngineConfig:
                 part = raw.get(section, {})
                 if isinstance(part, dict):  # anything else is rejected by validate
                     raw[section] = {**part, key: value}
-        return validate(raw)
+        return validate(raw, path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -19,9 +19,10 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DistanceMatrix:
+    """Min-max normalized distances, as `pairwise` makes them: every value
+    finite and in [0, 1], the domain of `assign.w_instance`'s kernels."""
     values: np.ndarray
     metric: str
-    normalized: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -30,6 +31,11 @@ class DistanceMatrix:
             raise ValueError("distance matrix must be square")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric: {self.metric!r}")
+        # min and max carry a NaN through, and no comparison with it holds
+        if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
+            i, j = np.argwhere(~((values >= 0.0) & (values <= 1.0)))[0].tolist()
+            defect = "outside [0, 1]" if np.isfinite(values[i, j]) else "not finite"
+            raise ValueError(f"normalized distance {float(values[i, j])!r} at ({i}, {j}) {defect}")
 
     @property
     def n(self) -> int:
@@ -524,7 +530,7 @@ def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> Di
         # all off-diagonal distances equal: define them as maximally similar
         values = np.zeros_like(values)
     np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values, metric=metric, normalized=True)
+    return DistanceMatrix(values=values, metric=metric)
 
 
 _MAGIC = b"TSDM"
@@ -532,45 +538,48 @@ _VERSION = 1
 
 
 def save_matrix(m: DistanceMatrix, path) -> None:
-    """A TSDM v1 file, written all or nothing through `whole_file`."""
+    """A TSDM v1 file, written all or nothing through `whole_file`; its flag
+    byte is 1: normalized, the only kind of matrix there is."""
     metric_tag = m.metric.encode("ascii").ljust(8, b"\x00")
     with whole_file(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<HB8sI", _VERSION, int(m.normalized), metric_tag, m.n))
+        fh.write(struct.pack("<HB8sI", _VERSION, 1, metric_tag, m.n))
         fh.write(np.ascontiguousarray(m.values).tobytes())
 
 
 def load_matrix(path) -> DistanceMatrix:
-    """Each malformed part of the file is a ValueError that names it.  A file
-    flagged normalized must also hold what `pairwise` makes: values in
-    [0, 1], a zero diagonal and a symmetric matrix; the first cell that is
-    not is named."""
+    """Each malformed part of the file is a ValueError that names it.  The
+    file must be flagged normalized and hold what `pairwise` makes: finite
+    values in [0, 1], a zero diagonal and a symmetric matrix; the first cell
+    that is not is named."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header = struct.calcsize("<4sHB8sI")
     if len(blob) < header:
         raise ValueError(f"{path}: truncated distance cache")
-    magic, version, normalized, metric_tag, n = struct.unpack("<4sHB8sI", blob[:header])
+    magic, version, flag, metric_tag, n = struct.unpack("<4sHB8sI", blob[:header])
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a distance cache")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
+    if flag != 1:
+        raise ValueError(f"{path}: flag byte {flag} is not 1: not a normalized distance matrix")
     metric = metric_tag.rstrip(b"\x00").decode("ascii", errors="replace")
     if metric not in METRICS:
         raise ValueError(f"{path}: unknown metric {metric!r}")
     body = blob[header:]
     if len(body) != n * n * 8:
         raise ValueError(f"{path}: size mismatch for N={n}")
-    values = np.frombuffer(body, dtype=np.float64).reshape(n, n).copy()
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: non-finite distance values")
-    if normalized:
-        for defect, bad in (("outside [0, 1]", (values < 0) | (values > 1)),
-                            ("on a nonzero diagonal", np.diag(np.diag(values) != 0)),
-                            ("unequal to its mirror", values != values.T)):
-            if bad.any():
-                i, j = np.argwhere(bad)[0].tolist()
-                raise ValueError(f"{path}: normalized distance {float(values[i, j])!r} "
-                                 f"at ({i}, {j}) {defect}")
-    return DistanceMatrix(values=values, metric=metric, normalized=bool(normalized))
+    try:
+        matrix = DistanceMatrix(np.frombuffer(body, dtype=np.float64).reshape(n, n).copy(), metric)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    values = matrix.values
+    for defect, bad in (("on a nonzero diagonal", np.diag(np.diag(values) != 0)),
+                        ("unequal to its mirror", values != values.T)):
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"{path}: normalized distance {float(values[i, j])!r} "
+                             f"at ({i}, {j}) {defect}")
+    return matrix
 

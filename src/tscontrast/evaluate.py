@@ -46,9 +46,15 @@ class EvalReport:
         write_csv(path, fields.keys(), [fields.values()])
 
 
+# Cells of the [rows, N_train, M] differences a block of `classify_probe` holds
+# (2 MB of float64), whatever the test rows; a block holds at least one row.
+PROBE_CELLS = 1 << 18
+
+
 def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 1) -> EvalReport:
     """k-nearest-neighbor vote in representation space (Euclidean); vote ties
-    fall back to the nearest neighbor's label."""
+    fall back to the nearest neighbor's label.  Test rows are scored in blocks
+    of `PROBE_CELLS`, each keeping its rows' k nearest labels."""
     train_reprs = np.asarray(train_reprs, dtype=np.float64)
     test_reprs = np.asarray(test_reprs, dtype=np.float64)
     train_labels = np.asarray(train_labels)
@@ -58,10 +64,12 @@ def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 
         raise ValueError("labels must be nonempty")
     if not 1 <= k <= n_tr:
         raise ValueError(f"k must be in [1, {n_tr}]")
-    diffs = test_reprs[:, None, :] - train_reprs[None, :, :]
-    dists = np.sqrt((diffs ** 2).sum(axis=2))
-    order = np.argsort(dists, axis=1, kind="stable")
-    neigh = train_labels[order[:, :k]]
+    rows = max(1, PROBE_CELLS // max(1, train_reprs.size))
+    neigh = np.empty((len(test_reprs), k), dtype=train_labels.dtype)
+    for lo in range(0, len(test_reprs), rows):
+        diffs = test_reprs[lo:lo + rows, None, :] - train_reprs[None, :, :]
+        dists = np.sqrt((diffs ** 2).sum(axis=2))
+        neigh[lo:lo + rows] = train_labels[np.argsort(dists, axis=1, kind="stable")[:, :k]]
     # votes[i, j]: how many of query i's neighbours share neighbour j's label;
     # argmax takes the nearest neighbour whose label has the most votes
     votes = (neigh[:, :, None] == neigh[:, None, :]).sum(axis=2)

@@ -42,8 +42,6 @@ class TrainState:
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-# train_config keys that earlier checkpoints hold, with the one value each may take
-_RETIRED_KEYS = {"temperature": 1.0, "beta1": _BETA1, "beta2": _BETA2, "eps": _EPS}
 
 
 def _adam_step(state: TrainState, cfg: TrainConfig):
@@ -95,7 +93,6 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         raise ValueError(f"training needs at least 2 series, got {tset.n}")
     if state is None:
         state = TrainState.fresh(cfg, tset.dims)
-    w_full = asg.w_instance(dist, cfg)
     history = []
     n = tset.n
     bs = min(cfg.batch_size, n)
@@ -105,7 +102,9 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         crop_seed = int(state.rng.integers(0, 2 ** 32))
         mask_seed = int(state.rng.integers(0, 2 ** 32))
         batch = tset.subset(idx)
-        w_batch = w_full[np.ix_(idx, idx)]
+        # the kernels act cell by cell: the batch's block of the distances
+        # gives the weights of the whole matrix's block, with no N x N copy
+        w_batch = asg.w_instance(DistanceMatrix(dist.values[np.ix_(idx, idx)], dist.metric), cfg)
         total, breakdown = evaluate_batch_loss(state, batch, w_batch, cfg, crop_seed, mask_seed)
         if not np.isfinite(total.data):
             raise RuntimeError(f"non-finite loss at step {state.step}{_culprit(breakdown)}; aborting")
@@ -195,11 +194,8 @@ def load_checkpoint(path):
                          f"({type(exc).__name__}: {exc})") from None
     if not isinstance(stored, dict):
         raise ValueError(f"{path}: train_config must be an object")
-    for key, value in _RETIRED_KEYS.items():
-        if key in stored and stored.pop(key) != value:
-            raise ValueError(f"{path}: train_config {key} is retired and must be {value}")
     try:
-        cfg = train_config_from_fields(stored)
+        cfg = train_config_from_fields(stored, path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     shapes = {name: t.shape for name, t in params.items()}

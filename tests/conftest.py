@@ -40,12 +40,15 @@ def full_disk_open():
 
 
 # Malformed parts of a TSDM v1 file: byte offset, the bytes written there, and
-# what `load_matrix` says.  The header is 19 bytes; the metric tag is bytes 7-14.
+# what `load_matrix` says.  The header is 19 bytes; byte 6 is the normalized
+# flag and the metric tag is bytes 7-14.
 _TSDM_DEFECTS = {
+    "unnormalized-flag": (6, b"\x00", "flag byte 0 is not 1: not a normalized distance matrix"),
     "undecodable-tag": (7, b"\xff\xfe\x00\x00\x00\x00\x00\x00", "unknown metric"),
     "unknown-tag": (7, b"xyz\x00\x00\x00\x00\x00", "unknown metric 'xyz'"),
-    "non-finite-value": (19 + 8, struct.pack("<d", math.nan), "non-finite distance values"),
-    # cells (0, 0) and (0, 1) of a file flagged normalized
+    # cells (0, 0) and (0, 1)
+    "non-finite-value": (19 + 8, struct.pack("<d", math.nan),
+                         "normalized distance nan at (0, 1) not finite"),
     "out-of-range": (19 + 8, struct.pack("<d", 1.5),
                      "normalized distance 1.5 at (0, 1) outside [0, 1]"),
     "nonzero-diagonal": (19, struct.pack("<d", 0.25),

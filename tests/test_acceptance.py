@@ -91,7 +91,7 @@ def test_criterion_4_gradient_correctness(capsys):
     dvals = rng.uniform(size=(n, n))
     dvals = (dvals + dvals.T) / 2
     np.fill_diagonal(dvals, 0.0)
-    dm = dist.DistanceMatrix(values=dvals / dvals.max(), metric="dtw", normalized=True)
+    dm = dist.DistanceMatrix(values=dvals / dvals.max(), metric="dtw")
     cfg = tr.TrainConfig(lam=0.5)
 
     def forward():
@@ -153,9 +153,9 @@ def test_criterion_6_kernel_properties(capsys):
     details = []
     # monotonicity in D for every instance kernel
     d_grid = np.linspace(0, 1, 21)
-    m = dist.DistanceMatrix(values=np.tile(d_grid, (21, 1)), metric="dtw", normalized=True)
+    m = dist.DistanceMatrix(values=np.tile(d_grid, (21, 1)), metric="dtw")
     for kernel in asg.INSTANCE_KERNELS:
-        cfg = tr.TrainConfig(inst_kernel=kernel, tau_inst=8.0, kernel_sigma=0.5)
+        cfg = tr.TrainConfig(inst_kernel=kernel, tau_inst=8.0)
         w = asg.w_instance(m, cfg)[0]
         mono = bool(np.all(np.diff(w) <= 1e-12))
         ok = ok and mono
@@ -169,7 +169,7 @@ def test_criterion_6_kernel_properties(capsys):
         details.append(f"temp:{kernel} mono={mono}")
     # w_I = alpha at D = 0
     alpha_ok = True
-    zero = dist.DistanceMatrix(values=np.zeros((2, 2)), metric="dtw", normalized=True)
+    zero = dist.DistanceMatrix(values=np.zeros((2, 2)), metric="dtw")
     for alpha in (0.25, 0.5, 0.75, 1.0):
         w = asg.w_instance(zero, tr.TrainConfig(alpha=alpha))
         alpha_ok = alpha_ok and abs(w[0, 1] - alpha) < 1e-12

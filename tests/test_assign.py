@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,20 +13,25 @@ from tscontrast.distance import DistanceMatrix
 
 
 def _dist(values):
-    return DistanceMatrix(values=np.asarray(values, dtype=float), metric="dtw", normalized=True)
+    return DistanceMatrix(values=np.asarray(values, dtype=float), metric="dtw")
 
 
 def test_instance_requires_normalized():
-    raw = DistanceMatrix(values=np.zeros((2, 2)), metric="dtw", normalized=False)
-    with pytest.raises(ValueError):
-        asg.w_instance(raw, TrainConfig())
+    # the kernels assume distances in [0, 1]: no matrix outside that is built
+    for value, defect in ((1.5, "outside [0, 1]"), (-0.25, "outside [0, 1]"),
+                          (math.nan, "not finite"), (math.inf, "not finite")):
+        values = np.zeros((3, 3))
+        values[1, 2] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"normalized distance {value!r} at (1, 2) {defect}")):
+            DistanceMatrix(values=values, metric="dtw")
 
 
 @pytest.mark.parametrize("kernel", asg.INSTANCE_KERNELS)
 def test_instance_kernels_monotone_nonincreasing(kernel):
     d = np.linspace(0, 1, 11)
     m = _dist(np.tile(d, (11, 1)))
-    cfg = TrainConfig(inst_kernel=kernel, tau_inst=5.0, alpha=0.5, kernel_sigma=0.5)
+    cfg = TrainConfig(inst_kernel=kernel, tau_inst=5.0, alpha=0.5)
     w = asg.w_instance(m, cfg)[0]
     assert np.all(np.diff(w) <= 1e-12)
     assert np.all(w >= 0.0) and np.all(w <= 1.0)
@@ -46,7 +54,7 @@ def test_effective_tau_scaling():
 
 @pytest.mark.parametrize("kernel", asg.TEMPORAL_KERNELS)
 def test_temporal_kernels_monotone_in_gap(kernel):
-    cfg = TrainConfig(temp_kernel=kernel, tau_temp=1.0, gaussian_std=1.0)
+    cfg = TrainConfig(temp_kernel=kernel, tau_temp=1.0)
     w = asg.w_temporal(10, 0, cfg)
     row = w[0]  # gap increases along the row
     assert np.all(np.diff(row) <= 1e-12)
@@ -55,7 +63,7 @@ def test_temporal_kernels_monotone_in_gap(kernel):
 
 
 def test_temporal_neighbor_window():
-    cfg = TrainConfig(temp_kernel="neighbor", neighbor_window_frac=0.3)
+    cfg = TrainConfig(temp_kernel="neighbor")
     w = asg.w_temporal(10, 0, cfg)  # window = ceil(3) = 3, two-sided inclusive
     assert w[0, 3] == 1.0 and w[0, 4] == 0.0
     assert w[5, 2] == 1.0 and w[5, 8] == 1.0 and w[5, 9] == 0.0

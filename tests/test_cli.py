@@ -32,8 +32,14 @@ def test_usage_error_exit_code():
     assert cli.main(["pretrain"]) == 1  # missing required flags
 
 
-def _cache_file(cache, tset, metric="euc", radius=1, band=None):
-    return cache / f"{metric}-r{radius}-b{band}-{tset.fingerprint()}.bin"
+# the params each metric reads, at their defaults
+_METRIC_PARAMS = {"dtw": {"band": None}, "fastdtw": {"radius": 1}}
+
+
+def _cache_file(cache, tset, metric="euc", **params):
+    """The cache entry of a metric and the params it reads, as in `dtw-band8.0`."""
+    name = "".join(f"-{k}{v}" for k, v in {**_METRIC_PARAMS.get(metric, {}), **params}.items())
+    return cache / f"{metric}{name}-{tset.fingerprint()}.bin"
 
 
 def _dataset():
@@ -126,6 +132,34 @@ def test_cache_serves_only_the_matrix_of_the_same_inputs(tmp_path, capsys, monke
     assert len(list(cache.iterdir())) == 2
 
 
+@pytest.mark.parametrize("metric,unread", [("euc", {"band": 3}), ("euc", {"radius": 4}),
+                                           ("dtw", {"radius": 4}), ("fastdtw", {"band": 3})])
+def test_a_param_the_metric_does_not_read_keeps_the_cache_hit(tmp_path, capsys, monkeypatch,
+                                                              metric, unread):
+    cache = tmp_path / "cache"
+    calls = _count_pairwise(monkeypatch)
+    outputs = []
+    for distance in ({"metric": metric}, {"metric": metric, **unread}):
+        cfg = _config(tmp_path, distance={**distance, "cache": str(cache)})
+        assert cli.main(["distances", "--config", cfg, "--out", str(tmp_path / "d.bin")]) == 0
+        outputs.append((tmp_path / "d.bin").read_bytes())
+    assert calls == [metric] and outputs[0] == outputs[1]
+    assert list(cache.iterdir()) == [_cache_file(cache, _dataset(), metric)]
+
+
+def test_echo_config_from_before_the_widths_were_retired_still_loads(tmp_path, capsys):
+    old = engine_config.validate({}).effective()
+    old["assignment"].update(kernel_sigma=0.5, neighbor_window_frac=0.3, gaussian_std=1.0)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    assert engine_config.load(path).train_config == tr.TrainConfig()
+    old["assignment"]["gaussian_std"] = 2.0
+    path.write_text(json.dumps(old))
+    assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "d.bin")]) == 2
+    assert ("assignment.gaussian_std: gaussian_std is retired and must be 1.0, got 2.0"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["distances", "pretrain"])
 def test_repeat_run_is_a_cache_hit(tmp_path, capsys, monkeypatch, command):
     cache = tmp_path / "cache"
@@ -172,7 +206,8 @@ def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag",
-                                    "out-of-range", "nonzero-diagonal", "asymmetric"])
+                                    "out-of-range", "nonzero-diagonal", "asymmetric",
+                                    "unnormalized-flag"])
 def test_malformed_cache_entry_exits_2_naming_it(tmp_path, capsys, break_tsdm, defect):
     cache = tmp_path / "cache"
     cache.mkdir()

@@ -157,11 +157,30 @@ def test_valid_config_round_trips(raw):
             assert type(_get(eff, path)) is float  # ints are widened
 
 
+# every key a config file may set, flattened; a new setting is a diff here
+_SETTABLE_KEYS = {
+    "dataset.path", "dataset.synthetic.n_per_class", "dataset.synthetic.length",
+    "dataset.synthetic.classes", "dataset.synthetic.noise_std", "dataset.synthetic.seed",
+    "distance.metric", "distance.radius", "distance.band", "distance.cache",
+    "assignment.tau_inst", "assignment.tau_temp", "assignment.alpha", "assignment.pool_m",
+    "assignment.inst_kernel", "assignment.temp_kernel", "assignment.hierarchical_tau",
+    "loss.lambda", "loss.hard",
+    "train.lr", "train.batch_size", "train.iters", "train.seed", "train.hidden",
+    "train.repr_dims", "train.depth", "train.mask_mode",
+    "eval.probe_k", "eval.anomaly_c",
+}
+
+
 def test_every_train_config_field_is_a_config_key():
     keys = {engine_config._FIELD_NAMES.get(key, key)
             for keys in engine_config._TRAIN_SECTIONS.values() for key in keys}
     assert {f.name for f in fields(TrainConfig)} == keys
     assert TrainConfig().encoder_cfg(3) == enc.EncoderConfig(3, hidden=32, output_dims=16, depth=4)
+    assert {".".join(path) for path, _ in LEAVES} == _SETTABLE_KEYS
+    retired = {f"{section}.{key}" for section, keys in engine_config.RETIRED_KEYS.items()
+               for key in keys}
+    assert len(retired) == 7 and not retired & _SETTABLE_KEYS
+    assert not {key.split(".")[1] for key in retired} & keys
 
 
 # one out-of-range value for every TrainConfig rule, and NaN and infinity for
@@ -170,30 +189,71 @@ _TRAIN_RULE_CASES = [
     ("assignment", "tau_inst", 0), ("assignment", "tau_temp", 0),
     ("assignment", "alpha", 1.5), ("assignment", "pool_m", 1),
     ("assignment", "inst_kernel", "bogus"), ("assignment", "temp_kernel", "bogus"),
-    ("assignment", "kernel_sigma", 0), ("assignment", "neighbor_window_frac", 0),
-    ("assignment", "gaussian_std", 0), ("train", "hidden", 0),
-    ("train", "repr_dims", 0), ("train", "depth", 0),
+    ("train", "hidden", 0), ("train", "repr_dims", 0), ("train", "depth", 0),
     ("train", "lr", -0.1), ("loss", "lambda", 1.5),
     ("train", "batch_size", 1), ("train", "iters", -1),
     ("train", "seed", -1), ("train", "mask_mode", "bogus"),
-    *[("assignment", key, value)
-      for key in ("tau_inst", "tau_temp", "kernel_sigma", "gaussian_std")
+    *[("assignment", key, value) for key in ("tau_inst", "tau_temp")
       for value in (math.nan, math.inf)],
     ("train", "lr", math.nan), ("train", "lr", math.inf),
 ]
+# retired keys away from their one value: a config file fails naming the key,
+# and TrainConfig has no such field
+_RETIRED_CASES = [
+    ("assignment", "kernel_sigma", 0), ("assignment", "neighbor_window_frac", 0),
+    ("assignment", "gaussian_std", 0),
+    *[("assignment", key, value) for key in ("kernel_sigma", "gaussian_std")
+      for value in (math.nan, math.inf)],
+]
 
 
-@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES)
+@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES + _RETIRED_CASES)
 def test_sub_config_rule_names_the_key(section, key, value):
     with pytest.raises(ValueError, match=re.escape(f"{section}.{key}: ")):
         engine_config.validate({section: {key: value}})
 
 
-@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES)
+@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES + _RETIRED_CASES)
 def test_train_config_checks_its_own_fields(section, key, value):
-    # Python callers get the same rules as a config file
-    with pytest.raises(ValueError):
+    # Python callers get the same rules as a config file; a retired key is
+    # not a field at all
+    error = TypeError if (section, key, value) in _RETIRED_CASES else ValueError
+    with pytest.raises(error):
         TrainConfig(**{engine_config._FIELD_NAMES.get(key, key): value})
+
+
+def _retired_at_their_values():
+    return {section: dict(keys) for section, keys in engine_config.RETIRED_KEYS.items()}
+
+
+def test_retired_keys_at_their_values_build_the_same_train_config(caplog):
+    # what --echo-config wrote before the widths were retired, plus the rest
+    raw = _retired_at_their_values()
+    raw["assignment"].update(kernel_sigma=0.5, gaussian_std=1, tau_inst=3.0)
+    caplog.set_level("INFO", logger="tscontrast.config")
+    resolved = engine_config.validate(raw, source="old.json")
+    assert resolved.train_config == TrainConfig(tau_inst=3.0)
+    assert resolved.effective() == engine_config.validate(
+        {"assignment": {"tau_inst": 3.0}}).effective()
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("tscontrast.config", "INFO", f"old.json: dropped retired key {section}.{key}")
+        for section, keys in engine_config.RETIRED_KEYS.items() for key in sorted(keys)]
+
+
+@pytest.mark.parametrize("value", [0.25, True, "0.5", None])
+def test_retired_key_away_from_its_value_names_the_key(value):
+    with pytest.raises(ValueError, match=re.escape("assignment.kernel_sigma")):
+        engine_config.validate({"assignment": {"kernel_sigma": value}})
+
+
+def test_dropping_retired_keys_formats_nothing_when_info_is_off(caplog):
+    class Source:
+        def __str__(self):
+            raise AssertionError("formatted with INFO off")
+
+    caplog.set_level("WARNING", logger="tscontrast.config")
+    engine_config.validate(_retired_at_their_values(), source=Source())
+    assert caplog.records == []
 
 
 _TWO_SERIES = ds.TimeSeriesSet(values=np.arange(8.0).reshape(2, 4, 1), lengths=[4, 4])

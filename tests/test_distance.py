@@ -153,7 +153,7 @@ def _corpus():
 def test_pairwise_normalized(metric):
     tset = _corpus()
     m = dist.pairwise(tset, metric, {"radius": 2} if metric == "fastdtw" else None)
-    assert m.normalized
+    assert m.values.min() >= 0.0 and m.values.max() <= 1.0
     assert np.all(np.diag(m.values) == 0.0)
     off = m.values[~np.eye(m.n, dtype=bool)]
     assert off.min() == pytest.approx(0.0)
@@ -492,8 +492,30 @@ def test_matrix_cache_round_trip(tmp_path):
     path = tmp_path / "cache.bin"
     dist.save_matrix(m, path)
     back = dist.load_matrix(path)
-    assert back.metric == "dtw" and back.normalized
+    assert back.metric == "dtw"
     assert np.array_equal(back.values, m.values)  # bit-exact
+
+
+# a TSDM v1 file that `save_matrix` wrote for the 4-series set below when the
+# matrix still carried its normalized flag: header, then 16 float64 cells
+_EARLIER_TSDM = bytes.fromhex(
+    "5453444d01000164747700000000000400000000000000000000005ba6c571fc4ced3faf60edaae876e9"
+    "3f2c682319ce71ea3f5ba6c571fc4ced3f0000000000000000e535f9ad76cbef3f000000000000f03faf"
+    "60edaae876e93fe535f9ad76cbef3f000000000000000000000000000000002c682319ce71ea3f000000"
+    "000000f03f00000000000000000000000000000000")
+
+
+def test_matrix_file_from_before_the_flag_was_dropped_loads_equal(tmp_path):
+    path = tmp_path / "earlier.bin"
+    path.write_bytes(_EARLIER_TSDM)
+    tset = ds.znormalize(ds.make_synthetic(
+        2, 8, [{"kind": "sine", "freq": 1.0}, {"kind": "square", "freq": 2.0}],
+        noise_std=0.1, seed=4))
+    fresh = dist.pairwise(tset, "dtw")
+    back = dist.load_matrix(path)
+    assert back.metric == "dtw" and back.values.tobytes() == fresh.values.tobytes()
+    dist.save_matrix(fresh, tmp_path / "now.bin")
+    assert (tmp_path / "now.bin").read_bytes() == _EARLIER_TSDM  # the layout is unchanged
 
 
 def test_matrix_cache_rejects_garbage(tmp_path):
@@ -587,7 +609,8 @@ def test_save_matrix_is_all_or_nothing(tmp_path, monkeypatch, full_disk_open, wr
 
 
 @pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag",
-                                    "out-of-range", "nonzero-diagonal", "asymmetric"])
+                                    "out-of-range", "nonzero-diagonal", "asymmetric",
+                                    "unnormalized-flag"])
 def test_load_matrix_names_the_file_for_each_malformed_part(tmp_path, break_tsdm, defect):
     path = tmp_path / "m.bin"
     dist.save_matrix(dist.pairwise(_corpus(), "dtw"), path)

@@ -1,13 +1,16 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tscontrast import autodiff as ad
+from tscontrast import data as ds
 from tscontrast import encoder as enc
 from tscontrast import evaluate as ev
 from tscontrast import oracle
+from tscontrast.config import TrainConfig
 
 
 def test_probe_separated_clusters(rng):
@@ -41,16 +44,58 @@ def _probe_case(draw):
                          min_size=n_test, max_size=n_test))
     labels = draw(st.lists(st.integers(0, 3), min_size=n_train, max_size=n_train))
     k = draw(st.integers(1, n_train))
-    return np.array(train, dtype=float), np.array(labels), np.array(test, dtype=float), k
+    # blocks of one test row, of a few, or all rows in one
+    cells = draw(st.sampled_from([1, n_train * dims * 2, ev.PROBE_CELLS]))
+    return np.array(train, dtype=float), np.array(labels), np.array(test, dtype=float), k, cells
 
 
 @settings(max_examples=300, deadline=None)
 @given(_probe_case())
 def test_probe_votes_like_the_oracle(case):
-    train, labels, test, k = case
+    train, labels, test, k, cells = case
     expected = np.array([oracle.knn_vote(train, labels, row, k) for row in test])
-    report = ev.classify_probe(train, labels, test, expected, k=k)
+    with mock.patch.object(ev, "PROBE_CELLS", cells):
+        report = ev.classify_probe(train, labels, test, expected, k=k)
     assert report.accuracy == 1.0  # every prediction is the oracle's label
+
+
+def _criterion_7_reprs():
+    """Instance representations of the criterion-7 corpus under an untrained
+    default encoder: [60, 16]."""
+    tset = ds.znormalize(ds.make_synthetic(
+        20, 64, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0},
+                 {"kind": "sawtooth", "freq": 4.0}], noise_std=0.3, seed=7))
+    model = enc.init_encoder(TrainConfig().encoder_cfg(1), seed=0)
+    return enc.instance_repr(enc.encode(model, tset.values)), tset.labels
+
+
+@pytest.mark.parametrize("cells", [1, 16 * 30 * 7, 1 << 40], ids=["row", "rows", "unblocked"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_probe_blocks_keep_the_unblocked_report(cells, k):
+    reps, labels = _criterion_7_reprs()
+    args = (reps[::2], labels[::2], reps[1::2], labels[1::2])
+    with mock.patch.object(ev, "PROBE_CELLS", 1 << 40):
+        whole = ev.classify_probe(*args, k=k)
+    with mock.patch.object(ev, "PROBE_CELLS", cells):
+        assert ev.classify_probe(*args, k=k) == whole
+    votes = [oracle.knn_vote(reps[::2], labels[::2], row, k) for row in reps[1::2]]
+    assert whole.accuracy == np.mean(np.array(votes) == labels[1::2])
+
+
+@pytest.mark.parametrize("n_test", [200, 2000])
+def test_probe_memory_does_not_grow_with_the_test_rows(n_test):
+    # unblocked, the [n_test, 500, 16] differences alone were 12.8 and 128 MB
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+    train, test = rng.normal(size=(500, 16)), rng.normal(size=(n_test, 16))
+    labels, test_labels = rng.integers(0, 5, 500), rng.integers(0, 5, n_test)
+    tracemalloc.start()
+    try:
+        ev.classify_probe(train, labels, test, test_labels, k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's differences and their squares, plus what grows with n_test
+    assert peak < 2.5 * 8 * ev.PROBE_CELLS
 
 
 def test_probe_validation():

@@ -142,7 +142,7 @@ def _joint_inputs(rng, n=3, t=8, m=4):
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
     d = d / d.max()
-    dist = DistanceMatrix(values=d, metric="dtw", normalized=True)
+    dist = DistanceMatrix(values=d, metric="dtw")
     return ra, rb, asg.w_instance(dist, TrainConfig())
 
 

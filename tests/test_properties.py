@@ -74,8 +74,7 @@ def test_synthetic_classes_separate_under_dtw():
 
 
 def test_instance_weight_closed_forms():
-    d1 = dist.DistanceMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                             metric="dtw", normalized=True)
+    d1 = dist.DistanceMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), metric="dtw")
     w = asg.w_instance(d1, TrainConfig(tau_inst=10.0, alpha=0.5))
     assert w[0, 1] == pytest.approx(1.0 / (1.0 + np.exp(10.0)))
     w = asg.w_instance(d1, TrainConfig(inst_kernel="no_kernel"))
@@ -83,8 +82,7 @@ def test_instance_weight_closed_forms():
 
 
 def test_instance_sharpness_limits():
-    d = dist.DistanceMatrix(values=np.array([[0.0, 0.4], [0.4, 0.0]]),
-                            metric="dtw", normalized=True)
+    d = dist.DistanceMatrix(values=np.array([[0.0, 0.4], [0.4, 0.0]]), metric="dtw")
     tight = asg.w_instance(d, TrainConfig(tau_inst=1e6, alpha=0.5))
     assert tight[0, 1] == pytest.approx(0.0, abs=1e-12)  # hard-CL limit
     loose = asg.w_instance(d, TrainConfig(tau_inst=1e-9, alpha=0.5))
@@ -137,11 +135,10 @@ def test_loss_invariant_under_batch_permutation(rng):
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
     cfg = TrainConfig()
-    dm = dist.DistanceMatrix(values=d / d.max(), metric="dtw", normalized=True)
+    dm = dist.DistanceMatrix(values=d / d.max(), metric="dtw")
     base, _ = losses.joint_loss(ra, rb, asg.w_instance(dm, cfg), cfg)
     perm = rng.permutation(n)
-    dmp = dist.DistanceMatrix(values=dm.values[np.ix_(perm, perm)],
-                              metric="dtw", normalized=True)
+    dmp = dist.DistanceMatrix(values=dm.values[np.ix_(perm, perm)], metric="dtw")
     permuted, _ = losses.joint_loss(ra[perm], rb[perm], asg.w_instance(dmp, cfg), cfg)
     assert float(permuted.data) == pytest.approx(float(base.data), rel=1e-12)
 

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from tscontrast import autodiff as ad
 from tscontrast import cli
+from tscontrast import config as engine_config
 from tscontrast import data as ds
 from tscontrast import distance as dist
 from tscontrast import loss as losses
@@ -62,7 +65,7 @@ def test_pretrain_seed_changes_run():
 
 def test_pretrain_rejects_mismatched_matrix():
     tset, _, cfg = _setup()
-    bad = dist.DistanceMatrix(values=np.zeros((3, 3)), metric="euc", normalized=True)
+    bad = dist.DistanceMatrix(values=np.zeros((3, 3)), metric="euc")
     with pytest.raises(ValueError):
         tr.pretrain(tset, bad, cfg)
 
@@ -71,7 +74,7 @@ def test_pretrain_needs_two_series():
     # the instance loss of a one-series batch is undefined
     tset, _, cfg = _setup()
     one = tset.subset(np.arange(1))
-    single = dist.DistanceMatrix(values=np.zeros((1, 1)), metric="euc", normalized=True)
+    single = dist.DistanceMatrix(values=np.zeros((1, 1)), metric="euc")
     with pytest.raises(ValueError, match="at least 2 series, got 1"):
         tr.pretrain(one, single, cfg)
 
@@ -207,9 +210,11 @@ def _rewrite_meta(path, edit):
 
 
 def _add_retired_keys(meta, **values):
-    """Earlier formats also stored the loss temperature and Adam's constants."""
+    """Earlier formats also stored the loss temperature, Adam's constants and
+    the ablation kernels' widths."""
     meta["train_config"].update({"temperature": 1.0, "beta1": 0.9, "beta2": 0.999,
-                                 "eps": 1e-8, **values})
+                                 "eps": 1e-8, "kernel_sigma": 0.5, "gaussian_std": 1.0,
+                                 "neighbor_window_frac": 0.3, **values})
 
 
 def _resume_after_edits(tmp_path, *edits):
@@ -366,14 +371,15 @@ def test_load_checkpoint_rejects_unknown_train_config_key(tmp_path, capsys):
     assert "warmup" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("temperature", 0.5), ("beta1", 0.8), ("eps", 1e-6)])
+@pytest.mark.parametrize("key,value", [("temperature", 0.5), ("beta1", 0.8), ("eps", 1e-6),
+                                       ("neighbor_window_frac", 0.5)])
 def test_load_checkpoint_rejects_retired_key_away_from_its_constant(tmp_path, capsys,
                                                                      key, value):
     tset, _, cfg = _setup()
     path = tmp_path / "ckpt.npz"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
     _rewrite_meta(path, lambda meta: _add_retired_keys(meta, **{key: value}))
-    with pytest.raises(ValueError, match=rf"ckpt\.npz: train_config {key} is retired"):
+    with pytest.raises(ValueError, match=rf"ckpt\.npz: \w+\.{key}: {key} is retired and must be"):
         tr.load_checkpoint(path)
 
     tsv = tmp_path / "data.tsv"
@@ -381,6 +387,79 @@ def test_load_checkpoint_rejects_retired_key_away_from_its_constant(tmp_path, ca
     assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
                      "--out", str(tmp_path / "reps.csv")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_retired_adam_keys_hold_the_constants_adam_runs_with():
+    assert engine_config.RETIRED_KEYS["train"] == {"beta1": tr._BETA1, "beta2": tr._BETA2,
+                                                   "eps": tr._EPS}
+
+
+def test_load_checkpoint_logs_each_retired_key_it_drops(tmp_path, caplog):
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_meta(path, _add_retired_keys)
+    caplog.set_level("INFO", logger="tscontrast.config")
+    assert tr.load_checkpoint(path)[1] == cfg
+    assert sorted(r.getMessage() for r in caplog.records) == sorted(
+        f"{path}: dropped retired key {key}" for key in (
+            "assignment.gaussian_std", "assignment.kernel_sigma",
+            "assignment.neighbor_window_frac", "loss.temperature",
+            "train.beta1", "train.beta2", "train.eps"))
+
+
+def test_pretrain_holds_no_n_by_n_weight_matrix():
+    # one step at N = 1000 builds the batch's weights from its block alone
+    n = 1000
+    tset = ds.TimeSeriesSet(values=np.tile(np.sin(np.arange(16.0))[:, None], (n, 1, 1)),
+                            lengths=[16] * n)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
+    values = rng.uniform(size=(n, n))
+    values = (values + values.T) / 2
+    np.fill_diagonal(values, 0.0)
+    dm = dist.DistanceMatrix(values, "euc")
+    cfg = tr.TrainConfig(iters=1, batch_size=4, hidden=4, repr_dims=2, depth=1)
+    state = tr.TrainState.fresh(cfg, 1)
+    tracemalloc.start()
+    try:
+        tr.pretrain(tset, dm, cfg, state=state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+# SHA-256 of each model's parameters (sorted by name) after 30 steps on the
+# criterion-7 corpus and matrix: bit-identical since each step's instance
+# weights came from slicing those of the whole matrix
+_CRITERION_7_SHA256 = {
+    "sigmoid": "955cad5f9cdb5e08c66448620e16dbfe703968884a43af90240eca33546c1f33",
+    "no_kernel": "e7a1451eec8d3ba0ba40c41f3ea40d36d647889916a37506b05a994f86de3958",
+    "gaussian": "c74088312a95c325f3fde551e1be5169e7c3927754ac3be4f4060c704ba4ce96",
+    "laplacian": "a5e1d40a8bd7f51bd1bbeeec5c14366428a44c5f08850af952a96ea54161b542",
+}
+
+
+@pytest.fixture(scope="module")
+def criterion_7_inputs():
+    tset = ds.znormalize(ds.make_synthetic(
+        20, 64, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0},
+                 {"kind": "sawtooth", "freq": 4.0}], noise_std=0.3, seed=7))
+    dm = dist.pairwise(tset, "dtw")
+    assert hashlib.sha256(dm.values.tobytes()).hexdigest() == (
+        "be1dc77d1811b337747088b72677126d3a391a2a3a32306a3286fec264deaae5")
+    return tset, dm
+
+
+@pytest.mark.parametrize("kernel", sorted(_CRITERION_7_SHA256))
+def test_criterion_7_parameters_are_pinned(criterion_7_inputs, kernel):
+    tset, dm = criterion_7_inputs
+    cfg = tr.TrainConfig(iters=30, seed=0, tau_inst=20.0, tau_temp=2.5, inst_kernel=kernel)
+    model, _ = tr.pretrain(tset, dm, cfg)
+    digest = hashlib.sha256()
+    for name in sorted(model.params):
+        digest.update(model.params[name].data.tobytes())
+    assert digest.hexdigest() == _CRITERION_7_SHA256[kernel]
 
 
 def test_lambda_zero_logs_the_soft_instance_terms():
