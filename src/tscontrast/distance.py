@@ -4,6 +4,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 from itertools import repeat
@@ -20,12 +21,15 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Min-max normalized distances, as `pairwise` makes them: every value
-    finite and in [0, 1], the domain of `assign.w_instance`'s kernels."""
+    finite and in [0, 1], the domain of `assign.w_instance`'s kernels.
+    `values` is a read-only view, so a built matrix keeps that domain; the
+    array it was built from is not copied and stays writable."""
     values: np.ndarray
     metric: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64).view()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("distance matrix must be square")
@@ -552,34 +556,43 @@ def load_matrix(path) -> DistanceMatrix:
     file must be flagged normalized and hold what `pairwise` makes: finite
     values in [0, 1], a zero diagonal and a symmetric matrix; the first cell
     that is not is named."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
     header = struct.calcsize("<4sHB8sI")
-    if len(blob) < header:
-        raise ValueError(f"{path}: truncated distance cache")
-    magic, version, flag, metric_tag, n = struct.unpack("<4sHB8sI", blob[:header])
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not a distance cache")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    if flag != 1:
-        raise ValueError(f"{path}: flag byte {flag} is not 1: not a normalized distance matrix")
-    metric = metric_tag.rstrip(b"\x00").decode("ascii", errors="replace")
-    if metric not in METRICS:
-        raise ValueError(f"{path}: unknown metric {metric!r}")
-    body = blob[header:]
-    if len(body) != n * n * 8:
-        raise ValueError(f"{path}: size mismatch for N={n}")
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if len(head) < header:
+            raise ValueError(f"{path}: truncated distance cache")
+        magic, version, flag, metric_tag, n = struct.unpack("<4sHB8sI", head)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: not a distance cache")
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported cache version {version}")
+        if flag != 1:
+            raise ValueError(f"{path}: flag byte {flag} is not 1: not a normalized distance matrix")
+        metric = metric_tag.rstrip(b"\x00").decode("ascii", errors="replace")
+        if metric not in METRICS:
+            raise ValueError(f"{path}: unknown metric {metric!r}")
+        # the file's size first, so a corrupt N allocates nothing; the values
+        # are then read straight into the one array the matrix keeps (a file
+        # cut short meanwhile reads fewer bytes)
+        if os.fstat(fh.fileno()).st_size - header != n * n * 8:
+            raise ValueError(f"{path}: size mismatch for N={n}")
+        values = np.empty((n, n))
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError(f"{path}: size mismatch for N={n}")
     try:
-        matrix = DistanceMatrix(np.frombuffer(body, dtype=np.float64).reshape(n, n).copy(), metric)
+        matrix = DistanceMatrix(values, metric)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     values = matrix.values
-    for defect, bad in (("on a nonzero diagonal", np.diag(np.diag(values) != 0)),
-                        ("unequal to its mirror", values != values.T)):
-        if bad.any():
-            i, j = np.argwhere(bad)[0].tolist()
-            raise ValueError(f"{path}: normalized distance {float(values[i, j])!r} "
-                             f"at ({i}, {j}) {defect}")
+    # the diagonal is read as its N cells, so the mirror test's [N, N] mask
+    # is the only one held beside the matrix
+    diagonal = np.flatnonzero(np.diagonal(values))
+    cells, defect = np.stack([diagonal, diagonal], axis=1), "on a nonzero diagonal"
+    if not cells.size:
+        cells, defect = np.argwhere(values != values.T), "unequal to its mirror"
+    if cells.size:
+        i, j = cells[0].tolist()
+        raise ValueError(f"{path}: normalized distance {float(values[i, j])!r} "
+                         f"at ({i}, {j}) {defect}")
     return matrix
 

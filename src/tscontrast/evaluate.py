@@ -3,15 +3,19 @@ representations, and anomaly scoring by the distance between the encoding
 with one timestamp hidden and the plain one."""
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
 from .data import write_csv
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -84,53 +88,110 @@ def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 
     )
 
 
-# Timestamps per chunk of `anomaly_scores` times the steps of the widest
-# window a chunk gathers: a chunk holds at most this many rows of any
-# activation, so memory stays bounded on long series (a 128-step series at
-# depth 3 is one chunk).  At 4096 rows a chunk's [rows, hidden] window and
-# product arrays stay within a 2 MB L2 cache at hidden 16 to 32; at 8192 a
-# depth-4 chunk's [8177, 16] arrays outgrow it, and scoring a 512-step
-# series at depth 4 took 20% longer (same scores).
+# Timestamps per chunk of `anomaly_scores` times the offsets of its widest
+# gather (7 from depth 2 on): a chunk holds at most this many rows of any
+# activation, so memory stays bounded on long series (a 128-step series is
+# one chunk at every depth).  At 4096 rows a chunk's [rows, hidden] gathers
+# and GEMM products stay within a 2 MB L2 cache at hidden 16 to 32; at 8192
+# they outgrow it, and scoring a 2048-step series at depth 4, hidden 16 took
+# 16% longer (53.6 against 62.2 ms on a 2-CPU Haswell, same scores).
 WINDOW_ROWS = 4096
 
-
-def _cone_widths(reaches: list[int]) -> list[int]:
-    """Half-width min(r, q) of the outputs each conv stage recomputes: hiding
-    t changes a stage's output within r steps of t, r the reach of it and the
-    stages before, and only outputs within q steps, q the reach of the stages
-    after it, still reach t."""
-    total = sum(reaches)
-    return [min(r, total - r) for r in accumulate(reaches)]
+# tap j of a conv stage of dilation d reads its input at offset (j - K // 2) d
+_TAPS = np.arange(enc.KERNEL_SIZE) - enc.KERNEL_SIZE // 2
 
 
-def _window(rows: np.ndarray, lo: int, n: int, half: int, centre: np.ndarray) -> np.ndarray:
-    """[n, 2 half + 1, H]: the [L, H] plain-pass `rows` at offsets -half..half
-    around each t of lo..lo + n - 1, with `centre` ([n, 2c + 1, H], also
-    centred on t) over the middle ones; every position outside [0, L) is 0."""
-    at = np.arange(lo, lo + n)[:, None] + np.arange(-half, half + 1)
+class _Gather(NamedTuple):
+    """Rows gathered around each t: the plain pass's at t + `offsets`, except
+    that slot `into[k]` takes the recomputed value `pick[k]`."""
+    offsets: np.ndarray
+    pick: np.ndarray
+    into: np.ndarray
+
+
+class _Stage(NamedTuple):
+    """The input gather of a conv stage's cone, and per tap the slots of that
+    gather that the tap reads for the stage's recomputed outputs, in order."""
+    gather: _Gather
+    taps: tuple
+
+
+def _reads(offsets: np.ndarray, d: int) -> np.ndarray:
+    """The sorted offsets that a stage of dilation d reads to compute
+    `offsets`: their Minkowski sum with d * _TAPS."""
+    return np.unique(offsets[:, None] + d * _TAPS)
+
+
+def _gather(offsets: np.ndarray, recomputed: np.ndarray) -> _Gather:
+    """Gather at `offsets` of a value recomputed at `recomputed`."""
+    pick = np.flatnonzero(np.isin(recomputed, offsets))
+    return _Gather(offsets, pick, np.searchsorted(offsets, recomputed[pick]))
+
+
+@lru_cache(maxsize=None)
+def _cone_plan(depth: int) -> tuple[tuple[_Stage, _Stage, _Gather], ...]:
+    """Per block b: its two conv stages, and the gather of h_b at the second
+    stage's outputs that the residual adds them to.
+
+    Stage s (block s // 2, dilation d) recomputes the offsets from t both
+    changed by hiding t and reaching the output at t.  Forward from {0}, the
+    hidden projection, a stage's output changes at the offsets where its
+    input does plus d * _TAPS; the residual changes where y2_b does, whose
+    offsets hold h_b's.  Backward from {0}, the output, a stage's input
+    reaches t at the offsets its reaching outputs read, and h_b where
+    h_{b+1} or gelu(h_b) does.  The recomputed input of stage s is then the
+    output of stage s - 1 (h_b for a first stage), {0} for stage 0; it holds
+    every changed offset that stage s or the residual reads, since those
+    offsets reach t."""
+    dils = [enc.dilation(s // 2) for s in range(2 * depth)]
+    # changed[s]: of stage s's input; changed[s + 1]: of its output
+    changed = list(accumulate(dils, _reads, initial=np.array([0])))
+    reached = [None] * (2 * depth)  # of each stage's output
+    h = np.array([0])               # of h_{b+1}
+    for b in reversed(range(depth)):
+        reached[2 * b + 1] = h
+        reached[2 * b] = _reads(h, dils[2 * b])
+        h = np.union1d(h, _reads(reached[2 * b], dils[2 * b]))
+    kept = [np.intersect1d(c, r) for c, r in zip(changed[1:], reached)]
+    inputs = [np.array([0])] + kept[:-1]
+    stages = []
+    for s, (out, d) in enumerate(zip(kept, dils)):
+        gather = _gather(_reads(out, d), inputs[s])
+        taps = tuple(np.searchsorted(gather.offsets, out + d * j) for j in _TAPS)
+        stages.append(_Stage(gather, taps))
+    return tuple((stages[2 * b], stages[2 * b + 1],
+                  _gather(kept[2 * b + 1], inputs[2 * b]))
+                 for b in range(depth))
+
+
+def _window(rows: np.ndarray, lo: int, n: int, gather: _Gather, recomputed: np.ndarray) -> np.ndarray:
+    """[n, G, H]: the [L, H] plain-pass `rows` at t + `gather.offsets` for
+    each t of lo..lo + n - 1, the [n, R, H] `recomputed` values placed as
+    `gather` says; every position outside [0, L) is 0."""
+    at = np.arange(lo, lo + n)[:, None] + gather.offsets
     win = rows.take(at, axis=0, mode="clip")
-    c = centre.shape[1] // 2
-    k = min(c, half)
-    win[:, half - k:half + k + 1] = centre[:, c - k:c + k + 1]
+    win[:, gather.into] = recomputed[:, gather.pick]
     win[(at < 0) | (at >= rows.shape[0])] = 0.0
     return win
 
 
-def cone_stage(model: enc.EncoderModel, windows: np.ndarray, b: int, i: int) -> np.ndarray:
-    """Convolution `i` of block `b` over [n, W, H] windows, forward only:
-    the [n, W - 2d, H] outputs (d its dilation) whose taps all lie inside
-    their window.  Each tap is one GEMM over all n W window rows; the kept
-    rows are added in tap order and then the bias, so every output has the
-    bits of `encoder.conv_stage` at an interior position."""
-    kernel, bias, dil = enc.stage_weights(model, b, i)
+def cone_stage(model: enc.EncoderModel, windows: np.ndarray, b: int, i: int, taps) -> np.ndarray:
+    """Convolution `i` of block `b` over [n, G, H] gathered inputs, forward
+    only: the [n, K, H] outputs whose tap j reads slots `taps[j]` (K of
+    them) of the gather.  Each tap is one GEMM over all n G gathered rows,
+    never a lone row (numpy sends a one-row product to BLAS's matrix-vector
+    routine, which can round differently); the products of the slots it
+    reads are added in tap order and then the bias, so every output has the
+    bits of `encoder.conv_stage` at the same position wherever BLAS rounds
+    a row alike in any product of two or more rows."""
+    kernel, bias, _ = enc.stage_weights(model, b, i)
     n, width, hidden = windows.shape
-    keep = width - (enc.KERNEL_SIZE - 1) * dil
     rows = windows.reshape(n * width, hidden)
-    out = np.zeros((n, keep, kernel.shape[2]))
+    out = np.zeros((n, len(taps[0]), kernel.shape[2]))
     product = np.empty((n * width, kernel.shape[2]))
-    for j, tap in enumerate(kernel.data):
+    for slots, tap in zip(taps, kernel.data):
         np.matmul(rows, tap, out=product)
-        out += product.reshape(n, width, -1)[:, j * dil:j * dil + keep]
+        out += product.reshape(n, width, -1)[:, slots]
     out += bias.data
     return out
 
@@ -139,22 +200,21 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     """Per-timestamp scores for one [L, D] series: L1 distance at position t
     between the encoding with the observation at t hidden and the plain one.
 
-    Hiding t zeroes the input projection at t alone, and each conv stage
-    widens the changed span by its reach d = (KERNEL_SIZE // 2) * 2^b on each
-    side; of a stage's outputs, only those within q steps of t, q the reach
-    of the stages after it, can still move the output at t.  So one plain
-    pass (`encoder.residual_stream`) keeps h_b, gelu(h_b) and gelu(y1_b) of
-    every block b as [L, H] rows, and then, for a chunk of timestamps at
-    once, each stage computes only its outputs within w = min(r, q) of t,
-    r its reach plus that of the stages before it (half-widths 1, 2, 4, 6,
-    4, 0 at depth 3): `cone_stage` over the [n, 2(w + d) + 1, H] window
-    gathered around t (recomputed values in the middle, the plain pass's
-    rows around them, 0 outside [0, L)), then the residual over the same
-    offsets.  The output projection reads the stream at t alone.  A series
-    costs one plain pass plus sum(2w + 1) positions per timestamp, 40 at
-    depth 3 and 98 at depth 4, against 2R + 1 per stage (174 and 488) for
-    an encode of its receptive-field window with t hidden.  The scores
-    equal those of one full encode per hidden timestamp
+    Hiding t zeroes the input projection at t alone.  A conv stage of
+    dilation d reads only offsets -d, 0 and +d, so hiding t changes its
+    output at the offsets where its input changed plus those three, and of
+    those only the ones whose taps lead, stage by stage, back to the output
+    at t can still move it (`_cone_plan`).  So one plain pass
+    (`encoder.residual_stream`) keeps h_b, gelu(h_b) and gelu(y1_b) of every
+    block b as [L, H] rows, and then, for a chunk of timestamps at once,
+    each stage computes only those offsets: `cone_stage` over the plain
+    rows gathered at the offsets its taps read (recomputed values on their
+    own offsets, 0 outside [0, L)), then the residual at the same offsets.
+    The output projection reads the stream at t alone.  A series costs one
+    plain pass plus 8 depth - 6 stage positions per timestamp from depth 2
+    on (18 at depth 3, 26 at depth 4), against 2R + 1 per stage (174 and
+    488) for an encode of its receptive-field window with t hidden.  The
+    scores equal those of one full encode per hidden timestamp
     (`oracle.anomaly_scores`) to rounding, not bit for bit.
 
     Raises ValueError naming the first timestamp with a non-finite value,
@@ -169,25 +229,26 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"series value at timestamp {bad[0]} is not finite")
     length = series.shape[0]
+    plan = _cone_plan(model.config.depth)
+    stages = [stage for block in plan for stage in block[:2]]
+    per_chunk = max(1, WINDOW_ROWS // max(stage.gather.offsets.size for stage in stages))
+    _log.debug("anomaly_scores: %d steps in %d chunks, %d cone positions per timestamp",
+               length, -(-length // per_chunk), sum(stage.taps[0].size for stage in stages))
     if length == 0:
         return np.empty(0)
-    depth = model.config.depth
-    reaches = [(enc.KERNEL_SIZE // 2) * enc.dilation(b) for b in range(depth)]
-    widths = _cone_widths([d for d in reaches for _ in (1, 2)])
-    widest = max(w + reaches[s // 2] for s, w in enumerate(widths))
     out, blocks = enc.residual_stream(model, enc.project(model, series[None]))
-    per_chunk = max(1, WINDOW_ROWS // (2 * widest + 1))
     at_t = np.empty((length, model.config.hidden))  # the residual stream at t, t hidden
     for lo in range(0, length, per_chunk):
         n = min(per_chunk, length - lo)
         h = np.zeros((n, 1, model.config.hidden))  # the hidden projection at t
-        for b, (h_b, gelu_h, gelu_y1) in enumerate(blocks):
-            d, w1, w2 = reaches[b], widths[2 * b], widths[2 * b + 1]
-            y = cone_stage(model, _window(gelu_h.data[0], lo, n, w1 + d, ad.gelu(h).data), b, 1)
-            y = cone_stage(model, _window(gelu_y1.data[0], lo, n, w2 + d, ad.gelu(y).data), b, 2)
-            h = _window(h_b.data[0], lo, n, w2, h)
+        for b, ((h_b, gelu_h, gelu_y1), (first, second, residual)) in enumerate(zip(blocks, plan)):
+            y = cone_stage(model, _window(gelu_h.data[0], lo, n, first.gather, ad.gelu(h).data),
+                           b, 1, first.taps)
+            y = cone_stage(model, _window(gelu_y1.data[0], lo, n, second.gather, ad.gelu(y).data),
+                           b, 2, second.taps)
+            h = _window(h_b.data[0], lo, n, residual, h)
             h += y
-        at_t[lo:lo + n] = h[:, 0]  # the last stage's width is 0
+        at_t[lo:lo + n] = h[:, 0]  # the last stage computes offset 0 alone
     # one projection of all L rows, so a row's arithmetic is the plain pass's
     # whatever the chunk size
     masked = enc.readout(model, at_t).data

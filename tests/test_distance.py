@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import struct
 import tracemalloc
 import types
 from unittest import mock
@@ -516,6 +517,55 @@ def test_matrix_file_from_before_the_flag_was_dropped_loads_equal(tmp_path):
     assert back.metric == "dtw" and back.values.tobytes() == fresh.values.tobytes()
     dist.save_matrix(fresh, tmp_path / "now.bin")
     assert (tmp_path / "now.bin").read_bytes() == _EARLIER_TSDM  # the layout is unchanged
+
+
+def _symmetric_matrix(n, seed=0):
+    a = np.random.default_rng(seed).uniform(size=(n, n))
+    a = (a + a.T) / 2
+    np.fill_diagonal(a, 0.0)
+    return dist.DistanceMatrix(a, "dtw")
+
+
+def test_built_matrix_values_are_read_only(tmp_path):
+    """A built or loaded matrix refuses writes, so no value can leave
+    [0, 1] after the check (a write of 7.0 once gave `w_instance` a
+    no_kernel weight of -6.0); the array it was built from is not copied
+    and stays writable."""
+    source = _symmetric_matrix(5).values.copy()
+    m = dist.DistanceMatrix(source, "dtw")
+    assert np.shares_memory(m.values, source) and source.flags.writeable
+    dist.save_matrix(m, tmp_path / "m.bin")
+    for matrix in (m, dist.load_matrix(tmp_path / "m.bin")):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.values[0, 1] = 7.0
+        assert 0.0 <= matrix.values.min() and matrix.values.max() <= 1.0
+
+
+def test_load_matrix_holds_one_copy_of_the_values(tmp_path):
+    """Read into the one [N, N] array it returns: at N = 1000 the peak stays
+    near the 8 MB of values (26.1 MB when the file's bytes, their body slice
+    and a copy were held at once)."""
+    path = tmp_path / "m.bin"
+    dist.save_matrix(_symmetric_matrix(1000), path)
+    assert _peak_bytes(lambda: dist.load_matrix(path)) <= 1.2 * 8 * 1000 * 1000
+
+
+@pytest.mark.parametrize("change", ["short", "long", "huge-n"])
+def test_load_matrix_refuses_a_body_of_the_wrong_size(tmp_path, change):
+    path = tmp_path / "m.bin"
+    dist.save_matrix(_symmetric_matrix(4), path)
+    blob = path.read_bytes()
+    n = 4
+    if change == "short":
+        blob = blob[:-1]
+    elif change == "long":
+        blob += b"\x00"
+    else:  # a corrupt N is refused before anything of its size is allocated
+        n = 2 ** 31
+        blob = blob[:15] + struct.pack("<I", n) + blob[19:]
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: size mismatch for N={n}")):
+        dist.load_matrix(path)
 
 
 def test_matrix_cache_rejects_garbage(tmp_path):

@@ -202,8 +202,8 @@ def test_anomaly_scores_do_not_depend_on_the_chunking(case):
 
 
 def _spy_on_the_cone(monkeypatch):
-    """Record the [B, L] of every same-length conv and the [n, W] -> [n, K]
-    (window -> kept) shape of every cone stage."""
+    """Record the [B, L] of every same-length conv, and the [n, G] -> [n, K]
+    (gather -> kept) shape and the tap slots of every cone stage."""
     plain, cone = [], []
     conv, stage = ad.conv1d_dilated, ev.cone_stage
 
@@ -211,9 +211,9 @@ def _spy_on_the_cone(monkeypatch):
         plain.append(x.shape[:2])
         return conv(x, kernel, dilation)
 
-    def counting_stage(model, windows, b, i):
-        out = stage(model, windows, b, i)
-        cone.append((windows.shape[:2], out.shape[:2]))
+    def counting_stage(model, windows, b, i, taps):
+        out = stage(model, windows, b, i, taps)
+        cone.append((windows.shape[:2], out.shape[:2], taps))
         return out
 
     monkeypatch.setattr(ad, "conv1d_dilated", counting_conv)
@@ -230,44 +230,95 @@ def test_anomaly_scores_convolve_at_most_half_of_full_windows(depth, monkeypatch
     model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
     length, radius = 128, 2 * (2 ** depth - 1)
     ev.anomaly_scores(model, np.zeros((length, 1)))
-    computed = sum(b * steps for b, steps in plain) + sum(n * kept for _, (n, kept) in cone)
+    computed = sum(b * steps for b, steps in plain) + sum(n * kept for _, (n, kept), _ in cone)
     full_windows = 2 * depth * length * (1 + min(length, 2 * radius + 1))
     assert 0 < computed <= full_windows / 2, (computed, full_windows)
 
 
-@pytest.mark.parametrize("depth, kept", [(3, 40), (4, 98)])
+@pytest.mark.parametrize("depth, kept", [(3, 18), (4, 26)])
 def test_anomaly_cone_computes_only_the_kept_positions(depth, kept, monkeypatch):
-    """Per timestamp the cone computes sum(2w + 1) conv outputs, w = min(r, q)
-    per stage, from windows only the stage's taps (d steps at each end) wider
-    than that; the only same-length convs are the plain pass's, one per
-    stage.  Each chunk of timestamps runs every stage once, in order (at
-    depth 4 the 128 timestamps take two chunks)."""
+    """Per timestamp the cone computes 8 depth - 6 conv outputs (the offsets
+    hiding t changes that still reach t), from gathers of exactly the rows
+    their taps read: each tap reads K slots in increasing order, and every
+    gathered row is read by some tap.  The only same-length convs are the
+    plain pass's, one per stage.  Each chunk of timestamps runs every stage
+    once, in order (a 128-step series is one chunk at both depths)."""
     plain, cone = _spy_on_the_cone(monkeypatch)
     model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
     length, stages = 128, 2 * depth
     ev.anomaly_scores(model, np.zeros((length, 1)))
     assert plain == [(1, length)] * stages
-    assert len(cone) % stages == 0
-    assert sum(n * k for _, (n, k) in cone) == kept * length
-    for s, ((n, width), (n_out, k)) in enumerate(cone):
-        assert n == n_out
-        assert width - k == 2 * enc.dilation(s % stages // 2)
-    for s in range(stages):
-        assert sum(n for (n, _), _ in cone[s::stages]) == length
+    assert len(cone) == stages
+    assert sum(n * k for _, (n, k), _ in cone) == kept * length
+    for (n, width), (n_out, k), taps in cone:
+        assert n == n_out == length
+        assert len(taps) == enc.KERNEL_SIZE
+        assert all(len(slots) == k and np.all(np.diff(slots) > 0) for slots in taps)
+        assert np.array_equal(np.unique(np.concatenate(taps)), np.arange(width))
+
+
+def _changed_and_reaching(model, series, t):
+    """Per conv stage, in encoder order, the offsets from t of its output
+    that hiding t changes, and of those that the output at t reads: from
+    two plain passes and one backward pass, with no cone planning."""
+    h = enc.project(model, series[None])
+    hidden = h.data.copy()
+    hidden[0, t] = 0.0
+    outputs = []
+    for stream in (h, hidden):
+        _, blocks = enc.residual_stream(model, stream)
+        outputs.append([enc.conv_stage(model, x, b, i).data[0]
+                        for b, (_, gelu_h, gelu_y1) in enumerate(blocks)
+                        for i, x in ((1, gelu_h), (2, gelu_y1))])
+    # the output at t weighted by nonzero weights, back to every stage: y1_b
+    # through gelu(y1_b) (gelu' has one root), y2_b as h_{b+1} = h_b + y2_b
+    out, blocks = enc.residual_stream(model, h)
+    weights = np.zeros(out.shape[:2] + (model.config.output_dims,))
+    weights[0, t] = np.random.default_rng(t).uniform(0.5, 1.5, model.config.output_dims)
+    ad.backward(ad.tsum(ad.mul(enc.readout(model, out), weights)))
+    h_next = [h_b for h_b, _, _ in blocks[1:]] + [out]
+    grads = [g for (_, _, gelu_y1), h_after in zip(blocks, h_next)
+             for g in (gelu_y1.grad, h_after.grad)]
+    return [np.flatnonzero((plain != masked).any(axis=1) & (g[0] != 0).any(axis=1)) - t
+            for plain, masked, g in zip(*outputs, grads)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_cone_is_what_hiding_t_changes_and_what_reaches_t(depth, seed):
+    """t sits 2R from both ends, so no stage of its cone is cut by the
+    series' ends."""
+    radius = 2 * (2 ** depth - 1)
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=6, output_dims=3, depth=depth),
+                             seed=seed)
+    series = np.random.default_rng(seed).normal(size=(4 * radius + 1, 2))
+    computed = [stage.gather.offsets[stage.taps[enc.KERNEL_SIZE // 2]]
+                for block in ev._cone_plan(depth) for stage in block[:2]]
+    expected = _changed_and_reaching(model, series, 2 * radius)
+    assert [c.tolist() for c in computed] == [e.tolist() for e in expected]
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 5), half=st.integers(0, 9), hidden=st.integers(1, 8),
-       b=st.integers(0, 2), i=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
-def test_cone_stage_equals_conv_stage_inside_the_window(n, half, hidden, b, i, seed):
-    """Bit for bit, the outputs of `conv_stage` whose taps all lie inside the
-    window, including windows of one kept output."""
+@given(offsets=st.lists(st.integers(-8, 8), min_size=1, max_size=17, unique=True),
+       n=st.integers(1, 5), hidden=st.integers(1, 8), b=st.integers(0, 2),
+       i=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
+def test_cone_stage_equals_conv_stage_at_the_kept_offsets(offsets, n, hidden, b, i, seed):
+    """Bit for bit, the outputs of `conv_stage` at any sorted set of offsets
+    (one offset included) around n timestamps, from the rows its taps read
+    gathered in order."""
     model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=hidden, output_dims=1, depth=3),
                              seed=seed)
     d = enc.dilation(b)
-    windows = np.random.default_rng(seed).normal(size=(n, 2 * (half + d) + 1, hidden))
-    full = enc.conv_stage(model, windows, b, i).data
-    assert ev.cone_stage(model, windows, b, i).tobytes() == full[:, d:d + 2 * half + 1].tobytes()
+    kept = np.array(sorted(offsets))
+    reads = kept[:, None] + d * (np.arange(enc.KERNEL_SIZE) - enc.KERNEL_SIZE // 2)
+    gather = np.unique(reads)
+    taps = tuple(np.searchsorted(gather, column) for column in reads.T)
+    series = np.random.default_rng(seed).normal(size=(1, 40, hidden))
+    at_t = 12 + np.arange(n)  # every read lies inside the 40 steps
+    windows = series[0, at_t[:, None] + gather]
+    full = enc.conv_stage(model, series, b, i).data[0]
+    assert ev.cone_stage(model, windows, b, i, taps).tobytes() == \
+        full[at_t[:, None] + kept].tobytes()
 
 
 def test_anomaly_scores_check_the_series_width():
@@ -287,6 +338,23 @@ def test_anomaly_scores_name_the_first_non_finite_timestamp(bad):
     with pytest.raises(ValueError, match="timestamp 1 is not finite"):
         ev.anomaly_scores(model, np.array([0.0, bad, 1.0]))
     assert ev.anomaly_scores(model, np.zeros((0, 2))).shape == (0,)
+
+
+def test_anomaly_scores_log_one_record_at_debug_only(caplog):
+    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=3))
+    caplog.set_level("DEBUG", logger="tscontrast.evaluate")
+    ev.anomaly_scores(model, np.zeros((128, 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ev, "WINDOW_ROWS", 100)  # 14 timestamps a chunk: the gathers hold 7 rows
+        ev.anomaly_scores(model, np.zeros((128, 1)))
+    assert {(r.name, r.levelname) for r in caplog.records} == {("tscontrast.evaluate", "DEBUG")}
+    assert [r.getMessage() for r in caplog.records] == [
+        "anomaly_scores: 128 steps in 1 chunks, 18 cone positions per timestamp",
+        "anomaly_scores: 128 steps in 10 chunks, 18 cone positions per timestamp"]
+    caplog.clear()
+    caplog.set_level("INFO", logger="tscontrast.evaluate")
+    ev.anomaly_scores(model, np.zeros((128, 1)))
+    assert not caplog.records
 
 
 def _peak_bytes(fn) -> int:
