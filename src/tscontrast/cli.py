@@ -141,15 +141,6 @@ def _encode_by_length(model: enc.EncoderModel, tset: ds.TimeSeriesSet):
     return inst, reps
 
 
-def _check_probe_k(cfg: engine_config.EngineConfig, n_train: int, rows: str) -> None:
-    """Reject an `eval.probe_k` past the probe's `n_train` training rows,
-    which `rows` names for the message."""
-    k = cfg.sections["eval"]["probe_k"]
-    if k > n_train:
-        raise ValueError(f"eval.probe_k {k} is more than the probe's {n_train} "
-                         f"training rows ({rows})")
-
-
 def _read_labels(path) -> np.ndarray:
     """Anomaly labels, one 0 or 1 per line, the way `--scores-out` writes
     scores; blank lines are skipped.  Any other line is an error naming the
@@ -175,14 +166,9 @@ def _read_labels(path) -> np.ndarray:
     return np.array(labels, dtype=bool)
 
 
-def _probe_split(tset, model, k):
+def _probe_split(tset, model):
     reps = _encode_by_length(model, tset)[0]
-    train_idx = np.arange(tset.n) % 2 == 0
-    report = ev.classify_probe(
-        reps[train_idx], tset.labels[train_idx],
-        reps[~train_idx], tset.labels[~train_idx], k=k,
-    )
-    return report
+    return ev.classify_probe(reps[::2], tset.labels[::2], reps[1::2], tset.labels[1::2])
 
 
 # the data flags each evaluate task needs, by argparse dest
@@ -197,15 +183,12 @@ def cmd_evaluate(args) -> int:
         return 1
     cfg = _load_config(args)
     _echo_config(cfg, args)
-    eval_cfg = cfg.sections["eval"]
     state, _ = tr.load_checkpoint(args.ckpt)
     if args.task == "classify":
         train_set = ds.znormalize(ds.load_ucr_tsv(args.train_data))
-        _check_probe_k(cfg, train_set.n, f"the series of --train-data {args.train_data}")
         test_set = ds.znormalize(ds.load_ucr_tsv(args.test_data))
         report = ev.classify_probe(_encode_by_length(state.model, train_set)[0], train_set.labels,
-                                   _encode_by_length(state.model, test_set)[0], test_set.labels,
-                                   k=eval_cfg["probe_k"])
+                                   _encode_by_length(state.model, test_set)[0], test_set.labels)
     else:
         tset = ds.znormalize(ds.load_ucr_tsv(args.data))
         if not 0 <= args.series_index < tset.n:
@@ -219,7 +202,8 @@ def cmd_evaluate(args) -> int:
             if labels.shape != scores.shape:
                 raise ValueError(f"{args.labels}: {labels.size} anomaly labels for a series "
                                  f"of {scores.size} timestamps")
-        _, report = ev.threshold_anomalies(scores, labels=labels, c=eval_cfg["anomaly_c"])
+        _, report = ev.threshold_anomalies(scores, labels=labels,
+                                           c=cfg.sections["eval"]["anomaly_c"])
         if args.scores_out:
             with ds.whole_file(args.scores_out) as fh:
                 np.savetxt(fh, scores, delimiter=",")
@@ -260,7 +244,6 @@ def cmd_ablate(args) -> int:
     _echo_config(base, args)
     tset = _build_dataset(base)
     _require_croppable(tset)
-    _check_probe_k(base, (tset.n + 1) // 2, f"the even-index series of {tset.n}")
     matrices = {}
     rows = []
     for name, value, patch in _ablate_rows(base, args.axis):
@@ -273,7 +256,7 @@ def cmd_ablate(args) -> int:
             matrices[key] = _distance_matrix(cfg, tset)
         state = tr.TrainState.fresh(cfg.train_config, tset.dims)
         _, history = tr.pretrain(tset, matrices[key], cfg.train_config, state=state)
-        report = _probe_split(tset, state.model, cfg.sections["eval"]["probe_k"])
+        report = _probe_split(tset, state.model)
         rows.append([name, value, history[-1][1].total if history else float("nan"),
                      report.accuracy])
         log.info("ablate %s=%s: loss=%.4f acc=%.3f", *rows[-1])

@@ -86,12 +86,14 @@ _FIELD_KEYS = {_FIELD_NAMES.get(key, key): (section, key)
 _TRAIN_DEFAULTS = asdict(TrainConfig())
 
 # Keys of earlier settings, by section, with the one value the code runs with:
-# --echo-config wrote the assignment ones, and checkpoints store them all flat.
+# --echo-config wrote the assignment and eval ones, and checkpoints store the
+# training sections' ones flat.
 RETIRED_KEYS = {
     "assignment": {"kernel_sigma": KERNEL_SIGMA, "gaussian_std": GAUSSIAN_STD,
                    "neighbor_window_frac": NEIGHBOR_WINDOW_FRAC},
     "loss": {"temperature": 1.0},
     "train": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8},  # Adam's, fixed in `train`
+    "eval": {"probe_k": 1},  # the probe is 1-NN
 }
 
 # Every (section, key) with its default, which also fixes the value's JSON
@@ -111,7 +113,7 @@ DEFAULTS = {
     "distance": {"metric": "dtw", "radius": 1, "band": None, "cache": None},
     **{section: {key: _TRAIN_DEFAULTS[_FIELD_NAMES.get(key, key)] for key in keys}
        for section, keys in _TRAIN_SECTIONS.items()},
-    "eval": {"probe_k": 1, "anomaly_c": 3.0},
+    "eval": {"anomaly_c": 3.0},
 }
 
 # the one type a null-default key takes besides null
@@ -192,8 +194,6 @@ def validate(raw: dict, source="config") -> EngineConfig:
             checked_params(metric, {key: sections["distance"][key]})
         except ValueError as exc:
             raise ValueError(f"distance.{key}: {exc}") from None
-    if sections["eval"]["probe_k"] < 1:
-        raise ValueError(f"eval.probe_k must be >= 1, got {sections['eval']['probe_k']}")
     if not math.isfinite(sections["eval"]["anomaly_c"]):
         raise ValueError(f"eval.anomaly_c must be finite, got {sections['eval']['anomaly_c']}")
     # Each of TrainConfig's rules reads one field, so building it from every
@@ -211,8 +211,9 @@ def validate(raw: dict, source="config") -> EngineConfig:
 def train_config_from_fields(stored: dict, source="train_config") -> TrainConfig:
     """Build a TrainConfig from its flat fields (a checkpoint's train_config)
     through the same checks as a config file; a missing field takes its default."""
-    places = {**_FIELD_KEYS, **{key: (section, key)
-                                for section, keys in RETIRED_KEYS.items() for key in keys}}
+    # a checkpoint stores the training sections' keys only, retired ones included
+    places = {**_FIELD_KEYS, **{key: (section, key) for section in _TRAIN_SECTIONS
+                                for key in RETIRED_KEYS.get(section, ())}}
     unknown = sorted(set(stored) - set(places))
     if unknown:
         raise ValueError(f"unknown train_config key(s): {', '.join(unknown)}")

@@ -1,4 +1,4 @@
-"""Downstream evaluation: kNN classification probe on instance
+"""Downstream evaluation: 1-NN classification probe on instance
 representations, and anomaly scoring by the distance between the encoding
 with one timestamp hidden and the plain one."""
 from __future__ import annotations
@@ -55,36 +55,43 @@ class EvalReport:
 PROBE_CELLS = 1 << 18
 
 
-def classify_probe(train_reprs, train_labels, test_reprs, test_labels, k: int = 1) -> EvalReport:
-    """k-nearest-neighbor vote in representation space (Euclidean); vote ties
-    fall back to the nearest neighbor's label.  Test rows are scored in blocks
-    of `PROBE_CELLS`, each keeping its rows' k nearest labels."""
+def classify_probe(train_reprs, train_labels, test_reprs, test_labels) -> EvalReport:
+    """1-nearest-neighbor probe in representation space: each test row takes
+    the label of its nearest training row (Euclidean), the lower training row
+    on equal distances.  Test rows are scored in blocks of `PROBE_CELLS`.
+
+    Raises ValueError for sets that are not 2-D or differ in width, for a
+    label count other than its set's row count, for empty labels, and for a
+    representation that is not finite, naming its row."""
     train_reprs = np.asarray(train_reprs, dtype=np.float64)
     test_reprs = np.asarray(test_reprs, dtype=np.float64)
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
-    n_tr = train_reprs.shape[0]
-    if train_labels.size == 0 or test_labels.size == 0:
-        raise ValueError("labels must be nonempty")
-    if not 1 <= k <= n_tr:
-        raise ValueError(f"k must be in [1, {n_tr}]")
+    if train_reprs.ndim != 2 or test_reprs.ndim != 2 or train_reprs.shape[1] != test_reprs.shape[1]:
+        raise ValueError(f"representations must be [N, M] of one width, got train "
+                         f"{list(train_reprs.shape)} and test {list(test_reprs.shape)}")
+    for name, reprs, labels in (("train", train_reprs, train_labels),
+                                ("test", test_reprs, test_labels)):
+        if labels.size == 0:
+            raise ValueError("labels must be nonempty")
+        if labels.shape != (len(reprs),):
+            raise ValueError(f"{name} labels must be one per {name} row, [{len(reprs)}], "
+                             f"got {list(labels.shape)}")
+        bad = np.flatnonzero(~np.isfinite(reprs).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{name} representation row {bad[0]} is not finite")
     rows = max(1, PROBE_CELLS // max(1, train_reprs.size))
-    neigh = np.empty((len(test_reprs), k), dtype=train_labels.dtype)
+    preds = np.empty(len(test_reprs), dtype=train_labels.dtype)
     for lo in range(0, len(test_reprs), rows):
         diffs = test_reprs[lo:lo + rows, None, :] - train_reprs[None, :, :]
-        dists = np.sqrt((diffs ** 2).sum(axis=2))
-        neigh[lo:lo + rows] = train_labels[np.argsort(dists, axis=1, kind="stable")[:, :k]]
-    # votes[i, j]: how many of query i's neighbours share neighbour j's label;
-    # argmax takes the nearest neighbour whose label has the most votes
-    votes = (neigh[:, :, None] == neigh[:, None, :]).sum(axis=2)
-    preds = neigh[np.arange(len(neigh)), votes.argmax(axis=1)]
+        preds[lo:lo + rows] = train_labels[np.sqrt((diffs ** 2).sum(axis=2)).argmin(axis=1)]
     correct = preds == test_labels
     per_class = {int(c): int(((test_labels == c) & correct).sum()) for c in np.unique(test_labels)}
     return EvalReport(
         task="classify",
         accuracy=float(correct.mean()),
         per_class=per_class,
-        config={"k": k, "n_train": int(n_tr), "n_test": int(test_labels.size)},
+        config={"n_train": len(train_reprs), "n_test": len(test_reprs)},
     )
 
 
@@ -250,7 +257,10 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
             h += y
         at_t[lo:lo + n] = h[:, 0]  # the last stage computes offset 0 alone
     # one projection of all L rows, so a row's arithmetic is the plain pass's
-    # whatever the chunk size
+    # whatever the chunk size.  The cone's GEMMs run over the n G rows of a
+    # chunk's gathers, so a score keeps its bits under any `WINDOW_ROWS` only
+    # where BLAS rounds a row alike in any product of two or more rows
+    # (OpenBLAS does at hidden 16 and 32, and not at 26)
     masked = enc.readout(model, at_t).data
     return np.abs(masked - enc.readout(model, out).data[0]).sum(axis=1)
 

@@ -156,8 +156,9 @@ def load_checkpoint(path):
 
     The settings in `train_config` pass the same checks as a config file.
     The architecture comes from them and the input width from the projection
-    weights; weights of any other name or shape are rejected.  A missing or
-    malformed field raises a ValueError naming the file and the field.
+    weights; weights of any other name or shape are rejected, and so is a
+    weight or Adam moment that is not finite.  A missing or malformed field
+    raises a ValueError naming the file and the field.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is bad
@@ -171,6 +172,11 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
     if "version" not in arrays or arrays["version"].tolist() != _CKPT_VERSION:
         raise ValueError(f"{path}: not a version {_CKPT_VERSION} checkpoint")
+    # a NaN weight would encode to NaN, and score and probe with it
+    for key, values in arrays.items():
+        if key.split("/")[0] in ("param", "adam_m", "adam_v") and (
+                values.dtype.kind not in "fiu" or not np.isfinite(values).all()):
+            raise ValueError(f"{path}: {key} holds a value that is not a finite number")
     params = {key[len("param/"):]: ad.Tensor(a, requires_grad=True)
               for key, a in arrays.items() if key.startswith("param/")}
     try:

@@ -542,38 +542,20 @@ def test_evaluate_anomaly_labels_file_errors_name_the_file_and_line(tmp_path, ca
     assert capsys.readouterr().err == f"error: {labels}: {message}\n"
 
 
-def test_evaluate_classify_probe_k_past_the_train_rows_names_the_key_and_file(tmp_path, capsys):
-    tset = ds.make_synthetic(1, 16, [{"kind": "sine", "freq": 2.0},
-                                     {"kind": "square", "freq": 3.0}], seed=2)
-    tsv = tmp_path / "two.tsv"
-    ds.write_ucr_tsv(tset, tsv)
-    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
-    ckpt = tmp_path / "model.npz"
-    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
-    args = ["evaluate", "--task", "classify", "--ckpt", str(ckpt),
-            "--train-data", str(tsv), "--test-data", str(tsv)]
-    assert cli.main([*args, "--config", _config(tmp_path, eval={"probe_k": 2})]) == 0
-    capsys.readouterr()
-    assert cli.main([*args, "--config", _config(tmp_path, eval={"probe_k": 3})]) == 2
+def test_echo_config_from_before_the_probe_was_1nn_still_loads(tmp_path, capsys, caplog):
+    old = engine_config.validate({}).effective()
+    old["eval"] = {"probe_k": 1, "anomaly_c": 3.0}  # as --echo-config wrote it
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    caplog.set_level("INFO", logger="tscontrast.config")
+    assert engine_config.load(path).effective() == engine_config.validate({}).effective()
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("INFO", f"{path}: dropped retired key eval.probe_k")]
+    old["eval"]["probe_k"] = 3
+    path.write_text(json.dumps(old))
+    assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "d.bin")]) == 2
     assert capsys.readouterr().err == (
-        f"error: eval.probe_k 3 is more than the probe's 2 training rows "
-        f"(the series of --train-data {tsv})\n")
-
-
-def test_ablate_probe_k_past_the_training_rows_fails_before_any_work(tmp_path, capsys,
-                                                                     monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("pretrain ran")
-
-    monkeypatch.setattr(tr, "pretrain", no_training)
-    calls = _count_pairwise(monkeypatch)
-    out = tmp_path / "ablate.csv"
-    cfg = _config(tmp_path, eval={"probe_k": 4})
-    assert cli.main(["ablate", "--config", cfg, "--axis", "alpha", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: eval.probe_k 4 is more than the probe's 3 training rows "
-        "(the even-index series of 6)\n")
-    assert calls == [] and not out.exists()
+        f"error: {path}: eval.probe_k: probe_k is retired and must be 1, got 3\n")
 
 
 @st.composite

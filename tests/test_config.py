@@ -167,7 +167,7 @@ _SETTABLE_KEYS = {
     "loss.lambda", "loss.hard",
     "train.lr", "train.batch_size", "train.iters", "train.seed", "train.hidden",
     "train.repr_dims", "train.depth", "train.mask_mode",
-    "eval.probe_k", "eval.anomaly_c",
+    "eval.anomaly_c",
 }
 
 
@@ -179,7 +179,7 @@ def test_every_train_config_field_is_a_config_key():
     assert {".".join(path) for path, _ in LEAVES} == _SETTABLE_KEYS
     retired = {f"{section}.{key}" for section, keys in engine_config.RETIRED_KEYS.items()
                for key in keys}
-    assert len(retired) == 7 and not retired & _SETTABLE_KEYS
+    assert len(retired) == 8 and not retired & _SETTABLE_KEYS
     assert not {key.split(".")[1] for key in retired} & keys
 
 
@@ -268,9 +268,11 @@ def test_distance_params_fail_as_in_pairwise(key, value):
         engine_config.validate({"distance": {key: value}})
 
 
-def test_probe_k_must_be_positive():
-    with pytest.raises(ValueError, match="eval.probe_k must be >= 1, got 0"):
-        engine_config.validate({"eval": {"probe_k": 0}})
+@pytest.mark.parametrize("value", [0, 3, 1.0, None])
+def test_probe_k_away_from_one_names_the_key(value):
+    # the probe is 1-NN: an older file's probe_k loads at 1 only
+    with pytest.raises(ValueError, match=r"^eval\.probe_k\b"):
+        engine_config.validate({"eval": {"probe_k": value}})
 
 
 @pytest.mark.parametrize("text,message", [

@@ -217,18 +217,10 @@ def test_probe_invariant_under_orthogonal_transform(rng):
     labels = np.array([0, 1, 2] * 4)
     test = rng.normal(size=(6, 4))
     test_labels = np.array([0, 1, 2, 0, 1, 2])
-    base = ev.classify_probe(train, labels, test, test_labels, k=3).accuracy
+    base = ev.classify_probe(train, labels, test, test_labels).accuracy
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    rotated = ev.classify_probe(train @ q, labels, test @ q, test_labels, k=3).accuracy
+    rotated = ev.classify_probe(train @ q, labels, test @ q, test_labels).accuracy
     assert base == rotated
-
-
-def test_probe_k_equals_n_train_uniform(rng):
-    train = rng.normal(size=(6, 2))
-    labels = np.array([1, 1, 1, 1, 0, 0])
-    test = rng.normal(size=(4, 2))
-    report = ev.classify_probe(train, labels, test, np.ones(4, dtype=np.int64), k=6)
-    assert report.accuracy == 1.0  # majority label everywhere
 
 
 def test_constant_encoder_zero_anomaly_scores(rng):

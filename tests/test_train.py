@@ -371,6 +371,60 @@ def test_load_checkpoint_rejects_unknown_train_config_key(tmp_path, capsys):
     assert "warmup" in capsys.readouterr().err
 
 
+def test_load_checkpoint_rejects_an_eval_key(tmp_path):
+    # checkpoints never stored eval keys, so a retired one is unknown there too
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_meta(path, lambda meta: meta["train_config"].update(probe_k=1))
+    with pytest.raises(ValueError, match=r"ckpt\.npz: unknown train_config key\(s\): probe_k"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("array", ["param/proj_w", "adam_m/block0_bias1", "adam_v/out_w"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, "a"])
+def test_load_checkpoint_rejects_a_non_finite_array(tmp_path, array, value):
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+
+    def spoil(arrays):
+        arrays[array] = arrays[array].astype(type(value))
+        arrays[array].flat[-1] = value
+
+    _rewrite_arrays(path, spoil)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(array)} holds "
+                                         "a value that is not a finite number$"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["encode"],
+    ["evaluate", "--config", "{config}", "--task", "anomaly"],
+    ["evaluate", "--config", "{config}", "--task", "classify", "--train-data", "{tsv}",
+     "--test-data", "{tsv}"],
+], ids=["encode", "anomaly", "classify"])
+def test_a_nan_weight_exits_2_before_any_output(tmp_path, capsys, command):
+    # loaded, one NaN in proj_w gave `nan,nan` representations, threshold=nan
+    # and an accuracy, each with exit 0
+    tset = ds.znormalize(ds.make_synthetic(
+        4, 16, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}], seed=2))
+    cfg = tr.TrainConfig(hidden=4, repr_dims=2, depth=1)
+    path, tsv, config = tmp_path / "ckpt.npz", tmp_path / "data.tsv", tmp_path / "cfg.json"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_arrays(path, lambda arrays: arrays["param/proj_w"].__setitem__((0, 1), np.nan))
+    ds.write_ucr_tsv(tset, tsv)
+    config.write_text("{}")
+    out = tmp_path / "out.csv"
+    args = [arg.format(config=config, tsv=tsv) for arg in command]
+    if command[0] == "encode" or command[4] == "anomaly":
+        args += ["--data", str(tsv)]
+    assert cli.main([*args, "--ckpt", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: param/proj_w holds a value that is not a finite number\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("temperature", 0.5), ("beta1", 0.8), ("eps", 1e-6),
                                        ("neighbor_window_frac", 0.5)])
 def test_load_checkpoint_rejects_retired_key_away_from_its_constant(tmp_path, capsys,
