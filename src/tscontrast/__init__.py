@@ -5,7 +5,6 @@ from .assign import (
     effective_tau,
     extend_instance,
     extend_temporal,
-    normalize_assignments,
     w_instance,
     w_temporal,
 )
@@ -29,9 +28,9 @@ from .distance import (
     save_matrix,
     tam,
 )
-from .encoder import EncoderConfig, EncoderModel, encode, init_encoder, instance_repr, pool_ladder
+from .encoder import EncoderModel, encode, init_encoder, instance_repr, pool_ladder
 from .evaluate import EvalReport, anomaly_scores, classify_probe, threshold_anomalies
-from .loss import LossBreakdown, joint_loss, kl_identity_check, soft_instance_loss, soft_temporal_loss
+from .loss import LossBreakdown, joint_loss, soft_instance_loss, soft_temporal_loss
 from .train import TrainState, load_checkpoint, pretrain, save_checkpoint, split_seed
 
 __version__ = "0.1.0"
@@ -40,7 +39,6 @@ __all__ = [
     "effective_tau",
     "extend_instance",
     "extend_temporal",
-    "normalize_assignments",
     "w_instance",
     "w_temporal",
     "TimeSeriesSet",
@@ -58,7 +56,6 @@ __all__ = [
     "pairwise",
     "save_matrix",
     "tam",
-    "EncoderConfig",
     "EncoderModel",
     "encode",
     "init_encoder",
@@ -70,7 +67,6 @@ __all__ = [
     "threshold_anomalies",
     "LossBreakdown",
     "joint_loss",
-    "kl_identity_check",
     "soft_instance_loss",
     "soft_temporal_loss",
     "TrainConfig",

@@ -5,7 +5,7 @@ Instance weights come from the normalized data-space distances, in [0, 1] by
 have the paper-free kernels used in ablations plus the default sigmoid form.
 Every setting (sharpness, alpha, kernel, the pooling factor of the hierarchy)
 is read from a checked `config.TrainConfig`; the ablation kernels' widths are
-fixed constants.  Extended/normalized variants back the KL-identity checks.
+fixed constants.  The losses read the [2P, 2P] extension of either table.
 """
 from __future__ import annotations
 
@@ -96,13 +96,3 @@ def extend_instance(w: np.ndarray) -> np.ndarray:
 
 extend_temporal = extend_instance
 
-
-def normalize_assignments(w_ext: np.ndarray):
-    """Row-normalize extended assignments; returns (q, Z) with Z the row sums."""
-    w_ext = np.asarray(w_ext, dtype=np.float64)
-    if np.any(w_ext < 0):
-        raise ValueError("assignments must be nonnegative")
-    z = w_ext.sum(axis=1)
-    if np.any(z <= 0):
-        raise ValueError("every row needs at least one positive entry")
-    return w_ext / z[:, None], z

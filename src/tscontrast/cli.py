@@ -132,8 +132,9 @@ def _encode_by_length(model: enc.EncoderModel, tset: ds.TimeSeriesSet):
     """([N, M] instance, [N, T, M] per-timestamp) representations of every
     series in `tset`, the latter 0 past each series' length.  Each length is
     encoded on its own unpadded steps, so no series sees another's padding."""
-    reps = np.zeros((tset.n, tset.t_max, model.config.output_dims))
-    inst = np.empty((tset.n, model.config.output_dims))
+    dims = model.params["out_w"].shape[1]
+    reps = np.zeros((tset.n, tset.t_max, dims))
+    inst = np.empty((tset.n, dims))
     for length in np.unique(tset.lengths):
         rows = np.flatnonzero(tset.lengths == length)
         reps[rows, :length] = enc.encode(model, tset.values[rows, :length]).data

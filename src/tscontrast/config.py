@@ -65,10 +65,6 @@ class TrainConfig:
             if value not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
-    def encoder_cfg(self, input_dims: int) -> enc.EncoderConfig:
-        return enc.EncoderConfig(input_dims=input_dims, hidden=self.hidden,
-                                 output_dims=self.repr_dims, depth=self.depth)
-
 
 # JSON keys that feed TrainConfig, by section; each key is its field's name
 # except "lambda", which is a Python keyword.
@@ -92,7 +88,7 @@ RETIRED_KEYS = {
     "assignment": {"kernel_sigma": KERNEL_SIGMA, "gaussian_std": GAUSSIAN_STD,
                    "neighbor_window_frac": NEIGHBOR_WINDOW_FRAC},
     "loss": {"temperature": 1.0},
-    "train": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8},  # Adam's, fixed in `train`
+    "train": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8},  # the constants `train`'s Adam runs with
     "eval": {"probe_k": 1},  # the probe is 1-NN
 }
 

@@ -5,33 +5,32 @@ unmasked, and anomaly scoring hides timestamps itself."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
+if TYPE_CHECKING:  # config imports this module for the mask modes
+    from .config import TrainConfig
+
 MASK_MODES = ("none", "binomial")
 KERNEL_SIZE = 3  # taps per dilated convolution
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    """A model's architecture; `TrainConfig.encoder_cfg` builds the trained one."""
-    input_dims: int
-    hidden: int
-    output_dims: int
-    depth: int              # dilated blocks, dilation 2^b at block b
-
-    def __post_init__(self):
-        if self.depth < 1 or self.output_dims < 1 or self.hidden < 1 or self.input_dims < 1:
-            raise ValueError("encoder dimensions must be >= 1")
-
-
 @dataclass
 class EncoderModel:
+    """A model is its weights: every reader takes the architecture from them."""
     params: dict          # name -> Tensor (requires_grad)
-    config: EncoderConfig
+
+    @property
+    def depth(self) -> int:
+        """Dilated blocks: the blocks whose first kernel is present."""
+        b = 0
+        while _stage_names(b, 1)[0] in self.params:
+            b += 1
+        return b
 
 
 def _uniform(rng, shape, fan_in):
@@ -49,33 +48,38 @@ def _stage_names(b: int, i: int) -> tuple[str, str]:
     return f"block{b}_conv{i}", f"block{b}_bias{i}"
 
 
-def param_shapes(cfg: EncoderConfig) -> dict:
-    """name -> (shape, fan_in) of every weight, in initialization order."""
+def param_shapes(cfg: TrainConfig, input_dims: int) -> dict:
+    """name -> (shape, fan_in) of every weight of the architecture `cfg`
+    declares (hidden, repr_dims, depth) on inputs of width `input_dims`, in
+    initialization order."""
+    if input_dims < 1:
+        raise ValueError(f"input_dims must be >= 1, got {input_dims}")
     k, h = KERNEL_SIZE, cfg.hidden
-    shapes = {"proj_w": ((cfg.input_dims, h), cfg.input_dims), "proj_b": ((h,), cfg.input_dims)}
+    shapes = {"proj_w": ((input_dims, h), input_dims), "proj_b": ((h,), input_dims)}
     for b in range(cfg.depth):
         for i in (1, 2):
             kernel, bias = _stage_names(b, i)
             shapes[kernel] = ((k, h, h), k * h)
             shapes[bias] = ((h,), k * h)
-    shapes["out_w"] = ((h, cfg.output_dims), h)
-    shapes["out_b"] = ((cfg.output_dims,), h)
+    shapes["out_w"] = ((h, cfg.repr_dims), h)
+    shapes["out_b"] = ((cfg.repr_dims,), h)
     return shapes
 
 
-def init_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderModel:
+def init_encoder(cfg: TrainConfig, input_dims: int, seed: int = 0) -> EncoderModel:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     params = {name: Tensor(_uniform(rng, shape, fan), requires_grad=True)
-              for name, (shape, fan) in param_shapes(cfg).items()}
-    return EncoderModel(params=params, config=cfg)
+              for name, (shape, fan) in param_shapes(cfg, input_dims).items()}
+    return EncoderModel(params=params)
 
 
 def project(model: EncoderModel, x) -> Tensor:
     """Input projection of [B, L, D] inputs to the [B, L, H] residual stream;
     raises ValueError unless D is the model's input width."""
     x = ad.as_tensor(x)
-    if x.ndim != 3 or x.shape[2] != model.config.input_dims:
-        raise ValueError(f"expected input [B, L, {model.config.input_dims}], got {x.shape}")
+    dims = model.params["proj_w"].shape[0]
+    if x.ndim != 3 or x.shape[2] != dims:
+        raise ValueError(f"expected input [B, L, {dims}], got {x.shape}")
     return ad.add(ad.matmul(x, model.params["proj_w"]), model.params["proj_b"])
 
 
@@ -104,7 +108,7 @@ def residual_stream(model: EncoderModel, h) -> tuple[Tensor, list[tuple[Tensor, 
     first conv stage.  Block b is gelu -> conv_stage(b, 1) -> gelu ->
     conv_stage(b, 2), added to its input."""
     blocks = []
-    for b in range(model.config.depth):
+    for b in range(model.depth):
         gelu_h = ad.gelu(h)
         gelu_y1 = ad.gelu(conv_stage(model, gelu_h, b, 1))
         blocks.append((h, gelu_h, gelu_y1))

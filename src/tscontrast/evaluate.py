@@ -236,7 +236,7 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"series value at timestamp {bad[0]} is not finite")
     length = series.shape[0]
-    plan = _cone_plan(model.config.depth)
+    plan = _cone_plan(model.depth)
     stages = [stage for block in plan for stage in block[:2]]
     per_chunk = max(1, WINDOW_ROWS // max(stage.gather.offsets.size for stage in stages))
     _log.debug("anomaly_scores: %d steps in %d chunks, %d cone positions per timestamp",
@@ -244,10 +244,11 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     if length == 0:
         return np.empty(0)
     out, blocks = enc.residual_stream(model, enc.project(model, series[None]))
-    at_t = np.empty((length, model.config.hidden))  # the residual stream at t, t hidden
+    hidden = model.params["proj_w"].shape[1]
+    at_t = np.empty((length, hidden))  # the residual stream at t, t hidden
     for lo in range(0, length, per_chunk):
         n = min(per_chunk, length - lo)
-        h = np.zeros((n, 1, model.config.hidden))  # the hidden projection at t
+        h = np.zeros((n, 1, hidden))  # the hidden projection at t
         for b, ((h_b, gelu_h, gelu_y1), (first, second, residual)) in enumerate(zip(blocks, plan)):
             y = cone_stage(model, _window(gelu_h.data[0], lo, n, first.gather, ad.gelu(h).data),
                            b, 1, first.taps)

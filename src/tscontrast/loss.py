@@ -169,26 +169,3 @@ def joint_loss(reps_a, reps_b, w_inst: np.ndarray, cfg: TrainConfig):
     )
     return total, breakdown
 
-
-def kl_identity_check(reps, w_ext: np.ndarray, which: str):
-    """Return (lhs, rhs): the weighted cross-entropy loss versus its
-    scaled-KL rewrite Z * (KL(Q || P) + H(Q)), both averaged over anchors."""
-    reps = ad.as_tensor(reps)
-    if which == "instance":
-        lhs = float(soft_instance_loss(reps, w_ext).data)
-    elif which == "temporal":
-        lhs = float(soft_temporal_loss(reps, w_ext).data)
-    else:
-        raise ValueError("which must be 'instance' or 'temporal'")
-    logp, _ = _softmax_off_diagonal(_groups(reps.data, which == "temporal"))  # [B, A, A]
-    rows = logp.reshape(-1, logp.shape[-1])                # anchors x A
-    w_rows = np.broadcast_to(w_ext[None, :, :], logp.shape).reshape(-1, logp.shape[-1])
-
-    q_rows, z_rows = asg.normalize_assignments(w_rows)
-    # KL(Q||P) + H(Q) per anchor; 0 log 0 = 0 by convention
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logq = np.where(q_rows > 0, np.log(np.where(q_rows > 0, q_rows, 1.0)), 0.0)
-    kl = np.where(q_rows > 0, q_rows * (logq - rows), 0.0).sum(axis=1)
-    entropy = -np.where(q_rows > 0, q_rows * logq, 0.0).sum(axis=1)
-    rhs = float(np.mean(z_rows * (kl + entropy)))
-    return lhs, rhs

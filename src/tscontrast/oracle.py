@@ -266,6 +266,37 @@ def extend_weights(w) -> np.ndarray:
     return out
 
 
+def scaled_kl_loss(reps, w, temporal: bool) -> float:
+    """The soft loss in its scaled-KL form, Z * (KL(Q || P) + H(Q)) averaged
+    over anchors, by scalar loops.  Each anchor's row of `extend_weights(w)`
+    (w >= 0, [N, N] instance or [T, T] temporal) is Q times its sum Z, and P
+    is the softmax over the anchor's other items; 0 log 0 = 0.  The items are
+    the 2N rows at each timestamp, or with `temporal` each instance's 2T
+    timestamps of both views."""
+    reps = np.asarray(reps, dtype=np.float64)
+    two_n, t_len, _ = reps.shape
+    n = two_n // 2
+    w_ext = extend_weights(w).tolist()
+    if temporal:
+        groups = [[reps[v * n + i, t].tolist() for v in range(2) for t in range(t_len)]
+                  for i in range(n)]
+    else:
+        groups = [[reps[i, t].tolist() for i in range(two_n)] for t in range(t_len)]
+    total, anchors = 0.0, 0
+    for rows in groups:
+        for a in range(len(rows)):
+            z = sum(w_ext[a])
+            kl = entropy = 0.0
+            for j, weight in enumerate(w_ext[a]):
+                if weight > 0:
+                    q = weight / z
+                    kl += q * (math.log(q) - _log_p_pair(rows, a, j))
+                    entropy -= q * math.log(q)
+            total += z * (kl + entropy)
+            anchors += 1
+    return total / anchors
+
+
 def pool_ladder_lengths(length: int, m: int) -> list[int]:
     """Time lengths of the levels of the max-pooling ladder by a scalar loop:
     level 0 has `length` steps, each next level one step per window of m

@@ -13,7 +13,7 @@ from . import assign as asg
 from . import autodiff as ad
 from . import encoder as enc
 from . import loss as losses
-from .config import TrainConfig, train_config_from_fields
+from .config import RETIRED_KEYS, TrainConfig, train_config_from_fields
 from .data import TimeSeriesSet, crop_two_views, whole_file, write_csv
 from .distance import DistanceMatrix
 
@@ -33,15 +33,16 @@ class TrainState:
 
     @classmethod
     def fresh(cls, cfg: TrainConfig, input_dims: int) -> "TrainState":
-        model = enc.init_encoder(cfg.encoder_cfg(input_dims), seed=split_seed(cfg.seed, "init"))
+        model = enc.init_encoder(cfg, input_dims, seed=split_seed(cfg.seed, "init"))
         moments_m = {name: np.zeros_like(t.data) for name, t in model.params.items()}
         moments_v = {name: np.zeros_like(t.data) for name, t in model.params.items()}
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(split_seed(cfg.seed, "loop"))))
         return cls(model=model, m=moments_m, v=moments_v, step=0, rng=rng)
 
 
-# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
-_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults),
+# declared once as the values their retired config keys must hold
+_BETA1, _BETA2, _EPS = (RETIRED_KEYS["train"][key] for key in ("beta1", "beta2", "eps"))
 
 
 def _adam_step(state: TrainState, cfg: TrainConfig):
@@ -205,10 +206,10 @@ def load_checkpoint(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     shapes = {name: t.shape for name, t in params.items()}
-    if len(shapes.get("proj_w", ())) != 2:
+    proj = shapes.get("proj_w", ())
+    if len(proj) != 2 or proj[0] < 1:
         raise ValueError(f"{path}: no [input_dims, hidden] proj_w weights")
-    ecfg = cfg.encoder_cfg(shapes["proj_w"][0])
-    expected = {name: shape for name, (shape, _) in enc.param_shapes(ecfg).items()}
+    expected = {name: shape for name, (shape, _) in enc.param_shapes(cfg, proj[0]).items()}
     if shapes != expected:
         differ = sorted(name for name in set(shapes) | set(expected)
                         if shapes.get(name) != expected.get(name))
@@ -219,5 +220,4 @@ def load_checkpoint(path):
     for name, shape in shapes.items():
         if m[name].shape != shape or v[name].shape != shape:
             raise ValueError(f"{path}: adam moments of {name} must have its shape {shape}")
-    model = enc.EncoderModel(params=params, config=ecfg)
-    return TrainState(model=model, m=m, v=v, step=step, rng=rng), cfg
+    return TrainState(model=enc.EncoderModel(params), m=m, v=v, step=step, rng=rng), cfg

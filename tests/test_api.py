@@ -4,7 +4,10 @@ from pathlib import Path
 import pytest
 
 import tscontrast as tc
+from tscontrast import assign as asg
 from tscontrast import distance as dist
+from tscontrast import encoder as enc
+from tscontrast import loss as losses
 
 
 def test_every_exported_name_resolves_once():
@@ -13,11 +16,29 @@ def test_every_exported_name_resolves_once():
         assert getattr(tc, name) is not None, name
 
 
-@pytest.mark.parametrize("name", ["dtw_path", "euclidean", "cosine_dist"])
-def test_deleted_single_pair_functions_stay_gone(name):
-    # pairwise is the one entry point of euc and cos, and no caller reads a path
+@pytest.mark.parametrize("name", ["dtw_path", "euclidean", "cosine_dist", "EncoderConfig",
+                                  "kl_identity_check", "normalize_assignments"])
+def test_deleted_names_stay_gone(name):
+    # pairwise is the one entry point of euc and cos, and no caller reads a
+    # path; a model's architecture is read from its weights; and the loss's
+    # scaled-KL form is checked against the oracle's transcription
     assert not hasattr(tc, name)
-    assert not hasattr(dist, name)
+    for module in (asg, dist, enc, losses):
+        assert not hasattr(module, name)
+
+
+def test_every_exported_name_has_a_caller_beyond_the_tests():
+    # a name that only tests and demos use is a helper for them, not library
+    package = Path(tc.__file__).parent
+    bench = package.parents[1] / "bench"
+    assert bench.is_dir()
+    sources = [path for path in sorted(package.glob("*.py"))
+               if path.name not in ("__init__.py", "oracle.py")]
+    sources += [path for path in sorted(bench.glob("*.py")) if not path.name.startswith("test_")]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in sources for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(set(tc.__all__) - used) == []
 
 
 def test_only_the_cli_prints():

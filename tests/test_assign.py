@@ -125,14 +125,3 @@ def test_extend_rejects_nonsquare():
     with pytest.raises(ValueError):
         asg.extend_instance(np.zeros((2, 3)))
 
-
-def test_normalize_assignments(rng):
-    w = rng.uniform(size=(3, 3))
-    ext = asg.extend_instance(w)
-    q, z = asg.normalize_assignments(ext)
-    np.testing.assert_allclose(q.sum(axis=1), 1.0)
-    np.testing.assert_allclose(q * z[:, None], ext)
-    with pytest.raises(ValueError):
-        asg.normalize_assignments(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        asg.normalize_assignments(np.array([[-1.0, 2.0], [1.0, 1.0]]))

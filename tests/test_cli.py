@@ -567,9 +567,9 @@ def _ragged_set(draw):
     values = np.zeros((len(lengths), max(lengths), 1))
     for i, length in enumerate(lengths):
         values[i, :length] = rng.normal(size=(length, 1))
-    cfg = enc.EncoderConfig(input_dims=1, hidden=draw(st.integers(1, 6)),
-                            output_dims=draw(st.integers(1, 4)), depth=draw(st.integers(1, 3)))
-    return enc.init_encoder(cfg, seed=seed), ds.TimeSeriesSet(values, lengths)
+    cfg = tr.TrainConfig(hidden=draw(st.integers(1, 6)), repr_dims=draw(st.integers(1, 4)),
+                         depth=draw(st.integers(1, 3)))
+    return enc.init_encoder(cfg, 1, seed=seed), ds.TimeSeriesSet(values, lengths)
 
 
 @settings(max_examples=30, deadline=None)

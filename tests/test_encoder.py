@@ -3,16 +3,16 @@ import pytest
 
 from tscontrast import autodiff as ad
 from tscontrast import encoder as enc
+from tscontrast.config import TrainConfig
 
 
 def _model(depth=2, hidden=8, out=4, dims=2):
-    return enc.init_encoder(
-        enc.EncoderConfig(input_dims=dims, hidden=hidden, output_dims=out, depth=depth), seed=3)
+    return enc.init_encoder(TrainConfig(hidden=hidden, repr_dims=out, depth=depth), dims, seed=3)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        enc.EncoderConfig(input_dims=0, hidden=8, output_dims=4, depth=2)
+    with pytest.raises(ValueError, match="input_dims must be >= 1, got 0"):
+        enc.init_encoder(TrainConfig(hidden=8, repr_dims=4, depth=2), 0)
 
 
 def test_init_deterministic():

@@ -58,7 +58,7 @@ def _criterion_7_reprs(depth):
     tset = ds.znormalize(ds.make_synthetic(
         20, 64, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0},
                  {"kind": "sawtooth", "freq": 4.0}], noise_std=0.3, seed=7))
-    model = enc.init_encoder(TrainConfig(depth=depth).encoder_cfg(1), seed=0)
+    model = enc.init_encoder(TrainConfig(depth=depth), 1, seed=0)
     return enc.instance_repr(enc.encode(model, tset.values)), tset.labels
 
 
@@ -130,8 +130,7 @@ def test_probe_names_the_first_non_finite_row(where, value):
 
 
 def test_anomaly_scores_spike(rng):
-    model = enc.init_encoder(
-        enc.EncoderConfig(input_dims=1, hidden=8, output_dims=4, depth=2), seed=0)
+    model = enc.init_encoder(TrainConfig(hidden=8, repr_dims=4, depth=2), 1, seed=0)
     series = rng.normal(0, 0.1, (32, 1))
     scores = ev.anomaly_scores(model, series)
     assert scores.shape == (32,)
@@ -143,8 +142,7 @@ def test_anomaly_scores_spike(rng):
 
 
 def test_hiding_a_timestamp_moves_its_own_output(rng):
-    model = enc.init_encoder(
-        enc.EncoderConfig(input_dims=2, hidden=8, output_dims=4, depth=2), seed=3)
+    model = enc.init_encoder(TrainConfig(hidden=8, repr_dims=4, depth=2), 2, seed=3)
     assert np.all(ev.anomaly_scores(model, rng.normal(size=(16, 2))) > 0)
 
 
@@ -161,11 +159,11 @@ def _scoring_case(draw, hidden=st.integers(1, 8)):
     length = draw(st.one_of(st.integers(0, 150),
                             st.sampled_from([1, radius - 1, radius, radius + 1,
                                              2 * radius + 1, 2 * radius + 2])))
-    cfg = enc.EncoderConfig(input_dims=draw(st.integers(1, 3)), hidden=draw(hidden),
-                            output_dims=draw(st.integers(1, 4)), depth=depth)
+    dims = draw(st.integers(1, 3))
+    cfg = TrainConfig(hidden=draw(hidden), repr_dims=draw(st.integers(1, 4)), depth=depth)
     seed = draw(st.integers(0, 2 ** 16))
-    series = np.random.Generator(np.random.Philox(seed)).normal(size=(length, cfg.input_dims))
-    return enc.init_encoder(cfg, seed=seed), series
+    series = np.random.Generator(np.random.Philox(seed)).normal(size=(length, dims))
+    return enc.init_encoder(cfg, dims, seed=seed), series
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,18 +182,18 @@ def _far_change(draw):
     changed only outside [t - R, t + R]."""
     depth = draw(st.integers(1, 4))
     radius = 2 * (2 ** depth - 1)
-    cfg = enc.EncoderConfig(input_dims=draw(st.integers(1, 2)), hidden=draw(st.integers(1, 6)),
-                            output_dims=draw(st.integers(1, 3)), depth=depth)
+    dims = draw(st.integers(1, 2))
+    cfg = TrainConfig(hidden=draw(st.integers(1, 6)), repr_dims=draw(st.integers(1, 3)), depth=depth)
     length = draw(st.integers(1, 2 * radius + 40))
     t = draw(st.integers(0, length - 1))
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.Generator(np.random.Philox(seed))
-    series = rng.normal(size=(length, cfg.input_dims))
+    series = rng.normal(size=(length, dims))
     changed = series.copy()
     far = np.abs(np.arange(length) - t) > radius
     changed[far] = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])),
-                              size=(int(far.sum()), cfg.input_dims))
-    return enc.init_encoder(cfg, seed=seed), series, changed, t
+                              size=(int(far.sum()), dims))
+    return enc.init_encoder(cfg, dims, seed=seed), series, changed, t
 
 
 @settings(max_examples=40, deadline=None)
@@ -255,7 +253,7 @@ def test_anomaly_scores_convolve_at_most_half_of_full_windows(depth, monkeypatch
     series (the plain pass's plus the cone's), against one plain encode plus
     a full window of min(L, 2R + 1) steps per timestamp."""
     plain, cone = _spy_on_the_cone(monkeypatch)
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
+    model = enc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=depth), 1)
     length, radius = 128, 2 * (2 ** depth - 1)
     ev.anomaly_scores(model, np.zeros((length, 1)))
     computed = sum(b * steps for b, steps in plain) + sum(n * kept for _, (n, kept), _ in cone)
@@ -272,7 +270,7 @@ def test_anomaly_cone_computes_only_the_kept_positions(depth, kept, monkeypatch)
     plain pass's, one per stage.  Each chunk of timestamps runs every stage
     once, in order (a 128-step series is one chunk at both depths)."""
     plain, cone = _spy_on_the_cone(monkeypatch)
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=depth))
+    model = enc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=depth), 1)
     length, stages = 128, 2 * depth
     ev.anomaly_scores(model, np.zeros((length, 1)))
     assert plain == [(1, length)] * stages
@@ -301,8 +299,9 @@ def _changed_and_reaching(model, series, t):
     # the output at t weighted by nonzero weights, back to every stage: y1_b
     # through gelu(y1_b) (gelu' has one root), y2_b as h_{b+1} = h_b + y2_b
     out, blocks = enc.residual_stream(model, h)
-    weights = np.zeros(out.shape[:2] + (model.config.output_dims,))
-    weights[0, t] = np.random.default_rng(t).uniform(0.5, 1.5, model.config.output_dims)
+    repr_dims = model.params["out_w"].shape[1]
+    weights = np.zeros(out.shape[:2] + (repr_dims,))
+    weights[0, t] = np.random.default_rng(t).uniform(0.5, 1.5, repr_dims)
     ad.backward(ad.tsum(ad.mul(enc.readout(model, out), weights)))
     h_next = [h_b for h_b, _, _ in blocks[1:]] + [out]
     grads = [g for (_, _, gelu_y1), h_after in zip(blocks, h_next)
@@ -317,8 +316,7 @@ def test_the_cone_is_what_hiding_t_changes_and_what_reaches_t(depth, seed):
     """t sits 2R from both ends, so no stage of its cone is cut by the
     series' ends."""
     radius = 2 * (2 ** depth - 1)
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=6, output_dims=3, depth=depth),
-                             seed=seed)
+    model = enc.init_encoder(TrainConfig(hidden=6, repr_dims=3, depth=depth), 2, seed=seed)
     series = np.random.default_rng(seed).normal(size=(4 * radius + 1, 2))
     computed = [stage.gather.offsets[stage.taps[enc.KERNEL_SIZE // 2]]
                 for block in ev._cone_plan(depth) for stage in block[:2]]
@@ -334,8 +332,7 @@ def test_cone_stage_equals_conv_stage_at_the_kept_offsets(offsets, n, hidden, b,
     """Bit for bit, the outputs of `conv_stage` at any sorted set of offsets
     (one offset included) around n timestamps, from the rows its taps read
     gathered in order."""
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=hidden, output_dims=1, depth=3),
-                             seed=seed)
+    model = enc.init_encoder(TrainConfig(hidden=hidden, repr_dims=1, depth=3), 1, seed=seed)
     d = enc.dilation(b)
     kept = np.array(sorted(offsets))
     reads = kept[:, None] + d * (np.arange(enc.KERNEL_SIZE) - enc.KERNEL_SIZE // 2)
@@ -350,14 +347,14 @@ def test_cone_stage_equals_conv_stage_at_the_kept_offsets(offsets, n, hidden, b,
 
 
 def test_anomaly_scores_check_the_series_width():
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=4, output_dims=2, depth=2))
+    model = enc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=2), 2)
     with pytest.raises(ValueError, match=r"expected input \[B, L, 2\]"):
         ev.anomaly_scores(model, np.zeros((9, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_anomaly_scores_name_the_first_non_finite_timestamp(bad):
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=2, hidden=4, output_dims=2, depth=1))
+    model = enc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=1), 2)
     series = np.zeros((5, 2))
     series[3, 1] = bad
     series[4, 0] = np.nan
@@ -369,7 +366,7 @@ def test_anomaly_scores_name_the_first_non_finite_timestamp(bad):
 
 
 def test_anomaly_scores_log_one_record_at_debug_only(caplog):
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=3))
+    model = enc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=3), 1)
     caplog.set_level("DEBUG", logger="tscontrast.evaluate")
     ev.anomaly_scores(model, np.zeros((128, 1)))
     with pytest.MonkeyPatch.context() as patch:
@@ -397,7 +394,7 @@ def _peak_bytes(fn) -> int:
 def test_anomaly_scores_memory_stays_near_one_encode(rng):
     """Depth 4 gives 61-step windows; all 4096 of them in one batch would
     take ~60x the memory of one encode of the series."""
-    model = enc.init_encoder(enc.EncoderConfig(input_dims=1, hidden=8, output_dims=4, depth=4))
+    model = enc.init_encoder(TrainConfig(hidden=8, repr_dims=4, depth=4), 1)
     series = rng.normal(size=(4096, 1))
     one_encode = _peak_bytes(lambda: enc.encode(model, series[None]))
     scoring = _peak_bytes(lambda: ev.anomaly_scores(model, series))

@@ -124,13 +124,11 @@ def test_kl_identity(rng):
         n, t, m = 3, 4, 4
         reps = rng.normal(size=(2 * n, t, m))
         w = rng.uniform(size=(n, n))
-        lhs, rhs = losses.kl_identity_check(reps, asg.extend_instance(w), "instance")
-        assert abs(lhs - rhs) < 1e-10
+        lhs = float(losses.soft_instance_loss(ad.Tensor(reps), asg.extend_instance(w)).data)
+        assert abs(lhs - oracle.scaled_kl_loss(reps, w, temporal=False)) < 1e-10
         w_t = rng.uniform(size=(t, t))
-        lhs, rhs = losses.kl_identity_check(reps, asg.extend_temporal(w_t), "temporal")
-        assert abs(lhs - rhs) < 1e-10
-    with pytest.raises(ValueError):
-        losses.kl_identity_check(reps, asg.extend_instance(w), "bogus")
+        lhs = float(losses.soft_temporal_loss(ad.Tensor(reps), asg.extend_temporal(w_t)).data)
+        assert abs(lhs - oracle.scaled_kl_loss(reps, w_t, temporal=True)) < 1e-10
 
 
 def _joint_inputs(rng, n=3, t=8, m=4):

@@ -103,9 +103,7 @@ def test_extend_zeroed_soft_weights_is_hard_matrix(rng):
     for i in range(2 * n):
         hard[i, (i + n) % (2 * n)] = 1.0
     np.testing.assert_array_equal(ext, hard)
-    q, z = asg.normalize_assignments(ext)
-    np.testing.assert_allclose(z, 1.0)  # hard: Z = 1 and one-hot rows
-    assert np.all((q == 0) | (q == 1))
+    np.testing.assert_array_equal(ext.sum(axis=1), 1.0)  # hard: Z = 1 and one-hot rows
 
 
 def test_instance_loss_degenerate_cases(rng):
@@ -154,16 +152,6 @@ def test_loss_monotone_in_weight_of_negative_logp(rng):
     assert bumped > base
 
 
-def test_kl_identity_row_scaling(rng):
-    n, t, m = 3, 4, 3
-    reps = rng.normal(size=(2 * n, t, m))
-    w_ext = asg.extend_instance(rng.uniform(size=(n, n)))
-    q1, z1 = asg.normalize_assignments(w_ext)
-    q2, z2 = asg.normalize_assignments(3.0 * w_ext)
-    np.testing.assert_allclose(q1, q2)
-    np.testing.assert_allclose(z2, 3.0 * z1)
-
-
 def test_fd_gradient_quadratic_and_order():
     p = np.array([1.5, -0.5])
     grads = oracle.fd_gradient(lambda: float((p ** 2).sum()), [p])
@@ -179,8 +167,7 @@ def test_fd_gradient_quadratic_and_order():
 
 
 def test_encode_batch_permutation_consistent(rng):
-    model = tc.init_encoder(tc.EncoderConfig(input_dims=2, hidden=6, output_dims=3, depth=2),
-                            seed=0)
+    model = tc.init_encoder(TrainConfig(hidden=6, repr_dims=3, depth=2), 2, seed=0)
     x = rng.normal(size=(4, 10, 2))
     out = tc.encode(model, x).data
     perm = np.array([2, 0, 3, 1])
@@ -188,8 +175,7 @@ def test_encode_batch_permutation_consistent(rng):
 
 
 def test_binomial_mask_reproducible(rng):
-    model = tc.init_encoder(tc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=1),
-                            seed=0)
+    model = tc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=1), 1, seed=0)
     x = rng.normal(size=(2, 12, 1))
     outs = []
     for _ in range(2):
@@ -224,8 +210,7 @@ def test_probe_invariant_under_orthogonal_transform(rng):
 
 
 def test_constant_encoder_zero_anomaly_scores(rng):
-    model = tc.init_encoder(tc.EncoderConfig(input_dims=1, hidden=4, output_dims=2, depth=1),
-                            seed=0)
+    model = tc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=1), 1, seed=0)
     for name, p in model.params.items():
         p.data = np.zeros_like(p.data)  # encoder output independent of input
     scores = ev.anomaly_scores(model, rng.normal(size=(16, 1)))

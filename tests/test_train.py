@@ -2,17 +2,21 @@ import csv
 import hashlib
 import json
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscontrast import autodiff as ad
 from tscontrast import cli
 from tscontrast import config as engine_config
 from tscontrast import data as ds
 from tscontrast import distance as dist
+from tscontrast import encoder as enc
 from tscontrast import loss as losses
 from tscontrast import train as tr
 
@@ -318,6 +322,8 @@ _BAD_FIELDS = {
     "no-adam-m": (_rewrite_arrays, lambda arrays: arrays.pop("adam_m/proj_w"), "adam_m/proj_w"),
     "adam-v-shape": (_rewrite_arrays, lambda arrays: arrays.update({"adam_v/proj_w": np.zeros(1)}),
                      "proj_w"),
+    "proj-w-no-inputs": (_rewrite_arrays,
+                         lambda arrays: arrays.update({"param/proj_w": np.zeros((0, 6))}), "proj_w"),
 }
 
 
@@ -354,6 +360,31 @@ def test_load_checkpoint_rejects_weights_that_differ_from_config(tmp_path, capsy
     assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
                      "--out", str(tmp_path / "reps.csv")]) == 2
     assert "ckpt.npz" in capsys.readouterr().err
+
+
+@settings(max_examples=25, deadline=None)
+@given(hidden=st.integers(1, 40), repr_dims=st.integers(1, 20), depth=st.integers(1, 6),
+       dims=st.integers(1, 3))
+def test_a_model_is_its_weights(hidden, repr_dims, depth, dims):
+    """`init_encoder` builds exactly the weights `param_shapes` declares, the
+    model reads its depth and widths back from them, and a checkpoint round
+    trip keeps both."""
+    cfg = tr.TrainConfig(hidden=hidden, repr_dims=repr_dims, depth=depth)
+    expected = {name: shape for name, (shape, _) in enc.param_shapes(cfg, dims).items()}
+
+    def check(model):
+        assert {name: t.shape for name, t in model.params.items()} == expected
+        assert model.depth == depth
+        assert enc.encode(model, np.zeros((1, 3, dims))).shape == (1, 3, repr_dims)
+
+    check(enc.init_encoder(cfg, dims))
+    state = tr.TrainState.fresh(cfg, dims)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.npz"
+        tr.save_checkpoint(state, cfg, path)
+        loaded, loaded_cfg = tr.load_checkpoint(path)
+    assert loaded_cfg == cfg
+    check(loaded.model)
 
 
 def test_load_checkpoint_rejects_unknown_train_config_key(tmp_path, capsys):
