@@ -123,7 +123,7 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
                 raise ValueError(f"{path}:{lineno}: need a label and at least one value")
             try:
                 label = float(cells[0])
-                vals = np.array([float(c) for c in cells[1:]], dtype=np.float64)
+                vals = np.array(cells[1:], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
             if not math.isfinite(label):
@@ -201,21 +201,30 @@ def znormalize(tset: TimeSeriesSet) -> TimeSeriesSet:
     """Per-series, per-channel zero mean / unit population stdev over the valid
     prefix.  Constant channels map to all-zeros; padding stays zero.  A series
     whose mean or stdev is not finite (NaN cells, or values so large that the
-    stdev overflows) raises ValueError naming its index."""
+    stdev overflows) raises ValueError naming its index, the lowest if there
+    are several.
+
+    Series of one length are normalized together, as one [n_l, l, D] block
+    reduced over its steps: a series gets the bits it gets alone
+    (`oracle.znormalize` is the per-series loop)."""
     values = np.zeros_like(tset.values)
-    for i in range(tset.n):
-        li = tset.lengths[i]
-        seg = tset.values[i, :li, :]
+    unscalable = []  # (index, mean, stdev) of each length group's first
+    for length in np.unique(tset.lengths):
+        rows = np.flatnonzero(tset.lengths == length)
+        seg = tset.values[rows, :length, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = seg.mean(axis=0)
-            spread = seg.std(axis=0)
-        if not (np.isfinite(mean).all() and np.isfinite(spread).all()):
-            raise ValueError(f"series {i}: mean or stdev is not finite, so it cannot be "
-                             f"z-normalized (mean {mean.tolist()}, stdev {spread.tolist()})")
-        std = np.where(spread > 0, spread, 1.0)
-        out = (seg - mean) / std
-        out[:, spread == 0] = 0.0
-        values[i, :li, :] = out
+            mean = seg.mean(axis=1, keepdims=True)
+            spread = seg.std(axis=1, keepdims=True)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(spread)).all(axis=(1, 2)))
+        if bad.size:
+            unscalable.append((rows[bad[0]], mean[bad[0], 0], spread[bad[0], 0]))
+            continue
+        out = (seg - mean) / np.where(spread > 0, spread, 1.0)
+        values[rows, :length, :] = np.where(spread == 0, 0.0, out)
+    if unscalable:
+        i, mean, spread = min(unscalable, key=lambda bad: bad[0])
+        raise ValueError(f"series {i}: mean or stdev is not finite, so it cannot be "
+                         f"z-normalized (mean {mean.tolist()}, stdev {spread.tolist()})")
     return TimeSeriesSet(values=values, lengths=tset.lengths, labels=tset.labels)
 
 

@@ -239,8 +239,9 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     plan = _cone_plan(model.depth)
     stages = [stage for block in plan for stage in block[:2]]
     per_chunk = max(1, WINDOW_ROWS // max(stage.gather.offsets.size for stage in stages))
-    _log.debug("anomaly_scores: %d steps in %d chunks, %d cone positions per timestamp",
-               length, -(-length // per_chunk), sum(stage.taps[0].size for stage in stages))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("anomaly_scores: %d steps in %d chunks, %d cone positions per timestamp",
+                   length, -(-length // per_chunk), sum(stage.taps[0].size for stage in stages))
     if length == 0:
         return np.empty(0)
     out, blocks = enc.residual_stream(model, enc.project(model, series[None]))

@@ -18,6 +18,28 @@ from . import autodiff as ad
 from . import encoder as enc
 
 
+def znormalize(tset) -> np.ndarray:
+    """The padded [N, T_max, D] values of a time-series set z-normalized one
+    series at a time: each channel of series i's valid prefix to zero mean
+    and unit population stdev (constant channels to zeros), padding zero.
+    Raises the ValueError that names the first series whose mean or stdev is
+    not finite."""
+    values = np.zeros_like(tset.values)
+    for i in range(tset.n):
+        li = tset.lengths[i]
+        seg = tset.values[i, :li, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = seg.mean(axis=0)
+            spread = seg.std(axis=0)
+        if not (np.isfinite(mean).all() and np.isfinite(spread).all()):
+            raise ValueError(f"series {i}: mean or stdev is not finite, so it cannot be "
+                             f"z-normalized (mean {mean.tolist()}, stdev {spread.tolist()})")
+        out = (seg - mean) / np.where(spread > 0, spread, 1.0)
+        out[:, spread == 0] = 0.0
+        values[i, :li, :] = out
+    return values
+
+
 def _paths(ta: int, tb: int):
     """All monotone alignment paths from (0,0) to (ta-1, tb-1)."""
     def walk(i, j, prefix):

@@ -3,6 +3,8 @@ logging, and bit-exact checkpoint/resume."""
 from __future__ import annotations
 
 import json
+import logging
+import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass
@@ -16,6 +18,8 @@ from . import loss as losses
 from .config import RETIRED_KEYS, TrainConfig, train_config_from_fields
 from .data import TimeSeriesSet, crop_two_views, whole_file, write_csv
 from .distance import DistanceMatrix
+
+_log = logging.getLogger(__name__)
 
 
 def split_seed(master: int, label: str) -> int:
@@ -128,38 +132,101 @@ def write_log_csv(history, path):
     write_csv(path, header, (row + [""] * (len(header) - len(row)) for row in rows))
 
 
-_CKPT_VERSION = 1
+# the three arrays of weights and Adam moments a checkpoint holds
+_KINDS = ("param", "adam_m", "adam_v")
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
-    arrays = {}
-    for name, t in state.model.params.items():
-        arrays[f"param/{name}"] = t.data
-        arrays[f"adam_m/{name}"] = state.m[name]
-        arrays[f"adam_v/{name}"] = state.v[name]
+    """Write the state as a version 2 checkpoint, an npz of five members.
+
+    `version` is 2.  `meta` is JSON of the `train_config`, the RNG state, the
+    step and the `layout`: `[[name, shape], ...]` in the model's weight order,
+    which is `encoder.param_shapes` order.  `param`, `adam_m` and `adam_v` are
+    flat float64 arrays: the weights, or their moments, raveled and
+    concatenated in that order.
+    """
+    weights = {name: t.data for name, t in state.model.params.items()}
+    flat = {kind: np.concatenate([np.ravel(arrays[name]) for name in weights], dtype=np.float64)
+            for kind, arrays in zip(_KINDS, (weights, state.m, state.v))}
     meta = {
         "train_config": asdict(cfg),
         "rng_state": state.rng.bit_generator.state,
         "step": state.step,
+        "layout": [[name, list(a.shape)] for name, a in weights.items()],
     }
     with whole_file(path, "wb") as fh:
         np.savez(
             fh,
-            version=np.int64(_CKPT_VERSION),
+            version=np.int64(2),
             meta=np.frombuffer(json.dumps(meta, default=lambda a: a.tolist()).encode(),
                                dtype=np.uint8),
-            **arrays,
+            **flat,
         )
+
+
+def _check_finite(path, kind: str, values: np.ndarray, names: list, ends: np.ndarray) -> None:
+    """Raise unless the 1-D `values` are all finite numbers.  The error names
+    the weight whose span (it ends at its entry of `ends`) holds the first
+    bad value; an array of no numeric dtype fails at its first value."""
+    bad = (np.flatnonzero(~np.isfinite(values)) if values.dtype.kind in "fiu"
+           else np.arange(min(values.size, 1)))
+    if bad.size:
+        name = names[int(np.searchsorted(ends, bad[0], side="right"))]
+        raise ValueError(f"{path}: {kind}/{name} holds a value that is not a finite number")
+
+
+def _split_flat(path, arrays: dict, layout) -> dict:
+    """kind -> {name: view} of a version 2 checkpoint's flat arrays, split by
+    its layout."""
+    if not isinstance(layout, list) or not all(
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(type(n) is int and n >= 0 for n in entry[1])
+            for entry in layout):
+        raise ValueError(f"{path}: layout must be a list of [name, list of ints >= 0] entries")
+    names = [name for name, _ in layout]
+    if len(set(names)) != len(names):
+        raise ValueError(f"{path}: layout names a weight more than once")
+    shapes = [tuple(shape) for _, shape in layout]
+    sizes = [math.prod(shape) for shape in shapes]
+    maps = {}
+    for kind in _KINDS:
+        values = arrays[kind]
+        if values.ndim != 1:
+            raise ValueError(f"{path}: {kind} must be a 1-D array, got shape {values.shape}")
+        if values.size != sum(sizes):
+            raise ValueError(f"{path}: {kind} holds {values.size} values, "
+                             f"but the layout's weights take {sum(sizes)}")
+        ends = np.cumsum(sizes)  # past the size check, so each offset fits in int64
+        _check_finite(path, kind, values, names, ends)
+        maps[kind] = {name: values[end - size:end].reshape(shape)
+                      for name, shape, size, end in zip(names, shapes, sizes, ends)}
+    return maps
+
+
+def _split_members(path, arrays: dict) -> dict:
+    """kind -> {name: array} of a version 1 checkpoint, which holds one member
+    `<kind>/<name>` per weight and per moment."""
+    names = [key[len("param/"):] for key in arrays if key.startswith("param/")]
+    maps = {kind: {name: arrays[f"{kind}/{name}"] for name in names} for kind in _KINDS}
+    for kind, named in maps.items():
+        for name, values in named.items():
+            _check_finite(path, kind, values.ravel(), [name], np.array([values.size]))
+    return maps
 
 
 def load_checkpoint(path):
     """Returns (TrainState, TrainConfig) restored bit-exactly.
 
-    The settings in `train_config` pass the same checks as a config file.
-    The architecture comes from them and the input width from the projection
-    weights; weights of any other name or shape are rejected, and so is a
-    weight or Adam moment that is not finite.  A missing or malformed field
-    raises a ValueError naming the file and the field.
+    Reads the version 2 format `save_checkpoint` writes, splitting its flat
+    arrays into views by the `layout` in `meta`, and version 1, the format
+    of earlier releases, with one member `<kind>/<name>` per weight and per
+    Adam moment.  Either way the same checks follow, once, on the name ->
+    array maps.  The settings in `train_config` pass the same checks as a
+    config file.  The architecture comes from them and the input width from
+    the projection weights; weights of any other name or shape are rejected,
+    and so is a weight or Adam moment that is not finite.  A missing or
+    malformed field raises a ValueError naming the file and the field.
+    Logs the file, its version and its member count at DEBUG.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is bad
@@ -171,26 +238,27 @@ def load_checkpoint(path):
                 arrays = {key: blob[key] for key in blob.files}
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
-    if "version" not in arrays or arrays["version"].tolist() != _CKPT_VERSION:
-        raise ValueError(f"{path}: not a version {_CKPT_VERSION} checkpoint")
-    # a NaN weight would encode to NaN, and score and probe with it
-    for key, values in arrays.items():
-        if key.split("/")[0] in ("param", "adam_m", "adam_v") and (
-                values.dtype.kind not in "fiu" or not np.isfinite(values).all()):
-            raise ValueError(f"{path}: {key} holds a value that is not a finite number")
-    params = {key[len("param/"):]: ad.Tensor(a, requires_grad=True)
-              for key, a in arrays.items() if key.startswith("param/")}
+    version = arrays["version"].tolist() if "version" in arrays else None
+    if version not in (1, 2):
+        raise ValueError(f"{path}: not a version 1 or 2 checkpoint")
+    _log.debug("%s: checkpoint format version %d, %d members", path, version, len(arrays))
     try:
         # earlier checkpoints wrote each RNG array as {"__ndarray__": list, "dtype": name}
         meta = json.loads(bytes(arrays["meta"]).decode(),
                           object_hook=lambda d: d["__ndarray__"] if "__ndarray__" in d else d)
         stored, rng_state, step = (meta[key] for key in ("train_config", "rng_state", "step"))
-        m = {name: arrays[f"adam_m/{name}"] for name in params}
-        v = {name: arrays[f"adam_v/{name}"] for name in params}
+        layout = meta["layout"] if version == 2 else None
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: meta is not a JSON object ({exc})") from None
+    try:
+        # a NaN weight would encode to NaN, and score and probe with it
+        maps = _split_members(path, arrays) if layout is None else _split_flat(path, arrays, layout)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
+    params = {name: ad.Tensor(a, requires_grad=True) for name, a in maps["param"].items()}
+    m, v = maps["adam_m"], maps["adam_v"]
     if type(step) is not int or step < 0:
         raise ValueError(f"{path}: step must be an integer >= 0, got {json.dumps(step)}")
     rng = np.random.Generator(np.random.Philox())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tscontrast import data as ds
+from tscontrast import oracle
 
 
 def _toy_set():
@@ -116,6 +117,80 @@ def test_znormalize_rejects_a_series_it_cannot_scale(row):
     values[2, :, 0] = np.arange(6)[::-1]
     with pytest.raises(ValueError, match=r"^series 1: mean or stdev is not finite"):
         ds.znormalize(ds.TimeSeriesSet(values, [6, 6, 6]))
+
+
+# cells that float() reads in its own ways, or rejects
+_ODD_CELLS = [" 1.5 ", "1_0", "1__0", "_1", "infinity", "-Infinity", "+NaN", "nan", "1e500",
+              "-1e-400", "\u0661\u0662", "0x1p3", "1,5", "", " ", "1e", ".5", "5.", "+.5e-3",
+              "0.1\u00a0", "\u2003-2", "1.0\x00", "\x0b7\x0c", "1e+308", "4.9e-324"]
+_CELLS = st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(str),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(_ODD_CELLS),
+    st.text(st.characters(blacklist_characters="\t\n\r"), max_size=6)), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_CELLS)
+def test_tsv_cells_read_as_float_reads_them(tmp_path_factory, cells):
+    """A line's values are float()'s values of its cells, bit for bit, and a
+    cell float() rejects is a non-numeric cell on that line."""
+    path = tmp_path_factory.mktemp("tsv") / "cells.tsv"
+    path.write_text("0\t1.0\n1\t" + "\t".join(cells) + "\n", encoding="utf-8")
+    try:
+        expected = np.array([float(c) for c in cells])
+    except ValueError:
+        with pytest.raises(ValueError, match=r"cells\.tsv:2: non-numeric cell$"):
+            ds.load_ucr_tsv(path)
+        return
+    if np.isinf(expected).any():
+        with pytest.raises(ValueError, match=r"cells\.tsv:2: infinite value$"):
+            ds.load_ucr_tsv(path)
+        return
+    nan = np.isnan(expected)
+    if nan.any():  # the trailing NaNs shorten the series; the rest is covered above
+        return
+    assert ds.load_ucr_tsv(path).series(1)[:, 0].tobytes() == expected.tobytes()
+
+
+@st.composite
+def _ragged_sets(draw):
+    """Sets of lengths 1-200 and 1-4 channels at magnitudes from 1e-5 to 1e5,
+    offset from zero by up to 100 times that, with constant channels."""
+    n = draw(st.integers(1, 12))
+    dims = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 200), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-5, 5, size=(n, 1, dims))
+    values = (rng.normal(size=(n, max(lengths), dims))
+              + rng.uniform(-100, 100, size=(n, 1, dims))) * scale
+    for i, d in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, dims - 1)),
+                              max_size=3)):
+        values[i, :, d] = rng.normal()
+    values[np.arange(max(lengths)) >= np.array(lengths)[:, None]] = 0.0
+    return ds.TimeSeriesSet(values, lengths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tset=_ragged_sets())
+def test_znormalize_equals_the_per_series_loop(tset):
+    assert ds.znormalize(tset).values.tobytes() == oracle.znormalize(tset).tobytes()
+
+
+def test_znormalize_names_the_lowest_unscalable_series_across_lengths():
+    # series 1 (length 6) and series 3 (length 4) cannot be scaled; the
+    # length-4 group comes first, but series 1 has the lower index
+    values = np.zeros((4, 6, 1))
+    values[:, :, 0] = np.arange(6)
+    values[1, :, 0] = [1e300, -1e300] * 3
+    values[3, :4, 0] = [0.0, 1.0, np.nan, 2.0]
+    tset = ds.TimeSeriesSet(values, [5, 6, 4, 4])
+    message = r"^series 1: mean or stdev is not finite, so it cannot be z-normalized \(mean"
+    with pytest.raises(ValueError, match=message):
+        oracle.znormalize(tset)
+    with pytest.raises(ValueError, match=message):
+        ds.znormalize(tset)
 
 
 def test_make_synthetic_deterministic_and_labeled():

@@ -382,6 +382,16 @@ def test_anomaly_scores_log_one_record_at_debug_only(caplog):
     assert not caplog.records
 
 
+def test_anomaly_scores_compute_no_debug_record_when_debug_is_off(caplog, monkeypatch):
+    def no_record(*args):
+        raise AssertionError("anomaly_scores built a DEBUG record with DEBUG off")
+
+    model = enc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=3), 1)
+    caplog.set_level("INFO", logger="tscontrast.evaluate")
+    monkeypatch.setattr(ev._log, "debug", no_record)
+    assert ev.anomaly_scores(model, np.zeros((16, 1))).shape == (16,)
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:

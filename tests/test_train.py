@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import json
+import math
 import re
 import tempfile
 import tracemalloc
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,6 +215,43 @@ def _rewrite_meta(path, edit):
     _rewrite_arrays(path, edit_arrays)
 
 
+def _span(arrays, name) -> slice:
+    """Where weight `name` lies in a version 2 checkpoint's flat arrays."""
+    start = 0
+    for entry, shape in json.loads(bytes(arrays["meta"]).decode())["layout"]:
+        if entry == name:
+            return slice(start, start + math.prod(shape))
+        start += math.prod(shape)
+    raise KeyError(name)
+
+
+def _as_v1(arrays):
+    """Rewrite a checkpoint's arrays, in place, as version 1 wrote them (the
+    format of earlier releases): `version` 1, `meta` without a layout, then
+    one member `<kind>/<name>` per weight and per Adam moment, in weight order."""
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    layout = meta.pop("layout")
+    v1 = {"version": np.int64(1), "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+    start = 0
+    for name, shape in layout:
+        end = start + math.prod(shape)
+        for kind in ("param", "adam_m", "adam_v"):
+            v1[f"{kind}/{name}"] = arrays[kind][start:end].reshape(shape)
+        start = end
+    arrays.clear()
+    arrays.update(v1)
+
+
+def _drop_proj_w_inputs(arrays):
+    """Give a version 2 checkpoint's proj_w no input rows: [0, hidden]."""
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    proj = _span(arrays, "proj_w")
+    for kind in ("param", "adam_m", "adam_v"):
+        arrays[kind] = np.delete(arrays[kind], np.arange(proj.start, proj.stop))
+    meta["layout"][0][1][0] = 0
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
 def _add_retired_keys(meta, **values):
     """Earlier formats also stored the loss temperature, Adam's constants and
     the ablation kernels' widths."""
@@ -221,9 +260,10 @@ def _add_retired_keys(meta, **values):
                                  "neighbor_window_frac": 0.3, **values})
 
 
-def _resume_after_edits(tmp_path, *edits):
-    """Train 4 of 8 binomial-mask steps, rewrite the checkpoint's meta with each
-    of `edits`, and check the resumed run equals the uninterrupted one bit for bit."""
+def _resume_after_edits(tmp_path, *edits, v1=False):
+    """Train 4 of 8 binomial-mask steps, rewrite the checkpoint (as version 1
+    if `v1`) and its meta with each of `edits`, and check the resumed run
+    equals the uninterrupted one bit for bit."""
     tset, dm, _ = _setup()
     base = dict(batch_size=4, hidden=6, repr_dims=3, depth=2, seed=5, mask_mode="binomial")
     full_cfg = tr.TrainConfig(iters=8, **base)
@@ -234,6 +274,8 @@ def _resume_after_edits(tmp_path, *edits):
     tr.pretrain(tset, dm, half_cfg, state=state)
     path = tmp_path / "half.npz"
     tr.save_checkpoint(state, half_cfg, path)
+    if v1:
+        _rewrite_arrays(path, _as_v1)
     for edit in edits:
         _rewrite_meta(path, edit)
     resumed, cfg = tr.load_checkpoint(path)
@@ -246,10 +288,47 @@ def _resume_after_edits(tmp_path, *edits):
 
 
 def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
-    # the earlier format also stored an encoder_config beside train_config
+    # version 1 held one member per weight and moment; before that, it also
+    # stored an encoder_config beside train_config
+    _resume_after_edits(tmp_path, v1=True)
     _resume_after_edits(tmp_path, lambda meta: meta.update(encoder_config={
         "input_dims": 1, "hidden": 6, "output_dims": 3, "depth": 2,
-        "kernel_size": 3, "mask_mode": "binomial"}), _add_retired_keys)
+        "kernel_size": 3, "mask_mode": "binomial"}), _add_retired_keys, v1=True)
+
+
+def test_save_checkpoint_writes_five_members(tmp_path):
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    with zipfile.ZipFile(path) as zf:
+        assert sorted(zf.namelist()) == ["adam_m.npy", "adam_v.npy", "meta.npy", "param.npy",
+                                         "version.npy"]
+    with np.load(path) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    assert arrays["version"].tolist() == 2
+    assert json.loads(bytes(arrays["meta"]).decode())["layout"] == [
+        [name, list(shape)] for name, (shape, _) in enc.param_shapes(cfg, tset.dims).items()]
+    for kind in ("param", "adam_m", "adam_v"):
+        assert arrays[kind].dtype == np.float64 and arrays[kind].ndim == 1
+
+
+def test_v1_checkpoint_loads_the_same_state(tmp_path):
+    tset, dm, cfg = _setup()
+    state = tr.TrainState.fresh(cfg, tset.dims)
+    tr.pretrain(tset, dm, cfg, state=state)
+    paths = tmp_path / "v2.npz", tmp_path / "v1.npz"
+    for path in paths:
+        tr.save_checkpoint(state, cfg, path)
+    _rewrite_arrays(paths[1], _as_v1)
+    (v2, cfg2), (v1, cfg1) = (tr.load_checkpoint(path) for path in paths)
+    assert cfg1 == cfg2 == cfg and v1.step == v2.step == state.step
+    assert np.array_equal(v1.rng.random(4), v2.rng.random(4))
+
+    def arrays_of(s):
+        return [(name, a.shape, a.tobytes()) for name in s.model.params
+                for a in (s.model.params[name].data, s.m[name], s.v[name])]
+
+    assert arrays_of(v1) == arrays_of(v2) == arrays_of(state)
 
 
 def _as_ndarray_cells(state):
@@ -267,7 +346,8 @@ def test_ndarray_cell_rng_state_resumes_bit_exactly(tmp_path, retired):
         meta["rng_state"] = _as_ndarray_cells(meta["rng_state"])
         assert meta["rng_state"]["state"]["counter"]["__ndarray__"]
 
-    _resume_after_edits(tmp_path, to_cells, *([_add_retired_keys] if retired else []))
+    # the files that held retired keys were version 1 files
+    _resume_after_edits(tmp_path, to_cells, *([_add_retired_keys] if retired else []), v1=retired)
 
 
 @pytest.mark.parametrize("field,value,key", [
@@ -319,11 +399,35 @@ _BAD_FIELDS = {
     "no-step": (_rewrite_meta, lambda meta: meta.pop("step"), "step"),
     "no-rng": (_rewrite_meta, lambda meta: meta.pop("rng_state"), "rng_state"),
     "no-train-config": (_rewrite_meta, lambda meta: meta.pop("train_config"), "train_config"),
-    "no-adam-m": (_rewrite_arrays, lambda arrays: arrays.pop("adam_m/proj_w"), "adam_m/proj_w"),
-    "adam-v-shape": (_rewrite_arrays, lambda arrays: arrays.update({"adam_v/proj_w": np.zeros(1)}),
-                     "proj_w"),
-    "proj-w-no-inputs": (_rewrite_arrays,
-                         lambda arrays: arrays.update({"param/proj_w": np.zeros((0, 6))}), "proj_w"),
+    "no-adam-m": (_rewrite_arrays, lambda arrays: arrays.pop("adam_m"), "adam_m"),
+    "adam-v-shape": (_rewrite_arrays, lambda arrays: arrays.update(adam_v=np.zeros(1)), "adam_v"),
+    "proj-w-no-inputs": (_rewrite_arrays, _drop_proj_w_inputs, "proj_w"),
+    "no-layout": (_rewrite_meta, lambda meta: meta.pop("layout"), "layout"),
+    "layout-not-a-list": (_rewrite_meta, lambda meta: meta.update(layout={"proj_w": [1, 6]}),
+                          "layout"),
+    "layout-entry-name-only": (_rewrite_meta, lambda meta: meta["layout"].__setitem__(0, "proj_w"),
+                               "layout"),
+    "layout-entry-no-shape": (_rewrite_meta, lambda meta: meta["layout"][0].pop(), "layout"),
+    "layout-negative-dim": (_rewrite_meta, lambda meta: meta["layout"][0].__setitem__(1, [-1, 6]),
+                            "layout"),
+    "layout-float-dim": (_rewrite_meta, lambda meta: meta["layout"][0].__setitem__(1, [1.0, 6]),
+                         "layout"),
+    "layout-name-twice": (_rewrite_meta, lambda meta: meta["layout"].append(meta["layout"][1]),
+                          "layout"),
+    "param-short": (_rewrite_arrays, lambda arrays: arrays.update(param=arrays["param"][:-1]),
+                    "param"),
+    "adam-m-2d": (_rewrite_arrays, lambda arrays: arrays.update(adam_m=arrays["adam_m"][None]),
+                  "adam_m"),
+    # the same faults in the version 1 layout, one member per weight and moment
+    "v1-no-adam-m": (_rewrite_arrays, lambda arrays: (_as_v1(arrays), arrays.pop("adam_m/proj_w")),
+                     "adam_m/proj_w"),
+    "v1-adam-v-shape": (_rewrite_arrays,
+                        lambda arrays: (_as_v1(arrays), arrays.update({"adam_v/proj_w": np.zeros(1)})),
+                        "proj_w"),
+    "v1-proj-w-no-inputs": (_rewrite_arrays,
+                            lambda arrays: (_as_v1(arrays),
+                                            arrays.update({"param/proj_w": np.zeros((0, 6))})),
+                            "proj_w"),
 }
 
 
@@ -420,11 +524,29 @@ def test_load_checkpoint_rejects_a_non_finite_array(tmp_path, array, value):
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
 
     def spoil(arrays):
-        arrays[array] = arrays[array].astype(type(value))
-        arrays[array].flat[-1] = value
+        if isinstance(value, str):
+            # a float64 array holds no string: spoil one member of version 1's layout
+            _as_v1(arrays)
+            arrays[array] = arrays[array].astype(type(value))
+            arrays[array].flat[-1] = value
+        else:
+            # its first value, where a lookup one span off names the weight before
+            kind, name = array.split("/")
+            arrays[kind][_span(arrays, name).start] = value
 
     _rewrite_arrays(path, spoil)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(array)} holds "
+                                         "a value that is not a finite number$"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["param", "adam_m", "adam_v"])
+def test_load_checkpoint_names_the_first_weight_of_a_flat_array_of_strings(tmp_path, kind):
+    tset, _, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_arrays(path, lambda arrays: arrays.update({kind: arrays[kind].astype(str)}))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {kind}/proj_w holds "
                                          "a value that is not a finite number$"):
         tr.load_checkpoint(path)
 
@@ -443,7 +565,8 @@ def test_a_nan_weight_exits_2_before_any_output(tmp_path, capsys, command):
     cfg = tr.TrainConfig(hidden=4, repr_dims=2, depth=1)
     path, tsv, config = tmp_path / "ckpt.npz", tmp_path / "data.tsv", tmp_path / "cfg.json"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
-    _rewrite_arrays(path, lambda arrays: arrays["param/proj_w"].__setitem__((0, 1), np.nan))
+    # proj_w, [1, 4], comes first in the flat weights: (0, 1) is their value 1
+    _rewrite_arrays(path, lambda arrays: arrays["param"].__setitem__(1, np.nan))
     ds.write_ucr_tsv(tset, tsv)
     config.write_text("{}")
     out = tmp_path / "out.csv"
@@ -491,6 +614,26 @@ def test_load_checkpoint_logs_each_retired_key_it_drops(tmp_path, caplog):
             "assignment.gaussian_std", "assignment.kernel_sigma",
             "assignment.neighbor_window_frac", "loss.temperature",
             "train.beta1", "train.beta2", "train.eps"))
+
+
+def test_load_checkpoint_logs_its_format_at_debug_only(tmp_path, caplog):
+    tset, _, cfg = _setup()
+    paths = tmp_path / "v2.npz", tmp_path / "v1.npz"
+    for path in paths:
+        tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    _rewrite_arrays(paths[1], _as_v1)
+    caplog.set_level("DEBUG", logger="tscontrast.train")
+    for path in paths:
+        tr.load_checkpoint(path)
+    # depth 2 has 12 weights: 36 members beside version and meta in version 1
+    assert {(r.name, r.levelname) for r in caplog.records} == {("tscontrast.train", "DEBUG")}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{paths[0]}: checkpoint format version 2, 5 members",
+        f"{paths[1]}: checkpoint format version 1, 38 members"]
+    caplog.clear()
+    caplog.set_level("INFO", logger="tscontrast.train")
+    tr.load_checkpoint(paths[0])
+    assert not caplog.records
 
 
 def test_pretrain_holds_no_n_by_n_weight_matrix():
