@@ -4,8 +4,9 @@ sections that builds it, plus the other sections' defaults.
 
 Precedence is flag > file > default.  Unknown keys, values not of their
 default's JSON type and out-of-range values all fail at load, before any work.
-A retired key (`RETIRED_KEYS`) of an older file or checkpoint is dropped at
-the one value it may hold and fails at any other.
+A retired key (`RETIRED_KEYS`) of an older config file is dropped at the one
+value it may hold and fails at any other.  A checkpoint's `train_config` has
+no key but `TrainConfig`'s fields.
 """
 from __future__ import annotations
 
@@ -81,14 +82,12 @@ _FIELD_KEYS = {_FIELD_NAMES.get(key, key): (section, key)
 
 _TRAIN_DEFAULTS = asdict(TrainConfig())
 
-# Keys of earlier settings, by section, with the one value the code runs with:
-# --echo-config wrote the assignment and eval ones, and checkpoints store the
-# training sections' ones flat.
+# Keys of earlier settings that config files written by --echo-config held,
+# by section, with the one value the code runs with.
 RETIRED_KEYS = {
     "assignment": {"kernel_sigma": KERNEL_SIGMA, "gaussian_std": GAUSSIAN_STD,
                    "neighbor_window_frac": NEIGHBOR_WINDOW_FRAC},
     "loss": {"temperature": 1.0},
-    "train": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8},  # the constants `train`'s Adam runs with
     "eval": {"probe_k": 1},  # the probe is 1-NN
 }
 
@@ -192,32 +191,32 @@ def validate(raw: dict, source="config") -> EngineConfig:
             raise ValueError(f"distance.{key}: {exc}") from None
     if not math.isfinite(sections["eval"]["anomaly_c"]):
         raise ValueError(f"eval.anomaly_c must be finite, got {sections['eval']['anomaly_c']}")
-    # Each of TrainConfig's rules reads one field, so building it from every
-    # key alone against the defaults finds every bad value and names its key.
-    train_fields = {}
-    for name, (section, key) in _FIELD_KEYS.items():
-        train_fields[name] = sections[section][key]
-        try:
-            TrainConfig(**{name: train_fields[name]})
-        except ValueError as exc:
-            raise ValueError(f"{section}.{key}: {exc}") from None
-    return EngineConfig(sections=sections, train_config=TrainConfig(**train_fields))
+    train_fields = {name: sections[section][key] for name, (section, key) in _FIELD_KEYS.items()}
+    try:
+        train_config = TrainConfig(**train_fields)
+    except ValueError:
+        # Each of TrainConfig's rules reads one field, so building it from
+        # each key alone against the defaults finds the bad value and names its key.
+        for name, (section, key) in _FIELD_KEYS.items():
+            try:
+                TrainConfig(**{name: train_fields[name]})
+            except ValueError as exc:
+                raise ValueError(f"{section}.{key}: {exc}") from None
+        raise
+    return EngineConfig(sections=sections, train_config=train_config)
 
 
-def train_config_from_fields(stored: dict, source="train_config") -> TrainConfig:
+def train_config_from_fields(stored: dict) -> TrainConfig:
     """Build a TrainConfig from its flat fields (a checkpoint's train_config)
     through the same checks as a config file; a missing field takes its default."""
-    # a checkpoint stores the training sections' keys only, retired ones included
-    places = {**_FIELD_KEYS, **{key: (section, key) for section in _TRAIN_SECTIONS
-                                for key in RETIRED_KEYS.get(section, ())}}
-    unknown = sorted(set(stored) - set(places))
+    unknown = sorted(set(stored) - set(_FIELD_KEYS))
     if unknown:
         raise ValueError(f"unknown train_config key(s): {', '.join(unknown)}")
     raw = {}
     for name, value in stored.items():
-        section, key = places[name]
+        section, key = _FIELD_KEYS[name]
         raw.setdefault(section, {})[key] = value
-    return validate(raw, source).train_config
+    return validate(raw).train_config
 
 
 def load(path, overrides: dict | None = None) -> EngineConfig:

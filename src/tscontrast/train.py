@@ -15,7 +15,7 @@ from . import assign as asg
 from . import autodiff as ad
 from . import encoder as enc
 from . import loss as losses
-from .config import RETIRED_KEYS, TrainConfig, train_config_from_fields
+from .config import TrainConfig, train_config_from_fields
 from .data import TimeSeriesSet, crop_two_views, whole_file, write_csv
 from .distance import DistanceMatrix
 
@@ -44,9 +44,8 @@ class TrainState:
         return cls(model=model, m=moments_m, v=moments_v, step=0, rng=rng)
 
 
-# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults),
-# declared once as the values their retired config keys must hold
-_BETA1, _BETA2, _EPS = (RETIRED_KEYS["train"][key] for key in ("beta1", "beta2", "eps"))
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def _adam_step(state: TrainState, cfg: TrainConfig):
@@ -164,20 +163,11 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
         )
 
 
-def _check_finite(path, kind: str, values: np.ndarray, names: list, ends: np.ndarray) -> None:
-    """Raise unless the 1-D `values` are all finite numbers.  The error names
-    the weight whose span (it ends at its entry of `ends`) holds the first
-    bad value; an array of no numeric dtype fails at its first value."""
-    bad = (np.flatnonzero(~np.isfinite(values)) if values.dtype.kind in "fiu"
-           else np.arange(min(values.size, 1)))
-    if bad.size:
-        name = names[int(np.searchsorted(ends, bad[0], side="right"))]
-        raise ValueError(f"{path}: {kind}/{name} holds a value that is not a finite number")
-
-
 def _split_flat(path, arrays: dict, layout) -> dict:
-    """kind -> {name: view} of a version 2 checkpoint's flat arrays, split by
-    its layout."""
+    """kind -> {name: view} of a checkpoint's flat arrays, split by its layout.
+    Each array must hold finite numbers only: the error names the weight whose
+    span holds the first bad value, and an array of no numeric dtype fails at
+    its first value."""
     if not isinstance(layout, list) or not all(
             isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
             and isinstance(entry[1], list) and all(type(n) is int and n >= 0 for n in entry[1])
@@ -197,36 +187,27 @@ def _split_flat(path, arrays: dict, layout) -> dict:
             raise ValueError(f"{path}: {kind} holds {values.size} values, "
                              f"but the layout's weights take {sum(sizes)}")
         ends = np.cumsum(sizes)  # past the size check, so each offset fits in int64
-        _check_finite(path, kind, values, names, ends)
+        bad = (np.flatnonzero(~np.isfinite(values)) if values.dtype.kind in "fiu"
+               else np.arange(min(values.size, 1)))
+        if bad.size:
+            name = names[int(np.searchsorted(ends, bad[0], side="right"))]
+            raise ValueError(f"{path}: {kind}/{name} holds a value that is not a finite number")
         maps[kind] = {name: values[end - size:end].reshape(shape)
                       for name, shape, size, end in zip(names, shapes, sizes, ends)}
-    return maps
-
-
-def _split_members(path, arrays: dict) -> dict:
-    """kind -> {name: array} of a version 1 checkpoint, which holds one member
-    `<kind>/<name>` per weight and per moment."""
-    names = [key[len("param/"):] for key in arrays if key.startswith("param/")]
-    maps = {kind: {name: arrays[f"{kind}/{name}"] for name in names} for kind in _KINDS}
-    for kind, named in maps.items():
-        for name, values in named.items():
-            _check_finite(path, kind, values.ravel(), [name], np.array([values.size]))
     return maps
 
 
 def load_checkpoint(path):
     """Returns (TrainState, TrainConfig) restored bit-exactly.
 
-    Reads the version 2 format `save_checkpoint` writes, splitting its flat
-    arrays into views by the `layout` in `meta`, and version 1, the format
-    of earlier releases, with one member `<kind>/<name>` per weight and per
-    Adam moment.  Either way the same checks follow, once, on the name ->
-    array maps.  The settings in `train_config` pass the same checks as a
-    config file.  The architecture comes from them and the input width from
-    the projection weights; weights of any other name or shape are rejected,
-    and so is a weight or Adam moment that is not finite.  A missing or
-    malformed field raises a ValueError naming the file and the field.
-    Logs the file, its version and its member count at DEBUG.
+    Reads the one format `save_checkpoint` writes, version 2, splitting its
+    flat arrays into views by the `layout` in `meta`; a file of any other
+    version is an error naming it.  The settings in `train_config` pass the
+    same checks as a config file.  The architecture comes from them and the
+    input width from the projection weights; weights of any other name or
+    shape are rejected, and so is a weight or Adam moment that is not finite.
+    A missing or malformed field raises a ValueError naming the file and the
+    field.  Logs the file and its member count at DEBUG.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is bad
@@ -238,23 +219,20 @@ def load_checkpoint(path):
                 arrays = {key: blob[key] for key in blob.files}
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
-    version = arrays["version"].tolist() if "version" in arrays else None
-    if version not in (1, 2):
-        raise ValueError(f"{path}: not a version 1 or 2 checkpoint")
-    _log.debug("%s: checkpoint format version %d, %d members", path, version, len(arrays))
+    if "version" not in arrays or arrays["version"].tolist() != 2:
+        raise ValueError(f"{path}: not a version 2 checkpoint")
+    _log.debug("%s: checkpoint format version 2, %d members", path, len(arrays))
     try:
-        # earlier checkpoints wrote each RNG array as {"__ndarray__": list, "dtype": name}
-        meta = json.loads(bytes(arrays["meta"]).decode(),
-                          object_hook=lambda d: d["__ndarray__"] if "__ndarray__" in d else d)
-        stored, rng_state, step = (meta[key] for key in ("train_config", "rng_state", "step"))
-        layout = meta["layout"] if version == 2 else None
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        stored, rng_state, step, layout = (meta[key] for key in
+                                           ("train_config", "rng_state", "step", "layout"))
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: meta is not a JSON object ({exc})") from None
     try:
         # a NaN weight would encode to NaN, and score and probe with it
-        maps = _split_members(path, arrays) if layout is None else _split_flat(path, arrays, layout)
+        maps = _split_flat(path, arrays, layout)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
     params = {name: ad.Tensor(a, requires_grad=True) for name, a in maps["param"].items()}
@@ -270,7 +248,7 @@ def load_checkpoint(path):
     if not isinstance(stored, dict):
         raise ValueError(f"{path}: train_config must be an object")
     try:
-        cfg = train_config_from_fields(stored, path)
+        cfg = train_config_from_fields(stored)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     shapes = {name: t.shape for name, t in params.items()}

@@ -178,7 +178,7 @@ def test_every_train_config_field_is_a_config_key():
     assert {".".join(path) for path, _ in LEAVES} == _SETTABLE_KEYS
     retired = {f"{section}.{key}" for section, keys in engine_config.RETIRED_KEYS.items()
                for key in keys}
-    assert len(retired) == 8 and not retired & _SETTABLE_KEYS
+    assert len(retired) == 5 and not retired & _SETTABLE_KEYS
     assert not {key.split(".")[1] for key in retired} & keys
 
 
@@ -278,6 +278,8 @@ def test_probe_k_away_from_one_names_the_key(value):
     ('{"train": {"iters": 2,}}', "Expecting property name enclosed in double quotes"),
     ("[1, 2]", "config root must be an object"),
     ('{"bogus": 1}', "unknown keys in 'config': ['bogus']"),
+    # Adam's constants were never config keys
+    ('{"train": {"beta1": 0.9}}', "unknown keys in 'train': ['beta1']"),
     ('{"loss": {"lambda": 1.5}}', "loss.lambda: lambda must be in [0, 1], got 1.5"),
 ])
 def test_load_names_the_file_in_every_error(tmp_path, text, message):

@@ -167,22 +167,26 @@ def test_load_checkpoint_rejects_bad_file(tmp_path, capsys):
 
 
 def test_resume_equals_uninterrupted(tmp_path):
+    # a binomial mask draws from the restored generator too; every level's
+    # loss terms of the resumed steps must match the uninterrupted run's
     tset, dm, _ = _setup()
-    base = dict(batch_size=4, hidden=6, repr_dims=3, depth=2, seed=5)
-    full_cfg = tr.TrainConfig(iters=10, **base)
-    model_full, hist_full = tr.pretrain(tset, dm, full_cfg)
+    for mask_mode in ("none", "binomial"):
+        base = dict(batch_size=4, hidden=6, repr_dims=3, depth=2, seed=5, mask_mode=mask_mode)
+        full_cfg = tr.TrainConfig(iters=10, **base)
+        model_full, hist_full = tr.pretrain(tset, dm, full_cfg)
 
-    half_cfg = tr.TrainConfig(iters=5, **base)
-    state = tr.TrainState.fresh(half_cfg, tset.dims)
-    tr.pretrain(tset, dm, half_cfg, state=state)
-    path = tmp_path / "half.npz"
-    tr.save_checkpoint(state, half_cfg, path)
-    resumed, _ = tr.load_checkpoint(path)
-    model_res, hist_res = tr.pretrain(tset, dm, full_cfg, state=resumed)
+        half_cfg = tr.TrainConfig(iters=5, **base)
+        state = tr.TrainState.fresh(half_cfg, tset.dims)
+        tr.pretrain(tset, dm, half_cfg, state=state)
+        path = tmp_path / "half.npz"
+        tr.save_checkpoint(state, half_cfg, path)
+        resumed, cfg = tr.load_checkpoint(path)
+        assert cfg == half_cfg
+        model_res, hist_res = tr.pretrain(tset, dm, full_cfg, state=resumed)
 
-    for name in model_full.params:
-        assert np.array_equal(model_full.params[name].data, model_res.params[name].data)
-    assert [b.total for _, b in hist_full[5:]] == [b.total for _, b in hist_res]
+        for name in model_full.params:
+            assert np.array_equal(model_full.params[name].data, model_res.params[name].data)
+        assert [b.csv_row() for _, b in hist_full[5:]] == [b.csv_row() for _, b in hist_res]
 
 
 def test_write_log_csv(tmp_path):
@@ -225,23 +229,6 @@ def _span(arrays, name) -> slice:
     raise KeyError(name)
 
 
-def _as_v1(arrays):
-    """Rewrite a checkpoint's arrays, in place, as version 1 wrote them (the
-    format of earlier releases): `version` 1, `meta` without a layout, then
-    one member `<kind>/<name>` per weight and per Adam moment, in weight order."""
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    layout = meta.pop("layout")
-    v1 = {"version": np.int64(1), "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    start = 0
-    for name, shape in layout:
-        end = start + math.prod(shape)
-        for kind in ("param", "adam_m", "adam_v"):
-            v1[f"{kind}/{name}"] = arrays[kind][start:end].reshape(shape)
-        start = end
-    arrays.clear()
-    arrays.update(v1)
-
-
 def _drop_proj_w_inputs(arrays):
     """Give a version 2 checkpoint's proj_w no input rows: [0, hidden]."""
     meta = json.loads(bytes(arrays["meta"]).decode())
@@ -250,50 +237,6 @@ def _drop_proj_w_inputs(arrays):
         arrays[kind] = np.delete(arrays[kind], np.arange(proj.start, proj.stop))
     meta["layout"][0][1][0] = 0
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-
-
-def _add_retired_keys(meta, **values):
-    """Earlier formats also stored the loss temperature, Adam's constants and
-    the ablation kernels' widths."""
-    meta["train_config"].update({"temperature": 1.0, "beta1": 0.9, "beta2": 0.999,
-                                 "eps": 1e-8, "kernel_sigma": 0.5, "gaussian_std": 1.0,
-                                 "neighbor_window_frac": 0.3, **values})
-
-
-def _resume_after_edits(tmp_path, *edits, v1=False):
-    """Train 4 of 8 binomial-mask steps, rewrite the checkpoint (as version 1
-    if `v1`) and its meta with each of `edits`, and check the resumed run
-    equals the uninterrupted one bit for bit."""
-    tset, dm, _ = _setup()
-    base = dict(batch_size=4, hidden=6, repr_dims=3, depth=2, seed=5, mask_mode="binomial")
-    full_cfg = tr.TrainConfig(iters=8, **base)
-    model_full, hist_full = tr.pretrain(tset, dm, full_cfg)
-
-    half_cfg = tr.TrainConfig(iters=4, **base)
-    state = tr.TrainState.fresh(half_cfg, tset.dims)
-    tr.pretrain(tset, dm, half_cfg, state=state)
-    path = tmp_path / "half.npz"
-    tr.save_checkpoint(state, half_cfg, path)
-    if v1:
-        _rewrite_arrays(path, _as_v1)
-    for edit in edits:
-        _rewrite_meta(path, edit)
-    resumed, cfg = tr.load_checkpoint(path)
-    assert cfg == half_cfg
-    model_res, hist_res = tr.pretrain(tset, dm, full_cfg, state=resumed)
-
-    for name in model_full.params:
-        assert np.array_equal(model_full.params[name].data, model_res.params[name].data)
-    assert [b.csv_row() for _, b in hist_full[4:]] == [b.csv_row() for _, b in hist_res]
-
-
-def test_parent_format_checkpoint_resumes_bit_exactly(tmp_path):
-    # version 1 held one member per weight and moment; before that, it also
-    # stored an encoder_config beside train_config
-    _resume_after_edits(tmp_path, v1=True)
-    _resume_after_edits(tmp_path, lambda meta: meta.update(encoder_config={
-        "input_dims": 1, "hidden": 6, "output_dims": 3, "depth": 2,
-        "kernel_size": 3, "mask_mode": "binomial"}), _add_retired_keys, v1=True)
 
 
 def test_save_checkpoint_writes_five_members(tmp_path):
@@ -310,44 +253,6 @@ def test_save_checkpoint_writes_five_members(tmp_path):
         [name, list(shape)] for name, (shape, _) in enc.param_shapes(cfg, tset.dims).items()]
     for kind in ("param", "adam_m", "adam_v"):
         assert arrays[kind].dtype == np.float64 and arrays[kind].ndim == 1
-
-
-def test_v1_checkpoint_loads_the_same_state(tmp_path):
-    tset, dm, cfg = _setup()
-    state = tr.TrainState.fresh(cfg, tset.dims)
-    tr.pretrain(tset, dm, cfg, state=state)
-    paths = tmp_path / "v2.npz", tmp_path / "v1.npz"
-    for path in paths:
-        tr.save_checkpoint(state, cfg, path)
-    _rewrite_arrays(paths[1], _as_v1)
-    (v2, cfg2), (v1, cfg1) = (tr.load_checkpoint(path) for path in paths)
-    assert cfg1 == cfg2 == cfg and v1.step == v2.step == state.step
-    assert np.array_equal(v1.rng.random(4), v2.rng.random(4))
-
-    def arrays_of(s):
-        return [(name, a.shape, a.tobytes()) for name in s.model.params
-                for a in (s.model.params[name].data, s.m[name], s.v[name])]
-
-    assert arrays_of(v1) == arrays_of(v2) == arrays_of(state)
-
-
-def _as_ndarray_cells(state):
-    """The earlier RNG encoding: every array as {"__ndarray__": list, "dtype": name}."""
-    if isinstance(state, dict):
-        return {key: _as_ndarray_cells(value) for key, value in state.items()}
-    if isinstance(state, list):
-        return {"__ndarray__": state, "dtype": "uint64"}
-    return state
-
-
-@pytest.mark.parametrize("retired", [False, True], ids=["current-keys", "retired-keys"])
-def test_ndarray_cell_rng_state_resumes_bit_exactly(tmp_path, retired):
-    def to_cells(meta):
-        meta["rng_state"] = _as_ndarray_cells(meta["rng_state"])
-        assert meta["rng_state"]["state"]["counter"]["__ndarray__"]
-
-    # the files that held retired keys were version 1 files
-    _resume_after_edits(tmp_path, to_cells, *([_add_retired_keys] if retired else []), v1=retired)
 
 
 @pytest.mark.parametrize("field,value,key", [
@@ -382,6 +287,11 @@ def _set_counter(meta, value):
 
 # a checkpoint field broken in one way each: (rewrite, edit, field the error names)
 _BAD_FIELDS = {
+    **{f"version-{case}": (_rewrite_arrays, edit, "version") for case, edit in (
+        ("1", lambda arrays: arrays.update(version=np.int64(1))),
+        ("3", lambda arrays: arrays.update(version=np.int64(3))),
+        ("true", lambda arrays: arrays.update(version=np.bool_(True))),
+        ("missing", lambda arrays: arrays.pop("version")))},
     "step-fraction": (_rewrite_meta, lambda meta: meta.update(step=2.7), "step"),
     "step-bool": (_rewrite_meta, lambda meta: meta.update(step=True), "step"),
     "step-negative": (_rewrite_meta, lambda meta: meta.update(step=-4), "step"),
@@ -418,16 +328,6 @@ _BAD_FIELDS = {
                     "param"),
     "adam-m-2d": (_rewrite_arrays, lambda arrays: arrays.update(adam_m=arrays["adam_m"][None]),
                   "adam_m"),
-    # the same faults in the version 1 layout, one member per weight and moment
-    "v1-no-adam-m": (_rewrite_arrays, lambda arrays: (_as_v1(arrays), arrays.pop("adam_m/proj_w")),
-                     "adam_m/proj_w"),
-    "v1-adam-v-shape": (_rewrite_arrays,
-                        lambda arrays: (_as_v1(arrays), arrays.update({"adam_v/proj_w": np.zeros(1)})),
-                        "proj_w"),
-    "v1-proj-w-no-inputs": (_rewrite_arrays,
-                            lambda arrays: (_as_v1(arrays),
-                                            arrays.update({"param/proj_w": np.zeros((0, 6))})),
-                            "proj_w"),
 }
 
 
@@ -438,15 +338,16 @@ def test_load_checkpoint_names_a_bad_field(tmp_path, capsys, case):
     path = tmp_path / "ckpt.npz"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
     rewrite(path, edit)
-    with pytest.raises(ValueError, match=rf"ckpt\.npz: .*{re.escape(field)}"):
+    with pytest.raises(ValueError, match=rf"ckpt\.npz: .*{re.escape(field)}") as error:
         tr.load_checkpoint(path)
+    if case.startswith("version"):
+        assert str(error.value) == f"{path}: not a version 2 checkpoint"
 
     tsv = tmp_path / "data.tsv"
     ds.write_ucr_tsv(tset, tsv)
     assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
                      "--out", str(tmp_path / "reps.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "ckpt.npz" in err and field in err
+    assert capsys.readouterr().err == f"error: {error.value}\n"
 
 
 @pytest.mark.parametrize("depth", [1, 3])
@@ -492,18 +393,22 @@ def test_a_model_is_its_weights(hidden, repr_dims, depth, dims):
 
 
 def test_load_checkpoint_rejects_unknown_train_config_key(tmp_path, capsys):
+    # a retired key, even at the one value it held, is no TrainConfig field:
+    # checkpoints store asdict(TrainConfig)
     tset, _, cfg = _setup()
-    path = tmp_path / "ckpt.npz"
-    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
-    _rewrite_meta(path, lambda meta: meta["train_config"].update(warmup=3))
-    with pytest.raises(ValueError, match=r"ckpt\.npz: unknown train_config key\(s\): warmup"):
-        tr.load_checkpoint(path)
-
     tsv = tmp_path / "data.tsv"
     ds.write_ucr_tsv(tset, tsv)
-    assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
-                     "--out", str(tmp_path / "reps.csv")]) == 2
-    assert "warmup" in capsys.readouterr().err
+    for key, value in (("warmup", 3), ("temperature", 1.0), ("beta1", 0.9),
+                       ("kernel_sigma", 0.5)):
+        path = tmp_path / f"{key}.npz"
+        tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+        _rewrite_meta(path, lambda meta: meta["train_config"].update({key: value}))
+        message = f"{path}: unknown train_config key(s): {key}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tr.load_checkpoint(path)
+        assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
+                         "--out", str(tmp_path / "reps.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_checkpoint_rejects_an_eval_key(tmp_path):
@@ -517,22 +422,16 @@ def test_load_checkpoint_rejects_an_eval_key(tmp_path):
 
 
 @pytest.mark.parametrize("array", ["param/proj_w", "adam_m/block0_bias1", "adam_v/out_w"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, "a"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_load_checkpoint_rejects_a_non_finite_array(tmp_path, array, value):
     tset, _, cfg = _setup()
     path = tmp_path / "ckpt.npz"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
 
     def spoil(arrays):
-        if isinstance(value, str):
-            # a float64 array holds no string: spoil one member of version 1's layout
-            _as_v1(arrays)
-            arrays[array] = arrays[array].astype(type(value))
-            arrays[array].flat[-1] = value
-        else:
-            # its first value, where a lookup one span off names the weight before
-            kind, name = array.split("/")
-            arrays[kind][_span(arrays, name).start] = value
+        # its first value, where a lookup one span off names the weight before
+        kind, name = array.split("/")
+        arrays[kind][_span(arrays, name).start] = value
 
     _rewrite_arrays(path, spoil)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(array)} holds "
@@ -579,60 +478,38 @@ def test_a_nan_weight_exits_2_before_any_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("temperature", 0.5), ("beta1", 0.8), ("eps", 1e-6),
-                                       ("neighbor_window_frac", 0.5)])
-def test_load_checkpoint_rejects_retired_key_away_from_its_constant(tmp_path, capsys,
-                                                                     key, value):
+def test_a_valid_load_builds_one_train_config(tmp_path, monkeypatch):
+    # validate builds TrainConfig from each key alone only to name a bad one
     tset, _, cfg = _setup()
-    path = tmp_path / "ckpt.npz"
+    path, config = tmp_path / "ckpt.npz", tmp_path / "cfg.json"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
-    _rewrite_meta(path, lambda meta: _add_retired_keys(meta, **{key: value}))
-    with pytest.raises(ValueError, match=rf"ckpt\.npz: \w+\.{key}: {key} is retired and must be"):
-        tr.load_checkpoint(path)
+    config.write_text(json.dumps({"train": {"iters": 3}, "loss": {"lambda": 0.25}}))
+    expected = tr.TrainConfig(iters=3, lam=0.25)
+    calls = []
+    post_init = tr.TrainConfig.__post_init__
 
-    tsv = tmp_path / "data.tsv"
-    ds.write_ucr_tsv(tset, tsv)
-    assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
-                     "--out", str(tmp_path / "reps.csv")]) == 2
-    assert key in capsys.readouterr().err
+    def counting(self):
+        calls.append(self)
+        post_init(self)
 
-
-def test_retired_adam_keys_hold_the_constants_adam_runs_with():
-    assert engine_config.RETIRED_KEYS["train"] == {"beta1": tr._BETA1, "beta2": tr._BETA2,
-                                                   "eps": tr._EPS}
-
-
-def test_load_checkpoint_logs_each_retired_key_it_drops(tmp_path, caplog):
-    tset, _, cfg = _setup()
-    path = tmp_path / "ckpt.npz"
-    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
-    _rewrite_meta(path, _add_retired_keys)
-    caplog.set_level("INFO", logger="tscontrast.config")
+    monkeypatch.setattr(tr.TrainConfig, "__post_init__", counting)
+    assert engine_config.load(config).train_config == expected
+    assert len(calls) == 1
     assert tr.load_checkpoint(path)[1] == cfg
-    assert sorted(r.getMessage() for r in caplog.records) == sorted(
-        f"{path}: dropped retired key {key}" for key in (
-            "assignment.gaussian_std", "assignment.kernel_sigma",
-            "assignment.neighbor_window_frac", "loss.temperature",
-            "train.beta1", "train.beta2", "train.eps"))
+    assert len(calls) == 2
 
 
 def test_load_checkpoint_logs_its_format_at_debug_only(tmp_path, caplog):
     tset, _, cfg = _setup()
-    paths = tmp_path / "v2.npz", tmp_path / "v1.npz"
-    for path in paths:
-        tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
-    _rewrite_arrays(paths[1], _as_v1)
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
     caplog.set_level("DEBUG", logger="tscontrast.train")
-    for path in paths:
-        tr.load_checkpoint(path)
-    # depth 2 has 12 weights: 36 members beside version and meta in version 1
-    assert {(r.name, r.levelname) for r in caplog.records} == {("tscontrast.train", "DEBUG")}
-    assert [r.getMessage() for r in caplog.records] == [
-        f"{paths[0]}: checkpoint format version 2, 5 members",
-        f"{paths[1]}: checkpoint format version 1, 38 members"]
+    tr.load_checkpoint(path)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("tscontrast.train", "DEBUG", f"{path}: checkpoint format version 2, 5 members")]
     caplog.clear()
     caplog.set_level("INFO", logger="tscontrast.train")
-    tr.load_checkpoint(paths[0])
+    tr.load_checkpoint(path)
     assert not caplog.records
 
 
