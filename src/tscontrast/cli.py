@@ -25,7 +25,7 @@ log = logging.getLogger("tscontrast.cli")
 
 def _build_dataset(cfg: engine_config.EngineConfig) -> ds.TimeSeriesSet:
     section = cfg.sections["dataset"]
-    if section.get("path") is not None:
+    if section["path"] is not None:
         tset = ds.load_ucr_tsv(section["path"])
     elif "synthetic" in section:
         tset = ds.make_synthetic(**section["synthetic"])
@@ -221,7 +221,7 @@ INSTANCE_KERNEL_GRID = ("no_kernel", "gaussian", "laplacian", "sigmoid")
 METRIC_GRID = ("cos", "euc", "dtw", "tam")
 
 
-def _ablate_rows(cfg: engine_config.EngineConfig, axis: str):
+def _ablate_rows(axis: str):
     if axis == "alpha":
         for a in ALPHA_GRID:
             yield "alpha", a, {"assignment": {"alpha": a}}
@@ -247,7 +247,7 @@ def cmd_ablate(args) -> int:
     _require_croppable(tset)
     matrices = {}
     rows = []
-    for name, value, patch in _ablate_rows(base, args.axis):
+    for name, value, patch in _ablate_rows(args.axis):
         raw = base.effective()
         for section, changes in patch.items():
             raw[section] = {**raw[section], **changes}

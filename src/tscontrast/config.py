@@ -4,24 +4,19 @@ sections that builds it, plus the other sections' defaults.
 
 Precedence is flag > file > default.  Unknown keys, values not of their
 default's JSON type and out-of-range values all fail at load, before any work.
-A retired key (`RETIRED_KEYS`) of an older config file is dropped at the one
-value it may hold and fails at any other.  A checkpoint's `train_config` has
-no key but `TrainConfig`'s fields.
+A config file holds its sections' keys only; a checkpoint's `train_config`
+holds `TrainConfig`'s fields only.
 """
 from __future__ import annotations
 
 import copy
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass
 
 from . import encoder as enc
-from .assign import (GAUSSIAN_STD, INSTANCE_KERNELS, KERNEL_SIGMA, NEIGHBOR_WINDOW_FRAC,
-                     TEMPORAL_KERNELS)
+from .assign import INSTANCE_KERNELS, TEMPORAL_KERNELS
 from .distance import METRIC_PARAMS, METRICS, checked_params
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -82,18 +77,9 @@ _FIELD_KEYS = {_FIELD_NAMES.get(key, key): (section, key)
 
 _TRAIN_DEFAULTS = asdict(TrainConfig())
 
-# Keys of earlier settings that config files written by --echo-config held,
-# by section, with the one value the code runs with.
-RETIRED_KEYS = {
-    "assignment": {"kernel_sigma": KERNEL_SIGMA, "gaussian_std": GAUSSIAN_STD,
-                   "neighbor_window_frac": NEIGHBOR_WINDOW_FRAC},
-    "loss": {"temperature": 1.0},
-    "eval": {"probe_k": 1},  # the probe is 1-NN
-}
-
 # Every (section, key) with its default, which also fixes the value's JSON
-# type.  A nested dict is a subsection.  The dataset section holds only the
-# keys given: 'path' or 'synthetic'.
+# type.  A nested dict is a subsection, present only when given: the dataset
+# section holds 'path' (null when absent) and, if given, 'synthetic'.
 DEFAULTS = {
     "dataset": {
         "path": None,
@@ -141,21 +127,14 @@ def _checked(where: str, value, default):
     return value
 
 
-def _resolve(where: str, given, defaults: dict, fill: bool = True, source=None) -> dict:
-    """Check `given` key by key against `defaults`; with `fill`, a missing key
-    takes its default (a subsection only appears when given).  A retired key
-    at its value is dropped, logged at INFO with `source`."""
+def _resolve(where: str, given, defaults: dict) -> dict:
+    """Check `given` key by key against `defaults`; a missing key takes its
+    default, and a subsection only appears when given."""
     if not isinstance(given, dict):
         raise ValueError(f"section '{where}' must be an object")
-    retired = RETIRED_KEYS.get(where, {})
-    unknown = set(given) - set(defaults) - set(retired)
+    unknown = set(given) - set(defaults)
     if unknown:
         raise ValueError(f"unknown keys in '{where}': {sorted(unknown)}")
-    for key in sorted(retired.keys() & given.keys()):
-        if _checked(f"{where}.{key}", given[key], retired[key]) != retired[key]:
-            raise ValueError(f"{where}.{key}: {key} is retired and must be {retired[key]}, "
-                             f"got {json.dumps(given[key])}")
-        _log.info("%s: dropped retired key %s.%s", source, where, key)
     out = {}
     for key, default in defaults.items():
         if isinstance(default, dict):
@@ -163,23 +142,22 @@ def _resolve(where: str, given, defaults: dict, fill: bool = True, source=None) 
                 out[key] = _resolve(f"{where}.{key}", given[key], default)
         elif key in given:
             out[key] = _checked(f"{where}.{key}", given[key], default)
-        elif fill:
+        else:
             out[key] = copy.deepcopy(default)
     return out
 
 
-def validate(raw: dict, source="config") -> EngineConfig:
+def validate(raw: dict) -> EngineConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be an object")
     unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ValueError(f"unknown keys in 'config': {sorted(unknown)}")
-    sections = {section: _resolve(section, raw.get(section, {}), defaults,
-                                  fill=section != "dataset", source=source)
+    sections = {section: _resolve(section, raw.get(section, {}), defaults)
                 for section, defaults in DEFAULTS.items()}
 
     dataset = sections["dataset"]
-    if dataset.get("path") is not None and "synthetic" in dataset:
+    if dataset["path"] is not None and "synthetic" in dataset:
         raise ValueError("dataset: give either 'path' or 'synthetic', not both")
     if sections["distance"]["metric"] not in METRICS:
         raise ValueError(f"distance.metric must be one of {METRICS}")
@@ -231,6 +209,6 @@ def load(path, overrides: dict | None = None) -> EngineConfig:
                 part = raw.get(section, {})
                 if isinstance(part, dict):  # anything else is rejected by validate
                     raw[section] = {**part, key: value}
-        return validate(raw, path)
+        return validate(raw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -8,6 +8,7 @@ import hashlib
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,39 +111,43 @@ def load_ucr_tsv(path) -> TimeSeriesSet:
 
     Trailing NaN cells shorten the series; interior NaNs, infinite values
     and non-finite, non-integral or out-of-int64-range labels (|label| >=
-    2^63) are rejected with the line number.
+    2^63) are rejected with the line number, and bytes that are not UTF-8
+    with the file's path.
     """
     rows = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cells = line.split("\t")
-            if len(cells) < 2:
-                raise ValueError(f"{path}:{lineno}: need a label and at least one value")
-            try:
-                label = float(cells[0])
-                vals = np.array(cells[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-            if not math.isfinite(label):
-                raise ValueError(f"{path}:{lineno}: non-finite label")
-            if not label.is_integer():
-                raise ValueError(f"{path}:{lineno}: non-integral label")
-            if abs(label) >= 2.0 ** 63:  # past int64, where the labels are stored
-                raise ValueError(f"{path}:{lineno}: label out of range")
-            if np.isinf(vals).any():
-                raise ValueError(f"{path}:{lineno}: infinite value")
-            nan = np.isnan(vals)
-            if nan.any():
-                first = int(np.argmax(nan))
-                if not nan[first:].all():
-                    raise ValueError(f"{path}:{lineno}: interior missing values")
-                vals = vals[:first]
-            if vals.size == 0:
-                raise ValueError(f"{path}:{lineno}: series has no valid values")
-            rows.append((int(label), vals))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                cells = line.split("\t")
+                if len(cells) < 2:
+                    raise ValueError(f"{path}:{lineno}: need a label and at least one value")
+                try:
+                    label = float(cells[0])
+                    vals = np.array(cells[1:], dtype=np.float64)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+                if not math.isfinite(label):
+                    raise ValueError(f"{path}:{lineno}: non-finite label")
+                if not label.is_integer():
+                    raise ValueError(f"{path}:{lineno}: non-integral label")
+                if abs(label) >= 2.0 ** 63:  # past int64, where the labels are stored
+                    raise ValueError(f"{path}:{lineno}: label out of range")
+                if np.isinf(vals).any():
+                    raise ValueError(f"{path}:{lineno}: infinite value")
+                nan = np.isnan(vals)
+                if nan.any():
+                    first = int(np.argmax(nan))
+                    if not nan[first:].all():
+                        raise ValueError(f"{path}:{lineno}: interior missing values")
+                    vals = vals[:first]
+                if vals.size == 0:
+                    raise ValueError(f"{path}:{lineno}: series has no valid values")
+                rows.append((int(label), vals))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     t_max = max(v.size for _, v in rows)
@@ -244,11 +249,11 @@ def make_synthetic(
 ) -> TimeSeriesSet:
     """Deterministic desk-scale corpus of unit-amplitude waves.  Each class
     spec is a dict with exactly the keys kind ('sine' | 'square' | 'sawtooth')
-    and freq (cycles over the series).  Phase is random per series."""
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if length < 8:
-        raise ValueError("length must be >= 8")
+    and freq (cycles over the series), a number whose phase 2*pi*freq is
+    finite.  Phase is random per series."""
+    for name, value, lowest in (("n_per_class", n_per_class, 1), ("length", length, 8)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+            raise ValueError(f"{name} must be an int >= {lowest}, got {value!r}")
     if not classes:
         raise ValueError("need at least one class spec")
     if (isinstance(noise_std, bool) or not isinstance(noise_std, numbers.Real)
@@ -256,15 +261,18 @@ def make_synthetic(
         raise ValueError(f"noise_std must be a finite number >= 0, got {noise_std!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-    for spec in classes:
+    for i, spec in enumerate(classes):
         if not isinstance(spec, dict) or spec.get("kind") not in _WAVEFORMS:
-            raise ValueError(f"class spec needs a known waveform 'kind': {spec!r}")
+            raise ValueError(f"classes[{i}]: class spec needs a known waveform 'kind': {spec!r}")
         freq = spec.get("freq")
-        if isinstance(freq, bool) or not isinstance(freq, numbers.Real) or not freq > 0:
-            raise ValueError(f"class spec needs a positive numeric 'freq': {spec!r}")
+        # min() keeps an int too large for a float from overflowing the product
+        if (isinstance(freq, bool) or not isinstance(freq, numbers.Real) or not freq > 0
+                or not math.isfinite(2 * math.pi * min(freq, sys.float_info.max))):
+            raise ValueError(f"classes[{i}]: class spec needs a positive numeric 'freq' "
+                             f"whose phase 2*pi*freq is finite: {spec!r}")
         unknown = set(spec) - {"kind", "freq"}
         if unknown:
-            raise ValueError(f"unknown class spec keys: {sorted(unknown)}")
+            raise ValueError(f"classes[{i}]: unknown class spec keys: {sorted(unknown)}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     t = np.arange(length) / length
     all_vals, labels = [], []

@@ -271,11 +271,16 @@ def threshold_anomalies(scores, labels=None, *, c: float):
     """Static mean + c*stdev threshold; returns (binary flags, EvalReport).
 
     `c` has no default of its own: the CLI passes the config's `eval.anomaly_c`.
-    Precision/recall/F1 are filled in when ground-truth labels are given.
+    Precision/recall/F1 are filled in when ground-truth labels are given.  A
+    score that is not finite is an error naming its timestamp, the first if
+    there are several.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("scores must be nonempty")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"anomaly score at timestamp {bad[0]} is not finite: {scores[bad[0]]}")
     threshold = scores.mean() + c * scores.std()
     flags = scores > threshold
     report = EvalReport(task="anomaly", config={"c": c, "threshold": float(threshold)})

@@ -5,6 +5,7 @@ import pytest
 
 import tscontrast as tc
 from tscontrast import assign as asg
+from tscontrast import config
 from tscontrast import distance as dist
 from tscontrast import encoder as enc
 from tscontrast import loss as losses
@@ -17,13 +18,14 @@ def test_every_exported_name_resolves_once():
 
 
 @pytest.mark.parametrize("name", ["dtw_path", "euclidean", "cosine_dist", "EncoderConfig",
-                                  "kl_identity_check", "normalize_assignments"])
+                                  "kl_identity_check", "normalize_assignments", "RETIRED_KEYS"])
 def test_deleted_names_stay_gone(name):
     # pairwise is the one entry point of euc and cos, and no caller reads a
-    # path; a model's architecture is read from its weights; and the loss's
-    # scaled-KL form is checked against the oracle's transcription
+    # path; a model's architecture is read from its weights; the loss's
+    # scaled-KL form is checked against the oracle's transcription; and a
+    # config file holds its sections' keys only
     assert not hasattr(tc, name)
-    for module in (asg, dist, enc, losses):
+    for module in (asg, config, dist, enc, losses):
         assert not hasattr(module, name)
 
 

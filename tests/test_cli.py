@@ -147,17 +147,22 @@ def test_a_param_the_metric_does_not_read_keeps_the_cache_hit(tmp_path, capsys, 
     assert list(cache.iterdir()) == [_cache_file(cache, _dataset(), metric)]
 
 
-def test_echo_config_from_before_the_widths_were_retired_still_loads(tmp_path, capsys):
-    old = engine_config.validate({}).effective()
-    old["assignment"].update(kernel_sigma=0.5, neighbor_window_frac=0.3, gaussian_std=1.0)
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(old))
-    assert engine_config.load(path).train_config == tr.TrainConfig()
-    old["assignment"]["gaussian_std"] = 2.0
-    path.write_text(json.dumps(old))
-    assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "d.bin")]) == 2
-    assert ("assignment.gaussian_std: gaussian_std is retired and must be 1.0, got 2.0"
-            in capsys.readouterr().err)
+# settings retired from config files, each at the one value the code runs with
+@pytest.mark.parametrize("section,key,value", [
+    ("assignment", "kernel_sigma", 0.5), ("assignment", "gaussian_std", 1.0),
+    ("assignment", "neighbor_window_frac", 0.3), ("loss", "temperature", 1.0),
+    ("eval", "probe_k", 1)])
+def test_a_retired_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
+    cache, out = tmp_path / "cache", tmp_path / "d.bin"
+    path = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)},
+                   **{section: {key: value}})
+    message = f"{path}: unknown keys in '{section}': ['{key}']"
+    with pytest.raises(ValueError) as error:
+        engine_config.load(path)
+    assert str(error.value) == message
+    assert cli.main(["distances", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not cache.exists()
 
 
 @pytest.mark.parametrize("command", ["distances", "pretrain"])
@@ -307,6 +312,24 @@ def test_evaluate_anomaly(tmp_path, capsys):
                      "--scores-out", str(scores_out)]) == 0
     assert "task: anomaly" in capsys.readouterr().out
     assert np.loadtxt(scores_out, delimiter=",").shape == (32,)
+
+
+def test_evaluate_anomaly_with_a_non_finite_score_writes_nothing(tmp_path, capsys, monkeypatch):
+    tset = ds.make_synthetic(1, 16, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    # what a model whose activations overflow scores
+    monkeypatch.setattr(cli.ev, "anomaly_scores",
+                        lambda model, series: np.where(np.arange(16) >= 5, np.nan, 1.0))
+    scores_out, out = tmp_path / "scores.csv", tmp_path / "report.csv"
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv),
+                     "--scores-out", str(scores_out), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: anomaly score at timestamp 5 is not finite: nan\n"
+    assert not scores_out.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("axis,expected_rows", [
@@ -542,22 +565,6 @@ def test_evaluate_anomaly_labels_file_errors_name_the_file_and_line(tmp_path, ca
     assert capsys.readouterr().err == f"error: {labels}: {message}\n"
 
 
-def test_echo_config_from_before_the_probe_was_1nn_still_loads(tmp_path, capsys, caplog):
-    old = engine_config.validate({}).effective()
-    old["eval"] = {"probe_k": 1, "anomaly_c": 3.0}  # as --echo-config wrote it
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(old))
-    caplog.set_level("INFO", logger="tscontrast.config")
-    assert engine_config.load(path).effective() == engine_config.validate({}).effective()
-    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("INFO", f"{path}: dropped retired key eval.probe_k")]
-    old["eval"]["probe_k"] = 3
-    path.write_text(json.dumps(old))
-    assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "d.bin")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {path}: eval.probe_k: probe_k is retired and must be 1, got 3\n")
-
-
 @st.composite
 def _ragged_set(draw):
     """A small random encoder and a zero-padded set of 2-6 series of lengths 4-80."""
@@ -607,7 +614,8 @@ def test_encode_full_holds_each_series_as_if_alone_and_0_past_its_length(tmp_pat
 
 
 @pytest.mark.parametrize("key,value", [("noise_std", -0.5), ("noise_std", float("nan")),
-                                       ("noise_std", True), ("seed", -1), ("seed", True)])
+                                       ("noise_std", True), ("seed", -1), ("seed", True),
+                                       ("classes", [{"kind": "sine", "freq": 1e308}])])
 def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, value):
     synthetic = {"n_per_class": 3, "length": 16, "seed": 2, "noise_std": 0.1,
                  "classes": [{"kind": "sine", "freq": 2.0}], key: value}

@@ -176,10 +176,6 @@ def test_every_train_config_field_is_a_config_key():
             for keys in engine_config._TRAIN_SECTIONS.values() for key in keys}
     assert {f.name for f in fields(TrainConfig)} == keys
     assert {".".join(path) for path, _ in LEAVES} == _SETTABLE_KEYS
-    retired = {f"{section}.{key}" for section, keys in engine_config.RETIRED_KEYS.items()
-               for key in keys}
-    assert len(retired) == 5 and not retired & _SETTABLE_KEYS
-    assert not {key.split(".")[1] for key in retired} & keys
 
 
 # one out-of-range value for every TrainConfig rule, and NaN and infinity for
@@ -196,8 +192,7 @@ _TRAIN_RULE_CASES = [
       for value in (math.nan, math.inf)],
     ("train", "lr", math.nan), ("train", "lr", math.inf),
 ]
-# retired keys away from their one value: a config file fails naming the key,
-# and TrainConfig has no such field
+# the kernel widths are constants of assign, so TrainConfig has no such field
 _RETIRED_CASES = [
     ("assignment", "kernel_sigma", 0), ("assignment", "neighbor_window_frac", 0),
     ("assignment", "gaussian_std", 0),
@@ -206,7 +201,7 @@ _RETIRED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES + _RETIRED_CASES)
+@pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES)
 def test_sub_config_rule_names_the_key(section, key, value):
     with pytest.raises(ValueError, match=re.escape(f"{section}.{key}: ")):
         engine_config.validate({section: {key: value}})
@@ -214,45 +209,11 @@ def test_sub_config_rule_names_the_key(section, key, value):
 
 @pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES + _RETIRED_CASES)
 def test_train_config_checks_its_own_fields(section, key, value):
-    # Python callers get the same rules as a config file; a retired key is
-    # not a field at all
+    # Python callers get the same rules as a config file; a retired setting
+    # is not a field at all
     error = TypeError if (section, key, value) in _RETIRED_CASES else ValueError
     with pytest.raises(error):
         TrainConfig(**{engine_config._FIELD_NAMES.get(key, key): value})
-
-
-def _retired_at_their_values():
-    return {section: dict(keys) for section, keys in engine_config.RETIRED_KEYS.items()}
-
-
-def test_retired_keys_at_their_values_build_the_same_train_config(caplog):
-    # what --echo-config wrote before the widths were retired, plus the rest
-    raw = _retired_at_their_values()
-    raw["assignment"].update(kernel_sigma=0.5, gaussian_std=1, tau_inst=3.0)
-    caplog.set_level("INFO", logger="tscontrast.config")
-    resolved = engine_config.validate(raw, source="old.json")
-    assert resolved.train_config == TrainConfig(tau_inst=3.0)
-    assert resolved.effective() == engine_config.validate(
-        {"assignment": {"tau_inst": 3.0}}).effective()
-    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("tscontrast.config", "INFO", f"old.json: dropped retired key {section}.{key}")
-        for section, keys in engine_config.RETIRED_KEYS.items() for key in sorted(keys)]
-
-
-@pytest.mark.parametrize("value", [0.25, True, "0.5", None])
-def test_retired_key_away_from_its_value_names_the_key(value):
-    with pytest.raises(ValueError, match=re.escape("assignment.kernel_sigma")):
-        engine_config.validate({"assignment": {"kernel_sigma": value}})
-
-
-def test_dropping_retired_keys_formats_nothing_when_info_is_off(caplog):
-    class Source:
-        def __str__(self):
-            raise AssertionError("formatted with INFO off")
-
-    caplog.set_level("WARNING", logger="tscontrast.config")
-    engine_config.validate(_retired_at_their_values(), source=Source())
-    assert caplog.records == []
 
 
 _TWO_SERIES = ds.TimeSeriesSet(values=np.arange(8.0).reshape(2, 4, 1), lengths=[4, 4])
@@ -265,13 +226,6 @@ def test_distance_params_fail_as_in_pairwise(key, value):
         dist.pairwise(_TWO_SERIES, {"radius": "fastdtw", "band": "dtw"}[key], {key: value})
     with pytest.raises(ValueError, match=re.escape(f"distance.{key}: {pairwise_error.value}")):
         engine_config.validate({"distance": {key: value}})
-
-
-@pytest.mark.parametrize("value", [0, 3, 1.0, None])
-def test_probe_k_away_from_one_names_the_key(value):
-    # the probe is 1-NN: an older file's probe_k loads at 1 only
-    with pytest.raises(ValueError, match=r"^eval\.probe_k\b"):
-        engine_config.validate({"eval": {"probe_k": value}})
 
 
 @pytest.mark.parametrize("text,message", [

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,11 @@ def test_tsv_empty_and_malformed(tmp_path):
     bad.write_text("1\tabc\n")
     with pytest.raises(ValueError, match="non-numeric"):
         ds.load_ucr_tsv(bad)
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"1\t0.5\n2\t0.25\xe9\n")  # an e-acute in Latin-1
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{latin1}: 'utf-8' codec can't decode byte 0xe9 in position 12")):
+        ds.load_ucr_tsv(latin1)
 
 
 def test_znormalize_stats():
@@ -128,7 +134,8 @@ _CELLS = st.lists(st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(str),
     st.integers(-10 ** 20, 10 ** 20).map(str),
     st.sampled_from(_ODD_CELLS),
-    st.text(st.characters(blacklist_characters="\t\n\r"), max_size=6)), min_size=1, max_size=8)
+    st.text(st.characters(blacklist_characters="\t\n\r", codec="utf-8"), max_size=6)),
+    min_size=1, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,6 +239,17 @@ def test_make_synthetic_rejects_bad_seed(value):
         ds.make_synthetic(2, 16, _CLASSES, seed=value)
 
 
+@pytest.mark.parametrize("name,lowest,value", [
+    ("n_per_class", 1, 0), ("n_per_class", 1, True), ("n_per_class", 1, 2.0),
+    ("length", 8, 7), ("length", 8, 8.5), ("length", 8, True), ("length", 8, "16")])
+def test_make_synthetic_rejects_bad_sizes(name, lowest, value):
+    # a float length of 8.5 once made 9 steps stored as 8
+    sizes = {"n_per_class": 2, "length": 16, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int >= {lowest}, "
+                                                   f"got {value!r}")):
+        ds.make_synthetic(sizes["n_per_class"], sizes["length"], _CLASSES)
+
+
 def test_crop_two_views_invariants():
     tset = ds.make_synthetic(3, 20, [{"kind": "sine", "freq": 2.0}], seed=0)
     for seed in range(50):
@@ -318,7 +336,11 @@ def test_ragged_crop_reaches_every_step_of_the_longest_series():
 
 @pytest.mark.parametrize("spec", [5, "sine", {"kind": "sine", "freq": "2"},
                                   {"kind": "sine", "freq": True}, {"kind": "sine"},
-                                  {"kind": "sine", "freq": 2.0, "amplitude": 1.0}])
+                                  {"kind": "sine", "freq": 2.0, "amplitude": 1.0},
+                                  # 2*pi*freq overflows to infinity
+                                  {"kind": "sine", "freq": math.inf},
+                                  {"kind": "sine", "freq": 1e308},
+                                  {"kind": "sine", "freq": 10 ** 400}])
 def test_make_synthetic_rejects_malformed_class_spec(spec):
     with pytest.raises(ValueError, match="class spec"):
         ds.make_synthetic(2, 16, [spec])

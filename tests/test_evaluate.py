@@ -423,6 +423,11 @@ def test_threshold_anomalies():
         ev.threshold_anomalies(np.array([]), c=1.0)
     with pytest.raises(ValueError):
         ev.threshold_anomalies(scores, labels=labels[:3], c=1.0)
+    for value in (np.nan, np.inf, -np.inf):  # a NaN threshold once read F1 0.0
+        bad = np.array([1.0, value, 1.0, value])
+        with pytest.raises(ValueError, match=rf"^anomaly score at timestamp 1 is not finite: "
+                                             rf"{re.escape(str(value))}$"):
+            ev.threshold_anomalies(bad, labels=labels[:4], c=1.0)
 
 
 def test_report_text_and_csv(tmp_path):
