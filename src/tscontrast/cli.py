@@ -245,18 +245,21 @@ def cmd_ablate(args) -> int:
     _echo_config(base, args)
     tset = _build_dataset(base)
     _require_croppable(tset)
-    matrices = {}
+    key = matrix = None
     rows = []
     for name, value, patch in _ablate_rows(args.axis):
         raw = base.effective()
         for section, changes in patch.items():
             raw[section] = {**raw[section], **changes}
         cfg = engine_config.validate(raw)
-        key = _distance_key(cfg.sections["distance"])
-        if key not in matrices:
-            matrices[key] = _distance_matrix(cfg, tset)
+        # an axis yields each matrix's rows together: hold the current N x N
+        # matrix only, and drop it before the next one is built
+        row_key = _distance_key(cfg.sections["distance"])
+        if row_key != key:
+            key, matrix = row_key, None
+            matrix = _distance_matrix(cfg, tset)
         state = tr.TrainState.fresh(cfg.train_config, tset.dims)
-        _, history = tr.pretrain(tset, matrices[key], cfg.train_config, state=state)
+        _, history = tr.pretrain(tset, matrix, cfg.train_config, state=state)
         report = _probe_split(tset, state.model)
         rows.append([name, value, history[-1][1].total if history else float("nan"),
                      report.accuracy])

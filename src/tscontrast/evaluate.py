@@ -273,7 +273,9 @@ def threshold_anomalies(scores, labels=None, *, c: float):
     `c` has no default of its own: the CLI passes the config's `eval.anomaly_c`.
     Precision/recall/F1 are filled in when ground-truth labels are given.  A
     score that is not finite is an error naming its timestamp, the first if
-    there are several.
+    there are several.  So is a threshold that is not finite, naming the
+    scores' range and `c`: finite scores near the float64 limit can overflow
+    the mean or the stdev.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -281,7 +283,11 @@ def threshold_anomalies(scores, labels=None, *, c: float):
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise ValueError(f"anomaly score at timestamp {bad[0]} is not finite: {scores[bad[0]]}")
-    threshold = scores.mean() + c * scores.std()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+        threshold = scores.mean() + c * scores.std()
+    if not np.isfinite(threshold):
+        raise ValueError(f"anomaly threshold mean + c * stdev is not finite ({threshold}) for "
+                         f"scores in [{scores.min()}, {scores.max()}] with c={c}")
     flags = scores > threshold
     report = EvalReport(task="anomaly", config={"c": c, "threshold": float(threshold)})
     if labels is not None:

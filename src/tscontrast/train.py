@@ -89,7 +89,9 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
     """Optimize the joint objective; returns (model, list of per-step logs).
 
     Deterministic per seed; resuming from a checkpointed state reproduces the
-    uninterrupted run bitwise.
+    uninterrupted run bitwise.  A run holds one step's graph at a time: each
+    step's graph is freed when the step ends, after its Adam update and
+    before the next step's forward pass builds its own.
     """
     if dist.n != tset.n:
         raise ValueError(f"distance matrix is {dist.n}x{dist.n} but the set has {tset.n} series")
@@ -117,6 +119,12 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         _adam_step(state, cfg)
         state.step += 1
         history.append((state.step, breakdown))
+        # `total` is the last reference to this step's graph, its activations
+        # and interior adjoints: drop it here, or it lives on through the next
+        # step's forward pass until `total` is rebound.  Dropped after the
+        # Adam update, not before: freed before it, a one-step `pretrain` call
+        # faulted ~1100 more pages per step (glibc malloc, CPython 3.11)
+        del total
     if log_path is not None:
         write_log_csv(history, log_path)
     return state.model, history

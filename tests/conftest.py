@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,25 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(1234)))
+
+
+def _peak_bytes(fn, warm_up=False) -> int:
+    """The most bytes tracemalloc holds while `fn()` runs.  With `warm_up`,
+    one untraced call first keeps lazy set-up out of the figure."""
+    if warm_up:
+        fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    """`peak_bytes(fn, warm_up=False)`: the tracemalloc peak of `fn()`."""
+    return _peak_bytes
 
 
 class _FullDisk:

@@ -1,4 +1,7 @@
+import gc
 import json
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -332,6 +335,25 @@ def test_evaluate_anomaly_with_a_non_finite_score_writes_nothing(tmp_path, capsy
     assert not scores_out.exists() and not out.exists()
 
 
+def test_evaluate_anomaly_with_an_overflowing_threshold_exits_2(tmp_path, capsys, monkeypatch):
+    tset = ds.make_synthetic(1, 16, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    # finite scores whose mean and stdev overflow float64
+    monkeypatch.setattr(cli.ev, "anomaly_scores",
+                        lambda model, series: np.where(np.arange(16) % 2, 1e308, -1e308))
+    out = tmp_path / "report.csv"
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv), "--out", str(out)]) == 2
+    assert re.fullmatch(r"error: anomaly threshold mean \+ c \* stdev is not finite \((?:inf|nan)\) "
+                        r"for scores in \[-1e\+308, 1e\+308\] with c=3\.0\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis,expected_rows", [
     ("alpha", 4), ("assignment", 8), ("metric", 4), ("hierarchy", 2),
 ])
@@ -396,6 +418,23 @@ def test_ablate_computes_shared_matrix_once(tmp_path, capsys, monkeypatch):
                      "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 1 + 8
     assert calls == ["euc"]
+
+
+def test_ablate_holds_one_distance_matrix_at_a_time(tmp_path, capsys, monkeypatch):
+    # the metric axis once kept all four N x N matrices until the sweep ended
+    seen, real = [], tr.pretrain
+
+    def spy(tset, dm, cfg, state=None, log_path=None):
+        seen.append(weakref.ref(dm))
+        gc.collect()
+        assert [ref() is not None for ref in seen] == [False] * (len(seen) - 1) + [True]
+        return real(tset, dm, cfg, state=state, log_path=log_path)
+
+    monkeypatch.setattr(cli.tr, "pretrain", spy)
+    out = tmp_path / "ablate.csv"
+    assert cli.main(["ablate", "--config", _config(tmp_path), "--axis", "metric",
+                     "--out", str(out)]) == 0
+    assert len(seen) == len(cli.METRIC_GRID)
 
 
 def test_config_rejects_negative_band(tmp_path, capsys):

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import struct
-import tracemalloc
 import types
 from unittest import mock
 
@@ -395,19 +394,9 @@ def test_ragged_pairs_share_tables(monkeypatch, metric, params):
     assert len(_dp_calls(monkeypatch, tset, metric, params)) < 22
 
 
-def _peak_bytes(fn):
-    fn()  # lazy set-up outside the trace
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("ragged", [False, True], ids=["60x64", "ragged"])
 @pytest.mark.parametrize("params", [None, {"band": 8}, {"band": 100}])
-def test_dtw_passes_hold_no_more_than_a_whole_table_pass(ragged, params):
+def test_dtw_passes_hold_no_more_than_a_whole_table_pass(ragged, params, peak_bytes):
     # 31 whole 64 x 64 skewed tables, the most one pass of the 60 x 64 set
     # holds when it keeps every cell, peak at 2 273 742 bytes or more under
     # tracemalloc (numpy 2.4, Python 3.11); hundreds of pairs in rings of three
@@ -418,7 +407,7 @@ def test_dtw_passes_hold_no_more_than_a_whole_table_pass(ragged, params):
         tset = _ragged_set([rng.normal(size=(t, 1)) for t in lengths])
     else:
         tset = ds.TimeSeriesSet(values=rng.normal(size=(60, 64, 1)), lengths=[64] * 60)
-    assert _peak_bytes(lambda: dist.pairwise(tset, "dtw", params)) <= 2_273_000
+    assert peak_bytes(lambda: dist.pairwise(tset, "dtw", params), warm_up=True) <= 2_273_000
 
 
 def test_pairwise_logs_its_passes_at_debug_only(caplog):
@@ -541,13 +530,13 @@ def test_built_matrix_values_are_read_only(tmp_path):
         assert 0.0 <= matrix.values.min() and matrix.values.max() <= 1.0
 
 
-def test_load_matrix_holds_one_copy_of_the_values(tmp_path):
+def test_load_matrix_holds_one_copy_of_the_values(tmp_path, peak_bytes):
     """Read into the one [N, N] array it returns: at N = 1000 the peak stays
     near the 8 MB of values (26.1 MB when the file's bytes, their body slice
     and a copy were held at once)."""
     path = tmp_path / "m.bin"
     dist.save_matrix(_symmetric_matrix(1000), path)
-    assert _peak_bytes(lambda: dist.load_matrix(path)) <= 1.2 * 8 * 1000 * 1000
+    assert peak_bytes(lambda: dist.load_matrix(path), warm_up=True) <= 1.2 * 8 * 1000 * 1000
 
 
 @pytest.mark.parametrize("change", ["short", "long", "huge-n"])

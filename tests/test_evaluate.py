@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -76,17 +75,12 @@ def test_probe_blocks_keep_the_unblocked_report(cells, depth):
 
 
 @pytest.mark.parametrize("n_test", [200, 2000])
-def test_probe_memory_does_not_grow_with_the_test_rows(n_test):
+def test_probe_memory_does_not_grow_with_the_test_rows(n_test, peak_bytes):
     # unblocked, the [n_test, 500, 16] differences alone were 12.8 and 128 MB
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
     train, test = rng.normal(size=(500, 16)), rng.normal(size=(n_test, 16))
     labels, test_labels = rng.integers(0, 5, 500), rng.integers(0, 5, n_test)
-    tracemalloc.start()
-    try:
-        ev.classify_probe(train, labels, test, test_labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: ev.classify_probe(train, labels, test, test_labels))
     # a block's differences and their squares, plus what grows with n_test
     assert peak < 2.5 * 8 * ev.PROBE_CELLS
 
@@ -392,22 +386,13 @@ def test_anomaly_scores_compute_no_debug_record_when_debug_is_off(caplog, monkey
     assert ev.anomaly_scores(model, np.zeros((16, 1))).shape == (16,)
 
 
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_anomaly_scores_memory_stays_near_one_encode(rng):
+def test_anomaly_scores_memory_stays_near_one_encode(rng, peak_bytes):
     """Depth 4 gives 61-step windows; all 4096 of them in one batch would
     take ~60x the memory of one encode of the series."""
     model = enc.init_encoder(TrainConfig(hidden=8, repr_dims=4, depth=4), 1)
     series = rng.normal(size=(4096, 1))
-    one_encode = _peak_bytes(lambda: enc.encode(model, series[None]))
-    scoring = _peak_bytes(lambda: ev.anomaly_scores(model, series))
+    one_encode = peak_bytes(lambda: enc.encode(model, series[None]))
+    scoring = peak_bytes(lambda: ev.anomaly_scores(model, series))
     assert scoring <= 4 * one_encode, (scoring, one_encode)
 
 
@@ -428,6 +413,19 @@ def test_threshold_anomalies():
         with pytest.raises(ValueError, match=rf"^anomaly score at timestamp 1 is not finite: "
                                              rf"{re.escape(str(value))}$"):
             ev.threshold_anomalies(bad, labels=labels[:4], c=1.0)
+
+
+@pytest.mark.parametrize("scores,c", [([1e308, 1e308, -1e308, 1e308], 3.0),
+                                      ([0.0, 10.0, 0.0, 10.0], 1e308)],
+                         ids=["overflowing-scores", "overflowing-c"])
+def test_threshold_anomalies_rejects_a_threshold_that_overflows(scores, c):
+    # finite scores whose mean or stdev overflows once gave threshold=inf and F1 0.0
+    scores = np.array(scores)
+    message = (rf"^anomaly threshold mean \+ c \* stdev is not finite \((?:inf|nan)\) for scores in "
+               rf"\[{re.escape(str(scores.min()))}, {re.escape(str(scores.max()))}\] "
+               rf"with c={re.escape(str(c))}$")
+    with pytest.raises(ValueError, match=message):
+        ev.threshold_anomalies(scores, c=c)
 
 
 def test_report_text_and_csv(tmp_path):

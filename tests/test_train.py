@@ -513,7 +513,7 @@ def test_load_checkpoint_logs_its_format_at_debug_only(tmp_path, caplog):
     assert not caplog.records
 
 
-def test_pretrain_holds_no_n_by_n_weight_matrix():
+def test_pretrain_holds_no_n_by_n_weight_matrix(peak_bytes):
     # one step at N = 1000 builds the batch's weights from its block alone
     n = 1000
     tset = ds.TimeSeriesSet(values=np.tile(np.sin(np.arange(16.0))[:, None], (n, 1, 1)),
@@ -525,13 +525,27 @@ def test_pretrain_holds_no_n_by_n_weight_matrix():
     dm = dist.DistanceMatrix(values, "euc")
     cfg = tr.TrainConfig(iters=1, batch_size=4, hidden=4, repr_dims=2, depth=1)
     state = tr.TrainState.fresh(cfg, 1)
-    tracemalloc.start()
-    try:
-        tr.pretrain(tset, dm, cfg, state=state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8
+    assert peak_bytes(lambda: tr.pretrain(tset, dm, cfg, state=state)) < n * n * 8
+
+
+def test_pretrain_holds_one_step_graph_at_a_time(monkeypatch, peak_bytes):
+    """Each step's graph dies before the next step builds its own: at ragged-ucr's
+    sizes one step's graph takes ~16 MiB, which step k - 1 used to hold at the
+    entry of step k's forward pass (and through it)."""
+    tset = ds.znormalize(ds.make_synthetic(20, 128, [{"kind": "sine", "freq": 3.0}],
+                                           noise_std=0.05, seed=11))
+    cfg = tr.TrainConfig(iters=3, lam=0.0, mask_mode="binomial", seed=3, hidden=16, depth=3)
+    held, real = [], tr.evaluate_batch_loss
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(tr, "evaluate_batch_loss", spy)
+    peak = peak_bytes(lambda: tr.pretrain(tset, dist.pairwise(tset, "euc"), cfg))
+    assert len(held) == 3
+    assert peak - held[0] >= 10 * 2 ** 20  # the one-step graph this test needs
+    assert all(bytes_ - held[0] <= 2 ** 20 for bytes_ in held[1:]), held
 
 
 # SHA-256 of each model's parameters (sorted by name) after 30 steps on the
