@@ -1,8 +1,11 @@
 """Minimal reverse-mode autodiff on dense float64 numpy arrays.
 
-The graph lives on the tensors themselves: every op records its parents and
-a closure that pushes the adjoint back to them.  `backward` walks the graph
-once in reverse topological order.  Only what the encoder and the contrastive
+The graph lives on the tensors themselves: an op whose output requires a
+gradient records its parents and a closure that pushes the adjoint back to
+them.  An output that no input needs a gradient for keeps neither, so a
+forward pass on weights that need none (inference) holds no tape: each
+activation is freed once nothing reads it.  `backward` walks the graph once
+in reverse topological order.  Only what the encoder and the contrastive
 losses need is implemented, plus `transpose` and `masked_log_softmax`, kept as
 general ops; everything is float64.
 """
@@ -22,8 +25,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents)
-        self._backward = backward
+        # a constant keeps no tape: the closure and parents die with the op
+        self._parents = tuple(parents) if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -171,9 +175,7 @@ def tslice(a, key) -> Tensor:
     a = as_tensor(a)
     out_data = a.data[key]
 
-    def bwd(g):
-        if not a.requires_grad:
-            return
+    def bwd(g):  # kept only when `a` requires a gradient
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[key] += g  # basic slicing only, so indices never repeat
@@ -333,9 +335,14 @@ def max_pool1d(x, m: int) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every reachable tensor."""
+    """Accumulate gradients of a scalar loss into every reachable tensor.
+
+    Raises ValueError unless the loss is a scalar that requires a gradient:
+    one that needs none has no tape, and would leave every `.grad` unset."""
     if loss.data.shape != ():
         raise ValueError("backward root must be a scalar")
+    if not loss.requires_grad:
+        raise ValueError("backward root requires no gradient: no input of its graph does")
     topo, seen = [], set()
     stack = [(loss, False)]
     while stack:

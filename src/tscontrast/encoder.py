@@ -22,7 +22,7 @@ KERNEL_SIZE = 3  # taps per dilated convolution
 @dataclass
 class EncoderModel:
     """A model is its weights: every reader takes the architecture from them."""
-    params: dict          # name -> Tensor (requires_grad)
+    params: dict          # name -> Tensor; requires_grad from init_encoder and while pretrain runs
 
     @property
     def depth(self) -> int:

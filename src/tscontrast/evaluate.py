@@ -236,6 +236,7 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"series value at timestamp {bad[0]} is not finite")
     length = series.shape[0]
+    projected = enc.project(model, series[None])  # checks the width, even of no steps
     plan = _cone_plan(model.depth)
     stages = [stage for block in plan for stage in block[:2]]
     per_chunk = max(1, WINDOW_ROWS // max(stage.gather.offsets.size for stage in stages))
@@ -244,7 +245,7 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
                    length, -(-length // per_chunk), sum(stage.taps[0].size for stage in stages))
     if length == 0:
         return np.empty(0)
-    out, blocks = enc.residual_stream(model, enc.project(model, series[None]))
+    out, blocks = enc.residual_stream(model, projected)
     hidden = model.params["proj_w"].shape[1]
     at_t = np.empty((length, hidden))  # the residual stream at t, t hidden
     for lo in range(0, length, per_chunk):

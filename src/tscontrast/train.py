@@ -92,6 +92,10 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
     uninterrupted run bitwise.  A run holds one step's graph at a time: each
     step's graph is freed when the step ends, after its Adam update and
     before the next step's forward pass builds its own.
+
+    The state's weights require gradients while the run lasts, and no longer
+    once it returns or raises: the model it returns, like the state it
+    trained, then encodes and scores with no autodiff tape.
     """
     if dist.n != tset.n:
         raise ValueError(f"distance matrix is {dist.n}x{dist.n} but the set has {tset.n} series")
@@ -102,29 +106,39 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
     history = []
     n = tset.n
     bs = min(cfg.batch_size, n)
-    while state.step < cfg.iters:
-        # each step draws its own batch so a resumed run replays identically
-        idx = state.rng.choice(n, size=bs, replace=False)
-        crop_seed = int(state.rng.integers(0, 2 ** 32))
-        mask_seed = int(state.rng.integers(0, 2 ** 32))
-        batch = tset.subset(idx)
-        # the kernels act cell by cell: the batch's block of the distances
-        # gives the weights of the whole matrix's block, with no N x N copy
-        w_batch = asg.w_instance(DistanceMatrix(dist.values[np.ix_(idx, idx)], dist.metric), cfg)
-        total, breakdown = evaluate_batch_loss(state, batch, w_batch, cfg, crop_seed, mask_seed)
-        if not np.isfinite(total.data):
-            raise RuntimeError(f"non-finite loss at step {state.step}{_culprit(breakdown)}; aborting")
-        ad.zero_grads(state.model.params.values())
-        ad.backward(total)
-        _adam_step(state, cfg)
-        state.step += 1
-        history.append((state.step, breakdown))
-        # `total` is the last reference to this step's graph, its activations
-        # and interior adjoints: drop it here, or it lives on through the next
-        # step's forward pass until `total` is rebound.  Dropped after the
-        # Adam update, not before: freed before it, a one-step `pretrain` call
-        # faulted ~1100 more pages per step (glibc malloc, CPython 3.11)
-        del total
+    params = state.model.params.values()
+    for p in params:
+        p.requires_grad = True
+    try:
+        while state.step < cfg.iters:
+            # each step draws its own batch so a resumed run replays identically
+            idx = state.rng.choice(n, size=bs, replace=False)
+            crop_seed = int(state.rng.integers(0, 2 ** 32))
+            mask_seed = int(state.rng.integers(0, 2 ** 32))
+            batch = tset.subset(idx)
+            # the kernels act cell by cell: the batch's block of the distances
+            # gives the weights of the whole matrix's block, with no N x N copy
+            w_batch = asg.w_instance(DistanceMatrix(dist.values[np.ix_(idx, idx)], dist.metric),
+                                     cfg)
+            total, breakdown = evaluate_batch_loss(state, batch, w_batch, cfg, crop_seed, mask_seed)
+            if not np.isfinite(total.data):
+                raise RuntimeError(f"non-finite loss at step {state.step}"
+                                   f"{_culprit(breakdown)}; aborting")
+            ad.zero_grads(params)
+            ad.backward(total)
+            _adam_step(state, cfg)
+            state.step += 1
+            history.append((state.step, breakdown))
+            # `total` is the last reference to this step's graph, its
+            # activations and interior adjoints: drop it here, or it lives on
+            # through the next step's forward pass until `total` is rebound.
+            # Dropped after the Adam update, not before: freed before it, a
+            # one-step `pretrain` call faulted ~1100 more pages per step
+            # (glibc malloc, CPython 3.11)
+            del total
+    finally:
+        for p in params:
+            p.requires_grad = False
     if log_path is not None:
         write_log_csv(history, log_path)
     return state.model, history
@@ -216,6 +230,9 @@ def load_checkpoint(path):
     shape are rejected, and so is a weight or Adam moment that is not finite.
     A missing or malformed field raises a ValueError naming the file and the
     field.  Logs the file and its member count at DEBUG.
+
+    The weights require no gradient, so encoding and scoring with them keeps
+    no autodiff tape; `pretrain` on the state marks them while it trains.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is bad
@@ -243,7 +260,7 @@ def load_checkpoint(path):
         maps = _split_flat(path, arrays, layout)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
-    params = {name: ad.Tensor(a, requires_grad=True) for name, a in maps["param"].items()}
+    params = {name: ad.Tensor(a) for name, a in maps["param"].items()}
     m, v = maps["adam_m"], maps["adam_v"]
     if type(step) is not int or step < 0:
         raise ValueError(f"{path}: step must be an integer >= 0, got {json.dumps(step)}")

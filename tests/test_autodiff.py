@@ -285,3 +285,44 @@ def test_two_consumers_get_the_same_grads_on_every_backward(op, rng):
     ad.zero_grads(inputs)
     for got, want in zip(snapshot, run([w1 + w2])):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# op -> (forward on the inputs, input shapes): every op of the module
+_TAPE_OPS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(3, 4), (4,)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "gelu": (ad.gelu, [(3, 5)]),
+    "tsum": (ad.tsum, [(3, 4)]),
+    "reshape": (lambda x: ad.reshape(x, (6, 2)), [(3, 4)]),
+    "transpose": (lambda x: ad.transpose(x, (1, 0)), [(3, 4)]),
+    "concat": (lambda x, y: ad.concat([x, y], axis=0), [(2, 3), (1, 3)]),
+    "tslice": (lambda x: x[1:, :2], [(3, 4)]),
+    "masked_log_softmax": (lambda x: ad.masked_log_softmax(x, ~np.eye(3, dtype=bool)),
+                           [(3, 3)]),
+    "conv1d_dilated": (lambda x, k: ad.conv1d_dilated(x, k, 2), [(2, 7, 3), (3, 3, 4)]),
+    "max_pool1d": (lambda x: ad.max_pool1d(x, 2), [(2, 5, 3)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_TAPE_OPS))
+def test_an_op_keeps_a_tape_only_when_an_input_needs_a_gradient(op, rng):
+    """With no input that needs a gradient the output keeps neither its
+    parents nor its backward closure; with any one input that does, both."""
+    forward, shapes = _TAPE_OPS[op]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    out = forward(*[ad.Tensor(a) for a in arrays])
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    for marked in range(len(arrays)):
+        inputs = [ad.Tensor(a, requires_grad=i == marked) for i, a in enumerate(arrays)]
+        out = forward(*inputs)
+        assert out.requires_grad and out._backward is not None
+        assert [p is t for p, t in zip(out._parents, inputs)] == [True] * len(inputs)
+
+
+def test_backward_rejects_a_root_that_needs_no_gradient(rng):
+    x = ad.Tensor(rng.normal(size=(3,)))
+    with pytest.raises(ValueError, match="requires no gradient"):
+        ad.backward(ad.tsum(ad.mul(x, x)))
+    assert x.grad is None

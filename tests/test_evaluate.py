@@ -170,6 +170,21 @@ def test_anomaly_scores_match_the_oracle(case):
                                rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_scoring_case())
+def test_weights_that_need_no_gradient_encode_and_score_alike_with_no_tape(case):
+    """The same weight arrays, not marked as needing a gradient, give the
+    same bits for `encode` and `anomaly_scores`, and `encode` keeps no tape."""
+    marked, series = case
+    plain = enc.EncoderModel({name: ad.Tensor(p.data) for name, p in marked.params.items()})
+    batch = np.stack([series, series[::-1]])
+    taped, untaped = enc.encode(marked, batch), enc.encode(plain, batch)
+    assert taped._backward is not None
+    assert untaped._parents == () and untaped._backward is None
+    assert untaped.data.tobytes() == taped.data.tobytes()
+    assert ev.anomaly_scores(plain, series).tobytes() == ev.anomaly_scores(marked, series).tobytes()
+
+
 @st.composite
 def _far_change(draw):
     """A random small encoder, a series, a timestamp t and the same series
@@ -342,8 +357,10 @@ def test_cone_stage_equals_conv_stage_at_the_kept_offsets(offsets, n, hidden, b,
 
 def test_anomaly_scores_check_the_series_width():
     model = enc.init_encoder(TrainConfig(hidden=4, repr_dims=2, depth=2), 2)
-    with pytest.raises(ValueError, match=r"expected input \[B, L, 2\]"):
-        ev.anomaly_scores(model, np.zeros((9, 1)))
+    for length in (9, 0):  # an empty series too, before its early return
+        for width in (1, 5):
+            with pytest.raises(ValueError, match=r"expected input \[B, L, 2\]"):
+                ev.anomaly_scores(model, np.zeros((length, width)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -189,6 +189,63 @@ def test_resume_equals_uninterrupted(tmp_path):
         assert [b.csv_row() for _, b in hist_full[5:]] == [b.csv_row() for _, b in hist_res]
 
 
+def _marks(model):
+    return {p.requires_grad for p in model.params.values()}
+
+
+def test_loaded_weights_need_no_gradient_until_pretrain_trains_them(tmp_path, monkeypatch):
+    """A loaded model encodes with no tape, and backpropagating through it
+    is an error; a resumed `pretrain` marks its weights while each step runs
+    and returns them, trained, unmarked."""
+    tset, dm, cfg = _setup(iters=3)
+    path = tmp_path / "ckpt.npz"
+    trained = tr.TrainState.fresh(cfg, tset.dims)
+    tr.pretrain(tset, dm, cfg, state=trained)
+    tr.save_checkpoint(trained, cfg, path)
+    state, _ = tr.load_checkpoint(path)
+    assert _marks(state.model) == {False}
+    reps = enc.encode(state.model, tset.values)
+    assert reps._parents == () and reps._backward is None
+    with pytest.raises(ValueError, match="requires no gradient"):
+        ad.backward(ad.tsum(reps))
+    before = {name: p.data.copy() for name, p in state.model.params.items()}
+    seen, real = [], tr.evaluate_batch_loss
+
+    def spy(state_, *args):
+        seen.append(_marks(state_.model))
+        return real(state_, *args)
+
+    monkeypatch.setattr(tr, "evaluate_batch_loss", spy)
+    model, _ = tr.pretrain(tset, dm, replace(cfg, iters=5), state=state)
+    assert seen == [{True}, {True}] and state.step == 5
+    assert model is state.model and _marks(model) == {False}
+    assert all(not np.array_equal(p.data, before[name]) for name, p in model.params.items())
+
+
+def test_pretrain_clears_the_mark_when_it_raises(tmp_path):
+    tset, dm, cfg = _setup()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
+    state, _ = tr.load_checkpoint(path)
+    state.model.params["proj_w"].data[0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
+        tr.pretrain(tset, dm, cfg, state=state)
+    assert _marks(state.model) == {False}
+
+
+def test_encoding_loaded_weights_holds_a_few_activations(tmp_path, peak_bytes):
+    """With no tape, encoding N = 200 series of length 96 on default weights
+    holds a few [N, L, H] activations at a time; a taped encode held 39."""
+    n, length, cfg = 200, 96, tr.TrainConfig()
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(cfg, 1), cfg, path)
+    state, _ = tr.load_checkpoint(path)
+    x = np.random.Generator(np.random.Philox(7)).normal(size=(n, length, 1))
+    activation = n * length * cfg.hidden * 8
+    peak = peak_bytes(lambda: enc.encode(state.model, x))
+    assert peak <= 16 * activation, peak / activation
+
+
 def test_write_log_csv(tmp_path):
     tset, dm, cfg = _setup(iters=4)
     path = tmp_path / "log.csv"
