@@ -80,9 +80,8 @@ def _echo_config(cfg: engine_config.EngineConfig, args):
 
 def _load_config(args) -> engine_config.EngineConfig:
     # flag > file > default; only pretrain and ablate take these flags
-    flags = {"seed": ("train", "seed"), "iters": ("train", "iters"), "lam": ("loss", "lambda")}
-    overrides = {where: getattr(args, attr) for attr, where in flags.items()
-                 if getattr(args, attr, None) is not None}
+    overrides = {field: getattr(args, field) for field in ("seed", "iters", "lam")
+                 if getattr(args, field, None) is not None}
     return engine_config.load(args.config, overrides)
 
 
@@ -224,18 +223,18 @@ METRIC_GRID = ("cos", "euc", "dtw", "tam")
 def _ablate_rows(axis: str):
     if axis == "alpha":
         for a in ALPHA_GRID:
-            yield "alpha", a, {"assignment": {"alpha": a}}
+            yield "alpha", a, {"train": {"alpha": a}}
     elif axis == "assignment":
         for kernel in TEMPORAL_KERNEL_GRID:
-            yield "temporal_kernel", kernel, {"assignment": {"temp_kernel": kernel}}
+            yield "temporal_kernel", kernel, {"train": {"temp_kernel": kernel}}
         for kernel in INSTANCE_KERNEL_GRID:
-            yield "instance_kernel", kernel, {"assignment": {"inst_kernel": kernel}}
+            yield "instance_kernel", kernel, {"train": {"inst_kernel": kernel}}
     elif axis == "metric":
         for metric in METRIC_GRID:
             yield "metric", metric, {"distance": {"metric": metric}}
     elif axis == "hierarchy":
         for flag in (True, False):
-            yield "hierarchical_tau", flag, {"assignment": {"hierarchical_tau": flag}}
+            yield "hierarchical_tau", flag, {"train": {"hierarchical_tau": flag}}
     else:
         raise ValueError(f"unknown ablation axis: {axis!r}")
 

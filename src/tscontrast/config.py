@@ -4,8 +4,8 @@ sections that builds it, plus the other sections' defaults.
 
 Precedence is flag > file > default.  Unknown keys, values not of their
 default's JSON type and out-of-range values all fail at load, before any work.
-A config file holds its sections' keys only; a checkpoint's `train_config`
-holds `TrainConfig`'s fields only.
+A TrainConfig has one JSON form, each field under its own name: a config
+file's `train` section is what a checkpoint's `train_config` stores.
 """
 from __future__ import annotations
 
@@ -52,7 +52,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name, value in (("lambda", self.lam), ("alpha", self.alpha)):
+        for name in ("lam", "alpha"):
+            value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         for name, choices in (("inst_kernel", INSTANCE_KERNELS),
@@ -61,21 +62,6 @@ class TrainConfig:
             if value not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
-
-# JSON keys that feed TrainConfig, by section; each key is its field's name
-# except "lambda", which is a Python keyword.
-_TRAIN_SECTIONS = {
-    "assignment": ("tau_inst", "tau_temp", "alpha", "pool_m", "inst_kernel", "temp_kernel",
-                   "hierarchical_tau"),
-    "loss": ("lambda", "hard"),
-    "train": ("lr", "batch_size", "iters", "seed", "hidden", "repr_dims", "depth", "mask_mode"),
-}
-_FIELD_NAMES = {"lambda": "lam"}
-# each TrainConfig field's (section, key)
-_FIELD_KEYS = {_FIELD_NAMES.get(key, key): (section, key)
-               for section, keys in _TRAIN_SECTIONS.items() for key in keys}
-
-_TRAIN_DEFAULTS = asdict(TrainConfig())
 
 # Every (section, key) with its default, which also fixes the value's JSON
 # type.  A nested dict is a subsection, present only when given: the dataset
@@ -92,8 +78,7 @@ DEFAULTS = {
         },
     },
     "distance": {"metric": "dtw", "radius": 1, "band": None, "cache": None},
-    **{section: {key: _TRAIN_DEFAULTS[_FIELD_NAMES.get(key, key)] for key in keys}
-       for section, keys in _TRAIN_SECTIONS.items()},
+    "train": asdict(TrainConfig()),
     "eval": {"anomaly_c": 3.0},
 }
 
@@ -106,7 +91,8 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """A resolved config: every section's keys, and the TrainConfig they build."""
+    """A resolved config: every section's keys, and the TrainConfig its train
+    section builds."""
     sections: dict
     train_config: TrainConfig
 
@@ -121,7 +107,11 @@ def _checked(where: str, value, default):
     if value is None and default is None:
         return None
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where} must be a number, got an integer too large "
+                             "for one") from None
     if type(value) is not kind:
         raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     return value
@@ -169,46 +159,32 @@ def validate(raw: dict) -> EngineConfig:
             raise ValueError(f"distance.{key}: {exc}") from None
     if not math.isfinite(sections["eval"]["anomaly_c"]):
         raise ValueError(f"eval.anomaly_c must be finite, got {sections['eval']['anomaly_c']}")
-    train_fields = {name: sections[section][key] for name, (section, key) in _FIELD_KEYS.items()}
+    train = sections["train"]
     try:
-        train_config = TrainConfig(**train_fields)
+        train_config = TrainConfig(**train)
     except ValueError:
         # Each of TrainConfig's rules reads one field, so building it from
         # each key alone against the defaults finds the bad value and names its key.
-        for name, (section, key) in _FIELD_KEYS.items():
+        for name, value in train.items():
             try:
-                TrainConfig(**{name: train_fields[name]})
+                TrainConfig(**{name: value})
             except ValueError as exc:
-                raise ValueError(f"{section}.{key}: {exc}") from None
+                raise ValueError(f"train.{name}: {exc}") from None
         raise
     return EngineConfig(sections=sections, train_config=train_config)
 
 
-def train_config_from_fields(stored: dict) -> TrainConfig:
-    """Build a TrainConfig from its flat fields (a checkpoint's train_config)
-    through the same checks as a config file; a missing field takes its default."""
-    unknown = sorted(set(stored) - set(_FIELD_KEYS))
-    if unknown:
-        raise ValueError(f"unknown train_config key(s): {', '.join(unknown)}")
-    raw = {}
-    for name, value in stored.items():
-        section, key = _FIELD_KEYS[name]
-        raw.setdefault(section, {})[key] = value
-    return validate(raw).train_config
-
-
 def load(path, overrides: dict | None = None) -> EngineConfig:
-    """Read and validate a JSON config.  `overrides` maps (section, key) to a
+    """Read and validate a JSON config.  `overrides` maps a `train` key to a
     value that wins over the file's (flag > file > default).  A parse or
     validation error names the file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
         if overrides and isinstance(raw, dict):
-            for (section, key), value in overrides.items():
-                part = raw.get(section, {})
-                if isinstance(part, dict):  # anything else is rejected by validate
-                    raw[section] = {**part, key: value}
+            train = raw.get("train", {})
+            if isinstance(train, dict):  # anything else is rejected by validate
+                raw["train"] = {**train, **overrides}
         return validate(raw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -7,7 +7,7 @@ cross-entropies use the extended assignment matrices, so the hard InfoNCE
 case falls out at zero soft weights.  Each term at each level of the pooling
 ladder is one autodiff node with a closed-form gradient; the ladder and the
 level mean are autodiff ops, so the joint objective is differentiable end to
-end.  `joint_loss` takes the batch's instance weights and reads lambda, `hard`,
+end.  `joint_loss` takes the batch's instance weights and reads `lam`, `hard`,
 the pooling factor and the temporal settings from one `config.TrainConfig`.
 """
 from __future__ import annotations

@@ -15,7 +15,7 @@ from . import assign as asg
 from . import autodiff as ad
 from . import encoder as enc
 from . import loss as losses
-from .config import TrainConfig, train_config_from_fields
+from .config import TrainConfig, validate
 from .data import TimeSeriesSet, crop_two_views, whole_file, write_csv
 from .distance import DistanceMatrix
 
@@ -95,7 +95,8 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
 
     The state's weights require gradients while the run lasts, and no longer
     once it returns or raises: the model it returns, like the state it
-    trained, then encodes and scores with no autodiff tape.
+    trained, then holds no gradients and encodes and scores with no autodiff
+    tape.
     """
     if dist.n != tset.n:
         raise ValueError(f"distance matrix is {dist.n}x{dist.n} but the set has {tset.n} series")
@@ -137,6 +138,7 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
             # (glibc malloc, CPython 3.11)
             del total
     finally:
+        ad.zero_grads(params)
         for p in params:
             p.requires_grad = False
     if log_path is not None:
@@ -273,7 +275,7 @@ def load_checkpoint(path):
     if not isinstance(stored, dict):
         raise ValueError(f"{path}: train_config must be an object")
     try:
-        cfg = train_config_from_fields(stored)
+        cfg = validate({"train": stored}).train_config
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     shapes = {name: t.shape for name, t in params.items()}

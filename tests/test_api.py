@@ -9,6 +9,7 @@ from tscontrast import config
 from tscontrast import distance as dist
 from tscontrast import encoder as enc
 from tscontrast import loss as losses
+from tscontrast import train as tr
 
 
 def test_every_exported_name_resolves_once():
@@ -18,14 +19,17 @@ def test_every_exported_name_resolves_once():
 
 
 @pytest.mark.parametrize("name", ["dtw_path", "euclidean", "cosine_dist", "EncoderConfig",
-                                  "kl_identity_check", "normalize_assignments", "RETIRED_KEYS"])
+                                  "kl_identity_check", "normalize_assignments", "RETIRED_KEYS",
+                                  "_TRAIN_SECTIONS", "_FIELD_NAMES", "_FIELD_KEYS",
+                                  "train_config_from_fields"])
 def test_deleted_names_stay_gone(name):
     # pairwise is the one entry point of euc and cos, and no caller reads a
     # path; a model's architecture is read from its weights; the loss's
-    # scaled-KL form is checked against the oracle's transcription; and a
-    # config file holds its sections' keys only
+    # scaled-KL form is checked against the oracle's transcription; a config
+    # file holds its sections' keys only; and a TrainConfig has one JSON form,
+    # so nothing translates between a config file and a checkpoint
     assert not hasattr(tc, name)
-    for module in (asg, config, dist, enc, losses):
+    for module in (asg, config, dist, enc, losses, tr):
         assert not hasattr(module, name)
 
 

@@ -150,16 +150,20 @@ def test_a_param_the_metric_does_not_read_keeps_the_cache_hit(tmp_path, capsys, 
     assert list(cache.iterdir()) == [_cache_file(cache, _dataset(), metric)]
 
 
-# settings retired from config files, each at the one value the code runs with
+# settings retired from config files, each at the one value the code runs with,
+# and settings in the retired `assignment` and `loss` sections, which held
+# TrainConfig fields before `train` held them all
 @pytest.mark.parametrize("section,key,value", [
     ("assignment", "kernel_sigma", 0.5), ("assignment", "gaussian_std", 1.0),
     ("assignment", "neighbor_window_frac", 0.3), ("loss", "temperature", 1.0),
-    ("eval", "probe_k", 1)])
+    ("eval", "probe_k", 1), ("assignment", "alpha", 0.5), ("loss", "lambda", 0.5)])
 def test_a_retired_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
     cache, out = tmp_path / "cache", tmp_path / "d.bin"
     path = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)},
                    **{section: {key: value}})
-    message = f"{path}: unknown keys in '{section}': ['{key}']"
+    message = (f"{path}: unknown keys in '{section}': ['{key}']"
+               if section in engine_config.DEFAULTS
+               else f"{path}: unknown keys in 'config': ['{section}']")
     with pytest.raises(ValueError) as error:
         engine_config.load(path)
     assert str(error.value) == message
@@ -245,6 +249,19 @@ def test_echo_config_round_trips(tmp_path, capsys):
     echoed = json.loads(out[: out.index("}\n}") + 3])
     reparsed = engine_config.validate(echoed)
     assert reparsed.effective() == echoed
+
+
+def test_echoed_train_section_is_the_checkpoint_train_config(tmp_path, capsys):
+    # one JSON form: what pretrain echoes is what its checkpoint stores
+    ckpt = tmp_path / "model.npz"
+    assert cli.main(["pretrain", "--config", _config(tmp_path), "--out", str(ckpt),
+                     "--lambda", "0.25", "--echo-config"]) == 0
+    out = capsys.readouterr().out
+    echoed = json.loads(out[: out.index("}\n}") + 3])
+    with np.load(ckpt) as blob:
+        meta = json.loads(bytes(blob["meta"]).decode())
+    assert echoed["train"] == meta["train_config"]
+    assert echoed["train"]["lam"] == 0.25 and echoed["train"]["iters"] == 2
 
 
 def test_pretrain_encode_evaluate_pipeline(tmp_path, capsys):
@@ -652,9 +669,14 @@ def test_encode_full_holds_each_series_as_if_alone_and_0_past_its_length(tmp_pat
         np.testing.assert_allclose(inst[i], alone.max(axis=0), rtol=0, atol=1e-12)
 
 
+# an integer past float range, where a number is due: float() of it overflows
+_HUGE = 10 ** 400
+
+
 @pytest.mark.parametrize("key,value", [("noise_std", -0.5), ("noise_std", float("nan")),
                                        ("noise_std", True), ("seed", -1), ("seed", True),
-                                       ("classes", [{"kind": "sine", "freq": 1e308}])])
+                                       ("classes", [{"kind": "sine", "freq": 1e308}]),
+                                       pytest.param("noise_std", _HUGE, id="noise_std-huge")])
 def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, value):
     synthetic = {"n_per_class": 3, "length": 16, "seed": 2, "noise_std": 0.1,
                  "classes": [{"kind": "sine", "freq": 2.0}], key: value}
@@ -665,8 +687,10 @@ def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+# `assignment` and `loss` label the TrainConfig fields that set the soft
+# assignment and the loss; like every TrainConfig field, they sit in `train`
 @pytest.mark.parametrize("section,key,value,names_key", [
-    ("loss", "lambda", 1.5, True),
+    ("loss", "lam", 1.5, True),
     ("train", "mask_mode", "bogus", False),
     ("train", "depth", 0, True),
     ("train", "batch_size", 1, True),
@@ -677,6 +701,8 @@ def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, va
     ("eval", "anomaly_c", float("nan"), True),
     ("eval", "anomaly_c", float("inf"), True),
     ("eval", "anomaly_c", float("-inf"), True),
+    pytest.param("loss", "lam", _HUGE, True, id="loss-lam-huge-True"),
+    pytest.param("distance", "band", _HUGE, True, id="distance-band-huge-True"),
 ])
 def test_bad_config_fails_before_any_work(tmp_path, capsys, section, key, value, names_key):
     cache = tmp_path / "dist.bin"
@@ -684,14 +710,15 @@ def test_bad_config_fails_before_any_work(tmp_path, capsys, section, key, value,
         "distance": {"metric": "euc", "cache": str(cache)},
         "train": {"iters": 2, "batch_size": 4, "hidden": 6, "repr_dims": 3, "depth": 2},
     }
-    sections.setdefault(section, {})[key] = value
+    where = section if section in engine_config.DEFAULTS else "train"
+    sections.setdefault(where, {})[key] = value
     ckpt = tmp_path / "model.npz"
     assert cli.main(["pretrain", "--config", _config(tmp_path, **sections),
                      "--out", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert not cache.exists() and not ckpt.exists()
     if names_key:
-        assert f"{section}.{key}" in err
+        assert f"{where}.{key}" in err
 
 
 @pytest.mark.parametrize("command", [["pretrain", "--out"], ["ablate", "--axis", "alpha", "--out"]],

@@ -1,6 +1,7 @@
+import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -81,8 +82,8 @@ def test_every_null_default_lists_its_type():
 
 _CHOICES = {
     "distance.metric": METRICS,
-    "assignment.inst_kernel": asg.INSTANCE_KERNELS,
-    "assignment.temp_kernel": asg.TEMPORAL_KERNELS,
+    "train.inst_kernel": asg.INSTANCE_KERNELS,
+    "train.temp_kernel": asg.TEMPORAL_KERNELS,
     "train.mask_mode": enc.MASK_MODES,
 }
 _CLASSES = st.lists(st.fixed_dictionaries(
@@ -162,30 +163,54 @@ _SETTABLE_KEYS = {
     "dataset.path", "dataset.synthetic.n_per_class", "dataset.synthetic.length",
     "dataset.synthetic.classes", "dataset.synthetic.noise_std", "dataset.synthetic.seed",
     "distance.metric", "distance.radius", "distance.band", "distance.cache",
-    "assignment.tau_inst", "assignment.tau_temp", "assignment.alpha", "assignment.pool_m",
-    "assignment.inst_kernel", "assignment.temp_kernel", "assignment.hierarchical_tau",
-    "loss.lambda", "loss.hard",
-    "train.lr", "train.batch_size", "train.iters", "train.seed", "train.hidden",
-    "train.repr_dims", "train.depth", "train.mask_mode",
+    "train.lr", "train.batch_size", "train.iters", "train.lam", "train.tau_inst",
+    "train.tau_temp", "train.alpha", "train.inst_kernel", "train.temp_kernel", "train.pool_m",
+    "train.hierarchical_tau", "train.hard", "train.hidden", "train.repr_dims", "train.depth",
+    "train.mask_mode", "train.seed",
     "eval.anomaly_c",
 }
 
 
 def test_every_train_config_field_is_a_config_key():
-    keys = {engine_config._FIELD_NAMES.get(key, key)
-            for keys in engine_config._TRAIN_SECTIONS.values() for key in keys}
-    assert {f.name for f in fields(TrainConfig)} == keys
+    # the train section is TrainConfig's one JSON form, as a checkpoint stores it
+    assert DEFAULTS["train"] == asdict(TrainConfig())
     assert {".".join(path) for path, _ in LEAVES} == _SETTABLE_KEYS
 
 
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+_FRACTIONS = st.floats(0.0, 1.0)
+# any valid TrainConfig: each field over the whole range its rule allows
+_TRAIN_CONFIGS = st.builds(
+    TrainConfig, lr=st.floats(0.0, allow_infinity=False), batch_size=st.integers(2),
+    iters=st.integers(0), lam=_FRACTIONS, tau_inst=_POSITIVE, tau_temp=_POSITIVE,
+    alpha=_FRACTIONS, inst_kernel=st.sampled_from(asg.INSTANCE_KERNELS),
+    temp_kernel=st.sampled_from(asg.TEMPORAL_KERNELS), pool_m=st.integers(2),
+    hierarchical_tau=st.booleans(), hard=st.booleans(), hidden=st.integers(1),
+    repr_dims=st.integers(1), depth=st.integers(1), mask_mode=st.sampled_from(enc.MASK_MODES),
+    seed=st.integers(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TRAIN_CONFIGS)
+def test_a_train_config_has_one_json_form(cfg):
+    # a config file's train section reads back what a checkpoint stores
+    stored = json.loads(json.dumps(asdict(cfg)))
+    resolved = engine_config.validate({"train": stored})
+    assert resolved.train_config == cfg
+    assert resolved.effective()["train"] == stored
+
+
 # one out-of-range value for every TrainConfig rule, and NaN and infinity for
-# every number that must be finite
+# every number that must be finite.  Each case also names the part of the
+# method its field sets: the soft assignment, the loss or the training run.
+# Every field sits in `train`; a config file with an `assignment` or `loss`
+# section fails as an unknown key.
 _TRAIN_RULE_CASES = [
     ("assignment", "tau_inst", 0), ("assignment", "tau_temp", 0),
     ("assignment", "alpha", 1.5), ("assignment", "pool_m", 1),
     ("assignment", "inst_kernel", "bogus"), ("assignment", "temp_kernel", "bogus"),
     ("train", "hidden", 0), ("train", "repr_dims", 0), ("train", "depth", 0),
-    ("train", "lr", -0.1), ("loss", "lambda", 1.5),
+    ("train", "lr", -0.1), ("loss", "lam", 1.5),
     ("train", "batch_size", 1), ("train", "iters", -1),
     ("train", "seed", -1), ("train", "mask_mode", "bogus"),
     *[("assignment", key, value) for key in ("tau_inst", "tau_temp")
@@ -203,8 +228,11 @@ _RETIRED_CASES = [
 
 @pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES)
 def test_sub_config_rule_names_the_key(section, key, value):
-    with pytest.raises(ValueError, match=re.escape(f"{section}.{key}: ")):
-        engine_config.validate({section: {key: value}})
+    with pytest.raises(ValueError, match=re.escape(f"train.{key}: {key} ")):
+        engine_config.validate({"train": {key: value}})
+    if section != "train":
+        with pytest.raises(ValueError, match=re.escape(f"unknown keys in 'config': ['{section}']")):
+            engine_config.validate({section: {key: value}})
 
 
 @pytest.mark.parametrize("section,key,value", _TRAIN_RULE_CASES + _RETIRED_CASES)
@@ -213,7 +241,7 @@ def test_train_config_checks_its_own_fields(section, key, value):
     # is not a field at all
     error = TypeError if (section, key, value) in _RETIRED_CASES else ValueError
     with pytest.raises(error):
-        TrainConfig(**{engine_config._FIELD_NAMES.get(key, key): value})
+        TrainConfig(**{key: value})
 
 
 _TWO_SERIES = ds.TimeSeriesSet(values=np.arange(8.0).reshape(2, 4, 1), lengths=[4, 4])
@@ -234,7 +262,8 @@ def test_distance_params_fail_as_in_pairwise(key, value):
     ('{"bogus": 1}', "unknown keys in 'config': ['bogus']"),
     # Adam's constants were never config keys
     ('{"train": {"beta1": 0.9}}', "unknown keys in 'train': ['beta1']"),
-    ('{"loss": {"lambda": 1.5}}', "loss.lambda: lambda must be in [0, 1], got 1.5"),
+    ('{"train": {"lam": 1.5}}', "train.lam: lam must be in [0, 1], got 1.5"),
+    ('{"loss": {"lambda": 0.5}}', "unknown keys in 'config': ['loss']"),
 ])
 def test_load_names_the_file_in_every_error(tmp_path, text, message):
     path = tmp_path / "config.json"

@@ -122,7 +122,7 @@ def test_hierarchy_off_keeps_hard_and_lambda_checks():
     reference = batch_loss(hard=True)
     for tau_temp in (0.5, 5.0):
         assert batch_loss(hard=True, hierarchical_tau=False, tau_temp=tau_temp) == reference
-    with pytest.raises(ValueError, match="lambda"):
+    with pytest.raises(ValueError, match="lam must be in"):
         batch_loss(hierarchical_tau=False, lam=1.5)
 
 
@@ -233,6 +233,25 @@ def test_pretrain_clears_the_mark_when_it_raises(tmp_path):
     assert _marks(state.model) == {False}
 
 
+def test_pretrain_leaves_no_gradient_when_it_returns_or_raises(monkeypatch):
+    # the last step's gradients are a copy of the weights that nothing reads
+    tset, dm, cfg = _setup(iters=2)
+    model, _ = tr.pretrain(tset, dm, cfg)
+    assert {p.grad is None for p in model.params.values()} == {True}
+    calls, real = [], tr.evaluate_batch_loss
+
+    def second_step_diverges(*args):
+        calls.append(args)
+        total, breakdown = real(*args)
+        return (ad.Tensor(np.nan) if len(calls) == 2 else total), breakdown
+
+    monkeypatch.setattr(tr, "evaluate_batch_loss", second_step_diverges)
+    state = tr.TrainState.fresh(cfg, tset.dims)
+    with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
+        tr.pretrain(tset, dm, cfg, state=state)
+    assert {p.grad is None for p in state.model.params.values()} == {True}
+
+
 def test_encoding_loaded_weights_holds_a_few_activations(tmp_path, peak_bytes):
     """With no tape, encoding N = 200 series of length 96 on default weights
     holds a few [N, L, H] activations at a time; a taped encode held 39."""
@@ -316,10 +335,12 @@ def test_save_checkpoint_writes_five_members(tmp_path):
     ("lr", "x", "train.lr"),
     ("lr", -0.1, "train.lr"),
     ("depth", 2.0, "train.depth"),
-    ("lam", 1.5, "loss.lambda"),
+    ("lam", 1.5, "train.lam"),
     ("batch_size", 1, "train.batch_size"),
     ("mask_mode", "bogus", "train.mask_mode"),
-    ("tau_inst", -1.0, "assignment.tau_inst"),
+    ("tau_inst", -1.0, "train.tau_inst"),
+    # past float range: float() of it overflows
+    pytest.param("lam", 10 ** 400, "train.lam", id="lam-huge-train.lam"),
 ])
 def test_load_checkpoint_checks_train_config_like_a_config_file(tmp_path, capsys,
                                                                field, value, key):
@@ -460,7 +481,7 @@ def test_load_checkpoint_rejects_unknown_train_config_key(tmp_path, capsys):
         path = tmp_path / f"{key}.npz"
         tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
         _rewrite_meta(path, lambda meta: meta["train_config"].update({key: value}))
-        message = f"{path}: unknown train_config key(s): {key}"
+        message = f"{path}: unknown keys in 'train': ['{key}']"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tr.load_checkpoint(path)
         assert cli.main(["encode", "--ckpt", str(path), "--data", str(tsv),
@@ -474,7 +495,8 @@ def test_load_checkpoint_rejects_an_eval_key(tmp_path):
     path = tmp_path / "ckpt.npz"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
     _rewrite_meta(path, lambda meta: meta["train_config"].update(probe_k=1))
-    with pytest.raises(ValueError, match=r"ckpt\.npz: unknown train_config key\(s\): probe_k"):
+    message = "ckpt.npz: unknown keys in 'train': ['probe_k']"
+    with pytest.raises(ValueError, match=re.escape(message)):
         tr.load_checkpoint(path)
 
 
@@ -540,7 +562,7 @@ def test_a_valid_load_builds_one_train_config(tmp_path, monkeypatch):
     tset, _, cfg = _setup()
     path, config = tmp_path / "ckpt.npz", tmp_path / "cfg.json"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
-    config.write_text(json.dumps({"train": {"iters": 3}, "loss": {"lambda": 0.25}}))
+    config.write_text(json.dumps({"train": {"iters": 3, "lam": 0.25}}))
     expected = tr.TrainConfig(iters=3, lam=0.25)
     calls = []
     post_init = tr.TrainConfig.__post_init__
