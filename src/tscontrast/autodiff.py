@@ -5,7 +5,9 @@ gradient records its parents and a closure that pushes the adjoint back to
 them.  An output that no input needs a gradient for keeps neither, so a
 forward pass on weights that need none (inference) holds no tape: each
 activation is freed once nothing reads it.  `backward` walks the graph once
-in reverse topological order.  Only what the encoder and the contrastive
+in reverse topological order and leaves gradients on leaves only, the
+tensors no op made (weights, inputs): an op output's adjoint is freed as soon
+as that op's backward has run.  Only what the encoder and the contrastive
 losses need is implemented, plus `transpose` and `masked_log_softmax`, kept as
 general ops; everything is float64.
 """
@@ -54,8 +56,9 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
     if not t.requires_grad:
         return
     if t.grad is None:
-        # unless owned, a copy: reshape/transpose/concat pass on views of
-        # their output's grad, which a later in-place add must not write through to
+        # unless owned, a copy: add hands both parents one adjoint, and
+        # reshape/transpose/concat views of theirs; a later in-place add into
+        # one holder must not write through to another
         t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad += g
@@ -335,10 +338,14 @@ def max_pool1d(x, m: int) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every reachable tensor.
+    """Accumulate gradients of a scalar loss into every reachable leaf: each
+    tensor that requires a gradient and is no op's output (weights, inputs).
 
-    Raises ValueError unless the loss is a scalar that requires a gradient:
-    one that needs none has no tape, and would leave every `.grad` unset."""
+    An op output's adjoint is freed as soon as that op's backward has run,
+    so after the call every op output's `.grad` is None and the pass holds
+    only the adjoints of the nodes still to run.  Raises ValueError unless
+    the loss is a scalar that requires a gradient: one that needs none has
+    no tape, and would leave every `.grad` unset."""
     if loss.data.shape != ():
         raise ValueError("backward root must be a scalar")
     if not loss.requires_grad:
@@ -359,8 +366,12 @@ def backward(loss: Tensor):
                 stack.append((p, False))
     loss.grad = np.asarray(1.0)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(np.asarray(node.grad))
+        if node._backward is None:
+            continue  # a leaf keeps its gradient
+        # an op output's adjoint is dead once its own backward has run
+        g, node.grad = node.grad, None
+        if g is not None:
+            node._backward(np.asarray(g))
 
 
 def zero_grads(tensors):

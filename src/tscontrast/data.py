@@ -240,6 +240,10 @@ _WAVEFORMS = {
 }
 
 
+# the most cells (series x steps) make_synthetic builds: 800 MB of float64
+MAX_SYNTHETIC_CELLS = 10 ** 8
+
+
 def make_synthetic(
     n_per_class: int,
     length: int,
@@ -250,7 +254,9 @@ def make_synthetic(
     """Deterministic desk-scale corpus of unit-amplitude waves.  Each class
     spec is a dict with exactly the keys kind ('sine' | 'square' | 'sawtooth')
     and freq (cycles over the series), a number whose phase 2*pi*freq is
-    finite.  Phase is random per series."""
+    finite.  Phase is random per series.  A corpus of more than
+    `MAX_SYNTHETIC_CELLS` cells, n_per_class * len(classes) * length, is
+    rejected before anything is built."""
     for name, value, lowest in (("n_per_class", n_per_class, 1), ("length", length, 8)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
             raise ValueError(f"{name} must be an int >= {lowest}, got {value!r}")
@@ -273,6 +279,11 @@ def make_synthetic(
         unknown = set(spec) - {"kind", "freq"}
         if unknown:
             raise ValueError(f"classes[{i}]: unknown class spec keys: {sorted(unknown)}")
+    if n_per_class * len(classes) * length > MAX_SYNTHETIC_CELLS:
+        raise ValueError(f"n_per_class x classes x length is over MAX_SYNTHETIC_CELLS = "
+                         f"{MAX_SYNTHETIC_CELLS}: n_per_class must be <= "
+                         f"{MAX_SYNTHETIC_CELLS // (len(classes) * length)} for "
+                         f"{len(classes)} classes of length {length}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     t = np.arange(length) / length
     all_vals, labels = [], []

@@ -37,6 +37,11 @@ class LossBreakdown:
         return cells
 
 
+# cells of G + Gᵀ that `_soft_ce`'s backward builds at once: whole groups,
+# at least one, so a batch of small groups is one matmul call
+_BLOCK_CELLS = 2 ** 16
+
+
 def _groups(x: np.ndarray, temporal: bool) -> np.ndarray:
     """The [2N, T, M] stack as [B, A, M] contrast groups: [T, 2N, M] for the
     instance term, [N, 2T, M] (the two views of each instance joined along
@@ -58,7 +63,9 @@ def _ungroup(g: np.ndarray, temporal: bool) -> np.ndarray:
 
 def _softmax_off_diagonal(z: np.ndarray):
     """(log p, p), both [B, A, A]: the softmax of each row of the logits
-    z zᵀ over the entries off the diagonal, with log p and p 0 on it."""
+    z zᵀ over the entries off the diagonal, with log p and p 0 on it.  The
+    two are the only [B, A, A] arrays it allocates: p is built in exp's
+    output."""
     a = z.shape[1]
     if a < 2:
         raise ValueError("need at least 2 items to contrast")
@@ -66,11 +73,12 @@ def _softmax_off_diagonal(z: np.ndarray):
     sim = np.matmul(z, z.transpose(0, 2, 1))
     sim[:, diag, diag] = -np.inf
     sim -= sim.max(axis=-1, keepdims=True)
-    e = np.exp(sim)
-    total = e.sum(axis=-1, keepdims=True)
+    p = np.exp(sim)
+    total = p.sum(axis=-1, keepdims=True)
     sim -= np.log(total)
     sim[:, diag, diag] = 0.0          # not -inf, so a zero weight there adds 0
-    return sim, e / total
+    p /= total
+    return sim, p
 
 
 def _soft_ce(reps: Tensor, w_ext: np.ndarray, temporal: bool) -> Tensor:
@@ -80,20 +88,34 @@ def _soft_ce(reps: Tensor, w_ext: np.ndarray, temporal: bool) -> Tensor:
     With s = z zᵀ, p its row softmax and c = 1/(B·A), the loss is
     −c Σ w ⊙ log p, so G = ∂L/∂s = c (p · Σ_{j≠i} w_ij − w) off the diagonal
     (0 on it) and ∂L/∂z = (G + Gᵀ) z.
+
+    It holds two [B, A, A] arrays at most.  The forward weights log p in its
+    own buffer and keeps only p.  The backward builds G in p's buffer, so it
+    runs once per forward, and G + Gᵀ a block of groups at a time
+    (`_BLOCK_CELLS`); the sums and their order are those of whole-array ops.
     """
     z = _groups(reps.data, temporal)
     b, a = z.shape[0], z.shape[1]
     logp, p = _softmax_off_diagonal(z)
     c = 1.0 / (b * a)
-    out = np.sum(logp * w_ext[None, :, :]) * -c
+    logp *= w_ext
+    out = np.sum(logp) * -c
 
     def bwd(g):
+        nonlocal p
+        if p is None:
+            raise RuntimeError("the soft contrastive loss's backward runs once per forward")
+        gs, p = p, None
         w = w_ext.copy()
         np.fill_diagonal(w, 0.0)
-        gs = p * w.sum(axis=1)[:, None]
+        gs *= w.sum(axis=1)[:, None]
         gs -= w
         gs *= g * c
-        gz = np.matmul(gs + gs.transpose(0, 2, 1), z)
+        gz = np.empty((b, a, z.shape[2]))
+        step = max(1, _BLOCK_CELLS // (a * a))
+        for i in range(0, b, step):
+            block = gs[i:i + step]
+            np.matmul(block + block.transpose(0, 2, 1), z[i:i + step], out=gz[i:i + step])
         ad._accumulate(reps, _ungroup(gz, temporal), owned=True)
 
     return Tensor(out, parents=(reps,), backward=bwd)

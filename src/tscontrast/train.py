@@ -130,12 +130,10 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
             _adam_step(state, cfg)
             state.step += 1
             history.append((state.step, breakdown))
-            # `total` is the last reference to this step's graph, its
-            # activations and interior adjoints: drop it here, or it lives on
-            # through the next step's forward pass until `total` is rebound.
-            # Dropped after the Adam update, not before: freed before it, a
-            # one-step `pretrain` call faulted ~1100 more pages per step
-            # (glibc malloc, CPython 3.11)
+            # `total` is the last reference to this step's graph and its
+            # activations (backward has freed its adjoints): drop it here, or
+            # it lives on through the next step's forward pass until `total`
+            # is rebound
             del total
     finally:
         ad.zero_grads(params)

@@ -223,24 +223,26 @@ def test_zero_grads():
 
 
 def test_first_grad_is_a_copy_not_an_alias(rng):
-    """reshape hands x a view of r's grad as x's first adjoint; x's second
-    adjoint must not write through it into r.grad."""
+    """reshape hands x a view of r's adjoint as x's first adjoint; x's second
+    adjoint must not write through it.  r is an op output, whose adjoint
+    backward frees, so a zero leaf added at r reads it."""
     x = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     w = rng.normal(size=(3, 4))
     v = rng.normal(size=(2, 6))
 
     def run():
-        r = ad.reshape(x, (3, 4))
+        at_r = ad.Tensor(np.zeros((3, 4)), requires_grad=True)
+        r = ad.add(ad.reshape(x, (3, 4)), at_r)
         ad.backward(ad.add(ad.tsum(ad.mul(r, w)), ad.tsum(ad.mul(x, v))))
-        return r
+        return at_r
 
-    r = run()
+    at_r = run()
     first, snapshot = x.grad, x.grad.copy()
-    np.testing.assert_array_equal(r.grad, w)
+    np.testing.assert_array_equal(at_r.grad, w)
     np.testing.assert_array_equal(x.grad, w.reshape(2, 6) + v)
     ad.zero_grads([x])
-    r = run()
-    np.testing.assert_array_equal(r.grad, w)
+    at_r = run()
+    np.testing.assert_array_equal(at_r.grad, w)
     assert x.grad.tobytes() == snapshot.tobytes()
     assert first.tobytes() == snapshot.tobytes()  # the second run wrote a new array
 
@@ -319,6 +321,48 @@ def test_an_op_keeps_a_tape_only_when_an_input_needs_a_gradient(op, rng):
         out = forward(*inputs)
         assert out.requires_grad and out._backward is not None
         assert [p is t for p, t in zip(out._parents, inputs)] == [True] * len(inputs)
+
+
+@pytest.mark.parametrize("op", sorted(_TAPE_OPS))
+def test_backward_leaves_gradients_on_leaves_only(op, rng):
+    """After backward, the op's output holds no adjoint, and each input that
+    requires a gradient holds one; an input that requires none holds none."""
+    forward, shapes = _TAPE_OPS[op]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    for marked in range(len(arrays)):
+        inputs = [ad.Tensor(a, requires_grad=i == marked) for i, a in enumerate(arrays)]
+        out = forward(*inputs)
+        summed = ad.tsum(ad.mul(out, rng.normal(size=out.shape)))
+        ad.backward(summed)
+        assert out.grad is None and summed.grad is None
+        assert [t.grad is not None for t in inputs] == [i == marked for i in range(len(inputs))]
+        assert inputs[marked].grad.shape == arrays[marked].shape
+
+
+def test_backward_frees_every_interior_adjoint(rng):
+    """x feeds two ops, an add takes one tensor as both of its inputs, and a
+    constant enters the graph: after backward every op output holds no
+    adjoint, the constant none, and x and the kernel their gradients."""
+    x = ad.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+    k = ad.Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
+    const = rng.normal(size=(2, 5, 3))
+    y = ad.mul(x, 3.0)
+    doubled = ad.add(y, y)                                  # 6x
+    gelu_x = ad.gelu(x)                                     # x's second consumer
+    conv = ad.conv1d_dilated(gelu_x, k, 2)
+    shifted = ad.add(conv, const)
+    pooled = ad.max_pool1d(shifted, 2)
+    sums = [ad.tsum(doubled), ad.tsum(pooled)]
+    root = ad.add(*sums)
+    ad.backward(root)
+    outputs = [y, doubled, gelu_x, conv, shifted, pooled, *sums, root]
+    assert [t.grad is None for t in outputs] == [True] * len(outputs)
+    assert k.grad is not None
+    # the same pooled branch on a fresh leaf: x's gradient is its own plus 6
+    x_alone = ad.Tensor(x.data, requires_grad=True)
+    ad.backward(ad.tsum(ad.max_pool1d(ad.add(ad.conv1d_dilated(ad.gelu(x_alone), k.data, 2),
+                                             const), 2)))
+    np.testing.assert_allclose(x.grad, x_alone.grad + 6.0, rtol=1e-12, atol=1e-12)
 
 
 def test_backward_rejects_a_root_that_needs_no_gradient(rng):

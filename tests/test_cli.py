@@ -687,6 +687,23 @@ def test_bad_synthetic_noise_or_seed_exits_2_naming_it(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_per_class", [_HUGE, ds.MAX_SYNTHETIC_CELLS // 16 + 1],
+                         ids=["huge", "just-over"])
+def test_an_oversized_synthetic_corpus_exits_2_naming_n_per_class(tmp_path, capsys, peak_bytes,
+                                                                    n_per_class):
+    """One sine class of length 16: the corpus is rejected before it is built."""
+    synthetic = {"n_per_class": n_per_class, "length": 16,
+                 "classes": [{"kind": "sine", "freq": 2.0}]}
+    out = tmp_path / "d.bin"
+    cfg = _config(tmp_path, dataset={"synthetic": synthetic})
+    codes = []
+    assert peak_bytes(lambda: codes.append(
+        cli.main(["distances", "--config", cfg, "--out", str(out)]))) < 2 ** 20
+    assert codes == [2]
+    assert "n_per_class" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # `assignment` and `loss` label the TrainConfig fields that set the soft
 # assignment and the loss; like every TrainConfig field, they sit in `train`
 @pytest.mark.parametrize("section,key,value,names_key", [

@@ -227,6 +227,36 @@ def test_make_synthetic_validation():
 _CLASSES = [{"kind": "sine", "freq": 1.0}]
 
 
+# (n_per_class, length, classes): 10**400 series per class, and one series
+# per class more than MAX_SYNTHETIC_CELLS allows at length 64 and 3 classes
+_OVERSIZED = {
+    "huge": (10 ** 400, 16, _CLASSES),
+    "just-over": (ds.MAX_SYNTHETIC_CELLS // (3 * 64) + 1, 64, _CLASSES * 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_make_synthetic_rejects_a_corpus_over_the_cap_before_building_it(case, peak_bytes):
+    n_per_class, length, classes = _OVERSIZED[case]
+
+    def build():
+        cap = ds.MAX_SYNTHETIC_CELLS
+        with pytest.raises(ValueError, match=f"over MAX_SYNTHETIC_CELLS = {cap}: n_per_class "
+                                             f"must be <= {cap // (len(classes) * length)} for "
+                                             f"{len(classes)} classes of length {length}$"):
+            ds.make_synthetic(n_per_class, length, classes)
+
+    assert peak_bytes(build) < 2 ** 16
+
+
+def test_make_synthetic_builds_a_corpus_at_the_cap(monkeypatch):
+    monkeypatch.setattr(ds, "MAX_SYNTHETIC_CELLS", 3 * 2 * 16)
+    assert ds.make_synthetic(3, 16, _CLASSES * 2).values.size == 3 * 2 * 16
+    for n_per_class, length in ((4, 16), (3, 17)):
+        with pytest.raises(ValueError, match="over MAX_SYNTHETIC_CELLS = 96: n_per_class must"):
+            ds.make_synthetic(n_per_class, length, _CLASSES * 2)
+
+
 @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf, True, "0.1", None])
 def test_make_synthetic_rejects_bad_noise_std(value):
     with pytest.raises(ValueError, match=f"noise_std must be a finite number >= 0, got {value!r}"):

@@ -306,17 +306,26 @@ def _changed_and_reaching(model, series, t):
                         for b, (_, gelu_h, gelu_y1) in enumerate(blocks)
                         for i, x in ((1, gelu_h), (2, gelu_y1))])
     # the output at t weighted by nonzero weights, back to every stage: y1_b
-    # through gelu(y1_b) (gelu' has one root), y2_b as h_{b+1} = h_b + y2_b
-    out, blocks = enc.residual_stream(model, h)
+    # through gelu(y1_b) (gelu' has one root), y2_b as h_{b+1} = h_b + y2_b.
+    # backward frees every op output's adjoint, so the blocks run here with
+    # a zero leaf added at gelu(y1_b) and at h_{b+1}: its grad is the adjoint there
+    probes = []
+
+    def probed(x):
+        probes.append(ad.Tensor(np.zeros(x.shape), requires_grad=True))
+        return ad.add(x, probes[-1])
+
+    out = h
+    for b in range(model.depth):
+        gelu_y1 = probed(ad.gelu(enc.conv_stage(model, ad.gelu(out), b, 1)))
+        out = probed(ad.add(out, enc.conv_stage(model, gelu_y1, b, 2)))
+    assert out.data.tobytes() == enc.residual_stream(model, h)[0].data.tobytes()
     repr_dims = model.params["out_w"].shape[1]
     weights = np.zeros(out.shape[:2] + (repr_dims,))
     weights[0, t] = np.random.default_rng(t).uniform(0.5, 1.5, repr_dims)
     ad.backward(ad.tsum(ad.mul(enc.readout(model, out), weights)))
-    h_next = [h_b for h_b, _, _ in blocks[1:]] + [out]
-    grads = [g for (_, _, gelu_y1), h_after in zip(blocks, h_next)
-             for g in (gelu_y1.grad, h_after.grad)]
-    return [np.flatnonzero((plain != masked).any(axis=1) & (g[0] != 0).any(axis=1)) - t
-            for plain, masked, g in zip(*outputs, grads)]
+    return [np.flatnonzero((plain != masked).any(axis=1) & (probe.grad[0] != 0).any(axis=1)) - t
+            for plain, masked, probe in zip(*outputs, probes)]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])

@@ -119,6 +119,34 @@ def test_fused_term_nan_input_gives_nan_without_warning(term):
     assert np.isnan(out.data)
 
 
+def test_temporal_term_holds_two_pair_matrices_at_most(rng, peak_bytes):
+    """A [16, 128, 16] stack is 8 instances of two 128-step views, so the
+    temporal term's pair matrices are [8, 256, 256].  Its forward holds two
+    of them at once (log p and p); its backward adds none, building G in p's
+    buffer and G + Gᵀ a block of groups at a time."""
+    reps = ad.Tensor(rng.normal(size=(16, 128, 16)), requires_grad=True)
+    w_ext = rng.uniform(size=(256, 256))
+    one = 8 * 256 * 256 * 8
+    out = []
+    assert peak_bytes(lambda: out.append(losses.soft_temporal_loss(reps, w_ext))) <= 2.5 * one
+    assert peak_bytes(lambda: ad.backward(out[0])) <= 0.5 * one
+    assert reps.grad.shape == reps.shape
+
+
+@pytest.mark.parametrize("term", sorted(_TERMS))
+def test_fused_term_backward_runs_once_per_forward(term):
+    """The backward builds its adjoint in the forward's buffer, so a second
+    backward through the same term raises instead of reading it."""
+    reps, _, w_ext = _fused_case(term, 2, 3, 2, "soft", 5)
+    x = ad.Tensor(reps, requires_grad=True)
+    out = _TERMS[term][0](x, w_ext)
+    ad.backward(out)
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="runs once per forward"):
+        ad.backward(out)
+    assert x.grad.tobytes() == first.tobytes()
+
+
 def test_kl_identity(rng):
     for _ in range(5):
         n, t, m = 3, 4, 4

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tscontrast import assign as asg
 from tscontrast import autodiff as ad
 from tscontrast import cli
 from tscontrast import config as engine_config
@@ -625,6 +626,29 @@ def test_pretrain_holds_one_step_graph_at_a_time(monkeypatch, peak_bytes):
     assert len(held) == 3
     assert peak - held[0] >= 10 * 2 ** 20  # the one-step graph this test needs
     assert all(bytes_ - held[0] <= 2 ** 20 for bytes_ in held[1:]), held
+
+
+def test_a_ragged_ucr_set_up_step_peaks_under_21_mb_traced(peak_bytes):
+    """One training step at ragged-ucr's set-up sizes, on the full 128-step
+    crop, peaks at <= 21 MB traced: 18.9 MB with each adjoint freed once its
+    node's backward has run, 26.1 MB when interior adjoints lived as long as
+    the graph and each soft term held three [B, A, A] arrays at once."""
+    tset = ds.znormalize(ds.make_synthetic(20, 128, [{"kind": "sine", "freq": 3.0}],
+                                           noise_std=0.05, seed=11))
+    cfg = tr.TrainConfig(iters=1, lam=0.0, mask_mode="binomial", seed=3, hidden=16, depth=3)
+    state = tr.TrainState.fresh(cfg, tset.dims)
+    batch = tset.subset(np.arange(cfg.batch_size))
+    w_inst = asg.w_instance(dist.pairwise(batch, "euc"), cfg)
+    crop_seed = next(seed for seed in range(10 ** 4)
+                     if ds.crop_two_views(batch, seed).view_a.shape[1] == 128)
+    params = state.model.params.values()
+
+    def step():
+        total, _ = tr.evaluate_batch_loss(state, batch, w_inst, cfg, crop_seed, 0)
+        ad.zero_grads(params)
+        ad.backward(total)
+
+    assert peak_bytes(step, warm_up=True) <= 21e6
 
 
 # SHA-256 of each model's parameters (sorted by name) after 30 steps on the
