@@ -108,7 +108,9 @@ def cmd_pretrain(args) -> int:
     matrix = _distance_matrix(cfg, tset)
     tcfg = cfg.train_config
     state = tr.TrainState.fresh(tcfg, tset.dims)
-    tr.pretrain(tset, matrix, tcfg, state=state, log_path=args.log)
+    _, history = tr.pretrain(tset, matrix, tcfg, state=state)
+    if args.log:
+        tr.write_log_csv(history, args.log)
     tr.save_checkpoint(state, tcfg, args.out)
     print(f"trained {tcfg.iters} steps; checkpoint -> {args.out}")
     return 0
@@ -144,25 +146,28 @@ def _encode_by_length(model: enc.EncoderModel, tset: ds.TimeSeriesSet):
 def _read_labels(path) -> np.ndarray:
     """Anomaly labels, one 0 or 1 per line, the way `--scores-out` writes
     scores; blank lines are skipped.  Any other line is an error naming the
-    file and the line."""
+    file and the line, and bytes that are not UTF-8 one naming the file."""
     labels = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            cells = line.split(",")
-            if len(cells) > 1:
-                raise ValueError(f"{path}: line {number} holds {len(cells)} values, "
-                                 "not one anomaly label")
-            if not line.strip():
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(f"{path}: line {number}: cannot read {line.strip()!r} "
-                                 "as an anomaly label") from None
-            if value not in (0.0, 1.0):
-                raise ValueError(f"{path}: anomaly labels must be 0 or 1, found {value:g} "
-                                 f"at line {number}")
-            labels.append(value == 1.0)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                cells = line.split(",")
+                if len(cells) > 1:
+                    raise ValueError(f"{path}: line {number} holds {len(cells)} values, "
+                                     "not one anomaly label")
+                if not line.strip():
+                    continue
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise ValueError(f"{path}: line {number}: cannot read {line.strip()!r} "
+                                     "as an anomaly label") from None
+                if value not in (0.0, 1.0):
+                    raise ValueError(f"{path}: anomaly labels must be 0 or 1, found {value:g} "
+                                     f"at line {number}")
+                labels.append(value == 1.0)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return np.array(labels, dtype=bool)
 
 

@@ -85,7 +85,7 @@ def _culprit(breakdown) -> str:
 
 
 def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
-             state: TrainState | None = None, log_path=None):
+             state: TrainState | None = None):
     """Optimize the joint objective; returns (model, list of per-step logs).
 
     Deterministic per seed; resuming from a checkpointed state reproduces the
@@ -139,8 +139,6 @@ def pretrain(tset: TimeSeriesSet, dist: DistanceMatrix, cfg: TrainConfig,
         ad.zero_grads(params)
         for p in params:
             p.requires_grad = False
-    if log_path is not None:
-        write_log_csv(history, log_path)
     return state.model, history
 
 
@@ -158,56 +156,61 @@ _KINDS = ("param", "adam_m", "adam_v")
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path) -> None:
-    """Write the state as a version 2 checkpoint, an npz of five members.
+    """Write the state as a version 3 checkpoint, an npz of five members.
 
-    `version` is 2.  `meta` is JSON of the `train_config`, the RNG state, the
-    step and the `layout`: `[[name, shape], ...]` in the model's weight order,
-    which is `encoder.param_shapes` order.  `param`, `adam_m` and `adam_v` are
-    flat float64 arrays: the weights, or their moments, raveled and
-    concatenated in that order.
+    `version` is 3.  `meta` is JSON of the `train_config`, the RNG state, the
+    step and `input_dims`, the projection's input width.  `param`, `adam_m`
+    and `adam_v` are flat float64 arrays: the weights, or their moments,
+    raveled and concatenated in `encoder.param_shapes(train_config,
+    input_dims)` order, whatever order the model holds them in.  Weights or
+    moments of another name or shape than `cfg`'s architecture declares are
+    a ValueError naming them, raised before any file is written.
     """
     weights = {name: t.data for name, t in state.model.params.items()}
-    flat = {kind: np.concatenate([np.ravel(arrays[name]) for name in weights], dtype=np.float64)
+    input_dims = weights["proj_w"].shape[0]
+    shapes = {name: shape for name, (shape, _) in enc.param_shapes(cfg, input_dims).items()}
+    differ = sorted({name for arrays in (weights, state.m, state.v)
+                     for name in set(arrays) | set(shapes)
+                     if np.shape(arrays.get(name)) != shapes.get(name)})
+    if differ:
+        raise ValueError(f"weights or their Adam moments do not match the train_config "
+                         f"architecture (hidden={cfg.hidden}, repr_dims={cfg.repr_dims}, "
+                         f"depth={cfg.depth}); differing: {', '.join(differ)}")
+    flat = {kind: np.concatenate([np.ravel(arrays[name]) for name in shapes], dtype=np.float64)
             for kind, arrays in zip(_KINDS, (weights, state.m, state.v))}
     meta = {
         "train_config": asdict(cfg),
         "rng_state": state.rng.bit_generator.state,
         "step": state.step,
-        "layout": [[name, list(a.shape)] for name, a in weights.items()],
+        "input_dims": input_dims,
     }
     with whole_file(path, "wb") as fh:
         np.savez(
             fh,
-            version=np.int64(2),
+            version=np.int64(3),
             meta=np.frombuffer(json.dumps(meta, default=lambda a: a.tolist()).encode(),
                                dtype=np.uint8),
             **flat,
         )
 
 
-def _split_flat(path, arrays: dict, layout) -> dict:
-    """kind -> {name: view} of a checkpoint's flat arrays, split by its layout.
-    Each array must hold finite numbers only: the error names the weight whose
-    span holds the first bad value, and an array of no numeric dtype fails at
-    its first value."""
-    if not isinstance(layout, list) or not all(
-            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-            and isinstance(entry[1], list) and all(type(n) is int and n >= 0 for n in entry[1])
-            for entry in layout):
-        raise ValueError(f"{path}: layout must be a list of [name, list of ints >= 0] entries")
-    names = [name for name, _ in layout]
-    if len(set(names)) != len(names):
-        raise ValueError(f"{path}: layout names a weight more than once")
-    shapes = [tuple(shape) for _, shape in layout]
-    sizes = [math.prod(shape) for shape in shapes]
+def _split_flat(path, arrays: dict, shapes: dict) -> dict:
+    """kind -> {name: view} of a checkpoint's flat arrays, split by `shapes`,
+    the `encoder.param_shapes` of its architecture.  Each array must hold
+    finite numbers only: the error names the weight whose span holds the
+    first bad value, and an array of no numeric dtype fails at its first
+    value."""
+    names = list(shapes)
+    sizes = [math.prod(shape) for shape, _ in shapes.values()]
+    total = sum(sizes)  # in Python ints, so a huge architecture cannot overflow
     maps = {}
     for kind in _KINDS:
         values = arrays[kind]
         if values.ndim != 1:
             raise ValueError(f"{path}: {kind} must be a 1-D array, got shape {values.shape}")
-        if values.size != sum(sizes):
+        if values.size != total:
             raise ValueError(f"{path}: {kind} holds {values.size} values, "
-                             f"but the layout's weights take {sum(sizes)}")
+                             f"but the train_config's weights take {total}")
         ends = np.cumsum(sizes)  # past the size check, so each offset fits in int64
         bad = (np.flatnonzero(~np.isfinite(values)) if values.dtype.kind in "fiu"
                else np.arange(min(values.size, 1)))
@@ -215,21 +218,21 @@ def _split_flat(path, arrays: dict, layout) -> dict:
             name = names[int(np.searchsorted(ends, bad[0], side="right"))]
             raise ValueError(f"{path}: {kind}/{name} holds a value that is not a finite number")
         maps[kind] = {name: values[end - size:end].reshape(shape)
-                      for name, shape, size, end in zip(names, shapes, sizes, ends)}
+                      for name, (shape, _), size, end in zip(names, shapes.values(), sizes, ends)}
     return maps
 
 
 def load_checkpoint(path):
     """Returns (TrainState, TrainConfig) restored bit-exactly.
 
-    Reads the one format `save_checkpoint` writes, version 2, splitting its
-    flat arrays into views by the `layout` in `meta`; a file of any other
-    version is an error naming it.  The settings in `train_config` pass the
-    same checks as a config file.  The architecture comes from them and the
-    input width from the projection weights; weights of any other name or
-    shape are rejected, and so is a weight or Adam moment that is not finite.
-    A missing or malformed field raises a ValueError naming the file and the
-    field.  Logs the file and its member count at DEBUG.
+    Reads the one format `save_checkpoint` writes, version 3; a file of any
+    other version is an error naming it.  The settings in `train_config`
+    pass the same checks as a config file, and `input_dims` must be an
+    integer >= 1.  The flat arrays are split into views by
+    `encoder.param_shapes` of that architecture and input width, so each
+    must hold exactly its values, all finite.  A missing or malformed field
+    raises a ValueError naming the file and the field.  Logs the file and
+    its member count at DEBUG.
 
     The weights require no gradient, so encoding and scoring with them keeps
     no autodiff tape; `pretrain` on the state marks them while it trains.
@@ -244,24 +247,31 @@ def load_checkpoint(path):
                 arrays = {key: blob[key] for key in blob.files}
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
-    if "version" not in arrays or arrays["version"].tolist() != 2:
-        raise ValueError(f"{path}: not a version 2 checkpoint")
-    _log.debug("%s: checkpoint format version 2, %d members", path, len(arrays))
+    if "version" not in arrays or arrays["version"].tolist() != 3:
+        raise ValueError(f"{path}: not a version 3 checkpoint")
+    _log.debug("%s: checkpoint format version 3, %d members", path, len(arrays))
     try:
         meta = json.loads(bytes(arrays["meta"]).decode())
-        stored, rng_state, step, layout = (meta[key] for key in
-                                           ("train_config", "rng_state", "step", "layout"))
+        stored, rng_state, step, input_dims = (meta[key] for key in
+                                               ("train_config", "rng_state", "step", "input_dims"))
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: meta is not a JSON object ({exc})") from None
+    if not isinstance(stored, dict):
+        raise ValueError(f"{path}: train_config must be an object")
+    try:
+        cfg = validate({"train": stored}).train_config
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if type(input_dims) is not int or input_dims < 1:
+        raise ValueError(f"{path}: input_dims must be an integer >= 1, "
+                         f"got {json.dumps(input_dims)}")
     try:
         # a NaN weight would encode to NaN, and score and probe with it
-        maps = _split_flat(path, arrays, layout)
+        maps = _split_flat(path, arrays, enc.param_shapes(cfg, input_dims))
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc.args[0]}") from None
-    params = {name: ad.Tensor(a) for name, a in maps["param"].items()}
-    m, v = maps["adam_m"], maps["adam_v"]
     if type(step) is not int or step < 0:
         raise ValueError(f"{path}: step must be an integer >= 0, got {json.dumps(step)}")
     rng = np.random.Generator(np.random.Philox())
@@ -270,25 +280,6 @@ def load_checkpoint(path):
     except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise ValueError(f"{path}: rng_state is not a Philox state "
                          f"({type(exc).__name__}: {exc})") from None
-    if not isinstance(stored, dict):
-        raise ValueError(f"{path}: train_config must be an object")
-    try:
-        cfg = validate({"train": stored}).train_config
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    shapes = {name: t.shape for name, t in params.items()}
-    proj = shapes.get("proj_w", ())
-    if len(proj) != 2 or proj[0] < 1:
-        raise ValueError(f"{path}: no [input_dims, hidden] proj_w weights")
-    expected = {name: shape for name, (shape, _) in enc.param_shapes(cfg, proj[0]).items()}
-    if shapes != expected:
-        differ = sorted(name for name in set(shapes) | set(expected)
-                        if shapes.get(name) != expected.get(name))
-        raise ValueError(f"{path}: weights do not match the train_config architecture "
-                         f"(hidden={cfg.hidden}, repr_dims={cfg.repr_dims}, depth={cfg.depth}); "
-                         f"differing: {', '.join(differ)}")
-    # a moment of another shape would broadcast silently in the Adam update
-    for name, shape in shapes.items():
-        if m[name].shape != shape or v[name].shape != shape:
-            raise ValueError(f"{path}: adam moments of {name} must have its shape {shape}")
-    return TrainState(model=enc.EncoderModel(params), m=m, v=v, step=step, rng=rng), cfg
+    params = {name: ad.Tensor(a) for name, a in maps["param"].items()}
+    return TrainState(model=enc.EncoderModel(params), m=maps["adam_m"], v=maps["adam_v"],
+                      step=step, rng=rng), cfg

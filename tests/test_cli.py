@@ -441,11 +441,11 @@ def test_ablate_holds_one_distance_matrix_at_a_time(tmp_path, capsys, monkeypatc
     # the metric axis once kept all four N x N matrices until the sweep ended
     seen, real = [], tr.pretrain
 
-    def spy(tset, dm, cfg, state=None, log_path=None):
+    def spy(tset, dm, cfg, state=None):
         seen.append(weakref.ref(dm))
         gc.collect()
         assert [ref() is not None for ref in seen] == [False] * (len(seen) - 1) + [True]
-        return real(tset, dm, cfg, state=state, log_path=log_path)
+        return real(tset, dm, cfg, state=state)
 
     monkeypatch.setattr(cli.tr, "pretrain", spy)
     out = tmp_path / "ablate.csv"
@@ -566,6 +566,26 @@ def test_evaluate_anomaly_labels_must_be_0_or_1(tmp_path, capsys, bad):
                      "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels),
                      "--out", str(report)]) == 2
     assert f"{labels}: anomaly labels must be 0 or 1, found {bad}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_evaluate_anomaly_labels_must_be_utf_8(tmp_path, capsys):
+    # the error named no file, and the decoding followed the locale
+    tset = ds.make_synthetic(1, 16, [{"kind": "sine", "freq": 2.0}], seed=3)
+    tsv = tmp_path / "series.tsv"
+    ds.write_ucr_tsv(tset, tsv)
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    ckpt = tmp_path / "model.npz"
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"\xff\xfe" + b"0\n" * 16)
+    report = tmp_path / "report.csv"
+    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+                     "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels),
+                     "--out", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labels}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
     assert not report.exists()
 
 

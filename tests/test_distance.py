@@ -597,9 +597,9 @@ def _cli(*argv):
 _WRITERS = {
     "save_matrix": lambda t, i: dist.save_matrix(dist.pairwise(_corpus(), "euc"), t),
     "save_checkpoint": lambda t, i: tr.save_checkpoint(*tr.load_checkpoint(i.ckpt), t),
-    "write_log_csv": lambda t, i: tr.pretrain(_corpus(), dist.pairwise(_corpus(), "euc"),
-                                              tr.TrainConfig(iters=2, hidden=4, depth=1),
-                                              log_path=t),
+    "write_log_csv": lambda t, i: tr.write_log_csv(
+        tr.pretrain(_corpus(), dist.pairwise(_corpus(), "euc"),
+                    tr.TrainConfig(iters=2, hidden=4, depth=1))[1], t),
     "EvalReport.to_csv": lambda t, i: ev.EvalReport("classify", accuracy=0.5).to_csv(t),
     "write_ucr_tsv": lambda t, i: ds.write_ucr_tsv(_corpus(), t),
     "pretrain --out": lambda t, i: _cli("pretrain", "--config", i.cfg, "--out", t),

@@ -146,6 +146,43 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.v[name], state.v[name])
 
 
+def test_checkpoint_keeps_each_weight_under_its_name_in_any_dict_order(tmp_path):
+    """The flat arrays follow `param_shapes` order, whatever order the
+    model's dicts are in, and every weight and moment loads under its own
+    name."""
+    tset, dm, cfg = _setup()
+    state = tr.TrainState.fresh(cfg, tset.dims)
+    tr.pretrain(tset, dm, cfg, state=state)
+    names = list(enc.param_shapes(cfg, tset.dims))
+    shuffled = [names[i] for i in np.random.Generator(np.random.Philox(3)).permutation(len(names))]
+    assert shuffled != names
+    state.model.params = {name: state.model.params[name] for name in shuffled}
+    state.m = {name: state.m[name] for name in shuffled}
+    state.v = {name: state.v[name] for name in shuffled}
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(state, cfg, path)
+    with np.load(path) as blob:
+        assert blob["param"].tobytes() == np.concatenate(
+            [state.model.params[name].data.ravel() for name in names]).tobytes()
+    back, _ = tr.load_checkpoint(path)
+    assert list(back.model.params) == names
+    for name in names:
+        assert back.model.params[name].data.tobytes() == state.model.params[name].data.tobytes()
+        assert back.m[name].tobytes() == state.m[name].tobytes()
+        assert back.v[name].tobytes() == state.v[name].tobytes()
+
+
+def test_save_checkpoint_refuses_weights_of_another_architecture(tmp_path):
+    # a depth-2 state saved under a depth-3 config was written, then refused at load
+    tset, _, cfg = _setup(depth=2)
+    state = tr.TrainState.fresh(cfg, tset.dims)
+    with pytest.raises(ValueError, match=r"^weights or their Adam moments do not match the "
+                                         r"train_config architecture \(hidden=6, repr_dims=3, depth=3\); differing: "
+                                         r"block2_bias1, block2_bias2, block2_conv1, block2_conv2$"):
+        tr.save_checkpoint(state, replace(cfg, depth=3), tmp_path / "ckpt.npz")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_checkpoint_rejects_bad_file(tmp_path, capsys):
     tset, _, cfg = _setup()
     good = tmp_path / "good.npz"
@@ -269,7 +306,8 @@ def test_encoding_loaded_weights_holds_a_few_activations(tmp_path, peak_bytes):
 def test_write_log_csv(tmp_path):
     tset, dm, cfg = _setup(iters=4)
     path = tmp_path / "log.csv"
-    _, history = tr.pretrain(tset, dm, cfg, log_path=path)
+    _, history = tr.pretrain(tset, dm, cfg)
+    tr.write_log_csv(history, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:4] == ["step", "total", "instance_term", "temporal_term"]
@@ -297,23 +335,17 @@ def _rewrite_meta(path, edit):
 
 
 def _span(arrays, name) -> slice:
-    """Where weight `name` lies in a version 2 checkpoint's flat arrays."""
+    """Where weight `name` lies in a version 3 checkpoint's flat arrays: its
+    place in `encoder.param_shapes` of the file's own train_config and
+    input_dims."""
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    cfg = tr.TrainConfig(**meta["train_config"])
     start = 0
-    for entry, shape in json.loads(bytes(arrays["meta"]).decode())["layout"]:
+    for entry, (shape, _) in enc.param_shapes(cfg, meta["input_dims"]).items():
         if entry == name:
             return slice(start, start + math.prod(shape))
         start += math.prod(shape)
     raise KeyError(name)
-
-
-def _drop_proj_w_inputs(arrays):
-    """Give a version 2 checkpoint's proj_w no input rows: [0, hidden]."""
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    proj = _span(arrays, "proj_w")
-    for kind in ("param", "adam_m", "adam_v"):
-        arrays[kind] = np.delete(arrays[kind], np.arange(proj.start, proj.stop))
-    meta["layout"][0][1][0] = 0
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
 
 
 def test_save_checkpoint_writes_five_members(tmp_path):
@@ -325,9 +357,10 @@ def test_save_checkpoint_writes_five_members(tmp_path):
                                          "version.npy"]
     with np.load(path) as blob:
         arrays = {key: blob[key] for key in blob.files}
-    assert arrays["version"].tolist() == 2
-    assert json.loads(bytes(arrays["meta"]).decode())["layout"] == [
-        [name, list(shape)] for name, (shape, _) in enc.param_shapes(cfg, tset.dims).items()]
+    assert arrays["version"].tolist() == 3
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert sorted(meta) == ["input_dims", "rng_state", "step", "train_config"]
+    assert meta["input_dims"] == tset.dims
     for kind in ("param", "adam_m", "adam_v"):
         assert arrays[kind].dtype == np.float64 and arrays[kind].ndim == 1
 
@@ -368,7 +401,7 @@ def _set_counter(meta, value):
 _BAD_FIELDS = {
     **{f"version-{case}": (_rewrite_arrays, edit, "version") for case, edit in (
         ("1", lambda arrays: arrays.update(version=np.int64(1))),
-        ("3", lambda arrays: arrays.update(version=np.int64(3))),
+        ("2", lambda arrays: arrays.update(version=np.int64(2))),
         ("true", lambda arrays: arrays.update(version=np.bool_(True))),
         ("missing", lambda arrays: arrays.pop("version")))},
     "step-fraction": (_rewrite_meta, lambda meta: meta.update(step=2.7), "step"),
@@ -390,19 +423,14 @@ _BAD_FIELDS = {
     "no-train-config": (_rewrite_meta, lambda meta: meta.pop("train_config"), "train_config"),
     "no-adam-m": (_rewrite_arrays, lambda arrays: arrays.pop("adam_m"), "adam_m"),
     "adam-v-shape": (_rewrite_arrays, lambda arrays: arrays.update(adam_v=np.zeros(1)), "adam_v"),
-    "proj-w-no-inputs": (_rewrite_arrays, _drop_proj_w_inputs, "proj_w"),
-    "no-layout": (_rewrite_meta, lambda meta: meta.pop("layout"), "layout"),
-    "layout-not-a-list": (_rewrite_meta, lambda meta: meta.update(layout={"proj_w": [1, 6]}),
-                          "layout"),
-    "layout-entry-name-only": (_rewrite_meta, lambda meta: meta["layout"].__setitem__(0, "proj_w"),
-                               "layout"),
-    "layout-entry-no-shape": (_rewrite_meta, lambda meta: meta["layout"][0].pop(), "layout"),
-    "layout-negative-dim": (_rewrite_meta, lambda meta: meta["layout"][0].__setitem__(1, [-1, 6]),
-                            "layout"),
-    "layout-float-dim": (_rewrite_meta, lambda meta: meta["layout"][0].__setitem__(1, [1.0, 6]),
-                         "layout"),
-    "layout-name-twice": (_rewrite_meta, lambda meta: meta["layout"].append(meta["layout"][1]),
-                          "layout"),
+    "no-input-dims": (_rewrite_meta, lambda meta: meta.pop("input_dims"), "input_dims"),
+    **{f"input-dims-{case}": (_rewrite_meta, lambda meta, value=value: meta.update(
+        input_dims=value), "input_dims") for case, value in (
+        ("0", 0), ("negative", -1), ("true", True), ("fraction", 1.5), ("string", "x"))},
+    # the size is named, not overflowed: proj_w takes 6 x 10**30 values, the rest 483
+    "input-dims-huge": (_rewrite_meta, lambda meta: meta.update(input_dims=10 ** 30),
+                        f"param holds 489 values, but the train_config's weights take "
+                        f"{6 * 10 ** 30 + 483}"),
     "param-short": (_rewrite_arrays, lambda arrays: arrays.update(param=arrays["param"][:-1]),
                     "param"),
     "adam-m-2d": (_rewrite_arrays, lambda arrays: arrays.update(adam_m=arrays["adam_m"][None]),
@@ -420,7 +448,7 @@ def test_load_checkpoint_names_a_bad_field(tmp_path, capsys, case):
     with pytest.raises(ValueError, match=rf"ckpt\.npz: .*{re.escape(field)}") as error:
         tr.load_checkpoint(path)
     if case.startswith("version"):
-        assert str(error.value) == f"{path}: not a version 2 checkpoint"
+        assert str(error.value) == f"{path}: not a version 3 checkpoint"
 
     tsv = tmp_path / "data.tsv"
     ds.write_ucr_tsv(tset, tsv)
@@ -586,7 +614,7 @@ def test_load_checkpoint_logs_its_format_at_debug_only(tmp_path, caplog):
     caplog.set_level("DEBUG", logger="tscontrast.train")
     tr.load_checkpoint(path)
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("tscontrast.train", "DEBUG", f"{path}: checkpoint format version 2, 5 members")]
+        ("tscontrast.train", "DEBUG", f"{path}: checkpoint format version 3, 5 members")]
     caplog.clear()
     caplog.set_level("INFO", logger="tscontrast.train")
     tr.load_checkpoint(path)
