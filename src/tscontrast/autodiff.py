@@ -10,14 +10,28 @@ tensors no op made (weights, inputs): an op output's adjoint is freed as soon
 as that op's backward has run.  Only what the encoder and the contrastive
 losses need is implemented, plus `transpose` and `masked_log_softmax`, kept as
 general ops; everything is float64.
+
+GELU's `erf` comes from scipy.special, which costs more start-up time and
+memory than the rest of the package together.  It is imported on the first
+call of `load_erf`, not with this module, so a process that only computes
+distances never loads it; `encoder.EncoderModel` calls `load_erf` when a
+model is built or loaded, so no training step or scoring request pays it.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import erf
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+@functools.cache
+def load_erf():
+    """scipy.special.erf, imported on the first call."""
+    from scipy.special import erf
+    return erf
 
 
 class Tensor:
@@ -112,7 +126,7 @@ def matmul(a, b) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact erf-based GELU; smooth, so finite-difference checks stay clean."""
     a = as_tensor(a)
-    phi = 0.5 * (1.0 + erf(a.data / _SQRT2))
+    phi = 0.5 * (1.0 + load_erf()(a.data / _SQRT2))
     out_data = a.data * phi
 
     def bwd(g):

@@ -202,12 +202,22 @@ def write_ucr_tsv(tset: TimeSeriesSet, path) -> None:
             fh.write("\t".join(cells) + "\n")
 
 
+# Below this, a deviation's square is subnormal or zero (2**-1022 is the
+# smallest normal float64).
+TINY_DEVIATION = 2.0 ** -511
+
+
 def znormalize(tset: TimeSeriesSet) -> TimeSeriesSet:
     """Per-series, per-channel zero mean / unit population stdev over the valid
     prefix.  Constant channels map to all-zeros; padding stays zero.  A series
     whose mean or stdev is not finite (NaN cells, or values so large that the
     stdev overflows) raises ValueError naming its index, the lowest if there
     are several.
+
+    A non-constant channel whose stdev comes out below `TINY_DEVIATION`,
+    where squared deviations are subnormal or zero, is normalized from its
+    deviations scaled by an exact power of two (its largest to [0.5, 1)), so
+    it gets what the same values at a normal scale get.
 
     Series of one length are normalized together, as one [n_l, l, D] block
     reduced over its steps: a series gets the bits it gets alone
@@ -224,7 +234,14 @@ def znormalize(tset: TimeSeriesSet) -> TimeSeriesSet:
         if bad.size:
             unscalable.append((rows[bad[0]], mean[bad[0], 0], spread[bad[0], 0]))
             continue
-        out = (seg - mean) / np.where(spread > 0, spread, 1.0)
+        dev = seg - mean
+        tiny = spread < TINY_DEVIATION
+        if tiny.any():
+            peak = np.abs(dev).max(axis=1, keepdims=True)
+            tiny &= peak > 0
+            dev = np.ldexp(dev, np.where(tiny, -np.frexp(peak)[1], 0))
+            spread = np.where(tiny, np.sqrt(np.square(dev).mean(axis=1, keepdims=True)), spread)
+        out = dev / np.where(spread > 0, spread, 1.0)
         values[rows, :length, :] = np.where(spread == 0, 0.0, out)
     if unscalable:
         i, mean, spread = min(unscalable, key=lambda bad: bad[0])

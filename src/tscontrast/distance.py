@@ -307,9 +307,15 @@ def _window_bounds(rows, cols, ta: int, tb: int, radius: int):
 
 def _fastdtw_dp(a, b, radius: int, ends=None) -> np.ndarray:
     """`_dp` of FastDTW, `ends` as there: align the half-length series
-    recursively, then fill only the window around the projected coarse path."""
+    recursively, then fill only the window around the projected coarse path.
+
+    Once either series has at most 2 * radius + 2 steps, the full table is
+    filled at once: that series' half has at most radius + 1 steps, so the
+    window, the coarse path from (0, 0) to the last coarse cell widened by
+    `radius`, would cover every fine cell anyway.  The result is the same,
+    one recursion level sooner (`oracle.fastdtw` keeps the radius + 2 rule)."""
     ta, tb = a.shape[1], b.shape[1]
-    if ta <= radius + 2 or tb <= radius + 2:
+    if min(ta, tb) <= 2 * radius + 2:
         return _dp(a, b, *_full_bounds(ta, tb), ends)
     ha, hb = _reduce_by_half(a), _reduce_by_half(b)
     rows, cols = _backtrack(_fastdtw_dp(ha, hb, radius), ha.shape[1], hb.shape[1])

@@ -21,8 +21,15 @@ KERNEL_SIZE = 3  # taps per dilated convolution
 
 @dataclass
 class EncoderModel:
-    """A model is its weights: every reader takes the architecture from them."""
+    """A model is its weights: every reader takes the architecture from them.
+
+    Building one (`init_encoder`, `train.load_checkpoint`) also imports
+    GELU's `erf` (`autodiff.load_erf`), so the one-time scipy.special import
+    lands in set-up, never in a training step or a scoring request."""
     params: dict          # name -> Tensor; requires_grad from init_encoder and while pretrain runs
+
+    def __post_init__(self):
+        ad.load_erf()
 
     @property
     def depth(self) -> int:

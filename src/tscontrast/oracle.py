@@ -22,8 +22,10 @@ def znormalize(tset) -> np.ndarray:
     """The padded [N, T_max, D] values of a time-series set z-normalized one
     series at a time: each channel of series i's valid prefix to zero mean
     and unit population stdev (constant channels to zeros), padding zero.
-    Raises the ValueError that names the first series whose mean or stdev is
-    not finite."""
+    A non-constant channel whose stdev is below 2**-511 gets it again from
+    its deviations scaled by 2**-e, e the exponent of the largest, so squares
+    that would underflow do not.  Raises the ValueError that names the first
+    series whose mean or stdev is not finite."""
     values = np.zeros_like(tset.values)
     for i in range(tset.n):
         li = tset.lengths[i]
@@ -34,7 +36,16 @@ def znormalize(tset) -> np.ndarray:
         if not (np.isfinite(mean).all() and np.isfinite(spread).all()):
             raise ValueError(f"series {i}: mean or stdev is not finite, so it cannot be "
                              f"z-normalized (mean {mean.tolist()}, stdev {spread.tolist()})")
-        out = (seg - mean) / np.where(spread > 0, spread, 1.0)
+        dev = seg - mean
+        shift = np.zeros(len(spread), dtype=int)
+        for c in range(len(spread)):
+            peak = float(np.abs(dev[:, c]).max())
+            if spread[c] < 2.0 ** -511 and peak > 0:
+                shift[c] = -math.frexp(peak)[1]
+        if shift.any():
+            dev = np.ldexp(dev, shift)
+            spread = np.where(shift != 0, np.sqrt(np.square(dev).mean(axis=0)), spread)
+        out = dev / np.where(spread > 0, spread, 1.0)
         out[:, spread == 0] = 0.0
         values[i, :li, :] = out
     return values

@@ -200,6 +200,36 @@ def test_znormalize_names_the_lowest_unscalable_series_across_lengths():
         ds.znormalize(tset)
 
 
+@st.composite
+def _integer_series(draw):
+    """One [t, d] series of integers whose every channel takes two values or more."""
+    t, d = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    channels = [draw(st.lists(st.integers(-1000, 1000), min_size=t, max_size=t)
+                     .filter(lambda c: len(set(c)) > 1)) for _ in range(d)]
+    return np.array(channels, dtype=np.float64).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_integer_series(), k=st.integers(0, 1000))
+def test_znormalize_is_unchanged_by_a_tiny_power_of_two_scale(x, k):
+    # below 2**-511 a deviation's square is subnormal or zero: at k = 1000 the
+    # stdev used to underflow and every channel normalized to zeros
+    big, tiny = (ds.TimeSeriesSet(v[None], [len(x)]) for v in (x, x * 2.0 ** -k))
+    got = ds.znormalize(tiny).values
+    np.testing.assert_allclose(got, ds.znormalize(big).values, rtol=1e-12, atol=0)
+    assert got.tobytes() == oracle.znormalize(tiny).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160])
+def test_znormalize_keeps_a_tiny_non_constant_series(scale):
+    # 1e-300 used to normalize to zeros, as if constant; at 1e-160 the squares
+    # are subnormal and the output was off by a relative 3.6e-5
+    x = np.array([[[1.0], [-1.0], [3.0]]])
+    want = ds.znormalize(ds.TimeSeriesSet(x, [3])).values
+    got = ds.znormalize(ds.TimeSeriesSet(x * scale, [3])).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_make_synthetic_deterministic_and_labeled():
     classes = [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}]
     a = ds.make_synthetic(4, 16, classes, noise_std=0.1, seed=5)

@@ -237,8 +237,21 @@ def test_pairwise_matches_scalar_oracle_bit_for_bit(series, band, fill, cap):
         assert got.tobytes() == _normalized(raw).tobytes(), (metric, params, cap)
 
 
+def _noise(seed, *lengths):
+    """Seeded normal [t, 2] series, one per length."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(t, 2)) for t in lengths]
+
+
 @settings(max_examples=30, deadline=None)
 @given(series=_ragged_series(st.integers(1, 3)), radius=st.integers(1, 3), fill=_FILLS)
+# `_fastdtw_dp` fills the full table once either series has at most
+# 2 * radius + 2 steps, the oracle only at radius + 2: one series and both at
+# 2r+2 (the shortcut) and at 2r+3 (the first length that still recurses; on
+# these seeds a full table there would change a pair's value)
+@example(series=_noise(7, 4, 4, 5, 5, 13), radius=1, fill=0.0)
+@example(series=_noise(16, 6, 6, 7, 7, 17), radius=2, fill=0.0)
+@example(series=_noise(30, 8, 8, 9, 9, 21), radius=3, fill=math.nan)
 def test_pairwise_fastdtw_matches_scalar_oracle_bit_for_bit(series, radius, fill):
     tset = _ragged_set(series, fill)
     n = tset.n
