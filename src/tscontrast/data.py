@@ -195,10 +195,8 @@ def write_ucr_tsv(tset: TimeSeriesSet, path) -> None:
         raise ValueError("UCR TSV export is univariate only")
     labels = tset.labels if tset.labels is not None else np.zeros(tset.n, dtype=np.int64)
     with whole_file(path) as fh:
-        for i in range(tset.n):
-            cells = [str(int(labels[i]))]
-            for t in range(tset.t_max):
-                cells.append(repr(float(tset.values[i, t, 0])) if t < tset.lengths[i] else "NaN")
+        for label, row, length in zip(labels.tolist(), tset.values[:, :, 0], tset.lengths.tolist()):
+            cells = [str(label), *map(repr, row[:length].tolist())] + ["NaN"] * (tset.t_max - length)
             fh.write("\t".join(cells) + "\n")
 
 

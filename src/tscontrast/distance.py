@@ -141,11 +141,14 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi, ends=None) -> np.ndarray:
     returned for `_backtrack`.  With `ends` = (la, lb), each [P] ints,
     R is 3, the planes one diagonal reads and writes, and the [P] values
     of each pair's cell (la[p] - 1, lb[p] - 1) are returned, read as its
-    diagonal is written.  A slot that takes plane q still holds plane q - 3:
-    of its rows that plane q does not write, those a later diagonal reads (the
-    origin's, and the one above a run whose first row does not advance) are
-    reset to inf first, and a pair whose last cell lies outside the run of its
-    diagonal, also where no pair's run meets that diagonal, reads inf.
+    diagonal is written.  The slot that takes plane k + 2 still holds plane
+    k + 2 - R.  Of its rows outside diagonal k's run, later diagonals read
+    only row i0(k), just above the run, and only where the next run starts
+    there too, i0(k + 1) = i0(k), as the runs' first and end rows never
+    decrease.  That row is reset to inf there if the older plane wrote it:
+    i0(k - R) < i0(k) <= i1(k - R), or k = R - 2 and i0(k) = 0 (the origin),
+    so never with R = ta + tb + 1.  A pair whose last cell lies outside the
+    run of its diagonal, also where no pair's run meets that diagonal, reads inf.
     """
     p, ta, d = a.shape
     tb = b.shape[1]
@@ -160,23 +163,18 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi, ends=None) -> np.ndarray:
     # the loop fills the union [i0, i1) of the pairs' runs on each diagonal
     i0s, i1s = start.min(axis=0), stop.max(axis=0)
     shared = (start.max(axis=0) == i0s) & (stop.min(axis=0) == i1s)
+    # a diagonal on which every pair's run is empty can have i0 > i1: it
+    # must not be masked, as its negative width has no rows to repeat
     filled = i0s < i1s
     outside, at_mask = _outside(start, stop, i0s, i1s, np.flatnonzero(filled & ~shared)), 0
     base = np.arange(diagonals + 2) % ring * width  # plane q starts at base[q] * p
-    # the flat [start, stop) of each diagonal's reset, and its finished pairs
-    r0s = r1s = repeat(0)
+    # whether diagonal k first resets row i0 of plane k + 2, by the docstring's rule
+    reset = np.zeros(diagonals, dtype=bool)
+    reset[ring:] = (i0s[:-ring] < i0s[ring:]) & (i0s[ring:] <= i1s[:-ring])
+    reset[ring - 2:ring - 1] = i0s[ring - 2:ring - 1] == 0
+    reset[:-1] &= i0s[1:] == i0s[:-1]
     finished = repeat(None)
     if ends is not None:
-        # diagonal k writes rows i0 + 1..i1 of plane k + 2 (row r holds
-        # i = r - 1) over plane k - 1; of plane k + 2 only diagonal k + 1 reads
-        # rows from i0(k + 1) on, and k + 2 from i0(k + 2) >= i0(k + 1), as the
-        # runs' first and end rows never decrease from one diagonal to the next
-        first = np.concatenate(([0, 0], i0s + 1))
-        end = np.concatenate(([1, 0], np.where(filled, i1s + 1, first[2:])))
-        lower = np.maximum(first[:-3], np.append(i0s[2:], ta + 1))
-        upper = np.minimum(end[:-3], first[3:])
-        r0s, r1s = np.concatenate(([[0], [0]], (base[3:] + [lower, np.maximum(lower, upper)]) * p),
-                                  axis=1).tolist()
         # a pair whose last cell (la - 1, lb - 1) lies outside its diagonal's
         # run keeps inf; the others read it as that diagonal is written
         la, lb = ends
@@ -191,11 +189,11 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi, ends=None) -> np.ndarray:
     runs = zip(((i1s - i0s) * p).tolist(), ((base[2:] + i0s + 1) * p).tolist(),
                ((base[1:-1] + i0s) * p).tolist(), ((base[:-2] + i0s) * p).tolist(),
                (i0s * p * d).tolist(), ((tb - 1 - np.arange(diagonals) + i0s) * p * d).tolist(),
-               shared.tolist(), r0s, r1s, finished)
+               shared.tolist(), reset.tolist(), finished)
     diff = np.empty(ta * p * d)
-    for n, at, up, diagonal, ai, bi, same, r0, r1, done in runs:
-        if r1 > r0:
-            flat[r0:r1] = np.inf
+    for n, at, up, diagonal, ai, bi, same, clear, done in runs:
+        if clear:
+            flat[at - p:at] = np.inf
         if n > 0:
             # a's rows i0..i1 and their partners, b's columns k - i0 down to k - i1 + 1
             cost = diff[:n * d]

@@ -47,6 +47,15 @@ def test_tsv_round_trip(tmp_path):
         np.testing.assert_array_equal(back.series(i), tset.series(i))
 
 
+def test_tsv_writes_label_repr_and_nan_padding(tmp_path):
+    # the padding cells hold 9.0, which must not be written
+    values = np.array([[0.1, 1 / 3, -2.5e-300], [3.0, 9.0, 9.0]])[:, :, None]
+    tset = ds.TimeSeriesSet(values=values, lengths=[3, 1], labels=[7, 0])
+    path = tmp_path / "ragged.tsv"
+    ds.write_ucr_tsv(tset, path)
+    assert path.read_text() == "7\t0.1\t0.3333333333333333\t-2.5e-300\n0\t3.0\tNaN\tNaN\n"
+
+
 def test_tsv_trailing_nan_shortens(tmp_path):
     path = tmp_path / "v.tsv"
     path.write_text("1\t0.5\t0.25\tNaN\tNaN\n2\t1.0\t2.0\t3.0\t4.0\n")

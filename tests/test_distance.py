@@ -264,6 +264,58 @@ def test_pairwise_fastdtw_matches_scalar_oracle_bit_for_bit(series, radius, fill
 
 
 @st.composite
+def _dp_windows(draw):
+    """A `_dp` call on any window: P pairs of [ta, D] and [tb, D] series whose
+    row i fills columns lo[i]..hi[i], lo and hi each non-decreasing (a row
+    with lo > hi is empty), per pair or shared as [ta] bounds, and each
+    pair's own lengths la <= ta and lb <= tb."""
+    p, ta, tb, d = (draw(st.integers(1, top)) for top in (4, 8, 8, 2))
+    a, b = (draw(arrays(np.float64, (p, t, d), elements=st.floats(-10, 10))) for t in (ta, tb))
+    windows = 1 if draw(st.booleans()) else p
+    lo = np.sort(draw(arrays(np.int64, (windows, ta), elements=st.integers(0, tb))))
+    hi = draw(arrays(np.int64, (windows, ta), elements=st.integers(-1, tb - 1)))
+    # hi is drawn on its own or as a width past lo, so that many windows
+    # connect (0, 0) to later rows, and others leave whole diagonals empty
+    hi = np.maximum.accumulate(np.clip(hi + lo * draw(st.booleans()), 0, tb - 1), axis=1)
+    la, lb = (np.array(draw(st.lists(st.integers(1, t), min_size=p, max_size=p))) for t in (ta, tb))
+    return a, b, (lo[0], hi[0]) if windows == 1 else (lo, hi), la, lb
+
+
+def _zero_window(tb, lo, hi, la, lb):
+    """A `_dp_windows` draw of zero-valued series: every cell its window
+    reaches from (0, 0) costs 0, and every other cell must stay inf."""
+    lo, hi, la, lb = map(np.array, (lo, hi, la, lb))
+    return np.zeros((len(la), lo.shape[-1], 1)), np.zeros((len(la), tb, 1)), (lo, hi), la, lb
+
+
+@settings(max_examples=500, deadline=None)
+@given(window=_dp_windows())
+# the window leaves out (0, 0): the origin's 0, still in the slot that takes
+# plane 3, must not reach (0, 2)
+@example(window=_zero_window(3, [1], [2], [1], [3]))
+# the run's first row advances to row 1 on diagonal 3: (0, 0)'s 0, still in
+# that row of its slot, must not reach (1, 3)
+@example(window=_zero_window(4, [0, 2], [0, 3], [2], [4]))
+# no run meets the last cell (0, 3), which reads inf, not the 0 that (0, 0)
+# left in its slot
+@example(window=_zero_window(4, [0, 0], [1, 1], [1], [4]))
+# every row is empty and the pairs' runs differ: i0 > i1 on diagonal 2
+@example(window=_zero_window(3, [[3, 3], [3, 3]], [[0, 1], [0, 0]], [1, 1], [1, 1]))
+def test_dp_matches_the_scalar_table_on_any_window(window):
+    # both modes of the one DP, against the row-by-row table of each pair's
+    # own prefixes: the ring's values and the whole table's cell of (la-1, lb-1)
+    a, b, bounds, la, lb = window
+    pairs = np.arange(len(a))
+    lo, hi = (np.broadcast_to(x, a.shape[:2]) for x in bounds)
+    expected = np.array([
+        oracle._dp_table(a[p, :la[p]].tolist(), b[p, :lb[p]].tolist(),
+                         lambda i, j: lo[p, i] <= j <= hi[p, i])[la[p] - 1][lb[p] - 1]
+        for p in pairs])
+    assert dist._dp(a, b, *bounds, (la, lb)).tobytes() == expected.tobytes()
+    assert dist._dp(a, b, *bounds)[la + lb, la, pairs].tobytes() == expected.tobytes()
+
+
+@st.composite
 def _ragged_nonzero_sets(draw):
     d = draw(st.integers(1, 3))
     return [_with_nonzero_start(draw, (draw(st.integers(1, 40)), d))
