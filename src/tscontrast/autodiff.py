@@ -8,8 +8,9 @@ activation is freed once nothing reads it.  `backward` walks the graph once
 in reverse topological order and leaves gradients on leaves only, the
 tensors no op made (weights, inputs): an op output's adjoint is freed as soon
 as that op's backward has run.  Only what the encoder and the contrastive
-losses need is implemented, plus `transpose` and `masked_log_softmax`, kept as
-general ops; everything is float64.
+losses need is implemented, all in float64, plus `transpose` and
+`masked_log_softmax`, which no library code calls: they stay only because the
+benchmark's tracer patches every op `bench/tracer.AUTODIFF_OPS` names.
 
 GELU's `erf` comes from scipy.special, which costs more start-up time and
 memory than the rest of the package together.  It is imported on the first

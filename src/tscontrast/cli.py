@@ -74,7 +74,7 @@ def _require_croppable(tset: ds.TimeSeriesSet) -> None:
 
 
 def _echo_config(cfg: engine_config.EngineConfig, args):
-    if getattr(args, "echo_config", False):
+    if args.echo_config:
         print(json.dumps(cfg.effective(), indent=2))
 
 
@@ -186,8 +186,8 @@ def cmd_evaluate(args) -> int:
     if missing:
         print(f"error: --task {args.task} needs {' and '.join(missing)}", file=sys.stderr)
         return 1
-    cfg = _load_config(args)
-    _echo_config(cfg, args)
+    if not np.isfinite(args.anomaly_c):
+        raise ValueError(f"--anomaly-c must be finite, got {args.anomaly_c}")
     state, _ = tr.load_checkpoint(args.ckpt)
     if args.task == "classify":
         train_set = ds.znormalize(ds.load_ucr_tsv(args.train_data))
@@ -207,8 +207,7 @@ def cmd_evaluate(args) -> int:
             if labels.shape != scores.shape:
                 raise ValueError(f"{args.labels}: {labels.size} anomaly labels for a series "
                                  f"of {scores.size} timestamps")
-        _, report = ev.threshold_anomalies(scores, labels=labels,
-                                           c=cfg.sections["eval"]["anomaly_c"])
+        _, report = ev.threshold_anomalies(scores, labels=labels, c=args.anomaly_c)
         if args.scores_out:
             with ds.whole_file(args.scores_out) as fh:
                 np.savetxt(fh, scores, delimiter=",")
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("evaluate", help="classification probe or anomaly scoring")
-    common(p)
     p.add_argument("--task", required=True, choices=["classify", "anomaly"])
     p.add_argument("--ckpt", required=True)
     p.add_argument("--train-data", default=None)
@@ -315,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--labels", default=None)
     p.add_argument("--series-index", type=int, default=0)
+    p.add_argument("--anomaly-c", type=float, default=3.0, help="threshold: mean + c * stdev")
     p.add_argument("--scores-out", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_evaluate)

@@ -1,6 +1,7 @@
 """Engine configuration: `TrainConfig`, the one declaration of every training
 setting with its default and its rule, and the JSON file of validated
-sections that builds it, plus the other sections' defaults.
+sections that builds it: `dataset`, `distance` and `train`, the settings of
+`distances`, `pretrain` and `ablate` (`encode` and `evaluate` take no file).
 
 Precedence is flag > file > default.  Unknown keys, values not of their
 default's JSON type and out-of-range values all fail at load, before any work.
@@ -79,7 +80,6 @@ DEFAULTS = {
     },
     "distance": {"metric": "dtw", "radius": 1, "band": None, "cache": None},
     "train": asdict(TrainConfig()),
-    "eval": {"anomaly_c": 3.0},
 }
 
 # the one type a null-default key takes besides null
@@ -157,8 +157,6 @@ def validate(raw: dict) -> EngineConfig:
             checked_params(metric, {key: sections["distance"][key]})
         except ValueError as exc:
             raise ValueError(f"distance.{key}: {exc}") from None
-    if not math.isfinite(sections["eval"]["anomaly_c"]):
-        raise ValueError(f"eval.anomaly_c must be finite, got {sections['eval']['anomaly_c']}")
     train = sections["train"]
     try:
         train_config = TrainConfig(**train)

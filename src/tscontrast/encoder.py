@@ -109,18 +109,18 @@ def readout(model: EncoderModel, h) -> Tensor:
     return ad.add(ad.matmul(h, model.params["out_w"]), model.params["out_b"])
 
 
-def residual_stream(model: EncoderModel, h) -> tuple[Tensor, list[tuple[Tensor, Tensor, Tensor]]]:
+def residual_stream(model: EncoderModel, h, blocks: list | None = None) -> Tensor:
     """The dilated blocks on the [B, L, H] residual stream `h`: the output
-    stream, and each block b's input h_b, gelu(h_b) and gelu(y1_b), y1_b its
-    first conv stage.  Block b is gelu -> conv_stage(b, 1) -> gelu ->
-    conv_stage(b, 2), added to its input."""
-    blocks = []
+    stream.  Block b is gelu -> conv_stage(b, 1) -> gelu -> conv_stage(b, 2),
+    added to its input.  Appends block b's input h_b, gelu(h_b) and gelu(y1_b)
+    (y1_b its first stage) to a given list `blocks`; with none, none is kept."""
     for b in range(model.depth):
         gelu_h = ad.gelu(h)
         gelu_y1 = ad.gelu(conv_stage(model, gelu_h, b, 1))
-        blocks.append((h, gelu_h, gelu_y1))
+        if blocks is not None:
+            blocks.append((h, gelu_h, gelu_y1))
         h = ad.add(h, conv_stage(model, gelu_y1, b, 2))
-    return h, blocks
+    return h
 
 
 def encode(model: EncoderModel, x, mask_mode: str = "none", rng=None) -> Tensor:
@@ -141,7 +141,7 @@ def encode(model: EncoderModel, x, mask_mode: str = "none", rng=None) -> Tensor:
         h = ad.mul(h, (rng.random((h.shape[0], h.shape[1], 1)) > 0.5).astype(np.float64))
     elif mask_mode != "none":
         raise ValueError(f"unknown mask mode: {mask_mode!r}")
-    return readout(model, residual_stream(model, h)[0])
+    return readout(model, residual_stream(model, h))
 
 
 def pool_ladder(r: Tensor, m: int) -> list[Tensor]:

@@ -245,7 +245,8 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
                    length, -(-length // per_chunk), sum(stage.taps[0].size for stage in stages))
     if length == 0:
         return np.empty(0)
-    out, blocks = enc.residual_stream(model, projected)
+    blocks = []
+    out = enc.residual_stream(model, projected, blocks)
     hidden = model.params["proj_w"].shape[1]
     at_t = np.empty((length, hidden))  # the residual stream at t, t hidden
     for lo in range(0, length, per_chunk):
@@ -271,7 +272,7 @@ def anomaly_scores(model: enc.EncoderModel, series: np.ndarray) -> np.ndarray:
 def threshold_anomalies(scores, labels=None, *, c: float):
     """Static mean + c*stdev threshold; returns (binary flags, EvalReport).
 
-    `c` has no default of its own: the CLI passes the config's `eval.anomaly_c`.
+    `c` has no default of its own: the CLI passes `evaluate --anomaly-c`.
     Precision/recall/F1 are filled in when ground-truth labels are given.  A
     score that is not finite is an error naming its timestamp, the first if
     there are several.  So is a threshold that is not finite, naming the

@@ -504,6 +504,6 @@ def anomaly_scores(model, series) -> np.ndarray:
         keep = np.ones((1, length, 1))
         keep[0, t, 0] = 0.0
         h = ad.mul(enc.project(model, x), keep)
-        masked = enc.readout(model, enc.residual_stream(model, h)[0]).data[0]
+        masked = enc.readout(model, enc.residual_stream(model, h)).data[0]
         scores[t] = np.abs(masked[t] - full[t]).sum()
     return scores

@@ -12,6 +12,7 @@ from tscontrast import config as engine_config
 from tscontrast import data as ds
 from tscontrast import distance as dist
 from tscontrast import encoder as enc
+from tscontrast import evaluate as ev
 from tscontrast import train as tr
 
 
@@ -150,13 +151,15 @@ def test_a_param_the_metric_does_not_read_keeps_the_cache_hit(tmp_path, capsys, 
     assert list(cache.iterdir()) == [_cache_file(cache, _dataset(), metric)]
 
 
-# settings retired from config files, each at the one value the code runs with,
-# and settings in the retired `assignment` and `loss` sections, which held
-# TrainConfig fields before `train` held them all
+# settings retired from config files, each at the one value the code runs with;
+# settings in the retired `assignment` and `loss` sections, which held
+# TrainConfig fields before `train` held them all; and the retired `eval`
+# section's `anomaly_c`, now `evaluate --anomaly-c`, at that flag's default
 @pytest.mark.parametrize("section,key,value", [
     ("assignment", "kernel_sigma", 0.5), ("assignment", "gaussian_std", 1.0),
     ("assignment", "neighbor_window_frac", 0.3), ("loss", "temperature", 1.0),
-    ("eval", "probe_k", 1), ("assignment", "alpha", 0.5), ("loss", "lambda", 0.5)])
+    ("eval", "probe_k", 1), ("assignment", "alpha", 0.5), ("loss", "lambda", 0.5),
+    ("eval", "anomaly_c", 3.0)])
 def test_a_retired_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
     cache, out = tmp_path / "cache", tmp_path / "d.bin"
     path = _config(tmp_path, distance={"metric": "euc", "cache": str(cache)},
@@ -288,7 +291,7 @@ def test_pretrain_encode_evaluate_pipeline(tmp_path, capsys):
         np.testing.assert_allclose(blob["reps"].max(axis=1), inst)
 
     report_csv = str(tmp_path / "report.csv")
-    assert cli.main(["evaluate", "--config", cfg, "--task", "classify", "--ckpt", ckpt,
+    assert cli.main(["evaluate", "--task", "classify", "--ckpt", ckpt,
                      "--train-data", str(tsv), "--test-data", str(tsv),
                      "--out", report_csv]) == 0
     out = capsys.readouterr().out
@@ -327,7 +330,7 @@ def test_evaluate_anomaly(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     np.savetxt(labels, np.zeros(32), delimiter=",")
     scores_out = tmp_path / "scores.csv"
-    assert cli.main(["evaluate", "--config", cfg, "--task", "anomaly", "--ckpt", ckpt,
+    assert cli.main(["evaluate", "--task", "anomaly", "--ckpt", ckpt,
                      "--data", str(tsv), "--labels", str(labels),
                      "--scores-out", str(scores_out)]) == 0
     assert "task: anomaly" in capsys.readouterr().out
@@ -345,7 +348,7 @@ def test_evaluate_anomaly_with_a_non_finite_score_writes_nothing(tmp_path, capsy
     monkeypatch.setattr(cli.ev, "anomaly_scores",
                         lambda model, series: np.where(np.arange(16) >= 5, np.nan, 1.0))
     scores_out, out = tmp_path / "scores.csv", tmp_path / "report.csv"
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv),
                      "--scores-out", str(scores_out), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: anomaly score at timestamp 5 is not finite: nan\n"
@@ -363,7 +366,7 @@ def test_evaluate_anomaly_with_an_overflowing_threshold_exits_2(tmp_path, capsys
     monkeypatch.setattr(cli.ev, "anomaly_scores",
                         lambda model, series: np.where(np.arange(16) % 2, 1e308, -1e308))
     out = tmp_path / "report.csv"
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv), "--out", str(out)]) == 2
     assert re.fullmatch(r"error: anomaly threshold mean \+ c \* stdev is not finite \((?:inf|nan)\) "
                         r"for scores in \[-1e\+308, 1e\+308\] with c=3\.0\n",
@@ -497,10 +500,8 @@ def test_encode_missing_checkpoint(tmp_path, capsys):
                      "--out", str(tmp_path / "reps.csv")]) == 2
 
 
-def test_evaluate_unknown_task(tmp_path):
-    cfg = _config(tmp_path)
-    assert cli.main(["evaluate", "--config", cfg, "--task", "cluster",
-                     "--ckpt", "x.npz"]) == 1
+def test_evaluate_unknown_task():
+    assert cli.main(["evaluate", "--task", "cluster", "--ckpt", "x.npz"]) == 1
 
 
 def test_pretrain_lambda_one(tmp_path, capsys):
@@ -527,14 +528,17 @@ def test_seed_flag_overrides_file(tmp_path, capsys):
         assert np.array_equal(b[key], c[key])
 
 
-@pytest.mark.parametrize("command", [["distances", "--out", "d.bin", "--seed", "1"],
+@pytest.mark.parametrize("command", [["distances", "--config", "config.json", "--out", "d.bin",
+                                      "--seed", "1"],
                                      ["evaluate", "--task", "classify", "--ckpt", "x.npz",
                                       "--train-data", "a.tsv", "--test-data", "b.tsv",
                                       "--lambda", "0.3"]], ids=["distances", "evaluate"])
-def test_training_flags_belong_to_training_commands(tmp_path, monkeypatch, command):
-    # neither command reads the train or loss sections
+def test_training_flags_belong_to_training_commands(tmp_path, monkeypatch, capsys, command):
+    # neither command reads the train section
     monkeypatch.chdir(tmp_path)
-    assert cli.main([command[0], "--config", _config(tmp_path), *command[1:]]) == 1
+    _config(tmp_path)
+    assert cli.main(command) == 1
+    assert f"unrecognized arguments: {' '.join(command[-2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index", [6, 99, -1])
@@ -545,7 +549,7 @@ def test_evaluate_anomaly_series_index_out_of_range(tmp_path, capsys, index):
     train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
     ckpt = tmp_path / "model.npz"
     tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv),
                      "--series-index", str(index)]) == 2
     assert f"--series-index {index} is out of range for 6 series" in capsys.readouterr().err
@@ -562,7 +566,7 @@ def test_evaluate_anomaly_labels_must_be_0_or_1(tmp_path, capsys, bad):
     labels = tmp_path / "labels.csv"
     labels.write_text("\n".join(["0", "1", bad, "3"] + ["0"] * 12) + "\n")
     report = tmp_path / "report.csv"
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels),
                      "--out", str(report)]) == 2
     assert f"{labels}: anomaly labels must be 0 or 1, found {bad}" in capsys.readouterr().err
@@ -580,7 +584,7 @@ def test_evaluate_anomaly_labels_must_be_utf_8(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     labels.write_bytes(b"\xff\xfe" + b"0\n" * 16)
     report = tmp_path / "report.csv"
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels),
                      "--out", str(report)]) == 2
     assert capsys.readouterr().err == (
@@ -599,7 +603,7 @@ def test_evaluate_anomaly_labels_must_count_the_timestamps(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     labels.write_text("0\n1\n0\n")
     report = tmp_path / "report.csv"
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels),
                      "--out", str(report)]) == 2
     assert f"{labels}: 3 anomaly labels for a series of 32 timestamps" in capsys.readouterr().err
@@ -615,7 +619,7 @@ def test_evaluate_anomaly_empty_labels_file_prints_only_the_error(tmp_path, caps
     tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
     labels = tmp_path / "labels.csv"
     labels.write_text("")
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels)]) == 2
     assert capsys.readouterr().err == (
         f"error: {labels}: 0 anomaly labels for a series of 32 timestamps\n")
@@ -636,7 +640,7 @@ def test_evaluate_anomaly_labels_file_errors_name_the_file_and_line(tmp_path, ca
     tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg, ckpt)
     labels = tmp_path / "labels.csv"
     labels.write_text(text)
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", "anomaly",
+    assert cli.main(["evaluate", "--task", "anomaly",
                      "--ckpt", str(ckpt), "--data", str(tsv), "--labels", str(labels)]) == 2
     assert capsys.readouterr().err == f"error: {labels}: {message}\n"
 
@@ -735,9 +739,6 @@ def test_an_oversized_synthetic_corpus_exits_2_naming_n_per_class(tmp_path, caps
     ("loss", "hard", "false", True),
     ("assignment", "tau_temp", float("nan"), True),  # json writes and reads NaN
     ("assignment", "tau_inst", float("inf"), True),
-    ("eval", "anomaly_c", float("nan"), True),
-    ("eval", "anomaly_c", float("inf"), True),
-    ("eval", "anomaly_c", float("-inf"), True),
     pytest.param("loss", "lam", _HUGE, True, id="loss-lam-huge-True"),
     pytest.param("distance", "band", _HUGE, True, id="distance-band-huge-True"),
 ])
@@ -809,7 +810,7 @@ def test_masked_training_checkpoint_encodes_unmasked(tmp_path, capsys, mask_mode
     values = ds.znormalize(ds.load_ucr_tsv(tsv)).values
     expected = enc.instance_repr(enc.encode(state.model, values, mask_mode="none"))
     np.testing.assert_array_equal(np.loadtxt(reps_csv, delimiter=","), expected)
-    assert cli.main(["evaluate", "--config", cfg, "--task", "classify", "--ckpt", ckpt,
+    assert cli.main(["evaluate", "--task", "classify", "--ckpt", ckpt,
                      "--train-data", tsv, "--test-data", tsv]) == 0
 
 
@@ -820,7 +821,7 @@ def test_masked_training_checkpoint_encodes_unmasked(tmp_path, capsys, mask_mode
 ])
 def test_evaluate_names_missing_data_flags(tmp_path, capsys, task, given, missing):
     # the checkpoint does not exist: the usage error comes before it is read
-    assert cli.main(["evaluate", "--config", _config(tmp_path), "--task", task,
+    assert cli.main(["evaluate", "--task", task,
                      "--ckpt", str(tmp_path / "nope.npz"), *given]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: --task {task} needs")
@@ -828,3 +829,65 @@ def test_evaluate_names_missing_data_flags(tmp_path, capsys, task, given, missin
         assert flag in err
     for flag in given[::2]:
         assert flag not in err
+
+
+def _evaluate_inputs(tmp_path, task):
+    """A checkpoint and a TSV in `tmp_path`, and the data flags of `task`."""
+    tset = ds.make_synthetic(
+        3, 16, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}], seed=3)
+    ds.write_ucr_tsv(tset, tmp_path / "data.tsv")
+    train_cfg = tr.TrainConfig(hidden=6, repr_dims=3, depth=2)
+    tr.save_checkpoint(tr.TrainState.fresh(train_cfg, tset.dims), train_cfg,
+                       tmp_path / "model.npz")
+    tsv = str(tmp_path / "data.tsv")
+    return str(tmp_path / "model.npz"), (["--data", tsv] if task == "anomaly"
+                                         else ["--train-data", tsv, "--test-data", tsv])
+
+
+@pytest.mark.parametrize("c", [None, "2.0"], ids=["default", "2.0"])
+@pytest.mark.parametrize("task", ["anomaly", "classify"])
+def test_evaluate_runs_from_its_checkpoint_and_data_alone(tmp_path, monkeypatch, capsys, task, c):
+    # no config file anywhere: like encode, evaluate reads none
+    monkeypatch.chdir(tmp_path)
+    ckpt, data = _evaluate_inputs(tmp_path, task)
+    flags = [] if c is None else ["--anomaly-c", c]
+    assert cli.main(["evaluate", "--task", task, "--ckpt", ckpt, *data, *flags,
+                     "--out", "report.csv"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.tsv", "model.npz",
+                                                                "report.csv"]
+    text = capsys.readouterr().out
+    if task == "anomaly":
+        state, _ = tr.load_checkpoint(ckpt)
+        scores = ev.anomaly_scores(state.model, ds.znormalize(ds.load_ucr_tsv(data[1])).series(0))
+        _, report = ev.threshold_anomalies(scores, c=3.0 if c is None else float(c))
+        assert text == report.to_text() + "\n"
+    else:
+        assert text.startswith("task: classify\naccuracy: ")
+
+
+@pytest.mark.parametrize("flags", [["--config", "config.json"], ["--echo-config"]],
+                         ids=["config", "echo-config"])
+def test_evaluate_takes_no_config_flags(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    _config(tmp_path)
+    ckpt, data = _evaluate_inputs(tmp_path, "anomaly")
+    assert cli.main(["evaluate", "--task", "anomaly", "--ckpt", ckpt, *data, *flags]) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("task", ["anomaly", "classify"])
+def test_a_non_finite_anomaly_c_exits_2_before_the_checkpoint_is_read(tmp_path, monkeypatch,
+                                                                      capsys, task, value):
+    # the check the config's eval.anomaly_c had at load: before any work.
+    # `=` keeps argparse from reading -inf as an option
+    def no_load(path):
+        raise AssertionError("evaluate read the checkpoint")
+
+    ckpt, data = _evaluate_inputs(tmp_path, task)
+    monkeypatch.setattr(cli.tr, "load_checkpoint", no_load)
+    out, scores_out = tmp_path / "report.csv", tmp_path / "scores.csv"
+    assert cli.main(["evaluate", "--task", task, "--ckpt", ckpt, *data, f"--anomaly-c={value}",
+                     "--out", str(out), "--scores-out", str(scores_out)]) == 2
+    assert capsys.readouterr().err == f"error: --anomaly-c must be finite, got {float(value)}\n"
+    assert not out.exists() and not scores_out.exists()

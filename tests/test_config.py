@@ -167,7 +167,6 @@ _SETTABLE_KEYS = {
     "train.tau_temp", "train.alpha", "train.inst_kernel", "train.temp_kernel", "train.pool_m",
     "train.hierarchical_tau", "train.hard", "train.hidden", "train.repr_dims", "train.depth",
     "train.mask_mode", "train.seed",
-    "eval.anomaly_c",
 }
 
 

@@ -673,10 +673,10 @@ _WRITERS = {
     "encode --out": lambda t, i: _cli("encode", "--ckpt", i.ckpt, "--data", i.tsv, "--out", t),
     "encode --full": lambda t, i: _cli("encode", "--ckpt", i.ckpt, "--data", i.tsv,
                                        "--out", i.side / "reps.csv", "--full", t),
-    "evaluate --out": lambda t, i: _cli("evaluate", "--config", i.cfg, "--task", "classify",
+    "evaluate --out": lambda t, i: _cli("evaluate", "--task", "classify",
                                         "--ckpt", i.ckpt, "--train-data", i.tsv,
                                         "--test-data", i.tsv, "--out", t),
-    "evaluate --scores-out": lambda t, i: _cli("evaluate", "--config", i.cfg, "--task", "anomaly",
+    "evaluate --scores-out": lambda t, i: _cli("evaluate", "--task", "anomaly",
                                                "--ckpt", i.ckpt, "--data", i.tsv,
                                                "--scores-out", t),
     "ablate --out": lambda t, i: _cli("ablate", "--config", i.cfg, "--axis", "hierarchy",

@@ -71,3 +71,16 @@ def test_instance_repr_is_time_max(rng):
     np.testing.assert_array_equal(enc.instance_repr(x), x.max(axis=1))
     np.testing.assert_array_equal(enc.instance_repr(ad.Tensor(x)), x.max(axis=1))
 
+
+@pytest.mark.parametrize("depth", [4, 8])
+def test_a_tape_free_encode_keeps_no_block_activations(depth, peak_bytes):
+    """Only anomaly scoring keeps each block's h_b, gelu(h_b) and gelu(y1_b):
+    encoding with no tape holds under 8 [N, L, H] activations at any depth,
+    where it held 2 + 3 * depth."""
+    model = _model(depth=depth, hidden=32, out=16, dims=1)
+    for weight in model.params.values():
+        weight.requires_grad = False  # as loaded or trained weights are
+    x = np.random.Generator(np.random.Philox(7)).normal(size=(60, 64, 1))
+    activation = 60 * 64 * 32 * 8
+    peak = peak_bytes(lambda: enc.encode(model, x), warm_up=True)
+    assert peak < 8 * activation, peak / activation

@@ -301,7 +301,8 @@ def _changed_and_reaching(model, series, t):
     hidden[0, t] = 0.0
     outputs = []
     for stream in (h, hidden):
-        _, blocks = enc.residual_stream(model, stream)
+        blocks = []
+        enc.residual_stream(model, stream, blocks)
         outputs.append([enc.conv_stage(model, x, b, i).data[0]
                         for b, (_, gelu_h, gelu_y1) in enumerate(blocks)
                         for i, x in ((1, gelu_h), (2, gelu_y1))])
@@ -319,7 +320,7 @@ def _changed_and_reaching(model, series, t):
     for b in range(model.depth):
         gelu_y1 = probed(ad.gelu(enc.conv_stage(model, ad.gelu(out), b, 1)))
         out = probed(ad.add(out, enc.conv_stage(model, gelu_y1, b, 2)))
-    assert out.data.tobytes() == enc.residual_stream(model, h)[0].data.tobytes()
+    assert out.data.tobytes() == enc.residual_stream(model, h).data.tobytes()
     repr_dims = model.params["out_w"].shape[1]
     weights = np.zeros(out.shape[:2] + (repr_dims,))
     weights[0, t] = np.random.default_rng(t).uniform(0.5, 1.5, repr_dims)

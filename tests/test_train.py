@@ -560,9 +560,8 @@ def test_load_checkpoint_names_the_first_weight_of_a_flat_array_of_strings(tmp_p
 
 @pytest.mark.parametrize("command", [
     ["encode"],
-    ["evaluate", "--config", "{config}", "--task", "anomaly"],
-    ["evaluate", "--config", "{config}", "--task", "classify", "--train-data", "{tsv}",
-     "--test-data", "{tsv}"],
+    ["evaluate", "--task", "anomaly"],
+    ["evaluate", "--task", "classify", "--train-data", "{tsv}", "--test-data", "{tsv}"],
 ], ids=["encode", "anomaly", "classify"])
 def test_a_nan_weight_exits_2_before_any_output(tmp_path, capsys, command):
     # loaded, one NaN in proj_w gave `nan,nan` representations, threshold=nan
@@ -570,15 +569,14 @@ def test_a_nan_weight_exits_2_before_any_output(tmp_path, capsys, command):
     tset = ds.znormalize(ds.make_synthetic(
         4, 16, [{"kind": "sine", "freq": 2.0}, {"kind": "square", "freq": 3.0}], seed=2))
     cfg = tr.TrainConfig(hidden=4, repr_dims=2, depth=1)
-    path, tsv, config = tmp_path / "ckpt.npz", tmp_path / "data.tsv", tmp_path / "cfg.json"
+    path, tsv = tmp_path / "ckpt.npz", tmp_path / "data.tsv"
     tr.save_checkpoint(tr.TrainState.fresh(cfg, tset.dims), cfg, path)
     # proj_w, [1, 4], comes first in the flat weights: (0, 1) is their value 1
     _rewrite_arrays(path, lambda arrays: arrays["param"].__setitem__(1, np.nan))
     ds.write_ucr_tsv(tset, tsv)
-    config.write_text("{}")
     out = tmp_path / "out.csv"
-    args = [arg.format(config=config, tsv=tsv) for arg in command]
-    if command[0] == "encode" or command[4] == "anomaly":
+    args = [arg.format(tsv=tsv) for arg in command]
+    if command[0] == "encode" or command[2] == "anomaly":
         args += ["--data", str(tsv)]
     assert cli.main([*args, "--ckpt", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
