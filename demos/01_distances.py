@@ -24,7 +24,7 @@ for metric in tc.METRICS:
     print(f"{metric:8s}: off-diagonal mean {off.mean():.3f} | "
           f"within-class mean {same.mean():.3f} | cross-class mean {cross.mean():.3f}")
 
-# distances are expensive for DTW-family metrics, so they cache to a compact binary
+# distances are expensive for DTW-family metrics, so they cache as their upper triangle
 matrix = tc.pairwise(corpus, "dtw")
 with tempfile.NamedTemporaryFile(suffix=".bin") as tmp:
     tc.save_matrix(matrix, tmp.name)

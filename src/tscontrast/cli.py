@@ -73,21 +73,18 @@ def _require_croppable(tset: ds.TimeSeriesSet) -> None:
                          f"the shortest has {shortest}")
 
 
-def _echo_config(cfg: engine_config.EngineConfig, args):
-    if args.echo_config:
-        print(json.dumps(cfg.effective(), indent=2))
-
-
 def _load_config(args) -> engine_config.EngineConfig:
     # flag > file > default; only pretrain and ablate take these flags
     overrides = {field: getattr(args, field) for field in ("seed", "iters", "lam")
                  if getattr(args, field, None) is not None}
-    return engine_config.load(args.config, overrides)
+    cfg = engine_config.load(args.config, overrides)
+    if args.echo_config:
+        print(json.dumps(cfg.effective(), indent=2))
+    return cfg
 
 
 def cmd_distances(args) -> int:
     cfg = _load_config(args)
-    _echo_config(cfg, args)
     tset = _build_dataset(cfg)
     matrix = _distance_matrix(cfg, tset)
     dist_mod.save_matrix(matrix, args.out)
@@ -102,7 +99,6 @@ def cmd_distances(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    _echo_config(cfg, args)
     tset = _build_dataset(cfg)
     _require_croppable(tset)
     matrix = _distance_matrix(cfg, tset)
@@ -245,7 +241,6 @@ def _ablate_rows(axis: str):
 
 def cmd_ablate(args) -> int:
     base = _load_config(args)
-    _echo_config(base, args)
     tset = _build_dataset(base)
     _require_croppable(tset)
     key = matrix = None

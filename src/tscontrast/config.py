@@ -172,13 +172,23 @@ def validate(raw: dict) -> EngineConfig:
     return EngineConfig(sections=sections, train_config=train_config)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key it repeats is a ValueError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load(path, overrides: dict | None = None) -> EngineConfig:
-    """Read and validate a JSON config.  `overrides` maps a `train` key to a
-    value that wins over the file's (flag > file > default).  A parse or
-    validation error names the file."""
+    """Read and validate a JSON config, UTF-8 as RFC 8259 has it.  `overrides`
+    maps a `train` key to a value that wins over the file's (flag > file >
+    default).  A parse or validation error, a repeated key too, names the file."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_object)
         if overrides and isinstance(raw, dict):
             train = raw.get("train", {})
             if isinstance(train, dict):  # anything else is rejected by validate

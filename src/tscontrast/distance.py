@@ -542,61 +542,52 @@ def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> Di
 
 
 _MAGIC = b"TSDM"
-_VERSION = 1
+_VERSION = 2
+_HEADER = struct.Struct("<4sH8sI")  # magic, version, metric tag, N
 
 
 def save_matrix(m: DistanceMatrix, path) -> None:
-    """A TSDM v1 file, written all or nothing through `whole_file`; its flag
-    byte is 1: normalized, the only kind of matrix there is."""
-    metric_tag = m.metric.encode("ascii").ljust(8, b"\x00")
+    """A TSDM v2 file, written all or nothing through `whole_file`: the
+    `_HEADER`, then row i's cells (i, i + 1) ... (i, N - 1) as native float64
+    for each row in turn.  A matrix with a nonzero diagonal cell or unequal
+    to its transpose is a ValueError, raised before any file is opened."""
+    values = m.values
+    if np.diagonal(values).any() or (values != values.T).any():
+        raise ValueError("matrix is not symmetric with a zero diagonal: a TSDM file "
+                         "stores its upper triangle only")
     with whole_file(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HB8sI", _VERSION, 1, metric_tag, m.n))
-        fh.write(np.ascontiguousarray(m.values).tobytes())
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, m.metric.encode("ascii"), m.n))
+        for i in range(m.n - 1):
+            fh.write(values[i, i + 1:].tobytes())
 
 
 def load_matrix(path) -> DistanceMatrix:
-    """Each malformed part of the file is a ValueError that names it.  The
-    file must be flagged normalized and hold what `pairwise` makes: finite
-    values in [0, 1], a zero diagonal and a symmetric matrix; the first cell
-    that is not is named."""
-    header = struct.calcsize("<4sHB8sI")
+    """Each malformed part of the file is a ValueError that names it, and a
+    value that is not finite or not in [0, 1] names its cell.  The triangle
+    is mirrored, so the matrix is symmetric with a zero diagonal."""
     with open(path, "rb") as fh:
-        head = fh.read(header)
-        if len(head) < header:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
             raise ValueError(f"{path}: truncated distance cache")
-        magic, version, flag, metric_tag, n = struct.unpack("<4sHB8sI", head)
+        magic, version, metric_tag, n = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a distance cache")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
-        if flag != 1:
-            raise ValueError(f"{path}: flag byte {flag} is not 1: not a normalized distance matrix")
         metric = metric_tag.rstrip(b"\x00").decode("ascii", errors="replace")
         if metric not in METRICS:
             raise ValueError(f"{path}: unknown metric {metric!r}")
-        # the file's size first, so a corrupt N allocates nothing; the values
-        # are then read straight into the one array the matrix keeps (a file
-        # cut short meanwhile reads fewer bytes)
-        if os.fstat(fh.fileno()).st_size - header != n * n * 8:
+        # the file's size first, so a corrupt N allocates nothing; each row's
+        # cells are then read into the one array the matrix keeps and copied
+        # down their column (a file cut short meanwhile reads fewer bytes)
+        if os.fstat(fh.fileno()).st_size - _HEADER.size != n * (n - 1) * 4:
             raise ValueError(f"{path}: size mismatch for N={n}")
-        values = np.empty((n, n))
-        if fh.readinto(values) != values.nbytes:
-            raise ValueError(f"{path}: size mismatch for N={n}")
+        values = np.zeros((n, n))
+        for i in range(n - 1):
+            if fh.readinto(values[i, i + 1:]) != 8 * (n - 1 - i):
+                raise ValueError(f"{path}: size mismatch for N={n}")
+            values[i + 1:, i] = values[i, i + 1:]
     try:
-        matrix = DistanceMatrix(values, metric)
+        return DistanceMatrix(values, metric)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    values = matrix.values
-    # the diagonal is read as its N cells, so the mirror test's [N, N] mask
-    # is the only one held beside the matrix
-    diagonal = np.flatnonzero(np.diagonal(values))
-    cells, defect = np.stack([diagonal, diagonal], axis=1), "on a nonzero diagonal"
-    if not cells.size:
-        cells, defect = np.argwhere(values != values.T), "unequal to its mirror"
-    if cells.size:
-        i, j = cells[0].tolist()
-        raise ValueError(f"{path}: normalized distance {float(values[i, j])!r} "
-                         f"at ({i}, {j}) {defect}")
-    return matrix
-

@@ -59,22 +59,17 @@ def full_disk_open():
     return lambda *args, **kwargs: _FullDisk(open(*args, **kwargs))
 
 
-# Malformed parts of a TSDM v1 file: byte offset, the bytes written there, and
-# what `load_matrix` says.  The header is 19 bytes; byte 6 is the normalized
-# flag and the metric tag is bytes 7-14.
+# Malformed parts of a TSDM v2 file: byte offset, the bytes written there, and
+# what `load_matrix` says.  The header is 18 bytes: the version is bytes 4-5,
+# the metric tag bytes 6-13 and N bytes 14-17; the body starts at cell (0, 1).
 _TSDM_DEFECTS = {
-    "unnormalized-flag": (6, b"\x00", "flag byte 0 is not 1: not a normalized distance matrix"),
-    "undecodable-tag": (7, b"\xff\xfe\x00\x00\x00\x00\x00\x00", "unknown metric"),
-    "unknown-tag": (7, b"xyz\x00\x00\x00\x00\x00", "unknown metric 'xyz'"),
-    # cells (0, 0) and (0, 1)
-    "non-finite-value": (19 + 8, struct.pack("<d", math.nan),
+    "earlier-version": (4, b"\x01\x00", "unsupported cache version 1"),
+    "undecodable-tag": (6, b"\xff\xfe\x00\x00\x00\x00\x00\x00", "unknown metric"),
+    "unknown-tag": (6, b"xyz\x00\x00\x00\x00\x00", "unknown metric 'xyz'"),
+    "non-finite-value": (18, struct.pack("<d", math.nan),
                          "normalized distance nan at (0, 1) not finite"),
-    "out-of-range": (19 + 8, struct.pack("<d", 1.5),
+    "out-of-range": (18, struct.pack("<d", 1.5),
                      "normalized distance 1.5 at (0, 1) outside [0, 1]"),
-    "nonzero-diagonal": (19, struct.pack("<d", 0.25),
-                         "normalized distance 0.25 at (0, 0) on a nonzero diagonal"),
-    "asymmetric": (19 + 8, struct.pack("<d", 0.0078125),
-                   "normalized distance 0.0078125 at (0, 1) unequal to its mirror"),
 }
 
 

@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tscontrast import assign as asg
+from tscontrast import cli
 from tscontrast import config as engine_config
 from tscontrast import data as ds
 from tscontrast import distance as dist
@@ -270,3 +275,34 @@ def test_load_names_the_file_in_every_error(tmp_path, text, message):
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")) as error:
         engine_config.load(path)
     assert str(error.value).count(str(path)) == 1
+
+
+def test_load_reads_the_file_as_utf8_whatever_the_locale(tmp_path):
+    # the C locale without UTF-8 mode reads text as ASCII
+    path = tmp_path / "config.json"
+    path.write_text('{"dataset": {"path": "donn\u00e9es.tsv"}}', encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from tscontrast import config; "
+         "print(ascii(config.load(sys.argv[1]).sections['dataset']['path']))", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == ascii("donn\u00e9es.tsv")
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"distance": {"metric": "euc"}, "distance": {"metric": "dtw"}}', "distance"),
+    ('{"train": {"iters": 5, "iters": 500}}', "iters"),
+], ids=["section", "train-key"])
+def test_a_repeated_key_fails_before_any_work(tmp_path, capsys, text, key):
+    # json.load keeps the last value of a repeated key, and the last section
+    # replaced the first whole
+    path, out = tmp_path / "c.json", tmp_path / "d.bin"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate key '{key}'")):
+        engine_config.load(path)
+    assert cli.main(["distances", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{path}: duplicate key '{key}'" in capsys.readouterr().err
+    assert not out.exists()

@@ -558,19 +558,61 @@ _EARLIER_TSDM = bytes.fromhex(
     "3f2c682319ce71ea3f5ba6c571fc4ced3f0000000000000000e535f9ad76cbef3f000000000000f03faf"
     "60edaae876e93fe535f9ad76cbef3f000000000000000000000000000000002c682319ce71ea3f000000"
     "000000f03f00000000000000000000000000000000")
+# the TSDM v2 file of the same matrix: the 18-byte header, then the 6 cells
+# (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+_TSDM = bytes.fromhex(
+    "5453444d0200647477000000000004000000"
+    "5ba6c571fc4ced3faf60edaae876e93f2c682319ce71ea3f"
+    "e535f9ad76cbef3f000000000000f03f0000000000000000")
 
 
-def test_matrix_file_from_before_the_flag_was_dropped_loads_equal(tmp_path):
+def test_matrix_file_of_the_earlier_version_is_refused(tmp_path):
     path = tmp_path / "earlier.bin"
     path.write_bytes(_EARLIER_TSDM)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported cache version 1")):
+        dist.load_matrix(path)
+
+
+def test_matrix_file_layout_is_pinned(tmp_path):
     tset = ds.znormalize(ds.make_synthetic(
         2, 8, [{"kind": "sine", "freq": 1.0}, {"kind": "square", "freq": 2.0}],
         noise_std=0.1, seed=4))
     fresh = dist.pairwise(tset, "dtw")
-    back = dist.load_matrix(path)
-    assert back.metric == "dtw" and back.values.tobytes() == fresh.values.tobytes()
     dist.save_matrix(fresh, tmp_path / "now.bin")
-    assert (tmp_path / "now.bin").read_bytes() == _EARLIER_TSDM  # the layout is unchanged
+    assert (tmp_path / "now.bin").read_bytes() == _TSDM
+    back = dist.load_matrix(tmp_path / "now.bin")
+    assert back.metric == "dtw" and back.values.tobytes() == fresh.values.tobytes()
+
+
+@st.composite
+def _distance_matrices(draw):
+    """A symmetric, zero-diagonal matrix of N <= 12 cells in [0, 1]."""
+    n = draw(st.integers(0, 12))
+    values = np.zeros((n, n))
+    values[np.triu_indices(n, 1)] = draw(arrays(np.float64, n * (n - 1) // 2,
+                                                elements=st.floats(0.0, 1.0)))
+    return dist.DistanceMatrix(values + values.T, draw(st.sampled_from(dist.METRICS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=_distance_matrices())
+def test_matrix_file_holds_the_upper_triangle_and_loads_equal(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("tsdm") / "m.bin"
+    dist.save_matrix(matrix, path)
+    assert path.stat().st_size == 18 + 4 * matrix.n * (matrix.n - 1)
+    back = dist.load_matrix(path)
+    assert back.metric == matrix.metric and back.values.tobytes() == matrix.values.tobytes()
+
+
+@pytest.mark.parametrize("cell", [(1, 1), (0, 2)], ids=["nonzero-diagonal", "asymmetric"])
+def test_save_matrix_refuses_what_the_triangle_cannot_hold(tmp_path, cell):
+    # a DistanceMatrix may hold such values (criterion 6 builds one from tiled
+    # rows), but a TSDM file stores one triangle and a zero diagonal
+    values = _symmetric_matrix(4).values.copy()
+    values[cell] = 0.25
+    with pytest.raises(ValueError, match="not symmetric with a zero diagonal"):
+        dist.save_matrix(dist.DistanceMatrix(values, "dtw"), tmp_path / "m.bin")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _symmetric_matrix(n, seed=0):
@@ -616,7 +658,7 @@ def test_load_matrix_refuses_a_body_of_the_wrong_size(tmp_path, change):
         blob += b"\x00"
     else:  # a corrupt N is refused before anything of its size is allocated
         n = 2 ** 31
-        blob = blob[:15] + struct.pack("<I", n) + blob[19:]
+        blob = blob[:14] + struct.pack("<I", n) + blob[18:]
     path.write_bytes(blob)
     with pytest.raises(ValueError, match=re.escape(f"{path}: size mismatch for N={n}")):
         dist.load_matrix(path)
@@ -713,8 +755,7 @@ def test_save_matrix_is_all_or_nothing(tmp_path, monkeypatch, full_disk_open, wr
 
 
 @pytest.mark.parametrize("defect", ["non-finite-value", "undecodable-tag", "unknown-tag",
-                                    "out-of-range", "nonzero-diagonal", "asymmetric",
-                                    "unnormalized-flag"])
+                                    "out-of-range", "earlier-version"])
 def test_load_matrix_names_the_file_for_each_malformed_part(tmp_path, break_tsdm, defect):
     path = tmp_path / "m.bin"
     dist.save_matrix(dist.pairwise(_corpus(), "dtw"), path)
