@@ -64,8 +64,19 @@ def _as_batch(a, b):
 _CHUNK_CELLS = 1 << 18
 # A pass of a bucketed metric pads its pairs to its longest lengths, and
 # closes before its padded table cells would pass this many times the pairs'
-# own: the DP fills every padded cell, whether it keeps them or not.
+# own plus `_DIAGONAL_CELLS` per anti-diagonal of its padded table: the DP
+# fills every padded cell, whether it keeps them or not.
 _BUCKET_WASTE = 2
+# The padded cells a pass may add per anti-diagonal of its padded table, the
+# fixed cost a separate pass would pay for that diagonal: `_dp` spends ~4 us
+# of numpy calls on each diagonal whatever its pairs, the time of ~1500
+# padded cells at ~2.5 ns each, and each pass adds its own set-up (2-CPU
+# x86_64, numpy 2.4).  At 4096 the 28 pairs of lengths 40-147 of the
+# ragged-ucr benchmark share one dtw pass instead of four (2.8 ms against
+# 4.6 ms; 1500 makes two, 3.5 ms); at 16384 the 20 pairs of one 1000-step
+# series among 40-step ones join the short pairs' pass, and their pairwise
+# dtw takes 73 ms instead of 10 ms.
+_DIAGONAL_CELLS = 4096
 # The metrics whose pairs are bucketed: each pair's DTW is its own cell of the
 # padded table.  fastdtw keeps exact length pairs, because `_reduce_by_half`
 # keeps an odd last step alone and a padded series would coarsen differently;
@@ -82,9 +93,10 @@ def _ring_cells(ta: int, tb: int, d: int, masked: bool = False) -> int:
     table, its padded copies of a and b and their step-major copies in `_dp`,
     its cost buffer, and five for its last cell: the diagonal, the flat index
     and the value, and their temporaries.  A `masked` pass, whose pairs have
-    bands of their own, also holds the `_outside` mask and its int32
-    temporaries: at most 8 bytes, one cell, per cell of the ta x tb grid."""
-    return 3 * (ta + 1) + (3 * ta + 2 * tb) * d + 5 + masked * ta * tb
+    bands of their own, also holds their [ta] int64 bounds and the `_outside`
+    mask: at most one byte per cell of the ta x tb grid, and two int64
+    indexes per diagonal while it is built."""
+    return 3 * (ta + 1) + (3 * ta + 2 * tb) * d + 5 + masked * (ta * tb // 8 + 4 * ta + 2 * tb)
 
 
 def _runs(lo, hi, ta: int, tb: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,15 +119,37 @@ def _runs(lo, hi, ta: int, tb: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _outside(start, stop, i0s, i1s, masked) -> np.ndarray:
-    """Flat [diagonal, row, pair] mask of the cells outside their own pair's
-    run: for each diagonal of `masked` in turn, the rows i0..i1 of the union
-    of the runs, so each diagonal's mask is one contiguous block."""
-    widths = (i1s - i0s)[masked]
-    rows = np.arange(widths.sum(), dtype=start.dtype)
-    rows += np.repeat(i0s[masked] + widths - np.cumsum(widths, dtype=start.dtype), widths)
-    rows = rows[:, None]
-    return ((rows < np.repeat(start.T[masked], widths, axis=0))
-            | (rows >= np.repeat(stop.T[masked], widths, axis=0))).reshape(-1)
+    """[row, pair] mask of the cells outside their own pair's run: for each
+    diagonal of `masked` in turn, the rows i0..i1 of the union of the runs,
+    so each diagonal's mask is one block of rows.  Each pair toggles a byte
+    at its run's first row and past its last, and a running XOR down the
+    rows, eight pairs a word and in place, leaves 1 inside the runs; the
+    pair axis is padded to whole words.  Beside two [diagonals, P] flat
+    indexes, only the one byte per cell of the mask is allocated."""
+    p = start.shape[0]
+    if not len(masked):  # every pass of one length pair, so keep it cheap
+        return np.zeros((0, p), dtype=bool)
+    lo, hi = i0s[masked], i1s[masked]
+    widths, width = hi - lo, -(-p // 8) * 8
+    cells, rows = int(widths.sum()), (np.cumsum(widths) - widths - lo)[:, None]
+    first, end = start.T[masked].astype(np.intp), stop.T[masked].astype(np.intp)
+    # an empty run marks the spare row past the last, which nothing reads; the
+    # others mark distinct rows each, and a run's end may be the next one's start
+    empty = first >= end
+    for at in first, end:
+        at += rows
+        at[empty] = cells + 1
+        at *= width
+        at += np.arange(p)
+    marks = np.zeros((cells + 2, width), dtype=np.uint8)
+    flat = marks.reshape(-1)
+    flat[first] = 1
+    flat[end] ^= 1
+    words = marks.view(np.uint64)
+    np.bitwise_xor.accumulate(words, axis=0, out=words)
+    outside = marks.view(np.bool_)
+    np.logical_not(marks, out=outside)
+    return outside[:cells, :p]
 
 
 def _dp(a: np.ndarray, b: np.ndarray, lo, hi, ends=None) -> np.ndarray:
@@ -164,7 +198,7 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi, ends=None) -> np.ndarray:
     i0s, i1s = start.min(axis=0), stop.max(axis=0)
     shared = (start.max(axis=0) == i0s) & (stop.min(axis=0) == i1s)
     # a diagonal on which every pair's run is empty can have i0 > i1: it
-    # must not be masked, as its negative width has no rows to repeat
+    # must not be masked, as its negative width has no rows to mark
     filled = i0s < i1s
     outside, at_mask = _outside(start, stop, i0s, i1s, np.flatnonzero(filled & ~shared)), 0
     base = np.arange(diagonals + 2) % ring * width  # plane q starts at base[q] * p
@@ -204,8 +238,9 @@ def _dp(a: np.ndarray, b: np.ndarray, lo, hi, ends=None) -> np.ndarray:
                 cost = np.cumsum(cost.reshape(n, d), axis=1)[:, -1]
             np.sqrt(cost, out=cost)
             if not same:
-                np.copyto(cost, np.inf, where=outside[at_mask:at_mask + n])
-                at_mask += n
+                rows = n // p
+                np.copyto(cost.reshape(rows, p), np.inf, where=outside[at_mask:at_mask + rows])
+                at_mask += rows
             # the run's cells, then those of its up (i - 1, j) and diagonal
             # (i - 1, j - 1) predecessors; the left ones (i, j - 1) follow up's
             out = flat[at:at + n]
@@ -434,25 +469,118 @@ def _batched(metric: str, params: dict | None):
     return table[metric]
 
 
-def _chunks(la: list, lb: list, waste: int, held):
-    """[start, stop) passes of the sorted pairs with lengths `la`/`lb`.  A
-    pass is padded to its longest la and lb; it closes before the pair that
-    would take the cells it holds, `held(ta, tb, mixed)` per pair where
+def _chunks(runs, waste: int, allowance: int, held) -> list[tuple[int, int]]:
+    """[start, stop) passes over the ranks of the pairs of `runs`, one
+    (la, lb, count) per distinct length pair in sorted order, each run taking
+    the next `count` ranks.  A pass is padded to its longest la and lb; it
+    closes before the pair that would take the cells it holds,
+    `held(ta, tb, mixed)` per pair where
     `mixed` says it holds more than one length pair, past `_CHUNK_CELLS`, or
-    its padded table cells past `waste` times its pairs' own, but always
-    takes at least one pair.  At `waste` 1 every pass holds one length pair
-    only."""
-    runs, start, ta, tb, own = [], 0, 0, 0, 0
-    for p, (a, b) in enumerate(zip(la, lb)):
-        cells, pairs, pa, pb = _table_cells(a, b), p + 1 - start, max(ta, a), max(tb, b)
-        mixed = (a, b) != (la[start], lb[start])  # the pairs are sorted by lengths
-        if p > start and (pairs * held(pa, pb, mixed) > _CHUNK_CELLS
-                          or pairs * _table_cells(pa, pb) > waste * (own + cells)):
-            runs.append((start, p))
-            start, ta, tb, own = p, 0, 0, 0
-        ta, tb, own = max(ta, a), max(tb, b), own + cells
-    runs.append((start, len(la)))
-    return runs
+    its padded table cells past `waste` times its pairs' own plus `allowance`
+    per anti-diagonal, but always takes at least one pair.  At `waste` 1 and
+    `allowance` 0 every pass holds one length pair only.  Both tests are
+    linear in the pairs a run adds, so each run is one step of arithmetic:
+    how many of its pairs join the open pass, then passes of its own, as
+    many pairs each as the cap allows (`oracle.chunks` is the same rule
+    pair by pair)."""
+    passes, start, at, ta, tb, own = [], 0, 0, 0, 0, 0
+    for a, b, count in runs:
+        cells, join = _table_cells(a, b), 0
+        if start < at:
+            # pair n of the run joins while (pairs + n) * held stays within the
+            # cap and n * excess within slack, which holds for every n >= 1 or
+            # none when excess <= 0
+            pa, pb, pairs = max(ta, a), max(tb, b), at - start
+            padded = _table_cells(pa, pb)
+            join = _CHUNK_CELLS // held(pa, pb, True) - pairs
+            slack = waste * own + allowance * (pa + pb - 1) - pairs * padded
+            excess = padded - waste * cells
+            if excess > 0:
+                join = min(join, slack // excess)
+            elif excess > slack:
+                join = 0
+            join = min(max(join, 0), count)
+            if join == count:
+                ta, tb, own, at = pa, pb, own + count * cells, at + count
+                continue
+            passes.append((start, at + join))
+        size, first = max(_CHUNK_CELLS // held(a, b, False), 1), at + join
+        start = first + (count - join - 1) // size * size
+        passes.extend((p, p + size) for p in range(first, start, size))
+        ta, tb, at = a, b, at + count
+        own = (at - start) * cells
+    if start < at:
+        passes.append((start, at))
+    return passes
+
+
+def _groups(lengths: np.ndarray, prefix: bool):
+    """How `pairwise` enumerates pairs: (order, bounds, key).  `order` sorts
+    the series by length, stably, into G groups of equal length,
+    order[bounds[g]:bounds[g + 1]] for g < G.  A member of a group pairs with
+    every series of higher `key`: its index for the DTW family, whose pair
+    (i, j) has i < j, and its place in `order` for euc and cos, which are
+    symmetric and read the common prefix, the member's own length."""
+    order = np.argsort(lengths, kind="stable")
+    _, starts = np.unique(lengths[order], return_index=True)
+    return order, np.append(starts, len(order)), np.arange(len(order)) if prefix else order
+
+
+def _partners(groups, g: int) -> np.ndarray:
+    """[N] count, for each series of `order` in turn, of group g's members
+    that pair with it: those of lower key."""
+    order, bounds, key = groups
+    return np.searchsorted(key[bounds[g]:bounds[g + 1]], key)
+
+
+def _length_runs(lengths: np.ndarray, groups, prefix: bool) -> list[tuple[int, int, int]]:
+    """(la, lb, count) of each distinct length pair among the pairs of
+    `_groups`, sorted: group g's pairs come in the order of their partner
+    in `order`, so its runs follow the partners' groups; euc and cos read
+    the common prefix, one length pair (la, la) per group."""
+    order, bounds, _ = groups
+    group_lengths = lengths[order[bounds[:-1]]].tolist()
+    runs = []
+    for g, a in enumerate(group_lengths):
+        below = _partners(groups, g)
+        if prefix:
+            runs.append((a, a, int(below.sum())))
+        else:
+            runs += zip(repeat(a), group_lengths, np.add.reduceat(below, bounds[:-1]).tolist())
+    return [run for run in runs if run[2]]
+
+
+def _pass_pairs(groups, passes):
+    """(i, j) index arrays of each pass's pairs, in the ranks `_length_runs`
+    counts, built a pass at a time: group g's pairs are, for each series of
+    `order` in turn, its partners in the group (`_partners`), so a pass's
+    series are those between the two that hold its first and last rank in
+    their running sum.  Equal lengths take the upper triangle column by
+    column."""
+    order, bounds, _ = groups
+    g, first, end = -1, 0, 0
+    for start, stop in passes:
+        i, j = [], []
+        while start < stop:
+            while start >= end:  # the next group that has pairs
+                g += 1
+                below = _partners(groups, g)
+                ends = np.cumsum(below)
+                # rank r of series t's partners is member r + member[t] of the group
+                member = bounds[g] + below - ends
+                first, end = end, end + int(ends[-1])
+            # ranks [lo, hi) of the group: series t0..t1 of `order`, the first
+            # and last of them cut to the ranks inside
+            lo, hi = start - first, min(stop, end) - first
+            t0, t1 = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
+            counts = below[t0:t1 + 1].copy()
+            counts[0] -= lo - (ends[t0] - below[t0])
+            counts[-1] -= ends[t1] - hi
+            t = np.repeat(np.arange(t0, t1 + 1), counts)
+            i.append(order[np.arange(lo, hi) + member[t]])
+            j.append(order[t])
+            start = min(stop, end)
+        yield (i[0], j[0]) if len(i) == 1 else (np.concatenate(i), np.concatenate(j))
 
 
 def _padded(values: np.ndarray, rows: np.ndarray, lengths: np.ndarray, t: int) -> np.ndarray:
@@ -463,80 +591,91 @@ def _padded(values: np.ndarray, rows: np.ndarray, lengths: np.ndarray, t: int) -
     return out
 
 
-def _grouped_values(tset: TimeSeriesSet, metric: str, fn, banded: bool) -> np.ndarray:
-    """[N, N] raw `metric` distances of the pairs i < j, mirrored, `fn` as
-    `_batched` makes it.  The pairs are sorted by (len_i, len_j), or by
-    min(len_i, len_j) for euc and cos, which read only the common prefix, and
-    run in passes of at most `_CHUNK_CELLS` cells held, padded cells included:
-    for dtw those of its ring (`_ring_cells`), so hundreds of pairs share one
-    pass, with the mask of each pair's own band when dtw is `banded` and the
-    pass mixes lengths, and for the others those of the whole skewed table.
-    A pass holds one length pair, or for a bucketed metric a length bucket:
-    pairs of nearby lengths padded to the pass's longest, as long as its
-    padded table cells stay within `_BUCKET_WASTE` times the pairs' own.
-    Equal lengths make the same passes either way.  Logs one DEBUG record of
-    the passes; the padded cells are those of the passes' ta x tb grids."""
+def _grouped_values(tset: TimeSeriesSet, metric: str, fn, banded: bool):
+    """([N, N] raw `metric` distances of the pairs i < j, mirrored, their min,
+    their max), `fn` as `_batched` makes it.  The pairs run sorted by
+    (len_i, len_j), or by min(len_i, len_j) for euc and cos, which read only
+    the common prefix, in passes of at most `_CHUNK_CELLS` cells held, padded
+    cells included: for dtw those of its ring (`_ring_cells`), so hundreds of
+    pairs share one pass, with the mask of each pair's own band when dtw is
+    `banded` and the pass mixes lengths, and for the others those of the
+    whole skewed table.  A pass holds one length pair, or for a bucketed
+    metric a length bucket: pairs of nearby lengths padded to the pass's
+    longest, as long as its padded table cells stay within `_BUCKET_WASTE`
+    times the pairs' own plus `_DIAGONAL_CELLS` per anti-diagonal.  Equal
+    lengths make the same passes either way.  The passes are planned per
+    distinct length pair (`_chunks`) and each holds its pair indices only
+    while it runs (`_pass_pairs`).  Logs one DEBUG record of the passes; the
+    padded cells are those of the passes' ta x tb grids."""
     n, lengths = tset.n, tset.lengths
-    values = np.zeros((n, n))
-    first, second = np.triu_indices(n, k=1)
-    la, lb = lengths[first], lengths[second]
-    if metric in ("cos", "euc"):
-        la = lb = np.minimum(la, lb)
-    order = np.lexsort((lb, la))
-    la, lb, first, second = la[order], lb[order], first[order], second[order]
+    prefix = metric in ("cos", "euc")
+    groups = _groups(lengths, prefix)
+    runs = _length_runs(lengths, groups, prefix)
     ring = metric == "dtw"
     held = ((lambda ta, tb, mixed: _ring_cells(ta, tb, tset.dims, banded and mixed)) if ring
             else (lambda ta, tb, mixed: _table_cells(ta, tb)))
-    passes = _chunks(la.tolist(), lb.tolist(), _BUCKET_WASTE if metric in _BUCKETED else 1, held)
-    padded = 0
-    for start, stop in passes:
-        i, j, pa, pb = (x[start:stop] for x in (first, second, la, lb))
+    bucketed = metric in _BUCKETED
+    passes = _chunks(runs, _BUCKET_WASTE if bucketed else 1, _DIAGONAL_CELLS if bucketed else 0,
+                     held)
+    values = np.zeros((n, n))
+    lo, hi, padded = np.inf, -np.inf, 0
+    for i, j in _pass_pairs(groups, passes):
+        pa, pb = lengths[i], lengths[j]
+        if prefix:
+            pa = pb = np.minimum(pa, pb)
         ta, tb = int(pa.max()), int(pb.max())
-        values[i, j] = values[j, i] = fn(_padded(tset.values, i, pa, ta),
-                                          _padded(tset.values, j, pb, tb), pa, pb)
-        padded += (stop - start) * ta * tb
-    _log.debug("pairwise %s: %d pairs in %d %s passes, %d padded cells", metric, len(la),
-               len(passes), "ring" if ring else "table", padded)
-    return values
+        got = fn(_padded(tset.values, i, pa, ta), _padded(tset.values, j, pb, tb), pa, pb)
+        values[i, j] = values[j, i] = got
+        # np.minimum and np.maximum carry a NaN through
+        lo, hi = np.minimum(lo, got.min()), np.maximum(hi, got.max())
+        padded += len(got) * ta * tb
+    _log.debug("pairwise %s: %d pairs of %d length pair%s in %d %s pass%s, %d padded cells",
+               metric, n * (n - 1) // 2, len(runs), "" if len(runs) == 1 else "s", len(passes),
+               "ring" if ring else "table", "" if len(passes) == 1 else "es", padded)
+    return values, lo, hi
 
 
 def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> DistanceMatrix:
     """Upper-triangle pairwise distances on unpadded series, mirrored, then
-    min-max normalized over the off-diagonal entries.  Pairs run in passes
-    that hold at most 2 MB, padded cells included: `dtw` and `tam` by length
-    bucket (nearby lengths share a pass padded to the longest, each pair read
-    at its own cell), `fastdtw` by exact length pair and `euc`/`cos` by common
-    prefix (see `_grouped_values`); the padding of `tset` is never read.  A
-    pass's pairs share one `_dp` with the pair index innermost, so each
-    anti-diagonal of all of them is one contiguous run.  A `dtw` pass holds
+    min-max normalized over the off-diagonal entries, in place.  Pairs run in
+    passes that hold at most 2 MB, padded cells included: `dtw` and `tam` by
+    length bucket (nearby lengths share a pass padded to the longest, each
+    pair read at its own cell, while the padding stays within twice the
+    pairs' own cells plus a fixed allowance per anti-diagonal), `fastdtw` by
+    exact length pair and `euc`/`cos` by common prefix (see
+    `_grouped_values`); the padding of `tset` is never read.  The passes are
+    planned per distinct length pair, not per pair, and a pass's pair
+    indices live only while it runs.  A pass's pairs share one `_dp` with
+    the pair index innermost, so each anti-diagonal of all of them is one
+    contiguous run.  A `dtw` pass holds
     three diagonals of that skewed table, its padded and step-major series
     copies and its cost buffer, so hundreds of pairs share it; a pass of the
     path metrics `tam` and `fastdtw` is capped as the whole table, which
     their backtracking reads.  Logs one DEBUG record per call on
-    `tscontrast.distance`: the metric, the pairs, the passes, whether they
-    are capped as a ring or a table, and the padded cells.
+    `tscontrast.distance`: the metric, the pairs, the distinct length pairs,
+    the passes, whether they are capped as a ring or a table, and the padded
+    cells.
     `params` holds only the keys `metric` reads (`METRIC_PARAMS`): `band` for
     dtw (None or a number >= 0) and `radius` for fastdtw (an int >= 1, default
     1); any other key, a key of another metric too, is rejected.  Raises
-    ValueError naming the first pair whose distance is not finite: a `band`
-    that admits no warping path, or a zero-norm common prefix under `cos`."""
+    ValueError naming the first pair, in row-major order, whose distance is
+    not finite: a `band` that admits no warping path, or a zero-norm common
+    prefix under `cos`."""
     fn = _batched(metric, params)
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
-    n = tset.n
-    values = _grouped_values(tset, metric, fn, banded=(params or {}).get("band") is not None)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0].tolist()
+    values, lo, hi = _grouped_values(tset, metric, fn,
+                                     banded=(params or {}).get("band") is not None)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        i, j = np.argwhere(~np.isfinite(values))[0].tolist()
         raise ValueError(f"{metric} distance between series {i} and {j} (lengths "
                          f"{tset.lengths[i]} and {tset.lengths[j]}) is not finite")
-    off = ~np.eye(n, dtype=bool)
-    lo, hi = values[off].min(), values[off].max()
     if hi > lo:
-        values = (values - lo) / (hi - lo)
+        values -= lo
+        values /= hi - lo
     else:
         # all off-diagonal distances equal: define them as maximally similar
-        values = np.zeros_like(values)
+        values.fill(0.0)
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(values=values, metric=metric)
 

@@ -208,6 +208,32 @@ def tam_from_path(path, ta: int, tb: int) -> float:
     return p_adv + p_del + (1.0 - p_phase)
 
 
+def chunks(la, lb, waste: int, allowance: int, held, cap: int):
+    """[start, stop) passes of the pairs with lengths `la`/`lb`, sorted by
+    (la, lb), decided one pair at a time.  A pass is padded to its longest
+    la and lb, held to (la + lb + 1) * (la + 1) skewed table cells a pair; it
+    closes before the pair that would take the cells it holds,
+    `held(ta, tb, mixed)` per pair where `mixed` says it holds more than one
+    length pair, past `cap`, or its padded table cells past `waste` times its
+    pairs' own plus `allowance` per anti-diagonal of its padded table, but
+    always takes at least one pair."""
+    def table(ta, tb):
+        return (ta + tb + 1) * (ta + 1)
+
+    passes, start, ta, tb, own = [], 0, 0, 0, 0
+    for p, (a, b) in enumerate(zip(la, lb)):
+        pairs, pa, pb = p + 1 - start, max(ta, a), max(tb, b)
+        mixed = (a, b) != (la[start], lb[start])
+        if p > start and (pairs * held(pa, pb, mixed) > cap
+                          or pairs * table(pa, pb)
+                          > waste * (own + table(a, b)) + allowance * (pa + pb - 1)):
+            passes.append((start, p))
+            start, ta, tb, own = p, 0, 0, 0
+        ta, tb, own = max(ta, a), max(tb, b), own + table(a, b)
+    passes.append((start, len(la)))
+    return passes
+
+
 def _flat_prefixes(a, b):
     a, b = _as_rows(a), _as_rows(b)
     t = min(len(a), len(b))

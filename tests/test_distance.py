@@ -374,22 +374,89 @@ def test_pairwise_cos_names_zero_norm_series():
         dist.pairwise(tset, "cos")
 
 
-@pytest.mark.parametrize("tables", [0, 1, 2])
-def test_pairwise_chunking_keeps_values(monkeypatch, tables):
-    rng = np.random.default_rng(4)
-    lengths = [9, 9, 9, 9, 9, 12, 12, 12, 5]
-    tset = _ragged_set([rng.normal(size=(t, 2)) for t in lengths])
-    methods = (("dtw", None), ("dtw", {"band": 2}), ("fastdtw", {"radius": 1}), ("tam", None))
-    whole = [dist.pairwise(tset, m, p).values for m, p in methods]
-    # At the default cap the 36 pairs fit in a few passes: dtw and tam pad
-    # pairs of nearby lengths to one length bucket, fastdtw keeps one length
-    # pair per pass.  A cap of one (9, 9) table puts each of the 10 (9, 9)
-    # pairs of tam and fastdtw in a pass of its own, a cap of two at most two
-    # in one, while dtw's smaller rings take a few more; a cap of 0 is below
-    # every pair, so each pass takes the one pair it must.
-    monkeypatch.setattr(dist, "_CHUNK_CELLS", tables * dist._table_cells(9, 9))
-    for (metric, params), before in zip(methods, whole):
-        assert np.array_equal(dist.pairwise(tset, metric, params).values, before)
+_PLAN_METHODS = (("dtw", None), ("dtw", {"band": 2}), ("tam", None), ("fastdtw", {"radius": 1}),
+                 ("euc", None), ("cos", None))
+
+
+def _matrix_or_error(tset, metric, params):
+    try:
+        return dist.pairwise(tset, metric, params).values.tobytes()
+    except ValueError as error:  # no band-2 path for far-apart lengths, or a zero-norm prefix
+        return str(error)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), min_size=2, max_size=9), d=st.sampled_from([1, 2]),
+       cap=st.sampled_from(["zero", "one pair", "default"]), waste=st.sampled_from([1, 2, 10 ** 6]),
+       allowance=st.sampled_from([0, dist._DIAGONAL_CELLS, 10 ** 9]), seed=st.integers(0, 2 ** 16),
+       zero=st.booleans())
+def test_pairwise_chunking_keeps_values(lengths, d, cap, waste, allowance, seed, zero):
+    # a pair's value depends on its own steps only, so any plan of passes
+    # gives every matrix bit for bit: caps from one pair a pass to the
+    # default, exact length pairs (waste 1, no allowance) to one bucket.  A
+    # zero last series makes cos fail, naming the same first pair whichever
+    # pass meets it
+    rng = np.random.default_rng(seed)
+    series = [rng.normal(size=(t, d)) for t in lengths]
+    if zero:
+        series[-1][:] = 0.0
+    tset = _ragged_set(series)
+    planned = [_matrix_or_error(tset, m, p) for m, p in _PLAN_METHODS]
+    longest = max(lengths)
+    cells = {"zero": 0, "one pair": dist._table_cells(longest, longest),
+             "default": dist._CHUNK_CELLS}[cap]
+    with mock.patch.multiple(dist, _CHUNK_CELLS=cells, _BUCKET_WASTE=waste,
+                             _DIAGONAL_CELLS=allowance):
+        replanned = [_matrix_or_error(tset, m, p) for m, p in _PLAN_METHODS]
+    assert replanned == planned
+
+
+def _held(kind, d):
+    """The `held` of `_chunks` for one kind of pass."""
+    if kind == "table":
+        return lambda ta, tb, mixed: dist._table_cells(ta, tb)
+    return lambda ta, tb, mixed: dist._ring_cells(ta, tb, d, kind == "banded ring" and mixed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), min_size=2, max_size=12)
+       | st.lists(st.sampled_from([3, 8, 9, 30]), min_size=2, max_size=40),
+       prefix=st.booleans(), kind=st.sampled_from(["ring", "banded ring", "table"]),
+       d=st.sampled_from([1, 2]), cap=st.sampled_from([0, 50, 600, 5000, dist._CHUNK_CELLS]),
+       waste=st.sampled_from([1, 2, 10 ** 6]),
+       allowance=st.sampled_from([0, 30, dist._DIAGONAL_CELLS, 10 ** 9]))
+# the open pass of seven (2, 2) prefixes, padded to (4, 4), leaves a slack of
+# exactly 0 for the (4, 4) run, whose pairs add no padding: they join, as a
+# pair whose padded cells equal the bound does
+@example(lengths=[39, 21, 32, 20, 4, 2, 32, 9], prefix=True, kind="ring", d=1, cap=5000, waste=1,
+         allowance=30)
+def test_pass_planning_equals_the_per_pair_oracle(lengths, prefix, kind, d, cap, waste, allowance):
+    # the pairs sorted one by one, as `oracle.chunks` decides them: by
+    # (len_i, len_j) over i < j, or by the common prefix for euc and cos
+    lengths = np.array(lengths)
+    first, second = np.triu_indices(len(lengths), k=1)
+    la, lb = lengths[first], lengths[second]
+    if prefix:
+        la = lb = np.minimum(la, lb)
+    order = np.lexsort((lb, la))
+    la, lb = la[order].tolist(), lb[order].tolist()
+    groups = dist._groups(lengths, prefix)
+    runs = dist._length_runs(lengths, groups, prefix)
+    assert [(a, b) for a, b, _ in runs] == sorted(set(zip(la, lb)))
+    held = _held(kind, d)
+    expected = oracle.chunks(la, lb, waste, allowance, held, cap)
+    with mock.patch.object(dist, "_CHUNK_CELLS", cap):
+        assert dist._chunks(runs, waste, allowance, held) == expected
+    # each pass holds the pairs of its ranks: their lengths, and every pair once
+    seen = []
+    for (start, stop), (i, j) in zip(expected, dist._pass_pairs(groups, expected), strict=True):
+        pa, pb = lengths[i], lengths[j]
+        if prefix:
+            pa = pb = np.minimum(pa, pb)
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        assert sorted(zip(pa.tolist(), pb.tolist())) == list(zip(la[start:stop], lb[start:stop]))
+        seen += zip(i.tolist(), j.tolist())
+    assert sorted(seen) == list(zip(first.tolist(), second.tolist()))
 
 
 def _dp_calls(monkeypatch, tset, metric, params=None):
@@ -451,12 +518,15 @@ def test_length_buckets_pad_at_most_twice_their_own_cells(monkeypatch, metric, p
 
 @pytest.mark.parametrize("metric, params", _BUCKETED_METHODS)
 def test_ragged_pairs_share_tables(monkeypatch, metric, params):
-    # the ragged-ucr slice: 28 pairs of 22 distinct length pairs
+    # the ragged-ucr slice: 28 pairs of 22 distinct length pairs.  A pass's
+    # fixed cost per anti-diagonal buys `_DIAGONAL_CELLS` padded cells of
+    # each: dtw and its bands run in one ring pass (four without it), tam's
+    # whole tables in three (four)
     lengths = [40, 67, 93, 120, 147, 40, 67, 93]
     assert len({(a, b) for i, a in enumerate(lengths) for b in lengths[i + 1:]}) == 22
     rng = np.random.default_rng(9)
     tset = _ragged_set([rng.normal(size=(t, 1)) for t in lengths])
-    assert len(_dp_calls(monkeypatch, tset, metric, params)) < 22
+    assert len(_dp_calls(monkeypatch, tset, metric, params)) == {"dtw": 1, "tam": 3}[metric]
 
 
 @pytest.mark.parametrize("ragged", [False, True], ids=["60x64", "ragged"])
@@ -475,17 +545,30 @@ def test_dtw_passes_hold_no_more_than_a_whole_table_pass(ragged, params, peak_by
     assert peak_bytes(lambda: dist.pairwise(tset, "dtw", params), warm_up=True) <= 2_273_000
 
 
+def test_pairwise_holds_its_pairs_a_pass_at_a_time(peak_bytes):
+    # 1 999 000 pairs of 8 steps: the [N, N] result is 32 MB, and the passes'
+    # pair indices, held one pass at a time, add little to it
+    n = 2000
+    tset = ds.TimeSeriesSet(values=np.random.default_rng(2).normal(size=(n, 8, 1)),
+                            lengths=[8] * n)
+    assert peak_bytes(lambda: dist.pairwise(tset, "dtw")) <= 40e6
+
+
 def test_pairwise_logs_its_passes_at_debug_only(caplog):
     tset = ds.TimeSeriesSet(values=np.random.default_rng(3).normal(size=(12, 64, 1)),
                             lengths=[64] * 12)
     caplog.set_level("DEBUG", logger="tscontrast.distance")
     dist.pairwise(tset, "dtw")
     dist.pairwise(tset, "tam")
-    # 66 pairs of 64 x 64 cells: one pass of rings, or whole tables 31 a pass
+    # 66 pairs of 64 x 64 cells: one pass of rings, or whole tables 31 a pass;
+    # the ragged-ucr slice's 28 pairs of 22 length pairs share one ring pass
+    lengths = [40, 67, 93, 120, 147, 40, 67, 93]
+    dist.pairwise(_ragged_set([np.ones((t, 1)) * t for t in lengths]), "dtw")
     assert {(r.name, r.levelname) for r in caplog.records} == {("tscontrast.distance", "DEBUG")}
     assert [r.getMessage() for r in caplog.records] == [
-        "pairwise dtw: 66 pairs in 1 ring passes, 270336 padded cells",
-        "pairwise tam: 66 pairs in 3 table passes, 270336 padded cells"]
+        "pairwise dtw: 66 pairs of 1 length pair in 1 ring pass, 270336 padded cells",
+        "pairwise tam: 66 pairs of 1 length pair in 3 table passes, 270336 padded cells",
+        "pairwise dtw: 28 pairs of 22 length pairs in 1 ring pass, 605052 padded cells"]
     caplog.clear()
     caplog.set_level("INFO", logger="tscontrast.distance")
     dist.pairwise(tset, "dtw")
