@@ -385,12 +385,27 @@ def _matrix_or_error(tset, metric, params):
         return str(error)
 
 
+@pytest.mark.parametrize("tables", [0, 1, 2])
+def test_pairwise_chunking_keeps_values(monkeypatch, tables):
+    rng = np.random.default_rng(4)
+    lengths = [9, 9, 9, 9, 9, 12, 12, 12, 5]
+    tset = _ragged_set([rng.normal(size=(t, 2)) for t in lengths])
+    methods = (("dtw", None), ("dtw", {"band": 2}), ("fastdtw", {"radius": 1}), ("tam", None))
+    whole = [dist.pairwise(tset, m, p).values for m, p in methods]
+    # a cap of one or two (9, 9) tables splits the 36 pairs into many more
+    # passes than the default; a cap of 0 is below every pair, so each pass
+    # takes the one pair it must.  Every matrix keeps its bits
+    monkeypatch.setattr(dist, "_CHUNK_CELLS", tables * dist._table_cells(9, 9))
+    for (metric, params), before in zip(methods, whole):
+        assert np.array_equal(dist.pairwise(tset, metric, params).values, before)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lengths=st.lists(st.integers(1, 40), min_size=2, max_size=9), d=st.sampled_from([1, 2]),
        cap=st.sampled_from(["zero", "one pair", "default"]), waste=st.sampled_from([1, 2, 10 ** 6]),
        allowance=st.sampled_from([0, dist._DIAGONAL_CELLS, 10 ** 9]), seed=st.integers(0, 2 ** 16),
        zero=st.booleans())
-def test_pairwise_chunking_keeps_values(lengths, d, cap, waste, allowance, seed, zero):
+def test_pairwise_plans_keep_values_over_drawn_sets(lengths, d, cap, waste, allowance, seed, zero):
     # a pair's value depends on its own steps only, so any plan of passes
     # gives every matrix bit for bit: caps from one pair a pass to the
     # default, exact length pairs (waste 1, no allowance) to one bucket.  A
