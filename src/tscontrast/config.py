@@ -78,7 +78,8 @@ DEFAULTS = {
             "seed": 0,
         },
     },
-    "distance": {"metric": "dtw", "radius": 1, "band": None, "cache": None},
+    "distance": {"metric": "dtw", "radius": METRIC_PARAMS["fastdtw"]["radius"],
+                 "band": METRIC_PARAMS["dtw"]["band"], "cache": None},
     "train": asdict(TrainConfig()),
 }
 

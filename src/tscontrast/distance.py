@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 import os
 import struct
@@ -60,7 +59,7 @@ def _as_batch(a, b):
 # Cap on the float64 cells one pass of pairwise holds (2 MB), padded cells
 # included: for dtw its three-diagonal ring, its copies of a and b and its
 # cost buffer (`_ring_cells`); for tam and fastdtw, whose backtracking reads
-# every cell, and for euc and cos, the whole skewed table.
+# every cell, the whole skewed table; for euc and cos, a row's [P, m, D] block.
 _CHUNK_CELLS = 1 << 18
 # A pass of a bucketed metric pads its pairs to its longest lengths, and
 # closes before its padded table cells would pass this many times the pairs'
@@ -79,8 +78,7 @@ _BUCKET_WASTE = 2
 _DIAGONAL_CELLS = 4096
 # The metrics whose pairs are bucketed: each pair's DTW is its own cell of the
 # padded table.  fastdtw keeps exact length pairs, because `_reduce_by_half`
-# keeps an odd last step alone and a padded series would coarsen differently;
-# euc and cos keep their common-prefix groups.
+# keeps an odd last step alone and a padded series would coarsen differently.
 _BUCKETED = ("dtw", "tam")
 
 
@@ -301,9 +299,10 @@ def _pair_bands(la, lb, ta: int, band) -> tuple[np.ndarray, np.ndarray]:
     and hi stay non-decreasing, as `_dp` assumes."""
     if (la == la[0]).all() and (lb == lb[0]).all():
         la, lb = la[:1], lb[:1]
-    width = np.array([math.floor(min(band * max(a, b), a * b))
-                      for a, b in zip(la.tolist(), lb.tolist())])[:, None]
     la, lb = la[:, None], lb[:, None]
+    # min(la, lb) already admits every cell, and a larger int could overflow
+    band = min(band, int(np.minimum(la, lb).max()))
+    width = np.floor(np.minimum(band * np.maximum(la, lb), la * lb)).astype(np.int64)
     i = np.minimum(np.arange(ta), la - 1) * lb
     lo = np.maximum(-((width - i) // la), 0)
     hi = np.minimum((i + width) // la, lb - 1)
@@ -391,24 +390,9 @@ def _tam_values(a, b, la, lb) -> np.ndarray:
     return values
 
 
-def _euc_values(a, b) -> np.ndarray:
-    t = min(a.shape[1], b.shape[1])
-    return np.sqrt(np.square(a[:, :t] - b[:, :t]).sum(axis=(1, 2)))
-
-
-def _cos_values(a, b) -> np.ndarray:
-    """1 - cosine similarity of the common prefix, clipped to [0, 2]; NaN when
-    either prefix has zero norm."""
-    t = min(a.shape[1], b.shape[1])
-    u, v = a[:, :t], b[:, :t]
-    nu, nv = (np.sqrt(np.square(x).sum(axis=(1, 2))) for x in (u, v))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.clip(1.0 - (u * v).sum(axis=(1, 2)) / (nu * nv), 0.0, 2.0)
-
-
 def _one_pair(metric: str, a, b, params: dict | None = None) -> float:
     """`metric` of one pair, its params checked as `pairwise` checks them."""
-    fn = _batched(metric, params)
+    fn = _batched(metric, *checked_params(metric, params))
     a, b = _as_batch(a, b)
     return float(fn(a, b, np.array([a.shape[1]]), np.array([b.shape[1]]))[0])
 
@@ -432,8 +416,8 @@ def tam(a, b) -> float:
     return _one_pair("tam", a, b)
 
 
-# the param keys each metric reads; any other key is rejected
-METRIC_PARAMS = {"dtw": ("band",), "fastdtw": ("radius",)}
+# the param key each metric reads, with its default; any other key is rejected
+METRIC_PARAMS = {"dtw": {"band": None}, "fastdtw": {"radius": 1}}
 
 
 def checked_params(metric: str, params: dict | None) -> tuple[int, float | None]:
@@ -446,7 +430,8 @@ def checked_params(metric: str, params: dict | None) -> tuple[int, float | None]
     if unknown:
         raise ValueError(f"unknown pairwise params: {sorted(unknown)} "
                          f"({metric} reads {', '.join(reads) or 'none'})")
-    radius, band = params.get("radius", 1), params.get("band")
+    radius = params.get("radius", METRIC_PARAMS["fastdtw"]["radius"])
+    band = params.get("band", METRIC_PARAMS["dtw"]["band"])
     if isinstance(radius, bool) or not isinstance(radius, numbers.Integral) or radius < 1:
         raise ValueError(f"radius must be an int >= 1, got {radius!r}")
     if band is not None and (isinstance(band, bool) or not isinstance(band, numbers.Real)
@@ -455,15 +440,10 @@ def checked_params(metric: str, params: dict | None) -> tuple[int, float | None]
     return radius, band
 
 
-def _batched(metric: str, params: dict | None):
-    """`metric` as a function of two [P, T, D] batches of pairs and the pairs'
-    own [P] lengths, its params checked by `checked_params`."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric: {metric!r}")
-    radius, band = checked_params(metric, params)
-    table = {"cos": lambda a, b, la, lb: _cos_values(a, b),
-             "euc": lambda a, b, la, lb: _euc_values(a, b),
-             "tam": _tam_values,
+def _batched(metric: str, radius: int, band: float | None):
+    """`metric` of the DTW family as a function of two [P, T, D] batches of
+    pairs and the pairs' own [P] lengths, at params `checked_params` returned."""
+    table = {"tam": _tam_values,
              "dtw": lambda a, b, la, lb: _dtw_values(a, b, la, lb, band),
              "fastdtw": lambda a, b, la, lb: _fastdtw_values(a, b, radius)}
     return table[metric]
@@ -514,39 +494,33 @@ def _chunks(runs, waste: int, allowance: int, held) -> list[tuple[int, int]]:
     return passes
 
 
-def _groups(lengths: np.ndarray, prefix: bool):
-    """How `pairwise` enumerates pairs: (order, bounds, key).  `order` sorts
-    the series by length, stably, into G groups of equal length,
-    order[bounds[g]:bounds[g + 1]] for g < G.  A member of a group pairs with
-    every series of higher `key`: its index for the DTW family, whose pair
-    (i, j) has i < j, and its place in `order` for euc and cos, which are
-    symmetric and read the common prefix, the member's own length."""
+def _groups(lengths: np.ndarray):
+    """How `pairwise` enumerates the pairs i < j of the DTW family: (order,
+    bounds).  `order` sorts the series by length, stably, into G groups of
+    equal length, order[bounds[g]:bounds[g + 1]] for g < G, each in index
+    order; a member of a group pairs with every series of higher index."""
     order = np.argsort(lengths, kind="stable")
     _, starts = np.unique(lengths[order], return_index=True)
-    return order, np.append(starts, len(order)), np.arange(len(order)) if prefix else order
+    return order, np.append(starts, len(order))
 
 
 def _partners(groups, g: int) -> np.ndarray:
     """[N] count, for each series of `order` in turn, of group g's members
-    that pair with it: those of lower key."""
-    order, bounds, key = groups
-    return np.searchsorted(key[bounds[g]:bounds[g + 1]], key)
+    that pair with it: those of lower index."""
+    order, bounds = groups
+    return np.searchsorted(order[bounds[g]:bounds[g + 1]], order)
 
 
-def _length_runs(lengths: np.ndarray, groups, prefix: bool) -> list[tuple[int, int, int]]:
+def _length_runs(lengths: np.ndarray, groups) -> list[tuple[int, int, int]]:
     """(la, lb, count) of each distinct length pair among the pairs of
     `_groups`, sorted: group g's pairs come in the order of their partner
-    in `order`, so its runs follow the partners' groups; euc and cos read
-    the common prefix, one length pair (la, la) per group."""
-    order, bounds, _ = groups
+    in `order`, so its runs follow the partners' groups."""
+    order, bounds = groups
     group_lengths = lengths[order[bounds[:-1]]].tolist()
     runs = []
     for g, a in enumerate(group_lengths):
-        below = _partners(groups, g)
-        if prefix:
-            runs.append((a, a, int(below.sum())))
-        else:
-            runs += zip(repeat(a), group_lengths, np.add.reduceat(below, bounds[:-1]).tolist())
+        below = np.add.reduceat(_partners(groups, g), bounds[:-1])
+        runs += zip(repeat(a), group_lengths, below.tolist())
     return [run for run in runs if run[2]]
 
 
@@ -557,7 +531,7 @@ def _pass_pairs(groups, passes):
     series are those between the two that hold its first and last rank in
     their running sum.  Equal lengths take the upper triangle column by
     column."""
-    order, bounds, _ = groups
+    order, bounds = groups
     g, first, end = -1, 0, 0
     for start, stop in passes:
         i, j = [], []
@@ -591,38 +565,34 @@ def _padded(values: np.ndarray, rows: np.ndarray, lengths: np.ndarray, t: int) -
     return out
 
 
-def _grouped_values(tset: TimeSeriesSet, metric: str, fn, banded: bool):
+def _grouped_values(tset: TimeSeriesSet, metric: str, radius: int, band: float | None):
     """([N, N] raw `metric` distances of the pairs i < j, mirrored, their min,
-    their max), `fn` as `_batched` makes it.  The pairs run sorted by
-    (len_i, len_j), or by min(len_i, len_j) for euc and cos, which read only
-    the common prefix, in passes of at most `_CHUNK_CELLS` cells held, padded
-    cells included: for dtw those of its ring (`_ring_cells`), so hundreds of
-    pairs share one pass, with the mask of each pair's own band when dtw is
-    `banded` and the pass mixes lengths, and for the others those of the
-    whole skewed table.  A pass holds one length pair, or for a bucketed
-    metric a length bucket: pairs of nearby lengths padded to the pass's
-    longest, as long as its padded table cells stay within `_BUCKET_WASTE`
-    times the pairs' own plus `_DIAGONAL_CELLS` per anti-diagonal.  Equal
-    lengths make the same passes either way.  The passes are planned per
-    distinct length pair (`_chunks`) and each holds its pair indices only
-    while it runs (`_pass_pairs`).  Logs one DEBUG record of the passes; the
-    padded cells are those of the passes' ta x tb grids."""
+    their max) of the DTW family.  The pairs run sorted by (len_i, len_j) in
+    passes of at most `_CHUNK_CELLS` cells held, padded cells included: for
+    dtw those of its ring (`_ring_cells`), so hundreds of pairs share one
+    pass, with the mask of each pair's own band when dtw has a `band` and the
+    pass mixes lengths, and for tam and fastdtw those of the whole table.  A
+    pass holds one length pair, or for a bucketed metric a length bucket:
+    pairs of nearby lengths padded to the pass's longest, as long as its
+    padded table cells stay within `_BUCKET_WASTE` times the pairs' own plus
+    `_DIAGONAL_CELLS` per anti-diagonal.  Equal lengths make the same passes
+    either way.  The passes are planned per distinct length pair (`_chunks`)
+    and each holds its pair indices only while it runs (`_pass_pairs`).  Logs
+    one DEBUG record of the passes; the padded cells are those of the
+    passes' ta x tb grids."""
     n, lengths = tset.n, tset.lengths
-    prefix = metric in ("cos", "euc")
-    groups = _groups(lengths, prefix)
-    runs = _length_runs(lengths, groups, prefix)
-    ring = metric == "dtw"
+    groups = _groups(lengths)
+    runs = _length_runs(lengths, groups)
+    ring, banded = metric == "dtw", band is not None
     held = ((lambda ta, tb, mixed: _ring_cells(ta, tb, tset.dims, banded and mixed)) if ring
             else (lambda ta, tb, mixed: _table_cells(ta, tb)))
     bucketed = metric in _BUCKETED
     passes = _chunks(runs, _BUCKET_WASTE if bucketed else 1, _DIAGONAL_CELLS if bucketed else 0,
                      held)
-    values = np.zeros((n, n))
+    fn, values = _batched(metric, radius, band), np.zeros((n, n))
     lo, hi, padded = np.inf, -np.inf, 0
     for i, j in _pass_pairs(groups, passes):
         pa, pb = lengths[i], lengths[j]
-        if prefix:
-            pa = pb = np.minimum(pa, pb)
         ta, tb = int(pa.max()), int(pb.max())
         got = fn(_padded(tset.values, i, pa, ta), _padded(tset.values, j, pb, tb), pa, pb)
         values[i, j] = values[j, i] = got
@@ -635,37 +605,67 @@ def _grouped_values(tset: TimeSeriesSet, metric: str, fn, banded: bool):
     return values, lo, hi
 
 
+def _prefix_values(tset: TimeSeriesSet, metric: str):
+    """([N, N] raw euc or cos distances, mirrored, their min, their max).
+    Both read a pair's common prefix: with the series sorted by length,
+    stably, each series x of length m meets the first m steps y of every
+    later one, in blocks of at most `_CHUNK_CELLS` cells.  euc is |x - y|,
+    cos 1 - their cosine similarity, clipped to [0, 2] and NaN where either
+    has zero norm.  Logs one DEBUG record of the passes, one per block."""
+    n, cos = tset.n, metric == "cos"
+    order = np.argsort(tset.lengths, kind="stable")
+    values, lo, hi, passes = np.zeros((n, n)), np.inf, -np.inf, 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # cos of a zero norm is NaN
+        for at, i in enumerate(order[:-1].tolist()):
+            m = int(tset.lengths[i])
+            x = np.ascontiguousarray(tset.values[i:i + 1, :m])
+            size = max(_CHUNK_CELLS // (m * tset.dims), 1)
+            for start in range(at + 1, n, size):
+                j = order[start:start + size]
+                y = np.ascontiguousarray(tset.values[j, :m])
+                if cos:
+                    nx, ny = (np.sqrt(np.square(z).sum(axis=(1, 2))) for z in (x, y))
+                    got = np.clip(1.0 - (x * y).sum(axis=(1, 2)) / (nx * ny), 0.0, 2.0)
+                else:
+                    got = np.sqrt(np.square(x - y).sum(axis=(1, 2)))
+                values[i, j] = values[j, i] = got
+                lo, hi = np.minimum(lo, got.min()), np.maximum(hi, got.max())
+                passes += 1
+    _log.debug("pairwise %s: %d pairs in %d row pass%s", metric, n * (n - 1) // 2, passes,
+               "" if passes == 1 else "es")
+    return values, lo, hi
+
+
 def pairwise(tset: TimeSeriesSet, metric: str, params: dict | None = None) -> DistanceMatrix:
     """Upper-triangle pairwise distances on unpadded series, mirrored, then
-    min-max normalized over the off-diagonal entries, in place.  Pairs run in
-    passes that hold at most 2 MB, padded cells included: `dtw` and `tam` by
-    length bucket (nearby lengths share a pass padded to the longest, each
-    pair read at its own cell, while the padding stays within twice the
-    pairs' own cells plus a fixed allowance per anti-diagonal), `fastdtw` by
-    exact length pair and `euc`/`cos` by common prefix (see
-    `_grouped_values`); the padding of `tset` is never read.  The passes are
-    planned per distinct length pair, not per pair, and a pass's pair
-    indices live only while it runs.  A pass's pairs share one `_dp` with
-    the pair index innermost, so each anti-diagonal of all of them is one
-    contiguous run.  A `dtw` pass holds
-    three diagonals of that skewed table, its padded and step-major series
-    copies and its cost buffer, so hundreds of pairs share it; a pass of the
-    path metrics `tam` and `fastdtw` is capped as the whole table, which
-    their backtracking reads.  Logs one DEBUG record per call on
-    `tscontrast.distance`: the metric, the pairs, the distinct length pairs,
-    the passes, whether they are capped as a ring or a table, and the padded
-    cells.
+    min-max normalized over the off-diagonal entries, in place; the padding
+    of `tset` is never read.  `euc` and `cos` read each pair's common prefix,
+    one row of the length-sorted series at a time against every later one
+    (`_prefix_values`).  The DTW family runs in passes planned per distinct
+    length pair (`_grouped_values`), whose pairs share one `_dp` with the
+    pair index innermost, so each anti-diagonal of all of them is one
+    contiguous run: `dtw` and `tam` by length bucket, nearby lengths padded
+    to the longest and each pair read at its own cell, and `fastdtw` by
+    exact length pair.  A `dtw` pass holds three diagonals of the skewed
+    table, so hundreds of pairs share it; `tam` and `fastdtw`, whose
+    backtracking reads every cell, are capped as the whole table.  A pass
+    or a row block holds at most 2 MB, padded cells included.  Logs one
+    DEBUG record per call on `tscontrast.distance`: the metric, the pairs
+    and the passes, and for the DTW family the distinct length pairs,
+    whether a ring or a table caps the passes, and the padded cells.
     `params` holds only the keys `metric` reads (`METRIC_PARAMS`): `band` for
     dtw (None or a number >= 0) and `radius` for fastdtw (an int >= 1, default
     1); any other key, a key of another metric too, is rejected.  Raises
     ValueError naming the first pair, in row-major order, whose distance is
     not finite: a `band` that admits no warping path, or a zero-norm common
     prefix under `cos`."""
-    fn = _batched(metric, params)
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric: {metric!r}")
+    radius, band = checked_params(metric, params)
     if tset.n < 2:
         raise ValueError("pairwise needs at least 2 series")
-    values, lo, hi = _grouped_values(tset, metric, fn,
-                                     banded=(params or {}).get("band") is not None)
+    values, lo, hi = (_prefix_values(tset, metric) if metric in ("euc", "cos")
+                      else _grouped_values(tset, metric, radius, band))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         i, j = np.argwhere(~np.isfinite(values))[0].tolist()
         raise ValueError(f"{metric} distance between series {i} and {j} (lengths "

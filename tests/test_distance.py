@@ -358,11 +358,32 @@ def test_pairwise_raises_exactly_when_a_band_admits_no_path(lengths, band, seed)
         assert np.isfinite(dist.pairwise(tset, "dtw", {"band": band}).values).all()
 
 
+def test_a_band_past_every_length_is_no_band():
+    # a band of min(la, lb) or more admits every cell of a pair, however
+    # large: an int band whose product with a length passes int64 must not wrap
+    rng = np.random.default_rng(10)
+    tset = _ragged_set([rng.normal(size=(t, 1)) for t in (3, 40, 17, 40, 9)])
+    unbanded = dist.pairwise(tset, "dtw").values.tobytes()
+    for band in (17, 2 ** 62, 10 ** 30, 1e300, math.inf):
+        assert dist.pairwise(tset, "dtw", {"band": band}).values.tobytes() == unbanded, band
+
+
 def test_pairwise_names_pair_a_band_cannot_align():
     rng = np.random.default_rng(0)
     tset = _ragged_set([rng.normal(size=(t, 1)) for t in (6, 40, 40)])
     with pytest.raises(ValueError, match=r"series 0 and 1 \(lengths 6 and 40\) is not finite"):
         dist.pairwise(tset, "dtw", {"band": 0})
+
+
+def test_euc_and_cos_do_not_depend_on_the_memory_layout():
+    # the same D = 3 ragged set, each series' steps in Fortran order or C order
+    rng = np.random.default_rng(6)
+    values, lengths = rng.normal(size=(12, 30, 3)), rng.integers(1, 31, 12)
+    fortran = ds.TimeSeriesSet(values=np.asfortranarray(values), lengths=lengths)
+    c_order = ds.TimeSeriesSet(values=values, lengths=lengths)
+    for metric in ("euc", "cos"):
+        assert (dist.pairwise(fortran, metric).values.tobytes()
+                == dist.pairwise(c_order, metric).values.tobytes())
 
 
 def test_pairwise_cos_names_zero_norm_series():
@@ -372,50 +393,60 @@ def test_pairwise_cos_names_zero_norm_series():
     with pytest.raises(ValueError, match=r"cos distance between series 0 and 2 "
                                          r"\(lengths 8 and 8\) is not finite"):
         dist.pairwise(tset, "cos")
+    # series 2 is the shortest, so its row runs first, against every other
+    # series; the error still names the first pair in row-major order
+    ragged = ds.TimeSeriesSet(values=values, lengths=[8, 5, 3, 6])
+    with pytest.raises(ValueError, match=r"cos distance between series 0 and 2 "
+                                         r"\(lengths 8 and 3\) is not finite"):
+        dist.pairwise(ragged, "cos")
 
 
-_PLAN_METHODS = (("dtw", None), ("dtw", {"band": 2}), ("tam", None), ("fastdtw", {"radius": 1}),
-                 ("euc", None), ("cos", None))
+_PLAN_METHODS = (("dtw", None), ("dtw", {"band": 2}), ("tam", None), ("fastdtw", {"radius": 1}))
 
 
 def _matrix_or_error(tset, metric, params):
     try:
         return dist.pairwise(tset, metric, params).values.tobytes()
-    except ValueError as error:  # no band-2 path for far-apart lengths, or a zero-norm prefix
+    except ValueError as error:  # no band-2 path for far-apart lengths
         return str(error)
 
 
 @pytest.mark.parametrize("tables", [0, 1, 2])
-def test_pairwise_chunking_keeps_values(monkeypatch, tables):
+def test_pairwise_chunking_keeps_values(monkeypatch, caplog, tables):
     rng = np.random.default_rng(4)
     lengths = [9, 9, 9, 9, 9, 12, 12, 12, 5]
     tset = _ragged_set([rng.normal(size=(t, 2)) for t in lengths])
     methods = (("dtw", None), ("dtw", {"band": 2}), ("fastdtw", {"radius": 1}), ("tam", None))
-    whole = [dist.pairwise(tset, m, p).values for m, p in methods]
+    whole = [dist.pairwise(tset, m, p).values.tobytes() for m, p in methods]
+    # euc and cos hold a row's 2m cells for each later series: 22 series of
+    # 9 steps or more pass two (9, 9) tables, so rows of 30 series of 9-12
+    # steps run in blocks
+    rows = _ragged_set([rng.normal(size=(t, 2)) for t in rng.integers(9, 13, 30)])
+    prefix_whole = [dist.pairwise(rows, m).values.tobytes() for m in ("euc", "cos")]
     # a cap of one or two (9, 9) tables splits the 36 pairs into many more
-    # passes than the default; a cap of 0 is below every pair, so each pass
-    # takes the one pair it must.  Every matrix keeps its bits
+    # passes than the default, and the 29 rows of euc and cos into blocks; a
+    # cap of 0 is below every pair, so each pass takes the one pair it must.
+    # Every matrix keeps its bits
     monkeypatch.setattr(dist, "_CHUNK_CELLS", tables * dist._table_cells(9, 9))
     for (metric, params), before in zip(methods, whole):
-        assert np.array_equal(dist.pairwise(tset, metric, params).values, before)
+        assert dist.pairwise(tset, metric, params).values.tobytes() == before
+    caplog.set_level("DEBUG", logger="tscontrast.distance")
+    for metric, before in zip(("euc", "cos"), prefix_whole):
+        assert dist.pairwise(rows, metric).values.tobytes() == before
+    passes = [int(re.search(r"in (\d+) row pass", r.getMessage())[1]) for r in caplog.records]
+    assert len(passes) == 2 and min(passes) > 29
 
 
 @settings(max_examples=40, deadline=None)
 @given(lengths=st.lists(st.integers(1, 40), min_size=2, max_size=9), d=st.sampled_from([1, 2]),
        cap=st.sampled_from(["zero", "one pair", "default"]), waste=st.sampled_from([1, 2, 10 ** 6]),
-       allowance=st.sampled_from([0, dist._DIAGONAL_CELLS, 10 ** 9]), seed=st.integers(0, 2 ** 16),
-       zero=st.booleans())
-def test_pairwise_plans_keep_values_over_drawn_sets(lengths, d, cap, waste, allowance, seed, zero):
+       allowance=st.sampled_from([0, dist._DIAGONAL_CELLS, 10 ** 9]), seed=st.integers(0, 2 ** 16))
+def test_pairwise_plans_keep_values_over_drawn_sets(lengths, d, cap, waste, allowance, seed):
     # a pair's value depends on its own steps only, so any plan of passes
     # gives every matrix bit for bit: caps from one pair a pass to the
-    # default, exact length pairs (waste 1, no allowance) to one bucket.  A
-    # zero last series makes cos fail, naming the same first pair whichever
-    # pass meets it
+    # default, exact length pairs (waste 1, no allowance) to one bucket
     rng = np.random.default_rng(seed)
-    series = [rng.normal(size=(t, d)) for t in lengths]
-    if zero:
-        series[-1][:] = 0.0
-    tset = _ragged_set(series)
+    tset = _ragged_set([rng.normal(size=(t, d)) for t in lengths])
     planned = [_matrix_or_error(tset, m, p) for m, p in _PLAN_METHODS]
     longest = max(lengths)
     cells = {"zero": 0, "one pair": dist._table_cells(longest, longest),
@@ -436,27 +467,20 @@ def _held(kind, d):
 @settings(max_examples=300, deadline=None)
 @given(lengths=st.lists(st.integers(1, 40), min_size=2, max_size=12)
        | st.lists(st.sampled_from([3, 8, 9, 30]), min_size=2, max_size=40),
-       prefix=st.booleans(), kind=st.sampled_from(["ring", "banded ring", "table"]),
-       d=st.sampled_from([1, 2]), cap=st.sampled_from([0, 50, 600, 5000, dist._CHUNK_CELLS]),
+       kind=st.sampled_from(["ring", "banded ring", "table"]), d=st.sampled_from([1, 2]),
+       cap=st.sampled_from([0, 50, 600, 5000, dist._CHUNK_CELLS]),
        waste=st.sampled_from([1, 2, 10 ** 6]),
        allowance=st.sampled_from([0, 30, dist._DIAGONAL_CELLS, 10 ** 9]))
-# the open pass of seven (2, 2) prefixes, padded to (4, 4), leaves a slack of
-# exactly 0 for the (4, 4) run, whose pairs add no padding: they join, as a
-# pair whose padded cells equal the bound does
-@example(lengths=[39, 21, 32, 20, 4, 2, 32, 9], prefix=True, kind="ring", d=1, cap=5000, waste=1,
-         allowance=30)
-def test_pass_planning_equals_the_per_pair_oracle(lengths, prefix, kind, d, cap, waste, allowance):
-    # the pairs sorted one by one, as `oracle.chunks` decides them: by
-    # (len_i, len_j) over i < j, or by the common prefix for euc and cos
+def test_pass_planning_equals_the_per_pair_oracle(lengths, kind, d, cap, waste, allowance):
+    # the pairs sorted one by one by (len_i, len_j) over i < j, as
+    # `oracle.chunks` decides them
     lengths = np.array(lengths)
     first, second = np.triu_indices(len(lengths), k=1)
     la, lb = lengths[first], lengths[second]
-    if prefix:
-        la = lb = np.minimum(la, lb)
     order = np.lexsort((lb, la))
     la, lb = la[order].tolist(), lb[order].tolist()
-    groups = dist._groups(lengths, prefix)
-    runs = dist._length_runs(lengths, groups, prefix)
+    groups = dist._groups(lengths)
+    runs = dist._length_runs(lengths, groups)
     assert [(a, b) for a, b, _ in runs] == sorted(set(zip(la, lb)))
     held = _held(kind, d)
     expected = oracle.chunks(la, lb, waste, allowance, held, cap)
@@ -466,12 +490,23 @@ def test_pass_planning_equals_the_per_pair_oracle(lengths, prefix, kind, d, cap,
     seen = []
     for (start, stop), (i, j) in zip(expected, dist._pass_pairs(groups, expected), strict=True):
         pa, pb = lengths[i], lengths[j]
-        if prefix:
-            pa = pb = np.minimum(pa, pb)
-            i, j = np.minimum(i, j), np.maximum(i, j)
         assert sorted(zip(pa.tolist(), pb.tolist())) == list(zip(la[start:stop], lb[start:stop]))
         seen += zip(i.tolist(), j.tolist())
     assert sorted(seen) == list(zip(first.tolist(), second.tolist()))
+
+
+def test_chunks_take_a_run_whose_slack_is_exactly_zero():
+    # the open pass of seven (2, 2) pairs, padded to (4, 4), leaves a slack
+    # of exactly 0 for the (4, 4) run, whose pairs add no padding: they join,
+    # as a pair whose padded cells equal the bound does
+    runs = [(2, 2, 7), (4, 4, 6), (9, 9, 5), (20, 20, 4), (21, 21, 3), (32, 32, 3)]
+    la = [a for a, _, count in runs for _ in range(count)]
+    lb = [b for _, b, count in runs for _ in range(count)]
+    held = _held("ring", 1)
+    expected = oracle.chunks(la, lb, 1, 30, held, 5000)
+    assert expected[0] == (0, 13)
+    with mock.patch.object(dist, "_CHUNK_CELLS", 5000):
+        assert dist._chunks(runs, 1, 30, held) == expected
 
 
 def _dp_calls(monkeypatch, tset, metric, params=None):
@@ -562,11 +597,24 @@ def test_dtw_passes_hold_no_more_than_a_whole_table_pass(ragged, params, peak_by
 
 def test_pairwise_holds_its_pairs_a_pass_at_a_time(peak_bytes):
     # 1 999 000 pairs of 8 steps: the [N, N] result is 32 MB, and the passes'
-    # pair indices, held one pass at a time, add little to it
+    # pair indices, held one pass at a time, add little to it; euc and cos
+    # hold one row's block of later series
     n = 2000
     tset = ds.TimeSeriesSet(values=np.random.default_rng(2).normal(size=(n, 8, 1)),
                             lengths=[8] * n)
-    assert peak_bytes(lambda: dist.pairwise(tset, "dtw")) <= 40e6
+    for metric in ("dtw", "euc", "cos"):
+        assert peak_bytes(lambda: dist.pairwise(tset, metric)) <= 40e6, metric
+
+
+@pytest.mark.parametrize("metric", ["euc", "cos"])
+def test_prefix_blocks_bound_the_memory_of_long_series(metric, peak_bytes):
+    # 8 series of 100 000 steps: row 0 meets 7 later series, 5.6 MB, but a
+    # block holds at most `_CHUNK_CELLS` cells, two series, 1.6 MB, and euc's
+    # difference and its square, or cos's squares and product, one or two
+    # more; the whole row at once peaks at 11.2 MB or more
+    tset = ds.TimeSeriesSet(values=np.random.default_rng(5).normal(size=(8, 100_000, 1)),
+                            lengths=[100_000] * 8)
+    assert peak_bytes(lambda: dist.pairwise(tset, metric)) <= 6e6
 
 
 def test_pairwise_logs_its_passes_at_debug_only(caplog):
@@ -575,14 +623,18 @@ def test_pairwise_logs_its_passes_at_debug_only(caplog):
     caplog.set_level("DEBUG", logger="tscontrast.distance")
     dist.pairwise(tset, "dtw")
     dist.pairwise(tset, "tam")
+    dist.pairwise(tset, "euc")
     # 66 pairs of 64 x 64 cells: one pass of rings, or whole tables 31 a pass;
-    # the ragged-ucr slice's 28 pairs of 22 length pairs share one ring pass
+    # euc compares each of the first 11 series with the later ones, one pass
+    # a row; the ragged-ucr slice's 28 pairs of 22 length pairs share one
+    # ring pass
     lengths = [40, 67, 93, 120, 147, 40, 67, 93]
     dist.pairwise(_ragged_set([np.ones((t, 1)) * t for t in lengths]), "dtw")
     assert {(r.name, r.levelname) for r in caplog.records} == {("tscontrast.distance", "DEBUG")}
     assert [r.getMessage() for r in caplog.records] == [
         "pairwise dtw: 66 pairs of 1 length pair in 1 ring pass, 270336 padded cells",
         "pairwise tam: 66 pairs of 1 length pair in 3 table passes, 270336 padded cells",
+        "pairwise euc: 66 pairs in 11 row passes",
         "pairwise dtw: 28 pairs of 22 length pairs in 1 ring pass, 605052 padded cells"]
     caplog.clear()
     caplog.set_level("INFO", logger="tscontrast.distance")
